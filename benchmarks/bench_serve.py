@@ -18,8 +18,8 @@ Capacity is the logical input size divided by total wall time, so the
 shared/unshared ratio is the number of independent tenants one shared
 group replaces. Both cells come from the same process on the same box —
 ``tools/check_bench_regression.py`` holds the ratio to a hard
-machine-independent floor (and equal match totals) via
-``check_serve_cells``.
+machine-independent floor (and equal match totals) via its
+``SIBLING_FLOORS`` table.
 """
 
 from benchmarks.common import bench_scale, record, record_rows

@@ -78,7 +78,7 @@ def plan_state_diagnostics(
     for node in plan.root.walk():
         if isinstance(node, CountAggregate):
             # O2's γcount emits one approximate match per (key, window)
-            # while the columnar KleeneIterate operator enumerates the
+            # while the exact KleeneIterate operator enumerates the
             # same iterations exactly, under the same windowed state
             # bound. Surfacing the trade keeps `allow_approximate` an
             # informed opt-in rather than a silent output change.
@@ -86,7 +86,7 @@ def plan_state_diagnostics(
                 warning(
                     "RA304",
                     "plan maps this iteration to the approximate O2 count "
-                    "(one match per key and window); the exact columnar "
+                    "(one match per key and window); the exact "
                     "Kleene operator covers the same pattern with the same "
                     "bounded state — translate with "
                     "iteration_strategy='exact' unless approximate output "

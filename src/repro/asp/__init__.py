@@ -14,7 +14,6 @@ from repro.asp.datamodel import (
     TypeRegistry,
     merge_events,
 )
-from repro.asp.executor import Executor, RunResult, run_dataflow
 from repro.asp.operators.dedup import DedupOperator
 from repro.asp.operators.multiway import MultiWayWindowJoin
 from repro.asp.graph import Dataflow, linear_pipeline
@@ -26,6 +25,7 @@ from repro.asp.operators.window import (
     sliding,
     tumbling,
 )
+from repro.asp.runtime import RunResult, run_dataflow
 from repro.asp.stream import StreamEnvironment, StreamHandle
 from repro.asp.time import (
     MS_PER_MINUTE,
@@ -45,7 +45,6 @@ __all__ = [
     "DedupOperator",
     "Event",
     "EventTypeInfo",
-    "Executor",
     "IntervalBounds",
     "MS_PER_MINUTE",
     "MS_PER_SECOND",

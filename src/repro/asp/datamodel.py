@@ -20,7 +20,6 @@ This module provides that unified representation:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left as _bisect_left, bisect_right as _bisect_right
 from operator import attrgetter as _attrgetter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -242,10 +241,6 @@ class ComplexEvent:
         return f"ComplexEvent([{types}], ts_b={self.ts_b}, ts_e={self.ts_e})"
 
 
-#: Per-entry overhead of a struct-of-arrays column slot (a CPython list
-#: element is one pointer). Used by the cached columnar state accounting.
-COLUMN_SLOT_BYTES = 8
-
 #: Columns a :class:`ColumnStore` can materialize. ``event_type`` rides
 #: along so type routing can compare against a plain string column.
 _COLUMN_ATTRIBUTES = ("ts", "id", "value", "lat", "lon", "event_type")
@@ -254,11 +249,13 @@ _COLUMN_ATTRIBUTES = ("ts", "id", "value", "lat", "lon", "event_type")
 class ColumnStore:
     """Lazily-built struct-of-arrays view over one source's event list.
 
-    The columnar engine builds one store per source at job start; every
-    micro-batch of that source is then a zero-copy ``(start, stop)`` or
-    index-selection view (:class:`ColumnarBatch`) into these shared
-    columns. Columns materialize on first access only — a plan whose
-    predicates touch ``value`` never pays for ``lat``/``lon`` columns.
+    When every source is materialized and time-sorted, the batch engine
+    builds one store per source at job start; the scheduler's array
+    merges then cut every micro-batch as a zero-copy ``(start, stop)``
+    view (:class:`ColumnarBatch`; an index selection after a predicate
+    mask) into these shared columns. Columns
+    materialize on first access only — a plan whose predicates touch
+    ``value`` never pays for ``lat``/``lon`` columns.
     """
 
     __slots__ = ("events", "_columns", "_uniform_type", "_has_uniform")
@@ -298,27 +295,6 @@ class ColumnStore:
                     self._uniform_type = first
         return self._uniform_type
 
-    def locate(self, run: Sequence[Event]) -> int | None:
-        """Start offset of ``run`` inside this store, or ``None``.
-
-        Identity comparison only — a view is handed out solely for runs
-        that are literal slices of the stored event list.
-        """
-        if not run:
-            return None
-        ts = self.column("ts")
-        events = self.events
-        first = run[0]
-        lo = _bisect_left(ts, first.ts)
-        hi = _bisect_right(ts, first.ts)
-        for pos in range(lo, hi):
-            if events[pos] is first:
-                stop = pos + len(run)
-                if stop <= len(events) and events[stop - 1] is run[-1]:
-                    return pos
-                return None
-        return None
-
 
 class ColumnarBatch:
     """A zero-copy selection of one :class:`ColumnStore`'s rows.
@@ -329,10 +305,10 @@ class ColumnarBatch:
     :meth:`iter_indices`; everything else calls :meth:`to_events` and
     processes rows — the universal fallback that keeps mixed plans
     running. The events returned are the *same objects* the row engine
-    would deliver, which is what makes columnar output byte-comparable.
+    would deliver, which is what makes column-view output byte-comparable.
     """
 
-    __slots__ = ("store", "start", "stop", "indices", "_size_bytes")
+    __slots__ = ("store", "start", "stop", "indices")
 
     def __init__(
         self,
@@ -349,12 +325,6 @@ class ColumnarBatch:
         else:
             self.start = 0
             self.stop = len(indices)
-        self._size_bytes: int | None = None
-
-    @staticmethod
-    def from_events(events: Sequence[Event]) -> "ColumnarBatch":
-        """Ad-hoc batch over a standalone run (no shared store)."""
-        return ColumnarBatch(ColumnStore(events))
 
     def __len__(self) -> int:
         if self.indices is None:
@@ -373,13 +343,6 @@ class ColumnarBatch:
     def column(self, name: str) -> list:
         return self.store.column(name)
 
-    def column_values(self, name: str) -> list:
-        """Values of column ``name`` for the selected rows only."""
-        col = self.store.column(name)
-        if self.indices is None:
-            return col[self.start : self.stop]
-        return [col[i] for i in self.indices]
-
     @property
     def uniform_type(self) -> str | None:
         return self.store.uniform_type
@@ -397,22 +360,6 @@ class ColumnarBatch:
             return list(events[self.start : self.stop])
         events = self.store.events
         return [events[i] for i in self.indices]
-
-    @property
-    def size_bytes(self) -> int:
-        """Cached footprint of the selected rows *plus* column overhead.
-
-        State ledgers adjust once per bulk insert with this value (and
-        symmetric per-event eviction uses the per-event sizes), so the
-        peak-state gauges and the RA803 budget check stay truthful under
-        the columnar representation.
-        """
-        size = self._size_bytes
-        if size is None:
-            events = self.store.events
-            size = sum(events[i].size_bytes for i in self.iter_indices())
-            self._size_bytes = size
-        return size
 
     def __repr__(self) -> str:
         kind = "range" if self.indices is None else "index"

@@ -212,43 +212,6 @@ class WindowAggregate(StatefulOperator):
             self._next_window_index = first_index
         return []
 
-    def process_columnar(self, batch, port: int = 0) -> list[Item]:
-        """Columnar accumulate: read the ts and value columns directly.
-
-        The buffer stores ``(ts, float(value))`` pairs, so the columnar
-        form appends two column slices without touching a single event
-        object. Keyed or non-core-attribute aggregates fall back to the
-        row batch path.
-        """
-        if not batch:
-            return []
-        if self.is_keyed or self.attribute not in ("ts", "id", "value", "lat", "lon"):
-            return self.process_batch(batch.to_events(), port)
-        ts_run = batch.column_values("ts")
-        if ts_run != sorted(ts_run):
-            return self.process_batch(batch.to_events(), port)
-        n = len(batch)
-        self.work_units += n
-        handle = self._ensure_handle()
-        entry = self._by_key.get(_GLOBAL)
-        if entry is None:
-            entry = ([], [])
-            self._by_key[_GLOBAL] = entry
-        ts_list, values = entry
-        if ts_list and ts_run[0] < ts_list[-1]:
-            # Late run relative to buffered content: row path handles the
-            # positional inserts.
-            return self.process_batch(batch.to_events(), port)
-        ts_list.extend(ts_run)
-        values.extend(float(v) for v in batch.column_values(self.attribute))
-        handle.adjust(96 * n, n)
-        first_index = self.assigner.indices_for(ts_run[0])[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            self._next_window_index = first_index
-        return []
-
     def _last_useful_index(self) -> int:
         """Largest window index containing any buffered value (guards the
         terminal watermark against iterating to MAX_WATERMARK)."""

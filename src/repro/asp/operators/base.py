@@ -128,13 +128,15 @@ class Operator:
     def process_columnar(self, batch: "ColumnarBatch", port: int = 0):
         """Handle a struct-of-arrays micro-batch.
 
-        The columnar engine delivers batches as zero-copy views over
-        per-source column stores. Operators that can work on columns
-        override this and return either a new :class:`ColumnarBatch`
-        (keeping the run columnar for downstream operators) or a plain
-        item list. The default materializes the rows and delegates to
-        :meth:`process_batch` — the universal row fallback that makes any
-        columnar/row operator mix execute with identical semantics.
+        When every source is materialized and time-sorted, the batch
+        engine's array merges cut batches as zero-copy views over
+        per-source column stores. Operators whose work is a per-event attribute test
+        (the filters' compiled masks) override this and return either a
+        new :class:`ColumnarBatch` (keeping the run columnar for
+        downstream operators) or a plain item list. Everything else
+        inherits this default, which materializes the rows and delegates
+        to :meth:`process_batch` — joins and iteration spend their time
+        probing and emitting, which columns do not speed up.
         """
         return self.process_batch(batch.to_events(), port)
 

@@ -26,10 +26,10 @@ class FilterOperator(Operator):
         # callable — it is the reference semantics the compiled form is
         # validated against (the equivalence suite runs both).
         self.fast_predicate = getattr(predicate, "compiled", None) or predicate
-        # Columnar twin: ``mask(store, indices) -> indices`` evaluating
+        # Column twin: ``mask(store, indices) -> indices`` evaluating
         # the predicate over whole columns. Attached by the translator
         # when every pushdown conjunct is maskable.
-        self.columnar_mask = getattr(predicate, "columnar", None)
+        self.column_mask = getattr(predicate, "mask", None)
         self.passed = 0
         self.dropped = 0
 
@@ -53,7 +53,7 @@ class FilterOperator(Operator):
         return out
 
     def process_columnar(self, batch: ColumnarBatch, port: int = 0):
-        mask = self.columnar_mask
+        mask = self.column_mask
         if mask is not None:
             kept = mask(batch.store, batch.iter_indices())
         else:

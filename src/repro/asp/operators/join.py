@@ -132,28 +132,6 @@ class _SideBuffer:
             added_bytes += item.size_bytes
         self.handle.adjust(added_bytes, len(run))
 
-    def extend_sorted(
-        self, key: Any, ts_run: Sequence[int], run: Sequence[Item], total_bytes: int
-    ) -> None:
-        """Bulk-append an already-sorted run with a precomputed byte size.
-
-        The columnar path hands over the batch's ts column slice and its
-        cached ``size_bytes`` sum, so the insert is two list extends and
-        one ledger adjustment — no per-item timestamp or size reads. Falls
-        back to :meth:`extend` when the run is not entirely late-free.
-        """
-        entry = self.by_key.get(key)
-        if entry is None:
-            entry = ([], [])
-            self.by_key[key] = entry
-        ts_list, items = entry
-        if ts_list and ts_run and ts_run[0] < ts_list[-1]:
-            self.extend(key, run)
-            return
-        ts_list.extend(ts_run)
-        items.extend(run)
-        self.handle.adjust(total_bytes, len(run))
-
     def slice(self, key: Any, begin: int, end: int) -> list[Item]:
         """Items of ``key`` with ts in [begin, end)."""
         entry = self.by_key.get(key)
@@ -330,34 +308,6 @@ class SlidingWindowJoin(StatefulOperator):
         # min() over the run commutes with the per-item cursor rule: the
         # window index is monotone in ts and nothing fires mid-batch.
         first_index = self.assigner.indices_for(min(i.ts for i in items))[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            self._next_window_index = first_index
-        return []
-
-    def process_columnar(self, batch, port: int = 0) -> list[Item]:
-        """Columnar bulk-buffer: ts column handed straight to the sorted
-        side-buffer, state ledger adjusted once from the batch's cached
-        byte size. Emission still happens only in :meth:`on_watermark`."""
-        if not batch:
-            return []
-        self._ensure_buffers()
-        n = len(batch)
-        self.work_units += n
-        if port == 0:
-            buffer, key_fn = self._left, self.left_key
-        elif port == 1:
-            buffer, key_fn = self._right, self.right_key
-        else:
-            raise ValueError(f"join received item on invalid port {port}")
-        ts_run = batch.column_values("ts")
-        if not self.is_keyed:
-            buffer.extend_sorted(GLOBAL_KEY, ts_run, batch.to_events(), batch.size_bytes)
-        else:
-            for key, group in _group_by_key(batch.to_events(), key_fn).items():
-                buffer.extend(key, group)
-        first_index = self.assigner.indices_for(min(ts_run))[0]
         if self._next_window_index is None:
             self._next_window_index = first_index
         elif not self._windows_fired and first_index < self._next_window_index:
@@ -605,113 +555,6 @@ class IntervalJoin(StatefulOperator):
                     self._test_and_emit(l_item, item, out)
         else:
             raise ValueError(f"join received item on invalid port {port}")
-        return out
-
-    def process_columnar(self, batch, port: int = 0) -> list[Item]:
-        """Columnar probe: bulk insert, then advance window pointers.
-
-        Within a batch the ts column is sorted, so each event's interval
-        window ``(begin, end)`` moves monotonically over the opposite
-        buffer's sorted ts array. Two galloping pointers replace the two
-        bisects per event of the row path (the same shape as the
-        scheduler's galloping merge), and they select *exactly* the
-        ``bisect_left`` range — candidate sets, emission order and
-        counters match the row path pair-for-pair.
-        """
-        if not batch:
-            return []
-        if port not in (0, 1):
-            raise ValueError(f"join received item on invalid port {port}")
-        self._ensure_buffers()
-        n = len(batch)
-        self.work_units += n
-        events = batch.to_events()
-        ts_run = batch.column_values("ts")
-        out: list[Item] = []
-        test = self._test_and_emit
-        lower, upper = self.bounds.lower, self.bounds.upper
-        if port == 0:
-            # Window of a left event: rights in (ts+lower, ts+upper),
-            # bounds exclusive — half-open [ts+lower+1, ts+upper).
-            off_b, off_e = lower + 1, upper
-        else:
-            # Lefts whose window contains this right event:
-            # ts - upper < l.ts < ts - lower.
-            off_b, off_e = 1 - upper, -lower
-        if self.is_keyed:
-            key_fn = self.left_key if port == 0 else self.right_key
-            mine = self._left if port == 0 else self._right
-            other = self._right if port == 0 else self._left
-            keys = [key_fn(e) for e in events]
-            groups: dict[Any, list[int]] = {}
-            for i, key in enumerate(keys):
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [i]
-                else:
-                    group.append(i)
-            for key, idxs in groups.items():
-                mine.extend(key, [events[i] for i in idxs])
-            by_key = other.by_key
-            # Probe in batch order; ts is sorted within the batch, so each
-            # key's window pointers advance monotonically over that key's
-            # sorted buffer — the galloping analog of the per-event bisects.
-            cursors: dict[Any, list[int]] = {}
-            for i in range(n):
-                key = keys[i]
-                entry = by_key.get(key)
-                if entry is None:
-                    continue
-                ts_list, items = entry
-                m = len(ts_list)
-                cur = cursors.get(key)
-                if cur is None:
-                    cur = cursors[key] = [0, 0]
-                ts = ts_run[i]
-                begin = ts + off_b
-                end = ts + off_e
-                lo, hi = cur
-                while lo < m and ts_list[lo] < begin:
-                    lo += 1
-                if hi < lo:
-                    hi = lo
-                while hi < m and ts_list[hi] < end:
-                    hi += 1
-                cur[0], cur[1] = lo, hi
-                item = events[i]
-                if port == 0:
-                    for j in range(lo, hi):
-                        test(item, items[j], out)
-                else:
-                    for j in range(lo, hi):
-                        test(items[j], item, out)
-            return out
-        mine = self._left if port == 0 else self._right
-        other = self._right if port == 0 else self._left
-        mine.extend_sorted(GLOBAL_KEY, ts_run, events, batch.size_bytes)
-        entry = other.by_key.get(GLOBAL_KEY)
-        if entry is None:
-            return out
-        ts_list, items = entry
-        m = len(ts_list)
-        lo = hi = 0
-        for i in range(n):
-            ts = ts_run[i]
-            begin = ts + off_b
-            end = ts + off_e
-            while lo < m and ts_list[lo] < begin:
-                lo += 1
-            if hi < lo:
-                hi = lo
-            while hi < m and ts_list[hi] < end:
-                hi += 1
-            item = events[i]
-            if port == 0:
-                for j in range(lo, hi):
-                    test(item, items[j], out)
-            else:
-                for j in range(lo, hi):
-                    test(items[j], item, out)
         return out
 
     def _test_and_emit(self, l_item: Item, r_item: Item, out: list[Item]) -> None:

@@ -1,4 +1,4 @@
-"""Exact Kleene iteration — the columnar replacement for approximate O2.
+"""Exact Kleene iteration — the exact replacement for approximate O2.
 
 Optimization O2 (``WindowAggregate`` + threshold filter) deliberately
 approximates ``ITER^m``: it emits one count tuple per window instead of
@@ -216,26 +216,6 @@ class KleeneIterOperator(StatefulOperator):
                 min_ts = ts
         handle.adjust(added_bytes, n)
         self._advance_cursor(min_ts)
-        return []
-
-    def process_columnar(self, batch, port: int = 0) -> list[Item]:
-        """Columnar accumulate: extend the sorted buffer from the ts
-        column, one ledger adjustment from the batch's cached size."""
-        if not batch:
-            return []
-        if self.is_keyed:
-            return self.process_batch(batch.to_events(), port)
-        ts_run = batch.column_values("ts")
-        ts_list, events = self._entry(_GLOBAL)
-        if ts_list and ts_run[0] < ts_list[-1]:
-            return self.process_batch(batch.to_events(), port)
-        n = len(batch)
-        self.work_units += n
-        handle = self._ensure_handle()
-        ts_list.extend(ts_run)
-        events.extend(batch.to_events())
-        handle.adjust(batch.size_bytes, n)
-        self._advance_cursor(ts_run[0])
         return []
 
     # -- firing ------------------------------------------------------------

@@ -44,12 +44,3 @@ class UnionOperator(Operator):
         self.work_units += n
         self.counts[port] += n
         return list(items)
-
-    def process_columnar(self, batch, port: int = 0):
-        # Pure pass-through: keep the batch columnar for downstream.
-        if not 0 <= port < self.arity:
-            raise ValueError(f"union received item on invalid port {port}")
-        n = len(batch)
-        self.work_units += n
-        self.counts[port] += n
-        return batch

@@ -30,6 +30,7 @@ from repro.asp.runtime.backends import (
     SerialBackend,
     ShardedBackend,
     resolve_backend,
+    run_dataflow,
 )
 from repro.asp.runtime.channels import Channel, build_channels
 from repro.asp.runtime.clock import RuntimeClock
@@ -91,6 +92,7 @@ __all__ = [
     "merge_sources",
     "render_metrics_summary",
     "resolve_backend",
+    "run_dataflow",
     "run_report",
     "write_metrics_json",
 ]

@@ -9,6 +9,7 @@ from repro.asp.runtime.backends.base import (
     ExecutionBackend,
     ExecutionSettings,
     resolve_backend,
+    run_dataflow,
 )
 from repro.asp.runtime.backends.serial import SerialBackend, SerialJob
 from repro.asp.runtime.backends.sharded import ShardedBackend
@@ -22,4 +23,5 @@ __all__ = [
     "SerialJob",
     "ShardedBackend",
     "resolve_backend",
+    "run_dataflow",
 ]

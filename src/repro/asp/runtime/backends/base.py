@@ -43,17 +43,12 @@ class ExecutionSettings:
     max_restarts: int = 3
     #: Real-time pause between restart attempts (0 keeps tests fast).
     restart_backoff_s: float = 0.0
-    #: Micro-batch size for the batched drive loop (1 = per-event
-    #: reference semantics; batches never cross watermark emissions,
-    #: checkpoint cuts, or source switches, so results stay equivalent).
+    #: The one engine selector. 1 = the per-event reference path every
+    #: equivalence suite compares against; > 1 = the batch engine
+    #: (micro-batches that never cross watermark emissions, checkpoint
+    #: cuts or source switches, stateless chains fused, column views
+    #: over materialized time-sorted sources), byte-identical by test.
     batch_size: int = 1
-    #: Compile linear stateless filter->map segments into fused stages.
-    fusion: bool = False
-    #: Drive micro-batches as struct-of-arrays column views. Operators
-    #: that understand columns process them directly (vectorized masks,
-    #: sorted-run joins); everything else sees the same row batches via
-    #: an automatic ``to_events()`` fallback, so results stay identical.
-    columnar: bool = False
 
     def without_hooks(self) -> "ExecutionSettings":
         """A copy safe to ship to another process (callables stripped;
@@ -93,3 +88,19 @@ def resolve_backend(
             return ShardedBackend(shards=shards, key_attribute=key_attribute)
         raise ExecutionError(f"unknown execution backend '{spec}'")
     return spec
+
+
+def run_dataflow(
+    flow: "Dataflow",
+    *,
+    backend: "str | ExecutionBackend | None" = None,
+    shards: int = 4,
+    key_attribute: str = "id",
+    **settings: Any,
+) -> RunResult:
+    """Run ``flow`` to completion on the chosen backend.
+
+    ``settings`` are :class:`ExecutionSettings` fields.
+    """
+    resolved = resolve_backend(backend, shards=shards, key_attribute=key_attribute)
+    return resolved.execute(flow, ExecutionSettings(**settings))

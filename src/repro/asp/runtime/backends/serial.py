@@ -30,8 +30,8 @@ from repro.asp.operators.base import Operator
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.channels import Channel, build_channels, channel_totals
 from repro.asp.runtime.clock import RuntimeClock
-from repro.asp.runtime.instrumentation import Instrumentation
 from repro.asp.runtime.fusion import build_fused_segments
+from repro.asp.runtime.instrumentation import Instrumentation
 from repro.asp.runtime.observability import LATENCY_SAMPLE_MASK
 from repro.asp.runtime.result import RunResult
 from repro.asp.runtime.scheduler import WatermarkService, merge_batches, merge_sources
@@ -48,18 +48,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: equivalent of the per-event ``events_in & MASK`` stride sample.
 _SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
 
-#: Sentinel distinguishing "store not built yet" from "source has no
-#: materialized array" in the per-source column-store cache.
-_MISSING = object()
-
 
 class SerialJob:
     """One prepared execution: flow + scheduler + channels + probes.
 
     Construction validates the flow, binds operator state to the job's
     registry and wires the event clock; :meth:`run` is then a pure drive
-    loop. The legacy :class:`repro.asp.executor.Executor` facade exposes
-    this object's attributes for backwards compatibility.
+    loop with two shapes: the per-event reference (``batch_size == 1``)
+    and the batch engine (``batch_size > 1``).
     """
 
     def __init__(
@@ -103,23 +99,15 @@ class SerialJob:
         self._dropped: set[tuple[int, int]] = (
             injector.dropped_edges(flow) if injector is not None else set()
         )
-        #: Batched execution engages when any knob departs from the
-        #: per-event reference defaults.
-        self._batched = (
-            settings.batch_size > 1 or settings.fusion or settings.columnar
-        )
-        #: Columnar drive: source runs are wrapped as zero-copy
-        #: :class:`ColumnarBatch` views over per-source column stores;
-        #: operators without a columnar fast path see the identical row
-        #: batches via ``to_events()``.
-        self._columnar = settings.columnar
-        self._stores: dict[int, ColumnStore | None] = {}
-        self._col_cursors: dict[int, int] = {}
-        #: Per-source (node_id, source, events, ts) views shared with the
-        #: scheduler's galloping merge — the store's ts column doubles as
-        #: the merge array, so columnar runs pay one per-event pass, not
-        #: two. ``None`` when any source streams or is unsorted.
-        self._source_arrays = self._prepare_columnar() if self._columnar else None
+        #: ``batch_size`` alone selects the engine: 1 is the per-event
+        #: reference, anything larger the batch engine.
+        self._batched = settings.batch_size > 1
+        #: Per-source (node_id, source, column store, ts column) entries
+        #: when every source is materialized and time-sorted: the
+        #: scheduler then merges by the ts arrays and cuts batches as
+        #: zero-copy :class:`ColumnarBatch` views. ``None`` otherwise —
+        #: batches are then row lists.
+        self._source_arrays = self._prepare_columnar() if self._batched else None
         #: Operators that inherit the base no-op ``on_watermark``. The
         #: batched broadcast skips calling them (watermark frames and the
         #: call counter are still accounted, so channel totals and
@@ -142,7 +130,7 @@ class SerialJob:
                 exclude_nodes=frozenset(self._node_delays),
                 exclude_edges=frozenset(self._dropped),
             )
-            if settings.fusion
+            if self._batched
             else {}
         )
         #: Source events with a merged-stream index <= start_offset are
@@ -236,8 +224,7 @@ class SerialJob:
             if segment is not None:
                 if type(items) is ColumnarBatch:
                     # Fused chains are row programs; materializing here
-                    # hands them the identical Event objects, so fusion
-                    # and columnar compose without output drift.
+                    # hands them the identical Event objects.
                     items = items.to_events()
                 start = clock.now()
                 outputs = segment.process_batch(items)
@@ -293,69 +280,30 @@ class SerialJob:
             self._push(channel.target_id, event, channel.port, source_node_id)
 
     def _prepare_columnar(self):
-        """Build the per-source column stores once, at job start.
+        """One column store per source, if every source allows it.
 
-        Returns the scheduler-shaped source arrays when *every* source is
-        an in-memory time-sorted sequence (the precondition of the
-        scheduler's own fast path), else ``None`` — the drive loop then
-        lets the scheduler decide exactly as it does for row batches, and
-        unprepared sources fall back to per-batch ad-hoc stores.
+        Returns the scheduler's ``(node_id, source, store, ts)`` entries
+        when every source is an in-memory, time-sorted sequence — the
+        precondition of the scheduler's array merges, whose batches are
+        column views — else ``None``.
         """
         arrays = []
-        ok = True
         for node in self.flow.source_nodes():
             events = node.source.materialized()
             if events is None:
-                self._stores[node.node_id] = None
-                ok = False
-                continue
+                return None
             if not isinstance(events, list):
                 events = list(events)
             store = ColumnStore(events)
-            self._stores[node.node_id] = store
             ts = store.column("ts")
             # C-speed sortedness check: timsort is O(n) on sorted input,
             # far cheaper than a per-pair Python generator scan.
             if ts != sorted(ts):
-                ok = False
-            else:
-                arrays.append((node.node_id, node.source, events, ts))
-        return arrays if ok and arrays else None
+                return None
+            arrays.append((node.node_id, node.source, store, ts))
+        return arrays or None
 
-    def _as_columnar(self, node_id: int, events: list) -> "ColumnarBatch | list":
-        """Wrap a source run as a zero-copy column view when possible.
-
-        Fast-path merged runs are literal slices of the source's
-        materialized array, so a per-source cursor plus an identity check
-        recognizes them in O(1); replays and generic merges fall back to
-        :meth:`ColumnStore.locate` (bisect) and finally to a fresh
-        per-batch store. Every path hands operators the same Event
-        objects, so results never depend on which branch was taken.
-        """
-        store = self._stores.get(node_id, _MISSING)
-        if store is _MISSING:
-            materialized = self.flow.nodes[node_id].source.materialized()
-            store = ColumnStore(materialized) if materialized is not None else None
-            self._stores[node_id] = store
-        if store is None:
-            return ColumnarBatch.from_events(events)
-        cursor = self._col_cursors.get(node_id, 0)
-        base = store.events
-        stop = cursor + len(events)
-        if (
-            stop <= len(base)
-            and base[cursor] is events[0]
-            and base[stop - 1] is events[-1]
-        ):
-            self._col_cursors[node_id] = stop
-            return ColumnarBatch(store, cursor, stop)
-        start = store.locate(events)
-        if start is not None:
-            self._col_cursors[node_id] = start + len(events)
-            return ColumnarBatch(store, start, start + len(events))
-        return ColumnarBatch.from_events(events)
-
-    def _inject_batch(self, source_node_id: int, events: list) -> None:
+    def _inject_batch(self, source_node_id: int, events) -> None:
         for channel in self.channels[source_node_id]:
             if self._dropped and (source_node_id, channel.target_id) in self._dropped:
                 continue
@@ -518,10 +466,7 @@ class SerialJob:
                 self.events_in = first_index
                 injector.before_batch(first_index, last_index)
             self.events_in = last_index
-            if self._columnar:
-                self._inject_batch(node_id, self._as_columnar(node_id, events))
-            else:
-                self._inject_batch(node_id, events)
+            self._inject_batch(node_id, events)
             if watermark is not None:
                 self._broadcast_watermark(watermark)
             instr.after_event(last_index, watermark is not None)
@@ -550,7 +495,6 @@ class SerialJob:
                 "backend": "serial",
                 "channels": channel_totals(self.channels),
                 "batch_size": self.settings.batch_size,
-                "columnar": self.settings.columnar,
                 "fused_segments": sorted(s.name for s in self._segments.values()),
             },
         )

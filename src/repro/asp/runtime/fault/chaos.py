@@ -77,21 +77,17 @@ def run_chaos_suite(
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     patterns: list[str] | None = None,
     batch_size: int = 1,
-    fusion: bool = False,
-    columnar: bool = False,
 ) -> dict[str, Any]:
     """Run the full chaos suite; returns the structured report.
 
     ``report["ok"]`` is True only when every query passed serial-crash
     exactness and (where shardable) sharded-crash exactness.
 
-    ``batch_size``/``fusion`` switch the *crashed* executions onto the
-    micro-batched engine while the clean reference stays per-event, so
-    the byte-identity check then covers recovery *and* the batched hot
-    path in one gate (batch cuts must land on the same consistent cuts
-    as the reference's between-event checkpoints). ``columnar`` moves
-    the crashed executions onto the struct-of-arrays engine so the same
-    gate also covers the columnar hot path.
+    ``batch_size > 1`` switches the *crashed* executions onto the batch
+    engine while the clean reference stays per-event, so the
+    byte-identity check then covers recovery *and* the batch engine in
+    one gate (batch cuts must land on the same consistent cuts as the
+    reference's between-event checkpoints).
     """
     from repro.mapping.advisor import recommend_options
     from repro.patterns import CATALOG
@@ -116,11 +112,11 @@ def run_chaos_suite(
         }
         entry["serial"] = _serial_chaos(
             pattern, streams, options, clean_bytes, total, checkpoint_interval,
-            rng, batch_size, fusion, columnar,
+            rng, batch_size,
         )
         entry["sharded"] = _sharded_chaos(
             pattern, streams, total, shards, checkpoint_interval,
-            rng, batch_size, fusion, columnar,
+            rng, batch_size,
         )
         queries.append(entry)
 
@@ -135,8 +131,6 @@ def run_chaos_suite(
         "shards": shards,
         "checkpoint_interval": checkpoint_interval,
         "batch_size": batch_size,
-        "fusion": fusion,
-        "columnar": columnar,
         "queries": queries,
         "ok": all(_passed(q["serial"]) and _passed(q["sharded"]) for q in queries),
     }
@@ -151,14 +145,13 @@ def _seeded_offsets(rng: random.Random, total: int, interval: int, count: int) -
 
 def _serial_chaos(
     pattern, streams, options, clean_bytes, total, interval, rng,
-    batch_size, fusion, columnar=False,
+    batch_size,
 ) -> dict[str, Any]:
     offsets = _seeded_offsets(rng, total, interval, count=2)
     plan = FaultPlan(tuple(FaultSpec("crash", at_event=o) for o in offsets))
     query = _fresh_query(pattern, streams, options)
     result = query.execute(
-        checkpoint_interval=interval, fault_plan=plan,
-        batch_size=batch_size, fusion=fusion, columnar=columnar,
+        checkpoint_interval=interval, fault_plan=plan, batch_size=batch_size,
     )
     recovered_bytes = canonical_match_bytes(query.matches())
     recovery = result.metrics.get("recovery", {})
@@ -175,8 +168,7 @@ def _serial_chaos(
 
 
 def _sharded_chaos(
-    pattern, streams, total, shards, interval, rng, batch_size, fusion,
-    columnar=False,
+    pattern, streams, total, shards, interval, rng, batch_size,
 ) -> dict[str, Any]:
     """Crash every shard once; compare against a clean keyed serial run.
 
@@ -207,7 +199,7 @@ def _sharded_chaos(
     query = _fresh_query(pattern, streams, keyed)
     result = query.execute(
         backend=backend, checkpoint_interval=interval, fault_plan=plan,
-        batch_size=batch_size, fusion=fusion, columnar=columnar,
+        batch_size=batch_size,
     )
     recovered_bytes = canonical_match_bytes(query.matches())
     recovery = result.metrics.get("recovery", {})

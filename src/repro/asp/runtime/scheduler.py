@@ -15,7 +15,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
-from repro.asp.datamodel import Event
+from repro.asp.datamodel import ColumnarBatch, Event
 from repro.asp.graph import Dataflow, Node
 from repro.asp.time import Watermark, WatermarkGenerator
 
@@ -56,8 +56,8 @@ def merge_batches(
     cut_indices: Sequence[int] = (),
     cut_intervals: Sequence[int] = (),
     regroup: bool = False,
-    arrays=None,
-) -> Iterator[tuple[int, list[Event], Watermark | None, int]]:
+    arrays: "list[tuple] | None",
+) -> Iterator[tuple[int, "list[Event] | ColumnarBatch", Watermark | None, int]]:
     """Group the merged source stream into watermark-aligned micro-batches.
 
     Each yielded ``(node_id, events, watermark, last_index)`` batch is a
@@ -86,17 +86,17 @@ def merge_batches(
     ``start_offset`` are skipped without being observed (checkpoint
     replay: the restored generator already saw them).
 
-    When every source is an in-memory, time-sorted sequence (see
-    :meth:`~repro.asp.operators.source.Source.materialized`), runs are
-    found with a galloping bisect merge and watermark emission points are
-    located by bisect — per-batch instead of per-event scheduling cost.
-    Otherwise a generic per-event heap merge produces identical batches.
-
-    ``arrays`` lets the caller hand in the per-source random-access views
-    (the exact shape :func:`_sorted_source_arrays` returns) when it has
-    already materialized and ts-sorted-checked them — the columnar drive
-    shares its column stores' ts arrays this way instead of paying a
-    second per-event pass.
+    ``arrays`` holds one ``(node_id, source, store, ts)`` entry per
+    source — its :class:`~repro.asp.datamodel.ColumnStore` and that
+    store's ts column — when every source is an in-memory, time-sorted
+    sequence (see :meth:`~repro.asp.operators.source.Source.materialized`).
+    Runs are then found with a galloping bisect merge, watermark
+    emission points are located by bisect — per-batch instead of
+    per-event scheduling cost — and each batch is a zero-copy
+    :class:`~repro.asp.datamodel.ColumnarBatch` range over its store.
+    With ``None``, and for the short interleaved runs of multi-source
+    strict plans, a generic per-event heap merge produces the identical
+    batches as row lists.
     """
     cuts = sorted({c for c in cut_indices if c > start_offset})
     intervals = [iv for iv in cut_intervals if iv and iv > 0]
@@ -113,8 +113,6 @@ def merge_batches(
             limit = cuts[pos]
         return limit
 
-    if arrays is None:
-        arrays = _sorted_source_arrays(flow)
     if arrays is not None:
         if regroup:
             yield from _merge_windows(arrays, watermarks, limit_for, start_offset)
@@ -155,23 +153,6 @@ def merge_batches(
         yield batch_node, batch, None, last_index
 
 
-def _sorted_source_arrays(flow: Dataflow):
-    """Per-source ``(node_id, source, events, ts)`` random-access views,
-    or ``None`` when any source streams or is not time-sorted."""
-    arrays = []
-    for node in flow.source_nodes():
-        events = node.source.materialized()
-        if events is None:
-            return None
-        if not isinstance(events, list):
-            events = list(events)
-        ts = [event.ts for event in events]
-        if any(a > b for a, b in zip(ts, ts[1:])):
-            return None
-        arrays.append((node.node_id, node.source, events, ts))
-    return arrays or None
-
-
 def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
     """Galloping merge over sorted source arrays (see merge_batches).
 
@@ -190,18 +171,18 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
 
     k = len(arrays)
     pos = [0] * k
-    sizes = [len(entry[2]) for entry in arrays]
+    sizes = [len(entry[3]) for entry in arrays]
     active = [i for i in range(k) if sizes[i]]
     index = 0  # global 1-based index of the last consumed event
     while active:
         if len(active) == 1:
             best = active[0]
             end = sizes[best]
-            node_id, source, events, ts = arrays[best]
+            node_id, source, store, ts = arrays[best]
             start = pos[best]
         else:
             best = min(active, key=lambda i: (arrays[i][3][pos[i]], i))
-            node_id, source, events, ts = arrays[best]
+            node_id, source, store, ts = arrays[best]
             start = pos[best]
             end = sizes[best]
             for other in active:
@@ -241,7 +222,7 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
                     max_ts = ts[stop - 1]
             if watermark is not None:
                 last_emitted = watermark.value
-            batch = events[i:stop]
+            batch = ColumnarBatch(store, i, stop)
             index += stop - i
             source.emitted += stop - i
             generator.restore_state(
@@ -279,7 +260,7 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset):
 
     k = len(arrays)
     pos = [0] * k
-    sizes = [len(entry[2]) for entry in arrays]
+    sizes = [len(entry[3]) for entry in arrays]
     index = 0  # global 1-based delivery index of the last consumed event
     while True:
         threshold = last_emitted + interval + ooo
@@ -305,7 +286,7 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset):
             return
         wm_value = trigger_ts - ooo if trigger_src >= 0 else None
         for slice_pos, (i, hi) in enumerate(slices):
-            node_id, source, events, ts = arrays[i]
+            node_id, source, store, ts = arrays[i]
             lo = pos[i]
             is_trigger = trigger_src >= 0 and slice_pos == len(slices) - 1
             while lo < hi:
@@ -321,7 +302,7 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset):
                 first_index = index + 1
                 limit = limit_for(first_index)
                 stop = min(hi, lo + (limit - first_index + 1))
-                batch = events[lo:stop]
+                batch = ColumnarBatch(store, lo, stop)
                 count = stop - lo
                 index += count
                 source.emitted += count

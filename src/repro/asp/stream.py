@@ -22,9 +22,13 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Literal, Sequence
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import RunResult
 from repro.asp.graph import Dataflow
-from repro.asp.runtime import ExecutionBackend, ExecutionSettings, resolve_backend
+from repro.asp.runtime import (
+    ExecutionBackend,
+    ExecutionSettings,
+    RunResult,
+    resolve_backend,
+)
 from repro.asp.operators.aggregate import SortedWindowUdfAggregate, WindowAggregate
 from repro.asp.operators.base import Item, Operator
 from repro.asp.operators.filter import FilterOperator, TypeFilterOperator
@@ -182,7 +186,7 @@ class StreamHandle:
         emit_ts: Literal["min", "max"] = "min",
         name: str | None = None,
     ) -> "StreamHandle":
-        """Exact ITER^m / unbounded Kleene+ (the columnar iteration)."""
+        """Exact ITER^m / unbounded Kleene+."""
         return self._attach(
             KleeneIterOperator(
                 window,
@@ -242,8 +246,6 @@ class StreamEnvironment:
         max_restarts: int = 3,
         restart_backoff_s: float = 0.0,
         batch_size: int = 1,
-        fusion: bool = False,
-        columnar: bool = False,
     ) -> RunResult:
         resolved = resolve_backend(backend)
         settings = ExecutionSettings(
@@ -257,8 +259,6 @@ class StreamEnvironment:
             max_restarts=max_restarts,
             restart_backoff_s=restart_backoff_s,
             batch_size=batch_size,
-            fusion=fusion,
-            columnar=columnar,
         )
         return resolved.execute(self.flow, settings)
 

@@ -240,8 +240,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 fault_plan=fault_plan,
                 max_restarts=getattr(args, "max_restarts", 3),
                 batch_size=getattr(args, "batch_size", 1),
-                fusion=not getattr(args, "no_fusion", True),
-                columnar=getattr(args, "columnar", False),
             )
             matches = query.matches()
             recovery = run.metrics.get("recovery")
@@ -511,8 +509,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         patterns=args.patterns or None,
         batch_size=args.batch_size,
-        fusion=args.batch_size > 1 and not args.no_fusion,
-        columnar=args.columnar,
     )
     for query in report["queries"]:
         serial = query["serial"]
@@ -575,8 +571,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         max_restarts=args.max_restarts,
         batch_size=args.batch_size,
-        fusion=args.batch_size > 1 and not args.no_fusion,
-        columnar=args.columnar,
         max_out_of_orderness=args.max_out_of_orderness,
         optimize=args.optimize,
         checkpoint_dir=args.checkpoint_dir,
@@ -649,7 +643,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--iter", dest="iter_strategy",
                        choices=("join", "aggregate", "exact"),
                        help="iteration mapping: self-join chain, approximate "
-                            "O2 count, or the exact columnar Kleene operator")
+                            "O2 count, or the exact Kleene operator")
         p.add_argument("--o3", metavar="ATTR", help="partition by attribute (O3)")
         p.add_argument("--multiway", action="store_true",
                        help="compose flat SEQ/AND with one n-ary window join")
@@ -701,14 +695,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-restarts", type=int, default=3,
                      help="restarts allowed before the run fails (default 3)")
     run.add_argument("--batch-size", type=int, default=256, metavar="N",
-                     help="micro-batch size for the FASP engine "
+                     help="micro-batch size of the FASP batch engine "
                           "(default 256; 1 = per-event reference path)")
-    run.add_argument("--no-fusion", action="store_true",
-                     help="disable compiled fusion of stateless "
-                          "filter/map segments")
-    run.add_argument("--columnar", action="store_true",
-                     help="execute batches as struct-of-arrays columns "
-                          "(vectorized predicates, bisection join probe)")
     run.set_defaults(func=cmd_run)
 
     metrics = sub.add_parser("metrics",
@@ -774,16 +762,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--patterns", nargs="*", metavar="NAME",
                        help="restrict to these catalog patterns")
     chaos.add_argument("--batch-size", type=int, default=1, metavar="N",
-                       help="run the crashed executions on the micro-batched "
-                            "engine (default 1 = per-event reference path); "
+                       help="run the crashed executions on the batch engine "
+                            "(default 1 = per-event reference path); "
                             "the clean reference stays per-event, so the "
                             "byte-identity gate covers batching + recovery")
-    chaos.add_argument("--no-fusion", action="store_true",
-                       help="disable compiled fusion of stateless "
-                            "filter/map segments in batched chaos runs")
-    chaos.add_argument("--columnar", action="store_true",
-                       help="run the crashed executions on the columnar "
-                            "struct-of-arrays engine")
     chaos.add_argument("--report", metavar="PATH",
                        help="write the structured chaos report as JSON")
     chaos.set_defaults(func=cmd_chaos)
@@ -832,13 +814,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-restarts", type=int, default=3,
                        help="per-job restart budget")
     serve.add_argument("--batch-size", type=int, default=1, metavar="N",
-                       help="micro-batch size for processing rounds")
-    serve.add_argument("--no-fusion", action="store_true",
-                       help="disable compiled fusion in batched rounds")
-    serve.add_argument("--columnar", action="store_true",
-                       help="default processing rounds to the columnar "
-                            "struct-of-arrays engine (per-job override: "
-                            "submit with \"columnar\": true/false)")
+                       help="micro-batch size of processing rounds (default "
+                            "1 = per-event reference path; per-job override: "
+                            "submit with \"batch_size\": N)")
     serve.add_argument("--max-out-of-orderness", type=int, default=0,
                        help="allowed event-time disorder of ingestion (ms)")
     serve.add_argument("--optimize", choices=OPTIMIZE_MODES, default="off",

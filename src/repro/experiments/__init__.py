@@ -12,7 +12,6 @@ from repro.experiments.common import (
     seq_n_pattern,
 )
 from repro.experiments.batched import batched_speedup
-from repro.experiments.columnar import columnar_speedup
 from repro.experiments.optimizer import optimizer_speedup
 from repro.experiments.fig3 import (
     fig3a_baseline,
@@ -36,7 +35,7 @@ from repro.experiments.report import (
 from repro.experiments.tables import render_table, table1_rows, table2_rows
 
 __all__ = [
-    "ExperimentRow", "ResourceTrace", "Scale", "batched_speedup", "columnar_speedup",
+    "ExperimentRow", "ResourceTrace", "Scale", "batched_speedup",
     "fig3a_baseline",
     "fig3b_selectivity", "fig3c_window_size", "fig3d_pattern_length",
     "fig3e_iteration_consecutive", "fig3f_iteration_threshold", "fig4_keys",

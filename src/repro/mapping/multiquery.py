@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 from repro.asp.operators.sink import CollectSink, Sink
 from repro.asp.operators.source import Source
 from repro.asp.stream import StreamEnvironment, StreamHandle

@@ -39,7 +39,7 @@ class TranslationOptions:
     #: Physical windowing of joins; ``INTERVAL`` enables O1.
     join_strategy: WindowStrategy = WindowStrategy.SLIDING
     #: ``"join"`` (Table 1 default), ``"aggregate"`` (O2, approximate) or
-    #: ``"exact"`` (the columnar exact-Kleene operator: every qualifying
+    #: ``"exact"`` (the exact-Kleene operator: every qualifying
     #: composition, bounded and unbounded, Eq. 12 semantics).
     iteration_strategy: str = "join"
     #: Attribute shared by all events used as Equi-Join key (O3). The

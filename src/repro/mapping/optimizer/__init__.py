@@ -113,7 +113,7 @@ def optimize_plan(
     under the RA70x invariants. The returned plan carries the full
     :class:`RuleTrace` in ``plan.trace``. Plans that did opt into the
     approximate O2 mapping carry an RA304 lint warning, since the exact
-    columnar Kleene operator (``iteration_strategy="exact"``) covers the
+    Kleene operator (``iteration_strategy="exact"``) covers the
     same patterns with the same bounded state.
     """
     from repro.mapping.optimizations import TranslationOptions

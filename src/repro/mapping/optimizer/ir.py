@@ -237,7 +237,7 @@ class CountAggregate(PlanNode):
 
 @dataclass(frozen=True)
 class KleeneIterate(PlanNode):
-    """Exact ``ITER^m`` / unbounded Kleene+ — the columnar iteration.
+    """Exact ``ITER^m`` / unbounded Kleene+.
 
     Unlike :class:`CountAggregate` (one approximate count tuple per
     window) this emits every qualifying composition: strictly

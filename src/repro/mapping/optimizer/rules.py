@@ -23,9 +23,8 @@ Inventory, in application order:
 6.  :class:`AnnotateFusionSegments` — records the stateless stage runs
     the batched engine will fuse into single passes; placement becomes
     auditable in ``repro explain`` without changing the plan shape.
-7.  :class:`AnnotateColumnarSegments` — records which scans run as one
-    vectorized column mask and which joins use the galloping sorted
-    probe under the columnar engine, with cardinality-interval
+7.  :class:`AnnotateColumnarSegments` — records which scans the batch
+    engine runs as one compiled column mask, with cardinality-interval
     justifications; annotation only, like rule 6.
 
 Rules 1–4, 6 and 7 are output-preserving and run under the engine's
@@ -500,9 +499,9 @@ def _substitute(root: PlanNode, target: PlanNode, replacement: PlanNode) -> Plan
 
 
 class AnnotateFusionSegments(Rule):
-    """Record the stateless stage runs the batched engine fuses.
+    """Record the stateless stage runs the batch engine fuses.
 
-    The batched backend compiles adjacent stateless operators (scan
+    The batch engine compiles adjacent stateless operators (scan
     filters, schema aligns, permutes, post-filters) into single fused
     passes; this rule computes those maximal runs at plan level and
     writes them into the plan's notes, making the fusion boundary
@@ -511,7 +510,7 @@ class AnnotateFusionSegments(Rule):
     """
 
     name = "annotate-fusion-segments"
-    description = "make batched fusion-segment boundaries explicit"
+    description = "make batch-engine fusion-segment boundaries explicit"
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
         segments: list[list[str]] = []
@@ -543,27 +542,28 @@ class AnnotateFusionSegments(Rule):
         )
         return RuleDecision.fire(
             dc_replace(plan, notes=plan.notes + notes),
-            f"marked {len(segments)} fusion segment(s) for the batched engine",
+            f"marked {len(segments)} fusion segment(s) for the batch engine",
         )
 
 
 class AnnotateColumnarSegments(Rule):
-    """Record the plan segments the columnar engine vectorizes.
+    """Record the scans the batch engine evaluates as column masks.
 
-    The columnar backend (``columnar=True``) drives struct-of-arrays
-    batches; a scan filter runs as one compiled column mask only when
-    every conjunct compiles via :func:`repro.sea.predicates.compile_mask`
-    (attribute/const comparisons — UDFs and cross-alias conjuncts fall
-    back to row evaluation). Interval joins probe their ts-sorted side
-    buffers with galloping pointers regardless of filters. This rule
-    writes both segment kinds into the plan's notes, with the cardinality
-    interval of each masked scan as the justification — a wide survivor
-    interval means the mask saves many per-event closure calls.
-    Annotation only — the plan tree is untouched.
+    The batch engine cuts batches of materialized, time-sorted sources
+    as zero-copy column views; a scan filter then runs as one compiled
+    column mask when every conjunct compiles via
+    :func:`repro.sea.predicates.compile_mask` (attribute/const
+    comparisons — UDFs and cross-alias conjuncts fall back to row
+    evaluation). Joins, aggregates and Kleene iteration consume row
+    batches: their time goes to probing and emission, which columns do
+    not speed up. This rule writes the masked scans into the plan's
+    notes, with the cardinality interval of each as the justification —
+    a wide survivor interval means the mask saves many per-event closure
+    calls. Annotation only — the plan tree is untouched.
     """
 
     name = "annotate-columnar-segments"
-    description = "make columnar mask/probe segment placement explicit"
+    description = "make column-mask segment placement explicit"
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
         from repro.analysis.cardinality import interpret_node, _join_ordinals
@@ -573,41 +573,30 @@ class AnnotateColumnarSegments(Rule):
         cache: dict = {}
         ordinals = _join_ordinals(plan.root)
         for node in plan.root.walk():
-            if isinstance(node, StreamScan) and node.filters:
-                if compile_mask(node.filters) is None:
-                    notes.append(
-                        f"columnar: {node.label()} stays row-at-a-time "
-                        "(filter not mask-compilable)"
-                    )
-                    continue
-                bounds = interpret_node(node, ctx.model, cache, ordinals)
-                rate = bounds.out_rate
-                survivors = (
-                    f"survivors <= {rate.hi:.3g}/s" if rate.hi != float("inf")
-                    else "survivor rate unknown"
-                )
+            if not (isinstance(node, StreamScan) and node.filters):
+                continue
+            if compile_mask(node.filters) is None:
                 notes.append(
-                    f"columnar segment: {node.label()} -> one vectorized "
-                    f"mask pass ({len(node.filters)} conjunct(s), {survivors})"
+                    f"columnar: {node.label()} stays row-at-a-time "
+                    "(filter not mask-compilable)"
                 )
-            elif isinstance(node, WindowJoin) and node.strategy is WindowStrategy.INTERVAL:
-                notes.append(
-                    f"columnar segment: {node.label()} -> galloping probe "
-                    "over ts-sorted side buffers"
-                )
-            elif isinstance(node, KleeneIterate):
-                notes.append(
-                    f"columnar segment: {node.label()} -> per-window run "
-                    "enumeration over the sorted ts column"
-                )
+                continue
+            bounds = interpret_node(node, ctx.model, cache, ordinals)
+            rate = bounds.out_rate
+            survivors = (
+                f"survivors <= {rate.hi:.3g}/s" if rate.hi != float("inf")
+                else "survivor rate unknown"
+            )
+            notes.append(
+                f"columnar segment: {node.label()} -> one vectorized "
+                f"mask pass ({len(node.filters)} conjunct(s), {survivors})"
+            )
         segments = [n for n in notes if n.startswith("columnar segment")]
         if not segments:
-            return RuleDecision.decline(
-                "no mask-compilable scan or columnar-probed operator"
-            )
+            return RuleDecision.decline("no mask-compilable scan")
         return RuleDecision.fire(
             dc_replace(plan, notes=plan.notes + tuple(notes)),
-            f"marked {len(segments)} columnar segment(s) for the columnar engine",
+            f"marked {len(segments)} columnar segment(s) for the batch engine",
         )
 
 

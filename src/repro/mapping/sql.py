@@ -155,7 +155,7 @@ def _collect(node: PlanNode, tables: list[str], where: list[str], notes: list[st
         tables.append(clause)
         notes.append(
             "exact Kleene iteration: every ts-increasing composition per "
-            "window, first-window deduplicated (columnar ITER operator)"
+            "window, first-window deduplicated (exact ITER operator)"
         )
         return
     raise TypeError(f"cannot render plan node {node.label()}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 from repro.asp.operators.base import Item, constituents
 from repro.asp.operators.sink import CollectSink, Sink
 from repro.asp.operators.source import Source
@@ -215,9 +215,10 @@ class _Compiler:
         # engine's filter hot path picks it up (the per-event
         # reference path keeps the tree-walking evaluator).
         check.compiled = compile_check(filters)
-        # Column-mask form for the columnar engine; ``None`` when any
-        # conjunct falls outside the maskable (core-attribute) subset.
-        check.columnar = compile_mask(filters)
+        # Column-mask form for batches that arrive as column views;
+        # ``None`` when any conjunct falls outside the maskable
+        # (core-attribute) subset.
+        check.mask = compile_mask(filters)
         return handle.filter(check, name=f"filter[{alias}]")
 
     def _compile_join(self, node: WindowJoin) -> StreamHandle:
@@ -432,8 +433,6 @@ class TranslatedQuery:
         max_restarts: int = 3,
         restart_backoff_s: float = 0.0,
         batch_size: int = 1,
-        fusion: bool = False,
-        columnar: bool = False,
     ) -> RunResult:
         if self.sink is None:
             self.attach_sink(CollectSink())
@@ -450,8 +449,6 @@ class TranslatedQuery:
             max_restarts=max_restarts,
             restart_backoff_s=restart_backoff_s,
             batch_size=batch_size,
-            fusion=fusion,
-            columnar=columnar,
         )
         if self.analysis is not None:
             # Static analysis and runtime observability share one
@@ -538,7 +535,7 @@ def translate(
     dataflow. Optimized plans stay byte-identical in output to the
     default plan unless ``allow_approximate`` opts into O2 — and any
     plan that does carry the O2 count surfaces an RA304 lint warning
-    pointing at the exact columnar alternative
+    pointing at the exact Kleene alternative
     (``iteration_strategy="exact"``).
 
     Unless ``analyze=False``, the static plan verifier

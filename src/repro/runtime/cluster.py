@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 from repro.asp.operators.keyby import partition_for
 from repro.errors import ClusterError
 

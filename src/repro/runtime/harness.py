@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 from repro.asp.operators.sink import CollectSink, DiscardSink, Sink
 from repro.asp.operators.source import ListSource
 from repro.asp.stream import StreamEnvironment
@@ -60,9 +60,6 @@ def run_fcep(
     sample_every: int = 1_000,
     sink: Sink | None = None,
     backend=None,
-    batch_size: int = 1,
-    fusion: bool = False,
-    columnar: bool = False,
 ) -> tuple[ThroughputMeasurement, Sink, RunResult]:
     """Run the pattern FlinkCEP-style: union all streams into one unary
     CEP operator (Section 5.1.2).
@@ -90,9 +87,6 @@ def run_fcep(
         watermark_interval=_watermark_interval(pattern, streams),
         sample_every=sample_every,
         backend=backend,
-        batch_size=batch_size,
-        fusion=fusion,
-        columnar=columnar,
     )
     measurement = ThroughputMeasurement.from_run(
         "FCEP", pattern.name, result, matches=sink.count
@@ -111,9 +105,6 @@ def run_fasp(
     backend=None,
     checkpoint_interval: int | None = None,
     fault_plan=None,
-    batch_size: int = 1,
-    fusion: bool = False,
-    columnar: bool = False,
     translate_kwargs: dict | None = None,
 ) -> tuple[ThroughputMeasurement, Sink, RunResult]:
     """Run the pattern through the CEP-to-ASP mapping.
@@ -138,9 +129,6 @@ def run_fasp(
         backend=backend,
         checkpoint_interval=checkpoint_interval,
         fault_plan=fault_plan,
-        batch_size=batch_size,
-        fusion=fusion,
-        columnar=columnar,
     )
     measurement = ThroughputMeasurement.from_run(
         options.label(), pattern.name, result, matches=sink.count

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 from repro.errors import BackpressureError
 
 

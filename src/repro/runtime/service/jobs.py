@@ -118,11 +118,8 @@ class ServiceConfig:
     checkpoint_interval: int | None = 500
     #: Restart budget per job across its whole lifetime.
     max_restarts: int = 3
-    #: Micro-batch size / fusion for the rounds (PR 5 engine).
+    #: Engine of the rounds: 1 = per-event reference, > 1 = batch engine.
     batch_size: int = 1
-    fusion: bool = False
-    #: Default the rounds to the columnar struct-of-arrays engine.
-    columnar: bool = False
     #: Allowed event-time disorder of the ingestion stream (ms).
     max_out_of_orderness: int = 0
     #: Optimizer mode applied at submit ("off"/"static"/"profile").
@@ -607,9 +604,10 @@ class JobManager:
         ..., "queries": [<spec>, ...]}`` (co-submitted queries share
         scans), plus optional per-job overrides (``admission``,
         ``queue_limit``, ``round_events``, ``checkpoint_interval``,
-        ``optimize``, ``fault_plan``, ``batch_size``, ``fusion``,
-        ``columnar``, ``max_restarts``, ``backend``, ``shards``,
-        ``round_slo_ms``).
+        ``optimize``, ``fault_plan``, ``batch_size``, ``max_restarts``,
+        ``backend``, ``shards``, ``round_slo_ms``). Keys this version
+        does not know — including the retired ``fusion``/``columnar`` of
+        older requests and durable manifests — are ignored.
         """
         if self.draining:
             raise ServiceError("draining", "server is draining", status=503)
@@ -744,8 +742,6 @@ class JobManager:
             ),
             checkpoint_interval=checkpoint_interval,
             batch_size=int(request.get("batch_size", self.config.batch_size)),
-            fusion=bool(request.get("fusion", self.config.fusion)),
-            columnar=bool(request.get("columnar", self.config.columnar)),
         )
         admission = request.get("admission", self.config.admission)
         if admission not in AdmissionPolicy:

@@ -360,10 +360,11 @@ def compile_check(predicates: Iterable[Predicate]) -> Callable[[Event], bool] | 
     return check
 
 
-# -- columnar mask compilation (struct-of-arrays execution) -------------------
+# -- column mask compilation (struct-of-arrays batches) -----------------------
 #
-# The columnar engine carries events as parallel arrays (one list per
-# core attribute, shared across every batch of a source). A pushdown
+# The batch engine carries batches of materialized, time-sorted sources
+# as views over parallel arrays (one list per core attribute, shared
+# across every batch of a source). A pushdown
 # filter then wants a *mask*: given the base columns and the indices a
 # batch selects, return the surviving indices. Compiling the predicate
 # tree into one generated list comprehension removes the per-event

@@ -1,20 +1,24 @@
-"""Batched + fused execution equivalence (PR 5).
+"""Batch engine equivalence.
 
-The micro-batched path (``batch_size > 1``) and compiled stateless
-fusion (``fusion=True``) are pure execution-strategy changes: for every
-catalog query they must emit the exact same match multiset as the
-per-event reference path, with identical ``events_in``/``items_out``
-and identical join-level ``pairs_emitted``. Fused segments must also
-preserve exact per-stage metrics, checkpoint/recovery must stay
-byte-identical under batching, and the fan-out framing fix must keep
-channel frame totals consistent between the two drives.
+The batch engine (``batch_size > 1``: watermark-aligned micro-batches,
+fused stateless chains, column views with compiled predicate masks) is a
+pure execution-strategy change: for every catalog query it must emit the
+exact same match multiset as the per-event reference path
+(``batch_size == 1``), with identical ``events_in``/``items_out``,
+join-level ``pairs_emitted``, channel frame totals and peak state.
+Fused segments must preserve exact per-stage metrics, checkpoint/recovery
+and sharded runs must stay byte-identical, and a streaming source — where
+the engine falls back from column views to row batches — must not change
+any of it.
 """
 
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.asp.datamodel import Event
 from repro.asp.operators.sink import CollectSink
-from repro.asp.runtime import FaultPlan, FaultSpec
+from repro.asp.operators.source import GeneratorSource
+from repro.asp.runtime import ExecutionSettings, FaultPlan, FaultSpec, ShardedBackend
+from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.chaos import (
     _fresh_query,
     _streams_for,
@@ -22,16 +26,18 @@ from repro.asp.runtime.fault.chaos import (
 )
 from repro.asp.stream import StreamEnvironment
 from repro.mapping.advisor import recommend_options
+from repro.mapping.translator import translate
 from repro.patterns import CATALOG
+from repro.sea.parser import parse_pattern
 
 SCALE_EVENTS = 900
 SCALE_SENSORS = 3
 SEED = 11
 
-#: Batched configurations exercised against the per-event reference:
-#: tiny odd batches (boundary churn), a production-like size with
-#: fusion, fusion alone, and batches larger than the whole stream.
-BATCH_CONFIGS = [(7, False), (64, True), (1, True), (1024, True)]
+#: Batch sizes exercised against the per-event reference: tiny odd
+#: batches (boundary churn, many row<->column crossings), a mid size,
+#: the production size, and batches larger than the whole stream.
+BATCH_SIZES = [7, 64, 256, 1024]
 
 
 def _catalog_runs(name):
@@ -39,9 +45,9 @@ def _catalog_runs(name):
     options = recommend_options(pattern).options
     streams = _streams_for(pattern, SCALE_EVENTS, SCALE_SENSORS, SEED)
 
-    def run(batch_size, fusion):
+    def run(batch_size=1):
         query = _fresh_query(pattern, streams, options)
-        result = query.execute(batch_size=batch_size, fusion=fusion)
+        result = query.execute(batch_size=batch_size)
         pairs = sum(
             getattr(node.payload, "pairs_emitted", 0)
             for node in query.env.flow.nodes.values()
@@ -55,10 +61,10 @@ def test_catalog_batched_matches_serial_reference():
     failures = []
     for name in sorted(CATALOG):
         run = _catalog_runs(name)
-        ref, ref_bytes, ref_pairs = run(1, False)
-        for batch_size, fusion in BATCH_CONFIGS:
-            res, out_bytes, pairs = run(batch_size, fusion)
-            label = f"{name} bs={batch_size} fusion={fusion}"
+        ref, ref_bytes, ref_pairs = run()
+        for batch_size in BATCH_SIZES:
+            res, out_bytes, pairs = run(batch_size)
+            label = f"{name} bs={batch_size}"
             if out_bytes != ref_bytes:
                 failures.append(f"{label}: match bytes differ")
             if res.events_in != ref.events_in:
@@ -78,14 +84,60 @@ def test_catalog_batched_matches_serial_reference():
 
 def test_batched_channel_totals_match_serial():
     """Frame totals are drive-independent (only peak_burst may differ)."""
-    name = "pollution-any-particulate"
-    run = _catalog_runs(name)
-    ref, _, _ = run(1, False)
-    batched, _, _ = run(64, True)
-    ref_channels = ref.metadata["channels"]
-    batched_channels = batched.metadata["channels"]
-    assert batched_channels["item_frames"] == ref_channels["item_frames"]
-    assert batched_channels["watermark_frames"] == ref_channels["watermark_frames"]
+    run = _catalog_runs("pollution-any-particulate")
+    ref, _, _ = run()
+    for batch_size in (64, 256):
+        batched, _, _ = run(batch_size)
+        ref_channels = ref.metadata["channels"]
+        batched_channels = batched.metadata["channels"]
+        assert batched_channels["item_frames"] == ref_channels["item_frames"]
+        assert batched_channels["watermark_frames"] == ref_channels["watermark_frames"]
+
+
+def test_batched_state_accounting_matches_reference():
+    """Bulk ledger adjustments must report the exact same peak state
+    footprint as per-event accounting — the RA803 budget check and the
+    peak-state gauges stay truthful."""
+    run = _catalog_runs("traffic-congestion")
+    ref, _, _ = run()
+    batched, _, _ = run(256)
+    assert batched.peak_state_bytes == ref.peak_state_bytes
+    assert batched.peak_state_bytes > 0
+
+
+def test_streaming_source_falls_back_to_row_batches():
+    """Non-materialized sources have no column stores: the batch engine
+    delivers row batches (generic merge) and still equals the reference."""
+    pattern = CATALOG["traffic-congestion"]()
+    options = recommend_options(pattern).options
+    streams = _streams_for(pattern, SCALE_EVENTS, SCALE_SENSORS, SEED)
+
+    def run(batch_size):
+        sources = {
+            t: GeneratorSource(lambda evs=evs: iter(evs), name=f"gen[{t}]", event_type=t)
+            for t, evs in streams.items()
+        }
+        query = translate(pattern, sources, options, analyze=False)
+        query.attach_sink()
+        job = SerialJob(
+            query.env.flow,
+            ExecutionSettings(
+                watermark_interval=query.plan.window_slide, batch_size=batch_size
+            ),
+        )
+        return job, job.run(), canonical_match_bytes(query.matches())
+
+    _, ref, ref_bytes = run(1)
+    job, res, out_bytes = run(256)
+    assert job._source_arrays is None
+    assert not res.failed, res.failure
+    assert out_bytes == ref_bytes
+    assert (res.events_in, res.items_out) == (ref.events_in, ref.items_out)
+    assert res.metadata["channels"]["item_frames"] == ref.metadata["channels"]["item_frames"]
+
+    # The same streams as lists do get column stores.
+    listed = _fresh_query(pattern, streams, options)
+    assert SerialJob(listed.env.flow, ExecutionSettings(batch_size=256))._source_arrays
 
 
 def _fanout_env(events, n_consumers):
@@ -104,9 +156,6 @@ def _fanout_env(events, n_consumers):
 
 
 def test_fanout_framing_counts_delivered_items():
-    from repro.asp.runtime import ExecutionSettings
-    from repro.asp.runtime.backends.serial import SerialJob
-
     events = [Event("A", ts=i * 1000, id=1, value=float(i)) for i in range(40)]
     env, sinks = _fanout_env(events, n_consumers=2)
     job = SerialJob(env.flow, ExecutionSettings())
@@ -128,7 +177,7 @@ def test_fanout_framing_counts_delivered_items():
 
     # Batched drive: identical totals, aggregate and per-edge.
     env2, sinks2 = _fanout_env(events, n_consumers=2)
-    batched = env2.execute(batch_size=16, fusion=True)
+    batched = env2.execute(batch_size=16)
     assert (
         batched.metadata["channels"]["item_frames"]
         == result.metadata["channels"]["item_frames"]
@@ -148,7 +197,7 @@ def _stage_counts(result):
     }
 
 
-def _chain_env(values, batch_size, fusion):
+def _chain_env(values, batch_size):
     events = [
         Event("A", ts=i * 1000, id=1 + (i % 3), value=v)
         for i, v in enumerate(values)
@@ -162,7 +211,7 @@ def _chain_env(values, batch_size, fusion):
     )
     stage = stage.filter(lambda e: e.value < 120, name="cap")
     sink = stage.sink(CollectSink())
-    result = env.execute(batch_size=batch_size, fusion=fusion)
+    result = env.execute(batch_size=batch_size)
     return result, sink
 
 
@@ -171,24 +220,22 @@ def _chain_env(values, batch_size, fusion):
     values=st.lists(
         st.floats(min_value=-100, max_value=100, allow_nan=False), max_size=120
     ),
-    batch_size=st.sampled_from([1, 3, 17, 256]),
+    batch_size=st.sampled_from([3, 17, 256]),
 )
 def test_fused_stage_metrics_equal_unfused(values, batch_size):
     """Fusing a filter->map->filter chain never changes per-stage counts."""
-    fused_result, fused_sink = _chain_env(values, batch_size, fusion=True)
-    plain_result, plain_sink = _chain_env(values, 1, fusion=False)
+    fused_result, fused_sink = _chain_env(values, batch_size)
+    plain_result, plain_sink = _chain_env(values, 1)
     assert [e.value for e in fused_sink.items] == [
         e.value for e in plain_sink.items
     ]
-    fused = _stage_counts(fused_result)
-    plain = _stage_counts(plain_result)
-    assert fused == plain
-    if len(values) > 0:
-        assert fused_result.metadata["fused_segments"] == ["nonneg+double+cap"]
+    assert _stage_counts(fused_result) == _stage_counts(plain_result)
+    assert fused_result.metadata["fused_segments"] == ["nonneg+double+cap"]
+    assert plain_result.metadata["fused_segments"] == []
 
 
 def test_fused_segment_composition_and_busy_attribution():
-    result, _ = _chain_env([float(i) for i in range(200)], 32, fusion=True)
+    result, _ = _chain_env([float(i) for i in range(200)], 32)
     assert result.metadata["fused_segments"] == ["nonneg+double+cap"]
     # Busy time distributed back onto constituent stages, never negative.
     for scope in ("nonneg#", "double#", "cap#"):
@@ -210,13 +257,10 @@ def test_chaos_recovery_byte_identical_under_batching():
     total = sum(len(evs) for evs in streams.values())
     offsets = (max(150, total // 4), max(300, total // 2))
     plan = FaultPlan(tuple(FaultSpec("crash", at_event=o) for o in offsets))
-    for batch_size, fusion in ((64, True), (7, False)):
+    for batch_size in (7, 64, 256):
         query = _fresh_query(pattern, streams, options)
         result = query.execute(
-            checkpoint_interval=100,
-            fault_plan=plan,
-            batch_size=batch_size,
-            fusion=fusion,
+            checkpoint_interval=100, fault_plan=plan, batch_size=batch_size
         )
         assert not result.failed, result.failure
         recovery = result.metrics["recovery"]
@@ -226,8 +270,6 @@ def test_chaos_recovery_byte_identical_under_batching():
 
 
 def test_sharded_backend_runs_batched_per_shard():
-    from repro.asp.runtime import ShardedBackend
-
     pattern = CATALOG["traffic-congestion"]()
     keyed = recommend_options(pattern, partition_attribute="id").options
     streams = _streams_for(pattern, SCALE_EVENTS, SCALE_SENSORS, SEED)
@@ -236,8 +278,59 @@ def test_sharded_backend_runs_batched_per_shard():
     serial.execute()
     serial_bytes = canonical_match_bytes(serial.matches())
 
-    query = _fresh_query(pattern, streams, keyed)
-    backend = ShardedBackend(shards=2, key_attribute="id", mode="inline")
-    result = query.execute(backend=backend, batch_size=64, fusion=True)
-    assert not result.failed, result.failure
-    assert canonical_match_bytes(query.matches()) == serial_bytes
+    for batch_size in (64, 256):
+        query = _fresh_query(pattern, streams, keyed)
+        backend = ShardedBackend(shards=2, key_attribute="id", mode="inline")
+        result = query.execute(backend=backend, batch_size=batch_size)
+        assert not result.failed, result.failure
+        assert canonical_match_bytes(query.matches()) == serial_bytes
+
+
+@hsettings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["seq", "iter", "band"]),
+    # Integral thresholds only: the pattern grammar takes plain decimal
+    # literals, not scientific notation.
+    threshold=st.integers(min_value=0, max_value=150).map(float),
+    window_minutes=st.integers(min_value=2, max_value=30),
+    batch_size=st.sampled_from(BATCH_SIZES),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_random_patterns_batched_equals_reference(
+    kind, threshold, window_minutes, batch_size, seed
+):
+    """Random patterns x batch sizes: identical matches and identical
+    channel frame totals against the per-event drive."""
+    if kind == "seq":
+        text = (
+            f"PATTERN SEQ(Q a, V b) WHERE a.value > {threshold} "
+            f"WITHIN {window_minutes} MINUTES"
+        )
+    elif kind == "iter":
+        text = (
+            f"PATTERN ITER2(V v) WHERE v.value < {threshold} "
+            f"WITHIN {window_minutes} MINUTES"
+        )
+    else:
+        # A band predicate compiles to a two-conjunct column mask.
+        text = (
+            f"PATTERN SEQ(Q a, V b) WHERE a.value > {threshold} "
+            f"AND b.value < {threshold} WITHIN {window_minutes} MINUTES"
+        )
+    pattern = parse_pattern(text, name="prop")
+    options = recommend_options(pattern).options
+    streams = _streams_for(pattern, 240, 2, seed)
+
+    ref = _fresh_query(pattern, streams, options)
+    ref_result = ref.execute()
+    batched = _fresh_query(pattern, streams, options)
+    batched_result = batched.execute(batch_size=batch_size)
+
+    assert canonical_match_bytes(batched.matches()) == canonical_match_bytes(
+        ref.matches()
+    )
+    assert batched_result.events_in == ref_result.events_in
+    assert (
+        batched_result.metadata["channels"]["item_frames"]
+        == ref_result.metadata["channels"]["item_frames"]
+    )

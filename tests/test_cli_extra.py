@@ -81,3 +81,57 @@ class TestCliOptions:
         rc = main(["explain", "-p", "PATTERN SEQ(Q a V b) WITHIN 5 MINUTES"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestEngineSelection:
+    """``--batch-size`` is the only engine selector: 1 drives the
+    per-event reference loop, anything larger the batch engine (which
+    always fuses stateless chains)."""
+
+    PATTERN = (
+        "PATTERN OR(Q a, V b) WHERE a.value > 40 AND b.value > 40 "
+        "WITHIN 10 MINUTES"
+    )
+
+    def _run(self, data_dir, monkeypatch, batch_size):
+        from repro.asp.runtime.backends.serial import SerialJob
+
+        drives, results = [], []
+        for name in ("_drive_serial", "_drive_batched"):
+            original = getattr(SerialJob, name)
+
+            def spy(job, _original=original, _name=name):
+                drives.append(_name)
+                return _original(job)
+
+            monkeypatch.setattr(SerialJob, name, spy)
+        original_run = SerialJob.run
+
+        def run(job, *args, **kwargs):
+            results.append(original_run(job, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(SerialJob, "run", run)
+        rc = main([
+            "run", "-p", self.PATTERN, "--batch-size", str(batch_size),
+            "--stream", f"Q={data_dir}/Q.csv",
+            "--stream", f"V={data_dir}/V.csv",
+        ])
+        assert rc == 0
+        return drives, results[0]
+
+    def test_batch_size_one_is_the_reference_path(self, data_dir, monkeypatch):
+        drives, result = self._run(data_dir, monkeypatch, 1)
+        assert drives == ["_drive_serial"]
+        assert result.metadata["fused_segments"] == []
+
+    def test_batch_size_256_is_the_fused_batch_engine(self, data_dir, monkeypatch):
+        drives, result = self._run(data_dir, monkeypatch, 256)
+        assert drives == ["_drive_batched"]
+        assert result.metadata["fused_segments"]
+
+    def test_retired_engine_flags_are_rejected(self, capsys):
+        for flag in ("--no-fusion", "--columnar"):
+            with pytest.raises(SystemExit):
+                main(["run", flag])
+        capsys.readouterr()

@@ -91,7 +91,7 @@ class TestRunOnCluster:
         config = ClusterConfig(num_workers=4, slots_per_worker=16)
 
         def job(streams, budget):
-            from repro.asp.executor import RunResult
+            from repro.asp.runtime import RunResult
 
             total = sum(len(v) for v in streams.values())
             return (
@@ -108,7 +108,7 @@ class TestRunOnCluster:
         config = ClusterConfig(num_workers=2, slots_per_worker=2)
 
         def job(streams, budget):
-            from repro.asp.executor import RunResult
+            from repro.asp.runtime import RunResult
 
             total = sum(len(v) for v in streams.values())
             return (
@@ -125,7 +125,7 @@ class TestRunOnCluster:
         config = ClusterConfig(num_workers=1, slots_per_worker=2)
 
         def job(streams, budget):
-            from repro.asp.executor import RunResult
+            from repro.asp.runtime import RunResult
 
             total = sum(len(v) for v in streams.values())
             return (
@@ -142,7 +142,7 @@ class TestRunOnCluster:
         config = ClusterConfig(num_workers=1, slots_per_worker=4)
 
         def job(streams, budget):
-            from repro.asp.executor import RunResult
+            from repro.asp.runtime import RunResult
 
             total = sum(len(v) for v in streams.values())
             return (

@@ -1,4 +1,4 @@
-"""Exact Kleene iteration (PR 10): the columnar ITER operator against
+"""Exact Kleene iteration (PR 10): the exact ITER operator against
 the SEA denotational oracle and the join-chain mapping.
 
 ``iteration_strategy="exact"`` enumerates every ts-increasing event
@@ -65,15 +65,12 @@ def test_unbounded_kleene_exact_equals_oracle():
     assert exact_bytes  # the workload must actually produce matches
 
 
-def test_exact_kleene_columnar_equals_row():
+def test_exact_kleene_batched_equals_reference():
     pattern = street_lighting_idle(velocity_free_flow=128.0, occurrences=3)
     streams = _streams_for(pattern, 160, SENSORS, SEED)
-    row_bytes = _run(pattern, streams, "exact")
+    reference_bytes = _run(pattern, streams, "exact")
     for batch_size in (7, 256):
-        columnar_bytes = _run(
-            pattern, streams, "exact", batch_size=batch_size, columnar=True
-        )
-        assert columnar_bytes == row_bytes
+        assert _run(pattern, streams, "exact", batch_size=batch_size) == reference_bytes
 
 
 def test_exact_kleene_recovery_byte_identical():
@@ -91,6 +88,5 @@ def test_exact_kleene_recovery_byte_identical():
         checkpoint_interval=25,
         fault_plan=plan,
         batch_size=64,
-        columnar=True,
     )
     assert recovered == clean_bytes

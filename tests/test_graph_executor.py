@@ -3,7 +3,8 @@
 import pytest
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import Executor, merge_sources, run_dataflow
+from repro.asp.runtime import ExecutionSettings, merge_sources, run_dataflow
+from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.graph import Dataflow, linear_pipeline
 from repro.asp.operators.filter import FilterOperator
 from repro.asp.operators.join import SlidingWindowJoin
@@ -185,8 +186,7 @@ class TestExecutor:
         flow = linear_pipeline(
             ListSource(minute_events("Q", 100)), [CollectSink()]
         )
-        executor = Executor(flow, sample_every=10)
-        result = executor.run()
+        result = SerialJob(flow, ExecutionSettings(sample_every=10)).run()
         assert len(result.samples) >= 10
         assert all("state_bytes" in s for s in result.samples)
 
@@ -220,13 +220,13 @@ class TestExecutor:
         flow.connect(j1, j2, port=0)
         flow.connect(c, j2, port=1)
         flow.connect(j2, sink_node)
-        executor = Executor(flow)
+        delays = SerialJob(flow, ExecutionSettings()).watermarks.delays
         j1_id = next(n.node_id for n in flow.operator_nodes() if n.name == "j1")
         j2_id = next(n.node_id for n in flow.operator_nodes() if n.name == "j2")
         sink_id = flow.sink_nodes()[0].node_id
-        assert executor._wm_delay[j1_id] == 0
-        assert executor._wm_delay[j2_id] == 2 * MIN       # j1's delay
-        assert executor._wm_delay[sink_id] == 5 * MIN     # j1 + j2
+        assert delays[j1_id] == 0
+        assert delays[j2_id] == 2 * MIN       # j1's delay
+        assert delays[sink_id] == 5 * MIN     # j1 + j2
 
     def test_delayed_items_are_not_lost_in_nested_joins(self):
         """A downstream window must not close before upstream join results

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import run_dataflow
+from repro.asp.runtime import run_dataflow
 from repro.asp.graph import clone_dataflow, linear_pipeline
 from repro.asp.operators.filter import FilterOperator
 from repro.asp.operators.sink import CollectSink
@@ -468,6 +468,26 @@ class TestBenchRegressionGate:
         )
         assert rc == 1
         assert "correctness regression" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "variant, ratio, events, breached",
+        [
+            ("SEQ1|FASP-O1+batched|headline", 9.0, 20_000, False),
+            # Row batches without the column masks reach ~4x: trips the 8x floor.
+            ("SEQ1|FASP-O1+batched|headline", 4.0, 20_000, True),
+            ("SEQ1|FASP-O1+batched|headline", 4.0, 4_000, False),  # smoke: parity
+            ("NSEQ1|FASP+batched|baseline", 0.9, 20_000, False),  # unlisted: parity
+            ("NSEQ1|FASP+batched|baseline", 0.6, 20_000, True),
+            ("SEQ-wide|FASP+opt|static", 1.5, 20_000, True),
+            ("tenant-group|serve+shared|tenants=8", 1.4, 4_000, True),
+        ],
+    )
+    def test_sibling_floor_table(self, tmp_path, capsys, variant, ratio, events, breached):
+        pattern, approach, parameter = variant.split("|")
+        sibling = f"{pattern}|{approach.rsplit('+', 1)[0]}|{parameter}"
+        summary = _summary({sibling: 100.0, variant: 100.0 * ratio}, events=events)
+        assert self._run(tmp_path, summary, summary) == int(breached)
+        assert ("floor" in capsys.readouterr().out) == breached
 
     def test_update_reblesses_baseline(self, tmp_path, capsys):
         gate = _load_gate()

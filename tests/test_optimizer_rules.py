@@ -242,15 +242,6 @@ class TestAnnotateColumnarSegments:
         assert decision.fired
         assert any("columnar segment" in note for note in decision.plan.notes)
 
-    def test_annotates_exact_kleene_run_enumeration(self):
-        plan = plan_for(
-            "PATTERN ITER3(V v) WHERE v.value < 10 WITHIN 10 MINUTES",
-            TranslationOptions(iteration_strategy="exact"),
-        )
-        decision = AnnotateColumnarSegments().apply(plan, ctx_for())
-        assert decision.fired
-        assert any("run enumeration" in note for note in decision.plan.notes)
-
     def test_declines_on_unfiltered_scans(self):
         plan = plan_for("PATTERN SEQ(Q a, V b) WITHIN 10 MINUTES")
         assert not AnnotateColumnarSegments().apply(plan, ctx_for()).fired

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asp.executor import RunResult
+from repro.asp.runtime import RunResult
 from repro.errors import BackpressureError
 from repro.runtime.ratesim import PipelineModel, Station, compare_under_load
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import RunResult, merge_sources
+from repro.asp.runtime import RunResult, merge_sources
 from repro.asp.graph import Dataflow
 from repro.asp.operators.source import ListSource
 from repro.experiments.common import ExperimentRow, rows_summary

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.asp.datamodel import Event
-from repro.asp.executor import Executor, run_dataflow
 from repro.asp.graph import Dataflow, clone_dataflow, extract_shards, linear_pipeline
 from repro.asp.operators.filter import FilterOperator
 from repro.asp.operators.keyby import key_by_attribute
@@ -24,6 +23,7 @@ from repro.asp.runtime import (
     ShardedBackend,
     merge_sources,
     resolve_backend,
+    run_dataflow,
 )
 from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.state import StateRegistry
@@ -267,10 +267,9 @@ class TestInstrumentation:
             [DiscardSink()],
         )
         run_dataflow(flow, sample_every=10)
-        # Hook not wired -> empty; wire it through the Executor facade.
+        # Hook not wired -> empty; wire it through the settings.
         assert hook.series == []
-        executor = Executor(flow, sample_every=10, on_sample=hook)
-        executor.run()
+        SerialJob(flow, ExecutionSettings(sample_every=10, on_sample=hook)).run()
         assert hook.series
         assert hook.series[-1].events_in == 30
 
@@ -300,9 +299,9 @@ class TestChannelsAndClock:
         assert generator.current_max_ts == 5 * MIN
         events = [Event("Q", ts=i * MIN, id=1) for i in range(4)]
         flow = linear_pipeline(ListSource(events, name="s"), [DiscardSink()])
-        executor = Executor(flow, watermark_interval=MIN)
-        executor.run()
-        assert executor.watermarks.current_max_ts == 3 * MIN
+        job = SerialJob(flow, ExecutionSettings(watermark_interval=MIN))
+        job.run()
+        assert job.watermarks.current_max_ts() == 3 * MIN
 
 
 class TestExtractShards:

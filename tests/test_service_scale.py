@@ -328,6 +328,44 @@ class TestDurableResume:
         assert served_bytes(second, info["id"], "shard-resume") == \
             batch_reference_inline(SHARDABLE, streams, o3="id")
 
+    def test_old_format_manifest_resumes_with_retired_keys_ignored(self, tmp_path):
+        """Manifests store the raw submit dict, so one written before the
+        engine flags were retired still carries ``fusion``/``columnar``:
+        resume must accept it, ignore the keys and — here across a second
+        mid-stream kill on the batch engine — serve identical bytes."""
+        job_dir = tmp_path / "job-1"
+        job_dir.mkdir()
+        (job_dir / "job.json").write_text(json.dumps({
+            "job_id": "job-1",
+            "request": {
+                "name": "tc-columnar",
+                "query": {"catalog": "traffic-congestion", "name": "tc-columnar"},
+                "batch_size": 256,
+                "fusion": True,
+                "columnar": True,
+            },
+        }))
+        streams = offset_streams()
+        all_events = list(merge_streams_for_wire(streams))
+        config = ServiceConfig(state_dir=str(tmp_path), **self.CONFIG)
+
+        first = JobManager(config)
+        first.resume()
+        assert first.resumed["jobs"] == ["job-1"]
+        assert first.jobs["job-1"].settings.batch_size == 256
+        for seq, event in enumerate(all_events[: len(all_events) * 2 // 3], start=1):
+            first.ingest_event(event, source="t", seq=seq)
+        first.run_round(first.jobs["job-1"])
+        assert first.job_status("job-1")["events_processed"] > 0
+
+        second = JobManager(config)
+        second.resume()
+        for seq, event in enumerate(all_events, start=1):
+            second.ingest_event(event, source="t", seq=seq)
+        second.drain()
+        assert served_bytes(second, "job-1", "tc-columnar") == \
+            batch_reference("traffic-congestion", streams)
+
     def test_terminal_jobs_are_not_resurrected(self, tmp_path):
         config = ServiceConfig(state_dir=str(tmp_path), **self.CONFIG)
         first = JobManager(config)

@@ -318,7 +318,7 @@ class TestClusterSkew:
         mechanism behind the paper's keys-vs-slots observations."""
         from repro.runtime.cluster import ClusterConfig, run_on_cluster
         from repro.workloads.generator import generate_skewed_stream
-        from repro.asp.executor import RunResult
+        from repro.asp.runtime import RunResult
 
         spec = StreamSpec("Q", num_sensors=16)
         events = generate_skewed_stream(spec, minutes(1000), exponent=1.5, seed=2)

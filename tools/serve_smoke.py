@@ -7,8 +7,8 @@ drives it exactly like a tenant would:
 
 1. submit the catalog queries over the HTTP control API — as separate
    jobs, or (``--group``) as one shared-scan tenant group, plus one job
-   whose rounds run on the columnar struct-of-arrays engine
-   (``"columnar": true``); ``--sharded`` additionally submits an
+   whose rounds run on the batch engine (``"batch_size": 256``);
+   ``--sharded`` additionally submits an
    O3-partitioned inline pattern whose rounds run on the sharded
    backend;
 2. stream the merged QnV/air-quality workload over the TCP ingestion
@@ -69,12 +69,12 @@ QUERIES = ("traffic-congestion", "street-lighting-demand")
 #: The --sharded job: an O3-partitioned pattern the RA40x proof accepts.
 SHARDED_NAME = "sharded-id"
 SHARDED_PATTERN = "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES"
-#: Always-submitted columnar job: the same catalog query as one of the
-#: row jobs, but its rounds run on the struct-of-arrays engine — the
-#: byte-identity check against the row-serial batch reference then
-#: covers the columnar hot path end to end through the service.
-COLUMNAR_NAME = "tc-columnar"
-COLUMNAR_QUERY = "traffic-congestion"
+#: Always-submitted batched job: the same catalog query as one of the
+#: per-event jobs, but its rounds run on the batch engine — the
+#: byte-identity check against the per-event one-shot reference then
+#: covers the batch engine end to end through the service.
+BATCHED_NAME = "tc-batched"
+BATCHED_QUERY = "traffic-congestion"
 
 
 def build_streams(events: int, seed: int) -> dict[str, list]:
@@ -106,8 +106,8 @@ def batch_reference(query_name: str, streams: dict[str, list]) -> bytes:
         return _batch_bytes(
             pattern, TranslationOptions(partition_attribute="id"), streams
         )
-    if query_name == COLUMNAR_NAME:
-        query_name = COLUMNAR_QUERY  # row-serial reference for the columnar job
+    if query_name == BATCHED_NAME:
+        query_name = BATCHED_QUERY  # per-event reference for the batched job
     pattern = CATALOG[query_name]()
     return _batch_bytes(pattern, recommend_options(pattern).options, streams)
 
@@ -216,13 +216,12 @@ def main(argv: list[str] | None = None) -> int:
                     jobs[query_name] = info["id"]
                     print(f"submitted {query_name} -> {info['id']}")
             info = client.submit({
-                "name": COLUMNAR_NAME,
-                "query": {"catalog": COLUMNAR_QUERY, "name": COLUMNAR_NAME},
+                "name": BATCHED_NAME,
+                "query": {"catalog": BATCHED_QUERY, "name": BATCHED_NAME},
                 "batch_size": 256,
-                "columnar": True,
             })
-            jobs[COLUMNAR_NAME] = info["id"]
-            print(f"submitted {COLUMNAR_NAME} -> {info['id']} (columnar rounds)")
+            jobs[BATCHED_NAME] = info["id"]
+            print(f"submitted {BATCHED_NAME} -> {info['id']} (batch-engine rounds)")
             if args.sharded:
                 info = client.submit({
                     "name": SHARDED_NAME,
