@@ -45,7 +45,7 @@ from repro.errors import (
     TranslationError,
 )
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.mapping.sql import render_sql
 from repro.mapping.translator import TranslatedQuery, translate
 from repro.runtime.cluster import ClusterConfig

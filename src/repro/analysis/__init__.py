@@ -10,13 +10,15 @@ cardinality/state abstract interpretation over the logical-plan IR
 (RA80x), the multi-query sharability prover (RA81x) and the concurrency
 self-lint over the service runtime's own source (RA82x).
 
-Entry points: :func:`analyze_query` (what ``translate()`` pre-flights
-and ``repro lint`` renders) and :func:`analyze` for piecewise use;
+Entry points: :func:`analyze_queries` (what the compile pipeline
+pre-flights: one report per query of a compile result, flow-level passes
+run once) and :func:`analyze_query` (its one-query spelling, what
+``repro lint`` renders);
 :func:`prove_sharability` for co-submissions and
 :func:`lint_runtime_sources` for ``repro lint --self``.
 """
 
-from repro.analysis.analyzer import analyze, analyze_query
+from repro.analysis.analyzer import analyze_queries, analyze_query
 from repro.analysis.cardinality import (
     CardinalityBounds,
     Interval,
@@ -56,7 +58,7 @@ __all__ = [
     "SharedPrefix",
     "SharingReport",
     "alias_scopes",
-    "analyze",
+    "analyze_queries",
     "analyze_query",
     "callable_diagnostics",
     "error",

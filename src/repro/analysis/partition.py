@@ -94,13 +94,21 @@ def plan_partition_diagnostics(
     return out
 
 
-def shardability_diagnostics(flow: "Dataflow") -> list[Diagnostic]:
+def shardability_diagnostics(
+    flow: "Dataflow", output: Optional[int] = None
+) -> list[Diagnostic]:
     """RA401: operators whose state mixes keys on a claimed-sharded path.
 
     Mirrors (and now backs) :meth:`ShardedBackend.check_shardable`.
+    ``output`` restricts the proof to the operators upstream of that
+    node: one keyed query's path through a dataflow it shares with
+    unkeyed queries.
     """
+    path = flow.upstream_of(output) if output is not None else flow.nodes
     unsafe = [
-        node.name for node in flow.operator_nodes() if not node.operator.key_parallel_safe
+        node.name
+        for node in flow.operator_nodes()
+        if node.node_id in path and not node.operator.key_parallel_safe
     ]
     if not unsafe:
         return []

@@ -103,6 +103,20 @@ class Dataflow:
         has_out = {e.source_id for e in self.edges}
         return [n for n in self.operator_nodes() if n.node_id not in has_out]
 
+    def upstream_of(self, node_id: int) -> set[int]:
+        """``node_id`` plus every node with a path into it."""
+        inputs: dict[int, list[int]] = {}
+        for edge in self.edges:
+            inputs.setdefault(edge.target_id, []).append(edge.source_id)
+        seen = {node_id}
+        frontier = [node_id]
+        while frontier:
+            for source_id in inputs.get(frontier.pop(), ()):
+                if source_id not in seen:
+                    seen.add(source_id)
+                    frontier.append(source_id)
+        return seen
+
     def stateful_operators(self) -> list[Operator]:
         return [n.operator for n in self.operator_nodes() if n.operator.is_stateful]
 

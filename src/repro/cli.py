@@ -67,8 +67,7 @@ from repro.cep.pattern_api import from_sea_pattern
 from repro.errors import ReproError, TranslationError
 from repro.mapping.advisor import recommend_options, statistics_from_streams
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.optimizer import OPTIMIZE_MODES, optimize_plan, resolve_cost_model
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import OPTIMIZE_MODES, resolve_cost_model
 from repro.mapping.sql import render_sql
 from repro.mapping.translator import translate
 from repro.sea.parser import parse_pattern
@@ -78,21 +77,13 @@ from repro.workloads.qnv import QnVConfig, qnv_streams
 
 
 def _options_from_args(args: argparse.Namespace) -> TranslationOptions:
-    kwargs = {}
-    if getattr(args, "o1", False):
-        from repro.mapping.plan import WindowStrategy
-
-        kwargs["join_strategy"] = WindowStrategy.INTERVAL
-    if getattr(args, "o2", False):
-        kwargs["iteration_strategy"] = "aggregate"
-    if getattr(args, "iter_strategy", None):
-        # Explicit --iter wins over the --o2 shorthand.
-        kwargs["iteration_strategy"] = args.iter_strategy
-    if getattr(args, "o3", None):
-        kwargs["partition_attribute"] = args.o3
-    if getattr(args, "multiway", False):
-        kwargs["use_multiway_joins"] = True
-    return TranslationOptions(**kwargs)
+    return TranslationOptions.from_flags(
+        o1=args.o1,
+        o2=args.o2,
+        iter=args.iter_strategy,
+        o3=args.o3,
+        multiway=args.multiway,
+    )
 
 
 def _pattern_from_args(args: argparse.Namespace):
@@ -117,11 +108,20 @@ def _streams_from_args(args: argparse.Namespace) -> dict[str, list]:
     return streams
 
 
-def _explain_one(pattern, options, model, registry) -> None:
+def _typed_sources(pattern, streams=None) -> dict[str, ListSource]:
+    """One source per event type of ``pattern`` — empty unless ``streams``
+    has events for it, so explaining and linting need no data."""
+    return {
+        t: ListSource((streams or {}).get(t, []), name=f"src[{t}]", event_type=t)
+        for t in pattern.distinct_event_types()
+    }
+
+
+def _explain_one(pattern, options, model) -> None:
     print(pattern.render())
-    plan = build_plan(pattern, options)
-    if model is not None:
-        plan = optimize_plan(plan, options, model, registry=registry)
+    plan = translate(
+        pattern, _typed_sources(pattern), options, analyze=False, cost_model=model
+    ).plan
     print()
     print(plan.explain())
     if plan.trace is not None:
@@ -148,9 +148,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 print("=" * 70)
                 print()
             print(f"-- catalog query: {name}")
-            _explain_one(CATALOG[name](), options, model, registry)
+            _explain_one(CATALOG[name](), options, model)
         return 0
-    _explain_one(_pattern_from_args(args), options, model, registry)
+    _explain_one(_pattern_from_args(args), options, model)
     return 0
 
 
@@ -349,17 +349,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _lint_one(pattern, options, streams=None, sharded=False, state_budget=None):
     """Translate (without pre-flight) and analyze one pattern; returns
-    the report. Streams default to empty typed sources, so linting needs
-    no data."""
+    the report."""
     from repro.analysis import analyze_query
 
-    sources = {
-        t: ListSource(
-            (streams or {}).get(t, []), name=f"src[{t}]", event_type=t
-        )
-        for t in pattern.distinct_event_types()
-    }
-    query = translate(pattern, sources, options, analyze=False)
+    query = translate(
+        pattern, _typed_sources(pattern, streams), options, analyze=False
+    )
     return analyze_query(
         query,
         prove_shardable=True if sharded else None,
@@ -392,15 +387,15 @@ def _github_annotation(diag, target: str = "") -> str:
     return f"::{level} {','.join(props)}::{message}"
 
 
-def _lint_catalog_jobs():
-    from repro.mapping.advisor import recommend_options as _recommend
-    from repro.patterns import CATALOG
+def _lint_jobs(args: argparse.Namespace) -> list[tuple]:
+    """``(pattern, options)`` per query to lint: the whole catalog under
+    its advisor-recommended optimizations, or the command line's pattern."""
+    if args.catalog:
+        from repro.patterns import CATALOG
 
-    jobs = []
-    for name in sorted(CATALOG):
-        pattern = CATALOG[name]()
-        jobs.append((name, pattern, _recommend(pattern).options))
-    return jobs
+        patterns = [CATALOG[name]() for name in sorted(CATALOG)]
+        return [(p, recommend_options(p).options) for p in patterns]
+    return [(_pattern_from_args(args), _options_from_args(args))]
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -415,16 +410,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         kind = "source file set"
         reports.append(lint_runtime_sources(paths=args.self_path or None))
     elif args.sharing:
-        from repro.analysis.sharing import prove_sharability
-        from repro.mapping.optimizer.build import build_plan
+        from repro.mapping.multiquery import translate_many
 
         kind = "co-submission"
-        if args.catalog:
-            jobs = _lint_catalog_jobs()
-        else:
-            pattern = _pattern_from_args(args)
-            options = _options_from_args(args)
-            jobs = [(pattern.name, pattern, options)]
+        jobs = _lint_jobs(args)
         if len(jobs) < 2:
             print(
                 "error: --sharing needs at least two queries "
@@ -432,20 +421,21 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        submissions = [
-            (name, build_plan(pattern, options), options)
-            for name, pattern, options in jobs
-        ]
-        reports.append(prove_sharability(submissions, target="catalog"))
+        sources: dict[str, ListSource] = {}
+        for pattern, _options in jobs:
+            sources.update(_typed_sources(pattern))
+        # The proof the compile pipeline would merge scans by.
+        reports.append(
+            translate_many(
+                [pattern for pattern, _options in jobs],
+                sources,
+                [options for _pattern, options in jobs],
+                analyze=False,
+            ).sharing
+        )
     else:
-        if args.catalog:
-            jobs = _lint_catalog_jobs()
-        else:
-            jobs = [(None, _pattern_from_args(args), _options_from_args(args))]
-        streams = None
-        if getattr(args, "stream", None):
-            streams = _streams_from_args(args)
-        for _name, pattern, options in jobs:
+        streams = _streams_from_args(args) if args.stream else None
+        for pattern, options in _lint_jobs(args):
             reports.append(
                 _lint_one(
                     pattern,

@@ -11,6 +11,11 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
+    #: Position, in the batch handed to the compile pipeline, of the
+    #: pattern that caused the failure; ``None`` when no single pattern
+    #: did (or the error was not raised by a compile).
+    pattern_index: int | None = None
+
 
 class SchemaError(ReproError):
     """A tuple or stream violates its declared schema.

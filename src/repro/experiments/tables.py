@@ -18,7 +18,7 @@ from repro.cep.policies import STAM, STNM, STRICT, SelectionPolicy
 from repro.errors import ReproError
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.plan import JoinKind, WindowJoin, CountAggregate, UnionAll
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.sea.ast import (
     Pattern,
     conj,

@@ -103,6 +103,28 @@ class TranslationOptions:
             partition_attribute=partition_attribute,
         )
 
+    @staticmethod
+    def from_flags(
+        o1: bool = False,
+        o2: bool = False,
+        iter: str | None = None,
+        o3: str | None = None,
+        multiway: bool = False,
+    ) -> "TranslationOptions":
+        """The ``o1``/``o2``/``iter``/``o3``/``multiway`` switches of the
+        command line and of a submitted query's ``options`` object; an
+        explicit ``iter`` wins over the ``o2`` shorthand."""
+        if o3 is not None and not isinstance(o3, str):
+            raise OptimizationError(f"o3 must name an attribute, got {o3!r}")
+        return TranslationOptions(
+            join_strategy=WindowStrategy.INTERVAL if o1 else WindowStrategy.SLIDING,
+            iteration_strategy=(
+                iter if iter is not None else "aggregate" if o2 else "join"
+            ),
+            partition_attribute=o3 or None,
+            use_multiway_joins=bool(multiway),
+        )
+
     def label(self) -> str:
         """Evaluation label matching the paper's figure legends."""
         applied = []

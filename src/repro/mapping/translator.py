@@ -1,19 +1,24 @@
 """Plan-to-dataflow compiler: the executable half of the mapping.
 
-``translate`` takes a SEA pattern, builds its logical plan (Table 1
-rules) and compiles the plan into a physical dataflow on the
-:mod:`repro.asp` engine — filters push down to per-type scans, joins
-become :class:`SlidingWindowJoin`/:class:`IntervalJoin` operators, O2
-iterations become window aggregations, and NSEQ becomes the
+:func:`compile_patterns` is the one compile pipeline — build the logical
+plans (Table 1 rules), rewrite them, prove what a batch may share, lower
+them into a physical dataflow on the :mod:`repro.asp` engine and verify
+the result. Lowering pushes filters down to per-type scans, turns joins
+into :class:`SlidingWindowJoin`/:class:`IntervalJoin` operators, O2
+iterations into window aggregations, and NSEQ into the
 union + next-occurrence UDF + ordered join of Listing 6.
 
-The result is a :class:`TranslatedQuery`: attach a sink, execute, and
-compare against FCEP on identical sources (the paper's methodology).
+``translate`` is the pipeline for one pattern
+(:func:`~repro.mapping.multiquery.translate_many` for a batch with
+shared scans). The result is a :class:`TranslatedQuery`: attach a sink,
+execute, and compare against FCEP on identical sources (the paper's
+methodology).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Literal, Mapping, Sequence
 
 from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
 from repro.asp.runtime import RunResult
@@ -22,11 +27,11 @@ from repro.asp.operators.sink import CollectSink, Sink
 from repro.asp.operators.source import Source
 from repro.asp.operators.window import IntervalBounds, WindowSpec
 from repro.asp.stream import StreamEnvironment, StreamHandle
-from repro.errors import TranslationError
+from repro.errors import ReproError, TranslationError
 from repro.mapping.optimizations import TranslationOptions, o2_threshold_met
 from repro.mapping.optimizer import optimize_plan, resolve_cost_model
 from repro.mapping.optimizer.build import build_plan
-from repro.mapping.optimizer.cost import CostModel
+from repro.mapping.optimizer.cost import CostModel, predicate_selectivity
 from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
@@ -44,6 +49,10 @@ from repro.mapping.optimizer.ir import (
 )
 from repro.sea.ast import Pattern
 from repro.sea.predicates import Predicate, compile_check, compile_mask
+
+if TYPE_CHECKING:  # pragma: no cover - the analysis package sits above mapping
+    from repro.analysis.diagnostics import AnalysisReport
+    from repro.analysis.sharing import SharingReport
 
 
 def _binding_of(aliases: tuple[str, ...], events: tuple[Event, ...]) -> dict[str, Event]:
@@ -113,27 +122,68 @@ def _make_key_fn(
     return multi_key
 
 
+def _scan_signature(node: StreamScan) -> tuple[str, ...]:
+    """Rule-normalized filter signature — byte-compatible with the
+    sharability prover's :class:`~repro.analysis.sharing.ScanPipeline`."""
+    return tuple(
+        p.render()
+        for p in sorted(
+            node.filters, key=lambda p: (predicate_selectivity(p), p.render())
+        )
+    )
+
+
+def _attribute_key_fn(attribute: str | None) -> Callable[[Item], Any] | None:
+    """Key extractor of a keyed n-ary join, aggregate or Kleene node:
+    the partition attribute of the item's first event."""
+    if attribute is None:
+        return None
+
+    def key_fn(item: Item) -> Any:
+        return item[attribute] if isinstance(item, Event) else item.events[0][attribute]
+
+    return key_fn
+
+
 class _Compiler:
+    """Lowers the plans of one compile call into one environment.
+
+    Every plan lowered by the same instance shares one physical source
+    node per ``Source`` object and one routing handle per event type.
+    With a ``scan_cache`` the filtered scans are shared as well:
+    identical normalized signatures share the whole pipeline, and scans
+    the sharability prover proved subsumed (``subsumed``: ``(query,
+    alias) -> (shared predicate, has residual filters)``) share the
+    weakest-bound filter and re-apply their residual on top.
+    """
+
     def __init__(
         self,
         env: StreamEnvironment,
         sources: Mapping[str, Source],
-        plan: LogicalPlan,
-        options: TranslationOptions | None = None,
-        physical_handles: dict[int, StreamHandle] | None = None,
+        scan_cache: dict[tuple[str, tuple[str, ...]], StreamHandle] | None = None,
+        subsumed: Mapping[tuple[str, str], tuple[Predicate, bool]] | None = None,
     ):
         self.env = env
         self.sources = sources
-        self.plan = plan
-        self.options = options or TranslationOptions()
+        self.options = TranslationOptions()
+        self._query = ""
+        self._scan_cache = scan_cache
+        self._subsumed = subsumed or {}
         self._source_handles: dict[str, StreamHandle] = {}
         # One physical source *node* per Source object: a shared stream
         # passed under several type keys is read once and fanned out to
         # per-type routing filters (the `repro serve` ingestion path
         # feeds every scan from one arrival-ordered log this way).
-        self._physical_handles: dict[int, StreamHandle] = (
-            physical_handles if physical_handles is not None else {}
-        )
+        self._physical_handles: dict[int, StreamHandle] = {}
+
+    def lower(
+        self, plan: LogicalPlan, options: TranslationOptions, query: str
+    ) -> StreamHandle:
+        """Lower one plan; ``query`` is its name in the sharability proof."""
+        self.options = options
+        self._query = query
+        return self.compile(plan.root)
 
     def _source_handle(self, event_type: str) -> StreamHandle:
         handle = self._source_handles.get(event_type)
@@ -190,6 +240,35 @@ class _Compiler:
         raise TranslationError(f"cannot compile plan node {node.label()}")
 
     def _compile_scan(self, node: StreamScan) -> StreamHandle:
+        if self._scan_cache is None:
+            return self._filtered_scan(node)
+        key = (node.event_type, _scan_signature(node))
+        handle = self._scan_cache.get(key)
+        if handle is not None:
+            return handle
+        share = self._subsumed.get((self._query, node.alias))
+        if share is None:
+            handle = self._filtered_scan(node)
+        else:
+            shared_pred, has_residual = share
+            base_key = (node.event_type, (shared_pred.render(),))
+            base = self._scan_cache.get(base_key)
+            if base is None:
+                base = self._apply_filters(
+                    self._source_handle(node.event_type),
+                    (shared_pred,),
+                    alias=f"shared[{node.event_type}]",
+                )
+                self._scan_cache[base_key] = base
+            handle = (
+                self._apply_filters(base, node.filters, node.alias)
+                if has_residual
+                else base
+            )
+        self._scan_cache[key] = handle
+        return handle
+
+    def _filtered_scan(self, node: StreamScan) -> StreamHandle:
         handle = self._source_handle(node.event_type)
         if node.filters:
             handle = self._apply_filters(handle, node.filters, node.alias)
@@ -214,11 +293,11 @@ class _Compiler:
         # Closure-compiled form of the same conjunction; the batched
         # engine's filter hot path picks it up (the per-event
         # reference path keeps the tree-walking evaluator).
-        check.compiled = compile_check(filters)
+        check.compiled = compile_check(filters)  # type: ignore[attr-defined]
         # Column-mask form for batches that arrive as column views;
         # ``None`` when any conjunct falls outside the maskable
         # (core-attribute) subset.
-        check.mask = compile_mask(filters)
+        check.mask = compile_mask(filters)  # type: ignore[attr-defined]
         return handle.filter(check, name=f"filter[{alias}]")
 
     def _compile_join(self, node: WindowJoin) -> StreamHandle:
@@ -233,7 +312,7 @@ class _Compiler:
                 _make_key_fn(node.left.aliases, left_keys),
                 _make_key_fn(node.right.aliases, right_keys),
             )
-        emit_ts = "min" if node.emit_ts == "min" else "max"
+        emit_ts: Literal["min", "max"] = "min" if node.emit_ts == "min" else "max"
         if node.strategy is WindowStrategy.INTERVAL:
             bounds = (
                 IntervalBounds.sequence(node.window_size)
@@ -260,25 +339,16 @@ class _Compiler:
         aliases = node.aliases
         conjuncts = node.extra_theta
 
-        theta = None
-        if conjuncts:
-            def theta(events, _aliases=aliases, _conjuncts=conjuncts):
-                binding = dict(zip(_aliases, events))
-                return all(p.evaluate(binding) for p in _conjuncts)
-
-        key_fn = None
-        if node.key_attribute is not None:
-            attribute = node.key_attribute
-
-            def key_fn(item: Item, _attr: str = attribute) -> Any:
-                return item[_attr] if isinstance(item, Event) else item.events[0][_attr]
+        def theta(events: Sequence[Event]) -> bool:
+            binding = dict(zip(aliases, events))
+            return all(p.evaluate(binding) for p in conjuncts)
 
         operator = MultiWayWindowJoin(
             arity=len(node.parts),
             window=WindowSpec(size=node.window_size, slide=node.window_slide),
             ordered=node.ordered,
-            theta=theta,
-            key_fn=key_fn,
+            theta=theta if conjuncts else None,
+            key_fn=_attribute_key_fn(node.key_attribute),
         )
         join_node = self.env.flow.add_operator(operator)
         for port, handle in enumerate(handles):
@@ -288,13 +358,7 @@ class _Compiler:
     def _compile_aggregate(self, node: CountAggregate) -> StreamHandle:
         source = self.compile(node.input)
         window = WindowSpec(size=node.window_size, slide=node.window_slide)
-        key_fn = None
-        if node.key_attribute is not None:
-            attribute = node.key_attribute
-
-            def key_fn(item: Item, _attr: str = attribute) -> Any:
-                return item[_attr] if isinstance(item, Event) else item.events[0][_attr]
-
+        key_fn = _attribute_key_fn(node.key_attribute)
         alias = node.input.aliases[0]
         output_type = f"ITER[{alias}]"
         if node.flavour == "udf" and node.condition is not None:
@@ -335,13 +399,6 @@ class _Compiler:
     def _compile_kleene(self, node: KleeneIterate) -> StreamHandle:
         source = self.compile(node.input)
         window = WindowSpec(size=node.window_size, slide=node.window_slide)
-        key_fn = None
-        if node.key_attribute is not None:
-            attribute = node.key_attribute
-
-            def key_fn(item: Item, _attr: str = attribute) -> Any:
-                return item[_attr] if isinstance(item, Event) else item.events[0][_attr]
-
         # emit_ts="min" matches the join chain's partial-match convention
         # (ComplexEvent.ts = ts_b), keeping the exact operator
         # frame-identical to the m-1 self-join mapping for bounded ITER.
@@ -350,7 +407,7 @@ class _Compiler:
             minimum=node.minimum,
             unbounded=node.unbounded,
             condition=node.condition,
-            key_fn=key_fn,
+            key_fn=_attribute_key_fn(node.key_attribute),
             emit_ts="min",
         )
 
@@ -413,8 +470,8 @@ class TranslatedQuery:
         self.options = options or TranslationOptions()
         self.sources = dict(sources) if sources is not None else {}
         self.sink: Sink | None = None
-        #: The pre-flight static analysis report (``translate(analyze=True)``).
-        self.analysis = None
+        #: The pre-flight static analysis report (``analyze=True`` compiles).
+        self.analysis: AnalysisReport | None = None
 
     def attach_sink(self, sink: Sink | None = None) -> Sink:
         self.sink = self.output.sink(sink)
@@ -512,6 +569,145 @@ class TranslatedQuery:
         return self.plan.explain() + "\n\n" + self.env.explain()
 
 
+@contextmanager
+def _blame(index: int) -> Iterator[None]:
+    """Tag a compile failure with the position of the pattern it came
+    from, so the caller of a batch can say which query failed."""
+    try:
+        yield
+    except ReproError as exc:
+        exc.pattern_index = index
+        raise
+
+
+def compile_patterns(
+    patterns: Sequence[Pattern],
+    sources: Mapping[str, Source],
+    options: TranslationOptions | Sequence[TranslationOptions] | None = None,
+    registry: TypeRegistry | None = None,
+    analyze: bool = True,
+    optimize: str = "off",
+    profile_from: str | None = None,
+    cost_model: CostModel | None = None,
+    allow_approximate: bool = False,
+    rules=None,
+    scan_cache: dict | None = None,
+    sinks: Sequence[Sink] | None = None,
+) -> tuple[list[TranslatedQuery], "SharingReport | None"]:
+    """The compile pipeline: patterns in, verified queries out (Section 4).
+
+    The one place that sequences the phases, for one pattern or many
+    over one :class:`StreamEnvironment`:
+
+    1. **build** each pattern's logical plan (Table 1);
+    2. **rewrite** it under the cost model that ``optimize`` (``"static"``
+       or ``"profile"``, the latter fed by the prior run's metrics report
+       ``profile_from``) or ``cost_model`` selects; ``"off"`` skips the
+       phase. Rewritten plans stay byte-identical in output unless
+       ``allow_approximate`` opts into O2;
+    3. **prove** which scan prefixes of different patterns are mergeable
+       (:func:`~repro.analysis.sharing.prove_sharability`; a single
+       pattern has nothing to prove);
+    4. **lower** every plan into the shared environment, attaching its
+       sink when ``sinks`` has one per pattern;
+    5. **verify**, unless ``analyze=False``: the static plan verifier
+       (:func:`~repro.analysis.analyze_queries`) runs per query on the
+       plan that was lowered and once on the dataflow that will execute
+       — what it certifies is what runs. Each query keeps its report as
+       ``analysis``; the first error-level finding raises
+       :class:`~repro.errors.StaticAnalysisError` (a
+       :class:`TranslationError`), so a statically unsafe plan never
+       reaches execution.
+
+    ``scan_cache`` decides what the lowered plans share: ``None`` (the
+    :func:`translate` spelling) lowers every scan on its own; a dict (the
+    :func:`~repro.mapping.multiquery.translate_many` spelling) is filled
+    with one entry per distinct filtered scan, reused within and across
+    patterns as far as the proof of phase 3 allows.
+
+    Returns the queries and the sharability proof (``None`` for a single
+    pattern). A failure caused by one pattern carries that pattern's
+    position as ``pattern_index``.
+    """
+    if not patterns:
+        raise TranslationError("compiling requires at least one pattern")
+    if options is None or isinstance(options, TranslationOptions):
+        per_pattern = [options or TranslationOptions()] * len(patterns)
+    else:
+        per_pattern = list(options)
+        if len(per_pattern) != len(patterns):
+            raise TranslationError(
+                f"{len(patterns)} patterns but {len(per_pattern)} option sets"
+            )
+    model = (
+        cost_model
+        if cost_model is not None
+        else resolve_cost_model(optimize, registry, profile_from)
+    )
+    plans: list[LogicalPlan] = []
+    for index, (pattern, opts) in enumerate(zip(patterns, per_pattern)):
+        with _blame(index):
+            plan = build_plan(pattern, opts, registry=registry)
+            if model is not None:
+                plan = optimize_plan(
+                    plan,
+                    opts,
+                    model,
+                    registry=registry,
+                    allow_approximate=allow_approximate,
+                    rules=rules,
+                )
+        plans.append(plan)
+
+    # Sharability proof: the compiler only merges what the prover proved.
+    # Names are disambiguated when patterns collide so the (query, alias)
+    # keys stay unique.
+    names = [p.name for p in patterns]
+    if len(set(names)) != len(names):
+        names = [f"{name}#{i}" for i, name in enumerate(names)]
+    sharing = None
+    subsumed: dict[tuple[str, str], tuple[Predicate, bool]] = {}
+    if len(patterns) > 1:
+        from repro.analysis.sharing import prove_sharability
+
+        sharing = prove_sharability(
+            list(zip(names, plans, per_pattern)),
+            target=f"multi-query[{len(patterns)}]",
+        )
+        for group in sharing.groups:
+            if group.level != "subsumed" or group.shared_bound is None:
+                continue
+            pred = group.shared_bound.as_predicate(group.shared_alias)
+            for query, alias, residual in group.residuals:
+                subsumed[(query, alias)] = (pred, bool(residual))
+
+    env = StreamEnvironment(
+        name=f"{patterns[0].name}[{per_pattern[0].label()}]"
+        if scan_cache is None
+        else f"multi-query[{len(patterns)}]"
+    )
+    compiler = _Compiler(env, sources, scan_cache, subsumed)
+    queries: list[TranslatedQuery] = []
+    for index, (pattern, opts, plan, name) in enumerate(
+        zip(patterns, per_pattern, plans, names)
+    ):
+        with _blame(index):
+            output = compiler.lower(plan, opts, name)
+        query = TranslatedQuery(pattern, plan, env, output, opts, sources)
+        if sinks is not None:
+            query.attach_sink(sinks[index])
+        queries.append(query)
+    if analyze:
+        from repro.analysis import analyze_queries
+
+        reports = analyze_queries(queries, registry=registry)
+        for index, (query, report) in enumerate(zip(queries, reports)):
+            query.analysis = report
+            with _blame(index):
+                report.raise_for_errors()
+    return queries, sharing
+
+
 def translate(
     pattern: Pattern,
     sources: Mapping[str, Source],
@@ -526,50 +722,19 @@ def translate(
 ) -> TranslatedQuery:
     """Map a CEP pattern onto an executable ASP dataflow (Section 4).
 
-    The multi-phase compiler: phase 1 builds the logical plan (Table 1),
-    phase 2 — enabled with ``optimize="static"`` or ``"profile"``, or by
-    passing a ``cost_model`` directly — applies the rewrite rules of
-    :mod:`repro.mapping.optimizer` under that cost model
-    (``profile_from`` names the prior run's metrics report feeding the
-    ``profile`` model), and the remaining phases compile the plan to a
-    dataflow. Optimized plans stay byte-identical in output to the
-    default plan unless ``allow_approximate`` opts into O2 — and any
-    plan that does carry the O2 count surfaces an RA304 lint warning
-    pointing at the exact Kleene alternative
-    (``iteration_strategy="exact"``).
-
-    Unless ``analyze=False``, the static plan verifier
-    (:mod:`repro.analysis`) pre-flights the result — schema resolution,
-    window sanity, state boundedness, O3 partition safety and UDF purity
-    — and raises :class:`~repro.errors.StaticAnalysisError` (a
-    :class:`TranslationError`) on error-level findings, so a statically
-    unsafe plan never reaches execution. The verifier sees the
-    *optimized* plan: what it certifies is what runs.
+    :func:`compile_patterns` for one pattern, every scan lowered on its
+    own; the arguments mean what they mean there.
     """
-    options = options or TranslationOptions()
-    plan = build_plan(pattern, options, registry=registry)
-    model = (
-        cost_model
-        if cost_model is not None
-        else resolve_cost_model(optimize, registry, profile_from)
+    queries, _sharing = compile_patterns(
+        [pattern],
+        sources,
+        options,
+        registry=registry,
+        analyze=analyze,
+        optimize=optimize,
+        profile_from=profile_from,
+        cost_model=cost_model,
+        allow_approximate=allow_approximate,
+        rules=rules,
     )
-    if model is not None:
-        plan = optimize_plan(
-            plan,
-            options,
-            model,
-            registry=registry,
-            allow_approximate=allow_approximate,
-            rules=rules,
-        )
-    env = StreamEnvironment(name=f"{pattern.name}[{options.label()}]")
-    compiler = _Compiler(env, sources, plan, options)
-    output = compiler.compile(plan.root)
-    query = TranslatedQuery(pattern, plan, env, output, options, sources)
-    if analyze:
-        from repro.analysis import analyze_query
-
-        report = analyze_query(query, registry=registry)
-        query.analysis = report
-        report.raise_for_errors()
-    return query
+    return queries[0]

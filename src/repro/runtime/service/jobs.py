@@ -1,9 +1,9 @@
 """Job manager: live queries as incremental checkpoint-backed rounds.
 
 A *job* is one submission — a catalog query name, an inline pattern, or
-a co-submitted batch sharing scans via
-:func:`~repro.mapping.multiquery.translate_many` — compiled once through
-the PR 6 optimizer into a dataflow whose every scan reads a single
+a co-submitted batch sharing scans — compiled and statically verified
+once, by one :func:`~repro.mapping.multiquery.translate_many` call,
+into a dataflow whose every scan reads a single
 arrival-ordered ingestion log (one physical source node; the translator
 routes per type).
 
@@ -33,12 +33,11 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
-from repro.asp.operators.sink import CollectSink
-from repro.asp.operators.source import GeneratorSource, ListSource
+from repro.asp.datamodel import Event, TypeRegistry
+from repro.asp.operators.source import GeneratorSource
 from repro.asp.runtime import (
     CheckpointCoordinator,
     DirectoryCheckpointStore,
@@ -49,7 +48,6 @@ from repro.asp.runtime import (
     parse_fault_plan,
     run_report,
 )
-from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
 from repro.asp.runtime.observability import MetricsRegistry
 from repro.errors import (
@@ -59,10 +57,9 @@ from repro.errors import (
     ServiceError,
     StaticAnalysisError,
 )
-from repro.mapping.multiquery import translate_many
+from repro.mapping.multiquery import MultiQuery, translate_many
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.optimizer import OPTIMIZE_MODES
-from repro.mapping.translator import translate
 from repro.runtime.service.events import (
     SourceTracker,
     event_from_wire,
@@ -70,6 +67,7 @@ from repro.runtime.service.events import (
 )
 from repro.runtime.service.rounds import (
     SHARD_MODES,
+    run_round_attempts,
     run_sharded_round,
     shutdown_pool,
 )
@@ -99,6 +97,24 @@ class JobState:
     DRAINED = "drained"
     CANCELLED = "cancelled"
     FAILED = "failed"
+
+
+#: Submit keys that override a :class:`ServiceConfig` field for one job.
+_JOB_OVERRIDES = {
+    "admission": "admission",
+    "queue_limit": "queue_limit",
+    "retry_after_ms": "retry_after_ms",
+    "round_events": "round_events",
+    "checkpoint_interval": "checkpoint_interval",
+    "max_restarts": "max_restarts",
+    "batch_size": "batch_size",
+    "max_out_of_orderness": "max_out_of_orderness",
+    "optimize": "optimize",
+    "backend": "job_backend",
+    "shards": "job_shards",
+    "shard_mode": "shard_mode",
+    "round_slo_ms": "round_slo_ms",
+}
 
 
 @dataclass(frozen=True)
@@ -142,20 +158,49 @@ class ServiceConfig:
     round_slo_ms: int | None = None
 
     def __post_init__(self) -> None:
-        if self.admission not in AdmissionPolicy:
-            raise ValueError(f"admission must be one of {AdmissionPolicy}")
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if self.round_events < 1:
-            raise ValueError("round_events must be >= 1")
-        if self.job_backend not in JobBackend:
-            raise ValueError(f"job_backend must be one of {JobBackend}")
-        if self.job_shards < 1:
-            raise ValueError("job_shards must be >= 1")
-        if self.shard_mode not in SHARD_MODES:
-            raise ValueError(f"shard_mode must be one of {SHARD_MODES}")
-        if self.round_slo_ms is not None and self.round_slo_ms < 1:
-            raise ValueError("round_slo_ms must be >= 1")
+        for name, allowed in (
+            ("admission", AdmissionPolicy),
+            ("job_backend", JobBackend),
+            ("shard_mode", SHARD_MODES),
+            ("optimize", OPTIMIZE_MODES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
+        for name, minimum in (
+            ("queue_limit", 1),
+            ("round_events", 1),
+            ("job_shards", 1),
+            ("batch_size", 1),
+            ("max_restarts", 0),
+            ("retry_after_ms", 0),
+            ("max_out_of_orderness", 0),
+        ):
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}")
+        for name in ("checkpoint_interval", "round_slo_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1 (or null to disable)")
+
+    def for_job(self, request: Mapping[str, Any]) -> "ServiceConfig":
+        """This configuration with one submission's overrides applied.
+
+        The one place per-job knobs are resolved: an override is held to
+        exactly the checks the server-wide value passes, and anything
+        malformed is the client's error, not the server's.
+        """
+        overrides: dict[str, Any] = {}
+        try:
+            for key, name in _JOB_OVERRIDES.items():
+                if key in request:
+                    value = request[key]
+                    # Every non-text knob accepts what ``int()`` accepts
+                    # (JSON clients send "2" and 2.0 for 2); null stays.
+                    verbatim = isinstance(getattr(self, name), str) or value is None
+                    overrides[name] = value if verbatim else int(value)
+            return replace(self, **overrides)
+        except (TypeError, ValueError) as exc:
+            raise ServiceError("bad-request", f"invalid job override: {exc}") from exc
 
     @property
     def durable_dir(self) -> str | None:
@@ -170,29 +215,20 @@ class Job:
     job_id: str
     name: str
     query_names: list[str]
-    patterns: list[Any]
-    plans: list[Any]
-    sinks: list[CollectSink]
-    flow: Any
+    #: The compile result: per query its pattern, plan, sink and static
+    #: analysis report, plus the merged dataflow, the shared scans and
+    #: the co-submission's sharability proof.
+    compiled: MultiQuery
+    #: The service configuration with this job's overrides applied.
+    config: ServiceConfig
     settings: ExecutionSettings
     store: Any
     coordinator: CheckpointCoordinator
     injector: FaultInjector
     event_types: frozenset[str]
-    queue_limit: int
-    admission: str
-    retry_after_ms: int
-    round_events: int
-    max_restarts: int
-    shared_scans: int = 0
-    #: The co-submission's sharability proof (a SharingReport as_dict),
-    #: None for single-query jobs.
-    sharing: dict[str, Any] | None = None
-    #: Round execution backend ("serial" or "sharded") plus its knobs.
+    #: Round execution backend ("serial" or "sharded") and its O3 key.
     backend: str = "serial"
-    shards: int = 1
     key_attribute: str | None = None
-    shard_mode: str = "inline"
     #: True when the job carries a fault plan (forces inline dispatch —
     #: injected crashes must fire exactly once across restarts).
     fault_active: bool = False
@@ -200,8 +236,6 @@ class Job:
     shard_stores: list[Any] = field(default_factory=list)
     shard_coordinators: list[CheckpointCoordinator] = field(default_factory=list)
     shard_injectors: list[FaultInjector] = field(default_factory=list)
-    #: Round SLO (ms); None disables deadline-triggered rounds.
-    round_slo_ms: int | None = None
     #: Monotonic enqueue time of the oldest queued event (SLO clock).
     pending_since: float | None = None
     #: Per-tenant lifecycle of a shared-scan group ("running"/"cancelled").
@@ -255,11 +289,11 @@ class Job:
             if self.state != JobState.RUNNING or draining:
                 return {"accepted": False, "reason": f"job-{self.state}"
                         if self.state != JobState.RUNNING else "draining"}
-            if len(self.queue) >= self.queue_limit:
-                if self.admission == "block" and wait:
+            if len(self.queue) >= self.config.queue_limit:
+                if self.config.admission == "block" and wait:
                     self.blocked.inc()
                     while (
-                        len(self.queue) >= self.queue_limit
+                        len(self.queue) >= self.config.queue_limit
                         and self.state == JobState.RUNNING
                     ):
                         self.cond.wait(timeout=0.05)
@@ -271,14 +305,14 @@ class Job:
                     return {
                         "accepted": False,
                         "reason": "queue-full",
-                        "retry_after_ms": self.retry_after_ms,
+                        "retry_after_ms": self.config.retry_after_ms,
                     }
             if not self.queue:
                 self.pending_since = time.monotonic()
             self.queue.append(event)
             self.accepted.inc()
             self.queue_depth.set(len(self.queue))
-            ready = len(self.queue) >= self.round_events
+            ready = len(self.queue) >= self.config.round_events
         return {"accepted": True, "round_ready": ready}
 
     def drain_queue(self) -> int:
@@ -302,11 +336,12 @@ class Job:
     def slo_due(self, now: float) -> bool:
         """True when the oldest queued event has outwaited the round SLO."""
         with self.cond:
-            if self.round_slo_ms is None or self.pending_since is None:
+            slo = self.config.round_slo_ms
+            if slo is None or self.pending_since is None:
                 return False
             if not self.queue:
                 return False
-            return (now - self.pending_since) * 1000.0 >= self.round_slo_ms
+            return (now - self.pending_since) * 1000.0 >= slo
 
     def queue_age_ms(self, now: float) -> float | None:
         """Age of the oldest queued event (None when the queue is empty)."""
@@ -329,18 +364,11 @@ class Job:
             entry["shard"] = shard
         with self.cond:
             self.restarts.append(entry)
-            if len(self.restarts) > self.max_restarts:
+            if len(self.restarts) > self.config.max_restarts:
                 self.state = JobState.FAILED
                 self.failure = f"restart budget exhausted: {exc}"
                 return False
         return True
-
-    def matches_of(self, index: int) -> list[ComplexEvent]:
-        sink = self.sinks[index]
-        return [
-            item if isinstance(item, ComplexEvent) else ComplexEvent((item,))
-            for item in sink.items
-        ]
 
     def match_keys(self, name: str) -> list[str]:
         """Canonical (sorted dedup-key) matches of one tenant — the frozen
@@ -349,7 +377,13 @@ class Job:
         if frozen is not None:
             return list(frozen)
         index = self.query_names.index(name)
-        return sorted(repr(m.dedup_key()) for m in self.matches_of(index))
+        return sorted(
+            repr(m.dedup_key()) for m in self.compiled.matches_of(index)
+        )
+
+
+#: The per-query ``options`` a submission may set (others are ignored).
+_OPTION_KEYS = ("o1", "o2", "iter", "o3", "multiway")
 
 
 def _parse_query_spec(spec: Any, index: int) -> tuple[str, Any, TranslationOptions]:
@@ -387,29 +421,19 @@ def _parse_query_spec(spec: Any, index: int) -> tuple[str, Any, TranslationOptio
             "bad-query", "query needs 'catalog' (a name) or 'pattern' (text)"
         )
     overrides = spec.get("options")
-    if overrides is not None:
-        kwargs: dict[str, Any] = {}
-        if overrides.get("o1"):
-            from repro.mapping.plan import WindowStrategy
-
-            kwargs["join_strategy"] = WindowStrategy.INTERVAL
-        if overrides.get("o2"):
-            kwargs["iteration_strategy"] = "aggregate"
-        if overrides.get("iter") is not None:
-            strategy = overrides["iter"]
-            if strategy not in ("join", "aggregate", "exact"):
-                raise ServiceError(
-                    "bad-query",
-                    f"options.iter must be join/aggregate/exact, got {strategy!r}",
-                )
-            kwargs["iteration_strategy"] = strategy
-        if overrides.get("o3"):
-            kwargs["partition_attribute"] = overrides["o3"]
-        if overrides.get("multiway"):
-            kwargs["use_multiway_joins"] = True
-        options = TranslationOptions(**kwargs)
-    else:
+    if overrides is None:
         options = recommend_options(pattern).options
+    elif not isinstance(overrides, Mapping):
+        raise ServiceError(
+            "bad-query", "query 'options' must be an object of o1/o2/iter/o3/multiway"
+        )
+    else:
+        try:
+            options = TranslationOptions.from_flags(
+                **{key: overrides.get(key) for key in _OPTION_KEYS}
+            )
+        except ReproError as exc:
+            raise ServiceError("bad-query", f"bad query options: {exc}") from exc
     return name, pattern, options
 
 
@@ -602,10 +626,9 @@ class JobManager:
 
         ``request``: ``{"name": ..., "query": <spec>}`` or ``{"name":
         ..., "queries": [<spec>, ...]}`` (co-submitted queries share
-        scans), plus optional per-job overrides (``admission``,
-        ``queue_limit``, ``round_events``, ``checkpoint_interval``,
-        ``optimize``, ``fault_plan``, ``batch_size``, ``max_restarts``,
-        ``backend``, ``shards``, ``round_slo_ms``). Keys this version
+        scans), plus an optional ``fault_plan`` and per-job overrides of
+        the service configuration (the keys of ``_JOB_OVERRIDES``,
+        resolved by :meth:`ServiceConfig.for_job`). Keys this version
         does not know — including the retired ``fusion``/``columnar`` of
         older requests and durable manifests — are ignored.
         """
@@ -633,7 +656,7 @@ class JobManager:
         return self.job_status(job.job_id)
 
     def _build_job(self, request: Mapping[str, Any], job_id: str) -> Job:
-        """Parse, lint and compile one submission into an unregistered Job."""
+        """Parse, compile and verify one submission into an unregistered Job."""
         specs = request.get("queries")
         if specs is None:
             single = request.get("query")
@@ -652,11 +675,7 @@ class JobManager:
                 "duplicate-query", f"co-submitted query names must be unique: {names}"
             )
         job_name = request.get("name") or names[0]
-        optimize = request.get("optimize", self.config.optimize)
-        if optimize not in OPTIMIZE_MODES:
-            raise ServiceError(
-                "bad-request", f"optimize must be one of {OPTIMIZE_MODES}"
-            )
+        config = self.config.for_job(request)
         fault_plan: FaultPlan | None = None
         if request.get("fault_plan"):
             try:
@@ -664,137 +683,92 @@ class JobManager:
             except ExecutionError as exc:
                 raise ServiceError("bad-fault-plan", str(exc)) from exc
 
-        # Lint pre-flight: the static plan verifier runs on every
-        # submitted pattern before anything is registered, so a plan that
-        # cannot execute safely is a structured 400, not a later crash.
-        registry = TypeRegistry.paper_default()
-        for name, pattern, options in parsed:
-            lint_sources = {
-                t: ListSource([], name=f"lint[{t}]", event_type=t)
-                for t in pattern.distinct_event_types()
-            }
-            try:
-                translate(pattern, lint_sources, options, registry=registry,
-                          optimize=optimize)
-            except StaticAnalysisError as exc:
-                raise ServiceError(
-                    "static-analysis",
-                    f"query '{name}' failed static analysis: {exc}",
-                    details=[d.as_dict() for d in exc.diagnostics],
-                ) from exc
-            except ReproError as exc:
-                raise ServiceError(
-                    "translation", f"query '{name}' cannot be translated: {exc}"
-                ) from exc
-
         log: list[Event] = []
         shared = GeneratorSource(lambda: list(log), name=f"ingest[{job_id}]")
         event_types = frozenset(
             t for _n, pattern, _o in parsed
             for t in pattern.distinct_event_types()
         )
-        sources = {t: shared for t in sorted(event_types)}
-        multi = translate_many(
-            [pattern for _n, pattern, _o in parsed],
-            sources,
-            [options for _n, _p, options in parsed],
-            optimize=optimize,
-            registry=registry,
-        )
+        options_list = [options for _n, _p, options in parsed]
+        # One compile, verifier on: the static plan verifier runs on every
+        # submitted query and on the merged dataflow that will execute
+        # before anything is registered, so a plan that cannot execute
+        # safely is a structured 400, not a later crash.
+        try:
+            compiled = translate_many(
+                [pattern for _n, pattern, _o in parsed],
+                {t: shared for t in sorted(event_types)},
+                options_list,
+                optimize=config.optimize,
+                registry=TypeRegistry.paper_default(),
+            )
+        except ReproError as exc:
+            culprit = (
+                f"query '{names[exc.pattern_index]}'"
+                if exc.pattern_index is not None
+                else "submission"
+            )
+            if isinstance(exc, StaticAnalysisError):
+                raise ServiceError(
+                    "static-analysis",
+                    f"{culprit} failed static analysis: {exc}",
+                    details=[d.as_dict() for d in exc.diagnostics],
+                ) from exc
+            raise ServiceError(
+                "translation", f"{culprit} cannot be translated: {exc}"
+            ) from exc
         # Sharability pre-flight: a co-submission whose proven-shared
         # prefixes demand conflicting O3 partition keys (RA813) cannot
         # run merged — reject it with the prover's diagnostics attached.
-        if multi.sharing is not None and not multi.sharing.ok():
+        sharing = compiled.sharing
+        if sharing is not None and not sharing.ok():
             raise ServiceError(
                 "sharing-conflict",
                 "co-submission failed the sharability proof: "
-                + "; ".join(
-                    d.message for d in multi.sharing.diagnostics if d.is_error
-                ),
-                details=[d.as_dict() for d in multi.sharing.diagnostics],
-            )
-        backend_request = request.get("backend", self.config.job_backend)
-        if backend_request not in JobBackend:
-            raise ServiceError(
-                "bad-request", f"backend must be one of {JobBackend}"
-            )
-        shards = int(request.get("shards", self.config.job_shards))
-        if shards < 1:
-            raise ServiceError("bad-request", "shards must be >= 1")
-        shard_mode = request.get("shard_mode", self.config.shard_mode)
-        if shard_mode not in SHARD_MODES:
-            raise ServiceError(
-                "bad-request", f"shard_mode must be one of {SHARD_MODES}"
+                + "; ".join(d.message for d in sharing.diagnostics if d.is_error),
+                details=[d.as_dict() for d in sharing.diagnostics],
             )
         backend, key_attribute = _select_backend(
-            backend_request, [options for _n, _p, options in parsed], multi.env.flow
-        )
-        round_slo_ms = request.get("round_slo_ms", self.config.round_slo_ms)
-        if round_slo_ms is not None and int(round_slo_ms) < 1:
-            raise ServiceError("bad-request", "round_slo_ms must be >= 1")
-        checkpoint_interval = request.get(
-            "checkpoint_interval", self.config.checkpoint_interval
+            config.job_backend, options_list, compiled.env.flow
         )
         settings = ExecutionSettings(
-            watermark_interval=min(plan.window_slide for plan in multi.plans),
-            max_out_of_orderness=request.get(
-                "max_out_of_orderness", self.config.max_out_of_orderness
-            ),
-            checkpoint_interval=checkpoint_interval,
-            batch_size=int(request.get("batch_size", self.config.batch_size)),
+            watermark_interval=min(plan.window_slide for plan in compiled.plans),
+            max_out_of_orderness=config.max_out_of_orderness,
+            checkpoint_interval=config.checkpoint_interval,
+            batch_size=config.batch_size,
         )
-        admission = request.get("admission", self.config.admission)
-        if admission not in AdmissionPolicy:
-            raise ServiceError(
-                "bad-request", f"admission must be one of {AdmissionPolicy}"
-            )
         store = self._base_store.scoped(job_id)
-        shard_count = shards if backend == "sharded" else 0
         shard_stores = [
-            store.scoped(f"shard-{index}") for index in range(shard_count)
+            store.scoped(f"shard-{index}")
+            for index in range(config.job_shards if backend == "sharded" else 0)
         ]
         plan = fault_plan or FaultPlan()
-        job = Job(
+        return Job(
             job_id=job_id,
             name=job_name,
             query_names=names,
-            patterns=[p for _n, p, _o in parsed],
-            plans=multi.plans,
-            sinks=list(multi.sinks),  # type: ignore[arg-type]
-            flow=multi.env.flow,
+            compiled=compiled,
+            config=config,
             settings=settings,
             store=store,
-            coordinator=CheckpointCoordinator(store, checkpoint_interval),
-            injector=FaultInjector(fault_plan or FaultPlan()),
+            coordinator=CheckpointCoordinator(store, config.checkpoint_interval),
+            injector=FaultInjector(plan),
             event_types=event_types,
-            queue_limit=int(request.get("queue_limit", self.config.queue_limit)),
-            admission=admission,
-            retry_after_ms=int(
-                request.get("retry_after_ms", self.config.retry_after_ms)
-            ),
-            round_events=int(request.get("round_events", self.config.round_events)),
-            max_restarts=int(request.get("max_restarts", self.config.max_restarts)),
-            shared_scans=multi.num_shared_scans,
-            sharing=multi.sharing.as_dict() if multi.sharing is not None else None,
             backend=backend,
-            shards=max(1, shard_count),
             key_attribute=key_attribute,
-            shard_mode=shard_mode,
             fault_active=fault_plan is not None,
             shard_stores=shard_stores,
             shard_coordinators=[
-                CheckpointCoordinator(shard_store, checkpoint_interval)
+                CheckpointCoordinator(shard_store, config.checkpoint_interval)
                 for shard_store in shard_stores
             ],
             shard_injectors=[
                 FaultInjector(plan.for_shard(index) or FaultPlan())
-                for index in range(shard_count)
+                for index in range(len(shard_stores))
             ],
-            round_slo_ms=int(round_slo_ms) if round_slo_ms is not None else None,
             tenant_states={name: "running" for name in names},
             log=log,
         )
-        return job
 
     def _get(self, job_id: str) -> Job:
         job = self.jobs.get(job_id)
@@ -953,7 +927,7 @@ class JobManager:
             for job in list(self.jobs.values()):
                 if job.state != JobState.RUNNING:
                     continue
-                count_ready = job.pending >= job.round_events or (
+                count_ready = job.pending >= job.config.round_events or (
                     job.flush_requested and job.pending > 0
                 )
                 # The SLO only *adds* rounds: deadline-triggered exactly
@@ -987,7 +961,7 @@ class JobManager:
             if job.backend == "sharded":
                 result = run_sharded_round(job, terminal)
             else:
-                result = self._serial_round(job, terminal)
+                result = run_round_attempts(job, job.compiled.env.flow, terminal)
             if result is None:
                 # The restart budget died mid-round; the job is FAILED.
                 self._persist_progress(job)
@@ -1011,39 +985,6 @@ class JobManager:
                     job.failure = result.failure
             self._persist_progress(job)
             return result
-
-    def _serial_round(self, job: Job, terminal: bool) -> RunResult | None:
-        """One serial-backend round with the checkpoint/restart protocol.
-
-        Caller holds ``run_lock``. Returns ``None`` when the restart
-        budget is exhausted (the job is already marked failed).
-        """
-        while True:
-            serial_job = SerialJob(
-                job.flow,
-                job.settings,
-                injector=job.injector,
-                coordinator=job.coordinator,
-            )
-            latest = job.store.latest()
-            if latest is None:
-                # Checkpoint 0: pristine pre-stream state, so even a
-                # crash in the first round can recover.
-                job.coordinator.take(serial_job)
-            else:
-                job.coordinator.restore_into(serial_job, latest)
-                serial_job.start_offset = latest.offset
-            try:
-                result = serial_job.run(terminal_watermark=terminal)
-                break
-            except InjectedFaultError as exc:
-                latest = job.store.latest()
-                if not job.record_restart(exc, latest.offset if latest else 0):
-                    return None
-                continue
-        # Round-boundary cut: the next round resumes exactly here.
-        job.coordinator.take(serial_job)
-        return result
 
     # -- drain / shutdown --------------------------------------------------
 
@@ -1079,25 +1020,26 @@ class JobManager:
 
     def job_status(self, job_id: str) -> dict[str, Any]:
         job = self._get(job_id)
+        sharing = job.compiled.sharing
         return {
             "id": job.job_id,
             "name": job.name,
             "state": job.state,
             "failure": job.failure,
             "queries": list(job.query_names),
-            "shared_scans": job.shared_scans,
-            "sharing": job.sharing,
+            "shared_scans": job.compiled.num_shared_scans,
+            "sharing": sharing.as_dict() if sharing is not None else None,
             "event_types": sorted(job.event_types),
-            "admission": job.admission,
-            "queue_limit": job.queue_limit,
+            "admission": job.config.admission,
+            "queue_limit": job.config.queue_limit,
             "queue_depth": job.pending,
             "events_logged": len(job.log),
             "events_processed": job.events_processed,
             "rounds": job.rounds,
             "restarts": len(job.restarts),
             "backend": job.backend,
-            "shards": job.shards if job.backend == "sharded" else None,
-            "round_slo_ms": job.round_slo_ms,
+            "shards": job.config.job_shards if job.backend == "sharded" else None,
+            "round_slo_ms": job.config.round_slo_ms,
             "tenants": dict(job.tenant_states),
             "matches": {
                 name: len(job.match_keys(name))
@@ -1109,16 +1051,19 @@ class JobManager:
         """The job's ``repro.metrics/v1`` report + service section."""
         job = self._get(job_id)
         with job.run_lock:
-            plan_summary: Any
-            if len(job.plans) == 1:
-                plan_summary = job.plans[0].summary()
-            else:
-                plan_summary = {
+            queries = job.compiled.queries
+
+            def per_query(view: Any) -> Any:
+                """One query's view as is; a group's keyed by query name."""
+                if len(queries) == 1:
+                    return view(queries[0])
+                return {
                     "queries": {
-                        name: plan.summary()
-                        for name, plan in zip(job.query_names, job.plans)
+                        name: view(query)
+                        for name, query in zip(job.query_names, queries)
                     }
                 }
+
             result = RunResult(
                 job_name=job.name,
                 events_in=job.events_processed,
@@ -1128,7 +1073,13 @@ class JobManager:
                 work_units=job.work_units,
                 failed=job.state == JobState.FAILED,
                 failure=job.failure,
-                metrics={"operators": job.operator_tree, "plan": plan_summary},
+                metrics={
+                    "operators": job.operator_tree,
+                    "plan": per_query(lambda q: q.plan.summary()),
+                    # What the submit-time verifier said (warnings such
+                    # as RA304 included), as `repro run --metrics-json`.
+                    "analysis": per_query(lambda q: q.analysis.summary()),
+                },
                 metadata={"backend": "service-rounds"},
             )
             report = run_report(result)
@@ -1137,16 +1088,16 @@ class JobManager:
                 "name": job.name,
                 "state": job.state,
                 "admission": {
-                    "policy": job.admission,
-                    "queue_limit": job.queue_limit,
-                    "retry_after_ms": job.retry_after_ms,
+                    "policy": job.config.admission,
+                    "queue_limit": job.config.queue_limit,
+                    "retry_after_ms": job.config.retry_after_ms,
                 },
                 "ingress": job.registry.to_dict(),
                 "rounds": job.rounds,
                 "restarts": list(job.restarts),
                 "backend": job.backend,
-                "shards": job.shards if job.backend == "sharded" else None,
-                "round_slo_ms": job.round_slo_ms,
+                "shards": job.config.job_shards if job.backend == "sharded" else None,
+                "round_slo_ms": job.config.round_slo_ms,
                 "tenants": dict(job.tenant_states),
                 "checkpoints": (
                     {

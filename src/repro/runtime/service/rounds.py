@@ -145,11 +145,13 @@ def run_sharded_round(job: "Job", terminal: bool) -> RunResult | None:
     the job's restart budget (the job is already marked failed).
     Caller holds the job's ``run_lock``.
     """
+    job_flow = job.compiled.env.flow
+    shards = job.config.job_shards
     shard_flows = extract_shards(
-        job.flow, job.shards, key_by_attribute(job.key_attribute or "id")
+        job_flow, shards, key_by_attribute(job.key_attribute or "id")
     )
     started = time.perf_counter()
-    mode = resolve_shard_mode(job.shard_mode, job.shards)
+    mode = resolve_shard_mode(job.config.shard_mode, shards)
     if mode == "process" and (job.fault_active or cloudpickle is None):
         mode = "inline"
     outcomes: list[tuple[RunResult, SinkItems]] | None = None
@@ -166,36 +168,47 @@ def run_sharded_round(job: "Job", terminal: bool) -> RunResult | None:
         mode = "inline"
         outcomes = []
         for index, flow in enumerate(shard_flows):
-            outcome = _round_inline(job, index, flow, terminal)
-            if outcome is None:
+            result = run_round_attempts(job, flow, terminal, shard=index)
+            if result is None:
                 return None
-            outcomes.append(outcome)
+            outcomes.append((result, _sink_items(flow)))
     wall = time.perf_counter() - started
-    _publish_sinks(job, [items for _result, items in outcomes])
+    _publish_sinks(job_flow, [items for _result, items in outcomes])
     return merge_shard_results(
-        job.flow.name,
+        job_flow.name,
         [result for result, _items in outcomes],
         wall,
-        shards=job.shards,
+        shards=shards,
         mode=mode,
         key_attribute=job.key_attribute or "id",
     )
 
 
-def _round_inline(
-    job: "Job", index: int, flow: Dataflow, terminal: bool
-) -> tuple[RunResult, SinkItems] | None:
-    """One shard's round in-process, with the serial retry protocol."""
-    store = job.shard_stores[index]
-    coordinator = job.shard_coordinators[index]
-    injector = job.shard_injectors[index]
+def run_round_attempts(
+    job: "Job", flow: Dataflow, terminal: bool, shard: int | None = None
+) -> RunResult | None:
+    """One round of ``flow`` under the checkpoint/restart protocol.
+
+    ``flow`` is the job's whole dataflow (serial backend) or, with
+    ``shard``, that shard's subgraph (the sharded backend's inline
+    dispatch), checkpointed in the shard's own store. Returns ``None``
+    when the job's restart budget is exhausted (the job is already
+    marked failed). Caller holds the job's ``run_lock``.
+    """
+    if shard is None:
+        store, coordinator, injector = job.store, job.coordinator, job.injector
+    else:
+        store = job.shard_stores[shard]
+        coordinator = job.shard_coordinators[shard]
+        injector = job.shard_injectors[shard]
     while True:
         serial_job = SerialJob(
             flow, job.settings, injector=injector, coordinator=coordinator
         )
         latest = store.latest()
         if latest is None:
-            # Checkpoint 0: pristine pre-stream state per shard.
+            # Checkpoint 0: pristine pre-stream state, so even a crash
+            # in the first round can recover.
             coordinator.take(serial_job)
         else:
             coordinator.restore_into(serial_job, latest)
@@ -206,12 +219,12 @@ def _round_inline(
         except InjectedFaultError as exc:
             latest = store.latest()
             if not job.record_restart(
-                exc, latest.offset if latest else 0, shard=index
+                exc, latest.offset if latest else 0, shard=shard
             ):
                 return None
-            continue
+    # Round-boundary cut: the next round resumes exactly here.
     coordinator.take(serial_job)
-    return result, _sink_items(flow)
+    return result
 
 
 def _round_in_pool(
@@ -243,7 +256,7 @@ def _round_in_pool(
     return outcomes
 
 
-def _publish_sinks(job: "Job", shard_items: list[SinkItems]) -> None:
+def _publish_sinks(flow: Dataflow, shard_items: list[SinkItems]) -> None:
     """Rebuild the job's caller-visible sinks from the shard payloads.
 
     Shard sink state is cumulative (restored with every checkpoint), so
@@ -255,7 +268,7 @@ def _publish_sinks(job: "Job", shard_items: list[SinkItems]) -> None:
         for node_id, collected in items.items():
             merged.setdefault(node_id, []).extend(collected)
     for node_id, collected in merged.items():
-        sink = job.flow.nodes[node_id].operator
+        sink = flow.nodes[node_id].operator
         if not isinstance(sink, CollectSink):  # pragma: no cover
             continue
         sink.items[:] = sorted(collected, key=lambda item: item.ts)

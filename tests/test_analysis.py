@@ -17,7 +17,6 @@ from repro.analysis import (
     AnalysisReport,
     Diagnostic,
     Severity,
-    analyze,
     analyze_query,
     callable_diagnostics,
     error,
@@ -49,7 +48,7 @@ from repro.errors import (
 )
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.plan import WindowJoin, WindowStrategy
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.mapping.translator import translate
 from repro.sea.ast import Pattern, ReturnClause, nseq, ref, seq
 from repro.sea.parser import parse_pattern
@@ -597,13 +596,6 @@ class TestTranslatePreflight:
         report = analyze_query(query, prove_shardable=True)
         # no key set at all: both the plan-level and the flow-level proof fail
         assert {"RA401", "RA403"} <= report.codes()
-
-    def test_analyze_pieces_individually(self):
-        pattern = parse_pattern(SEQ_KEYED)
-        plan = build_plan(pattern, TranslationOptions())
-        report = analyze(pattern=pattern, plan=plan)
-        assert report.ok()
-        assert report.target == pattern.name
 
 
 class TestRecoverabilityCodes:

@@ -18,7 +18,7 @@ from repro.mapping.plan import (
     WindowJoin,
     WindowStrategy,
 )
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.sea.ast import Pattern, conj, iteration, nseq, ref, seq
 from repro.sea.parser import parse_pattern
 

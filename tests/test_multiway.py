@@ -13,7 +13,7 @@ from repro.asp.state import StateRegistry
 from repro.asp.time import Watermark, minutes
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.plan import MultiWayJoin
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.mapping.sql import render_sql
 from repro.mapping.translator import translate
 from repro.sea.parser import parse_pattern

@@ -35,7 +35,7 @@ class TestCatalog:
         advisor-recommended options."""
         pattern = catalog_pattern(name)
         recommendation = recommend_options(pattern)
-        from repro.mapping.rules import build_plan
+        from repro.mapping.optimizer import build_plan
 
         plan = build_plan(pattern, recommendation.options)
         assert plan.root is not None

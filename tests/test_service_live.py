@@ -86,7 +86,9 @@ class TestControlApi:
             ['{"type": "Q", "ts": 60000, "value": 1.0}',
              "not json",
              '{"type": "Q"}',
-             '{"watermark": 60000}']
+             '{"watermark": 60000}',
+             '{"op": "bye"}',  # ends the body as it ends a TCP session
+             '{"type": "Q", "ts": 120000, "value": 1.0}']
         )
         assert status == 400  # partial failure is a structured 400
         assert summary["accepted"] == 1 and summary["watermarks"] == 1
@@ -163,6 +165,69 @@ class TestLiveEquivalence:
         assert lines[0]["error"]["line"] == 1
         assert lines[1]["error"]["code"] == "bad-json"
         assert lines[2]["sync"]["errors"] != []
+
+    def test_tcp_lines_cut_anywhere_by_the_transport(self, handle, client):
+        """Reads end wherever the network cut the stream: a line split
+        over two reads is one line, line numbers run across reads, and an
+        unterminated last line still counts at EOF."""
+        import socket
+        import time
+
+        client.submit({"query": "traffic-congestion"})
+        event = '{"type": "Q", "ts": %d, "value": 1.0, "id": 1}'
+        with socket.create_connection(
+            (handle.host, handle.tcp_port), timeout=10
+        ) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall((event % 60000 + "\n" + event[:20]).encode())
+            time.sleep(0.2)  # the first read returns with half a line
+            sock.sendall((event[20:] % 120000 + "\ngarbage\n").encode())
+            sock.sendall(b'{"op": "sync"}\n')
+            error, barrier = (json.loads(reader.readline()) for _ in range(2))
+            assert error["error"]["line"] == 3
+            assert barrier["sync"]["accepted"] == 2
+            sock.sendall((event % 180000).encode())  # no newline, then EOF
+            sock.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + 10
+        while True:
+            status = client.job("traffic-congestion")
+            if status["queue_depth"] + status["events_logged"] == 3:
+                break
+            assert time.monotonic() < deadline, "last line was dropped"
+            time.sleep(0.02)
+
+    def test_tcp_overlong_line_is_an_error_not_a_buffer(self, handle):
+        import socket
+
+        with socket.create_connection(
+            (handle.host, handle.tcp_port), timeout=10
+        ) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b'{"pad": "' + b"x" * 200_000 + b'"}\n{"op": "sync"}\n')
+            replies = []
+            while not replies or "sync" not in replies[-1]:
+                replies.append(json.loads(reader.readline()))
+        assert replies[0]["error"]["code"] == "bad-json"
+        assert len(replies) <= 5  # a few pieces, each answered as a line
+
+    def test_tcp_batch_is_one_handoff_not_one_per_line(self, handle, client):
+        """What a producer wrote in one go crosses to the executor in a
+        few calls, so its acknowledgement does not queue behind a running
+        round once per line."""
+        client.submit({"query": "traffic-congestion"})
+        service = handle.service
+        calls = []
+        apply_lines = service._apply_lines
+        service._apply_lines = lambda lines, *rest: (
+            calls.append(len(lines)), apply_lines(lines, *rest)
+        )[1]
+        wire = list(merge_streams_for_wire(offset_streams(events=400, seed=5)))
+        summary = stream_events(handle.host, handle.tcp_port, wire, source="b")
+        assert summary["errors"] == [] and sum(calls) >= len(wire)
+        assert len(calls) < len(wire) / 10
+        client.drain()
+        status = client.job("traffic-congestion")
+        assert status["events_processed"] == summary["accepted"] > 0
 
     def test_metrics_and_checkpoints_endpoints(self, handle, client):
         info = client.submit({"query": "traffic-congestion"})

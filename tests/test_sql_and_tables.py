@@ -3,7 +3,7 @@
 
 from repro.experiments.tables import render_table, table1_rows, table2_rows
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.mapping.sql import render_sql
 from repro.sea.parser import parse_pattern
 

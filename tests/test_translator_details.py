@@ -8,7 +8,7 @@ from repro.asp.time import minutes
 from repro.errors import TranslationError
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.plan import WindowJoin
-from repro.mapping.rules import build_plan
+from repro.mapping.optimizer import build_plan
 from repro.mapping.translator import (
     TranslatedQuery,
     _make_key_fn,

@@ -53,6 +53,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.asp.operators.source import ListSource  # noqa: E402
 from repro.asp.runtime import ExecutionSettings, SerialBackend  # noqa: E402
 from repro.asp.runtime.fault.chaos import canonical_match_bytes  # noqa: E402
+from repro.errors import ServiceError  # noqa: E402
 from repro.experiments.common import Scale, qnv_aq_workload  # noqa: E402
 from repro.mapping.optimizations import TranslationOptions  # noqa: E402
 from repro.mapping.advisor import recommend_options  # noqa: E402
@@ -198,6 +199,18 @@ def main(argv: list[str] | None = None) -> int:
                 ports["host"], ports["http_port"], retries=3, backoff_base_ms=100
             )
             print(f"server up: http={ports['http_port']} tcp={ports['tcp_port']}")
+
+            # A malformed override is the client's error: a structured
+            # 400, never an `internal` 500.
+            try:
+                client.submit({"query": QUERIES[0], "batch_size": "x"})
+                failures.append("malformed submit was accepted")
+            except ServiceError as exc:
+                if exc.status != 400:
+                    failures.append(
+                        f"malformed submit answered HTTP {exc.status} "
+                        f"({exc.code}), expected 400"
+                    )
 
             jobs: dict[str, str] = {}  # query name -> serving job id
             if args.group:
