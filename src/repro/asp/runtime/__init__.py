@@ -40,9 +40,11 @@ from repro.asp.runtime.fault import (
     FaultPlan,
     FaultSpec,
     InMemoryCheckpointStore,
+    Lane,
     RecoveryReport,
+    checkpoint_metrics,
+    open_lanes,
     parse_fault_plan,
-    run_with_recovery,
 )
 from repro.asp.runtime.instrumentation import Instrumentation, SampleHook
 from repro.asp.runtime.observability import (
@@ -74,6 +76,7 @@ __all__ = [
     "Histogram",
     "InMemoryCheckpointStore",
     "Instrumentation",
+    "Lane",
     "MetricsRegistry",
     "OperatorMetrics",
     "RecoveryReport",
@@ -84,8 +87,9 @@ __all__ = [
     "ShardedBackend",
     "WatermarkService",
     "build_channels",
+    "checkpoint_metrics",
+    "open_lanes",
     "parse_fault_plan",
-    "run_with_recovery",
     "load_report",
     "merge_metric_trees",
     "merge_shard_results",

@@ -41,8 +41,6 @@ class ExecutionSettings:
     fault_plan: Any = None
     #: How many times a crashed run is restarted from its checkpoint.
     max_restarts: int = 3
-    #: Real-time pause between restart attempts (0 keeps tests fast).
-    restart_backoff_s: float = 0.0
     #: The one engine selector. 1 = the per-event reference path every
     #: equivalence suite compares against; > 1 = the batch engine
     #: (micro-batches that never cross watermark emissions, checkpoint
@@ -57,7 +55,7 @@ class ExecutionSettings:
 
     @property
     def fault_tolerant(self) -> bool:
-        """Whether this run must route through the recovery loop."""
+        """Whether this run gets lanes (checkpoints and masked crashes)."""
         return self.fault_plan is not None or self.checkpoint_interval is not None
 
 

@@ -22,7 +22,7 @@ source stream from a checkpointed position.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.asp.datamodel import ColumnarBatch, ColumnStore
 from repro.asp.graph import Dataflow
@@ -42,6 +42,7 @@ from repro.errors import ExecutionError, InjectedFaultError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.fault.checkpoint import CheckpointCoordinator
     from repro.asp.runtime.fault.injection import FaultInjector
+    from repro.asp.runtime.fault.recovery import CrashHandler, Lane
 
 #: ``events_in >> _SAMPLE_SHIFT`` changes exactly when the counter
 #: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1`` — the batched
@@ -510,10 +511,26 @@ class SerialBackend:
     """Today's chained depth-first semantics — the correctness reference."""
 
     name = "serial"
+    #: One lane, no key split.
+    shards: int | None = None
 
     def execute(self, flow: Dataflow, settings: ExecutionSettings) -> RunResult:
-        if settings.fault_tolerant:
-            from repro.asp.runtime.fault.recovery import run_with_recovery
+        from repro.asp.runtime.fault.recovery import execute_round
 
-            return run_with_recovery(flow, settings)
-        return SerialJob(flow, settings).run()
+        return execute_round(self, flow, settings)
+
+    def run_round(
+        self,
+        flow: Dataflow,
+        settings: ExecutionSettings,
+        lanes: "Sequence[Lane] | None",
+        on_crash: "CrashHandler",
+        *,
+        terminal: bool = True,
+        cut: bool = False,
+    ) -> RunResult:
+        """One round of ``flow`` on its single lane (none: a plain run)."""
+        from repro.asp.runtime.fault.recovery import run_lane
+
+        lane = lanes[0] if lanes else None
+        return run_lane(flow, settings, lane, on_crash, terminal=terminal, cut=cut)

@@ -5,41 +5,53 @@ operators unlocks key partitioning; this backend executes it. A keyed
 plan — one whose stateful operators all declare
 :attr:`~repro.asp.operators.base.Operator.key_parallel_safe` — is split
 into per-shard subgraphs (:func:`repro.asp.graph.extract_shards`), each
-shard runs as an independent serial job, and the shard-local
-:class:`RunResult`s are merged into one.
+shard runs one round of the checkpoint/restart protocol
+(:mod:`repro.asp.runtime.fault.recovery`) on its own lane, and the
+shard-local :class:`RunResult`s are merged into one.
 
-Execution modes
----------------
+The hash split is stable, so re-extracting the shards of a grown source
+only ever appends to a shard's substream and replay offsets of earlier
+rounds stay valid: ``execute`` is one terminal round on fresh lanes,
+``repro serve`` runs a job's rounds through the same
+:meth:`ShardedBackend.run_round` on the job's lanes.
+
+Dispatch modes
+--------------
 
 ``process``
-    Shards run concurrently on a :class:`concurrent.futures
-    .ProcessPoolExecutor`. Subgraphs contain lambdas (predicates, theta
-    conditions), so they are shipped with ``cloudpickle``; shard results
-    and sink payloads come back over the pool's regular pickle channel.
-    This is genuine scale-out on multi-core hardware.
+    Shards run concurrently on one long-lived spawn-context worker pool.
+    Subgraphs contain lambdas (predicates, theta conditions), so they are
+    shipped with ``cloudpickle``. The parent owns every lane: a worker
+    maps (flow, state payload in) to (result, sink payloads, state
+    payload out) and never sees a store. Cadence checkpoints are skipped
+    — the round boundary is the durable cut — and a run with a fault
+    plan dispatches inline, because an injected crash must fire exactly
+    once across restarts and so needs its injector in this process.
 ``inline``
     Shards run sequentially in-process. Each shard is still individually
     measured, so the merged result's makespan (slowest shard) is a
     measured quantity — the same accounting a multi-core run produces,
-    without the interpreter/IPC overhead. This is also the fallback when
-    ``cloudpickle`` is unavailable or a flow refuses to serialize.
+    without the interpreter/IPC overhead. Also the fallback when
+    ``cloudpickle`` is unavailable or the pool fails (no spawn rights, a
+    broken worker); correctness never depends on the pool.
 ``auto`` (default)
     ``process`` when the machine has more than one CPU, else ``inline``.
 
-Sinks are merged back into the *caller's* flow: counts, collected items
-and latency records of every shard are folded into the original sink
-operators, so ``TranslatedQuery.matches()`` and harness code observe a
-sharded run exactly like a serial one.
+Shard sink contents are cumulative (part of every snapshot), so each
+round *replaces* the caller's sink contents with the union over shards:
+``TranslatedQuery.matches()``, harness code and the serve read endpoints
+observe a sharded run exactly like a serial one.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any
-
-from dataclasses import replace
+from concurrent.futures.process import BrokenProcessPool
+from typing import Sequence
 
 from repro.asp.graph import Dataflow, extract_shards
 from repro.asp.operators.keyby import key_by_attribute
@@ -51,6 +63,14 @@ from repro.asp.operators.sink import (
 )
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
+from repro.asp.runtime.fault.checkpoint import capture_job_state, restore_job_state
+from repro.asp.runtime.fault.recovery import (
+    CrashHandler,
+    Lane,
+    execute_round,
+    run_lane,
+)
+from repro.asp.runtime.fault.store import pickle_payload, unpickle_payload
 from repro.asp.runtime.result import RunResult, merge_shard_results
 from repro.errors import ExecutionError, ShardabilityError
 
@@ -59,48 +79,86 @@ try:  # cloudpickle ships lambdas; the inline mode works without it.
 except ImportError:  # pragma: no cover - present in the reference env
     cloudpickle = None
 
-#: Sink payload: (count, collected items, wall latencies, event-time lags).
-SinkPayload = tuple[int, list | None, list | None, list | None]
+SHARD_MODES = ("auto", "process", "inline")
+
+#: Per sink node id: (count, collected items, wall latencies, event-time lags).
+SinkPayloads = dict[int, tuple[int, list | None, list | None, list | None]]
+
+_pool: ProcessPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
-def _shard_settings(settings: ExecutionSettings, shard_index: int) -> ExecutionSettings:
-    """The settings one shard runs under: its slice of the fault plan and
-    its own checkpoint namespace."""
-    plan = settings.fault_plan
-    if plan is not None:
-        plan = plan.for_shard(shard_index)
-    store = settings.checkpoint_store
-    if store is not None:
-        store = store.scoped(f"shard-{shard_index}")
-    return replace(settings, fault_plan=plan, checkpoint_store=store)
+def _shared_pool() -> ProcessPoolExecutor:
+    """The long-lived worker pool, created on first use.
+
+    Spawn (not fork): ``repro serve`` runs an asyncio loop plus executor
+    threads, and forking under held locks can deadlock a child. The pool
+    persists across rounds, jobs and ``execute`` calls, so the spawn cost
+    is paid once per process.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ProcessPoolExecutor(
+                max_workers=min(4, os.cpu_count() or 1),
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+        return _pool
 
 
-def _run_shard(flow: Dataflow, settings: ExecutionSettings, shard_index: int = 0):
-    settings = _shard_settings(settings, shard_index)
-    if settings.fault_tolerant:
-        from repro.asp.runtime.fault.recovery import run_with_recovery
+def shutdown_pool() -> None:
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown(wait=False, cancel_futures=True)
+            _pool = None
 
-        result = run_with_recovery(flow, settings)
-    else:
-        result = SerialJob(flow, settings).run()
-    payloads: dict[int, SinkPayload] = {}
+
+def _sink_payloads(flow: Dataflow) -> SinkPayloads:
+    payloads: SinkPayloads = {}
     for node in flow.sink_nodes():
-        operator = node.operator
-        if not isinstance(operator, Sink):
+        sink = node.operator
+        if isinstance(sink, Sink):
+            payloads[node.node_id] = (
+                sink.count,
+                list(sink.items) if isinstance(sink, CollectSink) else None,
+                list(sink.latencies_s) if isinstance(sink, LatencySink) else None,
+                list(sink.lags_ms) if isinstance(sink, EventTimeLatencySink) else None,
+            )
+    return payloads
+
+
+def _shard_entry(blob: bytes) -> bytes:
+    """Worker-process entry: one shard's round, state payload in and out."""
+    flow, settings, payload, offset, terminal, cut = cloudpickle.loads(blob)
+    job = SerialJob(flow, settings)
+    if payload is not None:
+        restore_job_state(job, unpickle_payload(payload))
+        job.start_offset = offset
+    result = job.run(terminal_watermark=terminal)
+    state = pickle_payload(capture_job_state(job)) if cut else None
+    return cloudpickle.dumps((result, _sink_payloads(flow), state, job.events_in))
+
+
+def _fold_sinks(flow: Dataflow, shard_payloads: Sequence[SinkPayloads]) -> None:
+    """Replace the caller's sink contents with the union over shards."""
+    for node in flow.sink_nodes():
+        sink = node.operator
+        parts = [p[node.node_id] for p in shard_payloads if node.node_id in p]
+        if not parts or not isinstance(sink, Sink):  # pragma: no cover
             continue
-        payloads[node.node_id] = (
-            operator.count,
-            list(operator.items) if isinstance(operator, CollectSink) else None,
-            list(operator.latencies_s) if isinstance(operator, LatencySink) else None,
-            list(operator.lags_ms) if isinstance(operator, EventTimeLatencySink) else None,
-        )
-    return result, payloads
-
-
-def _run_shard_blob(blob: bytes):
-    """Process-pool entry point: the shard flow arrives cloudpickled."""
-    flow, settings, shard_index = cloudpickle.loads(blob)
-    return _run_shard(flow, settings, shard_index)
+        sink.count = sum(count for count, _i, _l, _g in parts)
+        if isinstance(sink, CollectSink):
+            # Shard order is arbitrary; restore a deterministic global
+            # event-time order (ties broken by shard index).
+            sink.items[:] = sorted(
+                (item for _c, items, _l, _g in parts for item in items or ()),
+                key=lambda item: item.ts,
+            )
+        if isinstance(sink, LatencySink):
+            sink.latencies_s[:] = [x for _c, _i, lat, _g in parts for x in lat or ()]
+        if isinstance(sink, EventTimeLatencySink):
+            sink.lags_ms[:] = [x for _c, _i, _l, lags in parts for x in lags or ()]
 
 
 class ShardedBackend:
@@ -108,21 +166,14 @@ class ShardedBackend:
 
     name = "sharded"
 
-    def __init__(
-        self,
-        shards: int = 4,
-        key_attribute: str = "id",
-        mode: str = "auto",
-        max_workers: int | None = None,
-    ):
+    def __init__(self, shards: int = 4, key_attribute: str = "id", mode: str = "auto"):
         if shards < 1:
             raise ExecutionError("sharded backend needs at least one shard")
-        if mode not in ("auto", "process", "inline"):
+        if mode not in SHARD_MODES:
             raise ExecutionError(f"unknown sharded execution mode '{mode}'")
         self.shards = shards
         self.key_attribute = key_attribute
         self.mode = mode
-        self.max_workers = max_workers
 
     # -- plan admission ----------------------------------------------------
 
@@ -147,87 +198,91 @@ class ShardedBackend:
     def execute(self, flow: Dataflow, settings: ExecutionSettings) -> RunResult:
         flow.validate()
         self.check_shardable(flow)
+        return execute_round(self, flow, settings)
+
+    def run_round(
+        self,
+        flow: Dataflow,
+        settings: ExecutionSettings,
+        lanes: Sequence[Lane] | None,
+        on_crash: CrashHandler,
+        *,
+        terminal: bool = True,
+        cut: bool = False,
+    ) -> RunResult:
+        """One round of every shard of ``flow``, each on its own lane."""
         shard_flows = extract_shards(
             flow, self.shards, key_by_attribute(self.key_attribute)
         )
+        shard_lanes: Sequence[Lane | None] = lanes or [None] * self.shards
         started = _time.perf_counter()
-        outcomes, mode_used = self._run_shards(shard_flows, settings)
+        mode = self.mode
+        if mode == "auto":
+            cpus = os.cpu_count() or 1
+            mode = "process" if cpus > 1 and self.shards > 1 else "inline"
+        if cloudpickle is None or any(
+            lane is not None and lane.injector.plan.faults for lane in shard_lanes
+        ):
+            mode = "inline"
+        outcomes: list[tuple[RunResult, SinkPayloads]] | None = None
+        if mode == "process":
+            try:
+                outcomes = self._run_in_pool(
+                    shard_flows, settings, shard_lanes, terminal, cut
+                )
+            except (OSError, BrokenProcessPool):
+                # No fork/spawn rights or a poisoned pool: the round still
+                # happens, sequentially, against the same lanes.
+                shutdown_pool()
+        if outcomes is None:
+            mode = "inline"
+            outcomes = []
+            for shard_flow, lane in zip(shard_flows, shard_lanes):
+                result = run_lane(
+                    shard_flow, settings, lane, on_crash, terminal=terminal, cut=cut
+                )
+                outcomes.append((result, _sink_payloads(shard_flow)))
         wall = _time.perf_counter() - started
-        self._merge_sinks(flow, [payloads for _result, payloads in outcomes])
-        merged = merge_shard_results(
+        _fold_sinks(flow, [payloads for _result, payloads in outcomes])
+        return merge_shard_results(
             flow.name,
             [result for result, _payloads in outcomes],
             wall,
             shards=self.shards,
-            mode=mode_used,
+            mode=mode,
             key_attribute=self.key_attribute,
         )
-        return merged
-
-    def _resolve_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        cpus = os.cpu_count() or 1
-        if cpus > 1 and self.shards > 1 and cloudpickle is not None:
-            return "process"
-        return "inline"
-
-    def _run_shards(
-        self, shard_flows: list[Dataflow], settings: ExecutionSettings
-    ) -> tuple[list[tuple[RunResult, dict[int, SinkPayload]]], str]:
-        mode = self._resolve_mode()
-        if mode == "process":
-            if cloudpickle is None:
-                raise ExecutionError(
-                    "sharded mode 'process' requires cloudpickle; "
-                    "use mode='inline'"
-                )
-            try:
-                return self._run_in_pool(shard_flows, settings), "process"
-            except (OSError, PermissionError):
-                # Containers without fork/spawn rights: degrade, still
-                # measured per shard.
-                pass
-        return [
-            _run_shard(flow, settings, index)
-            for index, flow in enumerate(shard_flows)
-        ], "inline"
-
-    def _run_in_pool(
-        self, shard_flows: list[Dataflow], settings: ExecutionSettings
-    ) -> list[tuple[RunResult, dict[int, SinkPayload]]]:
-        shipped = settings.without_hooks()
-        blobs = [
-            cloudpickle.dumps((flow, shipped, index))
-            for index, flow in enumerate(shard_flows)
-        ]
-        workers = self.max_workers or min(len(blobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = [pool.submit(_run_shard_blob, blob) for blob in blobs]
-            return [future.result() for future in futures]
-
-    # -- result assembly ---------------------------------------------------
 
     @staticmethod
-    def _merge_sinks(
-        flow: Dataflow, shard_payloads: list[dict[int, SinkPayload]]
-    ) -> None:
-        """Fold shard sink contents back into the caller's sink operators."""
-        collected: dict[int, list[Any]] = {}
-        for payloads in shard_payloads:
-            for node_id, (count, items, latencies, lags) in payloads.items():
-                operator = flow.nodes[node_id].operator
-                if not isinstance(operator, Sink):  # pragma: no cover
-                    continue
-                operator.count += count
-                if items is not None and isinstance(operator, CollectSink):
-                    collected.setdefault(node_id, []).extend(items)
-                if latencies is not None and isinstance(operator, LatencySink):
-                    operator.latencies_s.extend(latencies)
-                if lags is not None and isinstance(operator, EventTimeLatencySink):
-                    operator.lags_ms.extend(lags)
-        for node_id, items in collected.items():
-            operator = flow.nodes[node_id].operator
-            # Shard order is arbitrary; restore a deterministic global
-            # event-time order for downstream consumers.
-            operator.items.extend(sorted(items, key=lambda item: item.ts))
+    def _run_in_pool(
+        shard_flows: list[Dataflow],
+        settings: ExecutionSettings,
+        lanes: Sequence[Lane | None],
+        terminal: bool,
+        cut: bool,
+    ) -> list[tuple[RunResult, SinkPayloads]]:
+        shipped = settings.without_hooks()
+        blobs = []
+        for flow, lane in zip(shard_flows, lanes):
+            latest = lane.store.latest() if lane is not None else None
+            blobs.append(
+                cloudpickle.dumps(
+                    (
+                        flow,
+                        shipped,
+                        latest.payload if latest is not None else None,
+                        latest.offset if latest is not None else 0,
+                        terminal,
+                        cut,
+                    )
+                )
+            )
+        pool = _shared_pool()
+        futures = [pool.submit(_shard_entry, blob) for blob in blobs]
+        outcomes: list[tuple[RunResult, SinkPayloads]] = []
+        for lane, future in zip(lanes, futures):
+            result, payloads, state, events_in = cloudpickle.loads(future.result())
+            if lane is not None and state is not None:
+                lane.coordinator.save_payload(state, events_in)
+            outcomes.append((result, payloads))
+        return outcomes

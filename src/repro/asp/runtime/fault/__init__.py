@@ -10,9 +10,10 @@ Four pieces:
 * :mod:`~repro.asp.runtime.fault.injection` — seeded deterministic
   faults (crash-at-event-N, slow-operator, drop-channel) and the CLI
   fault-plan parser;
-* :mod:`~repro.asp.runtime.fault.recovery` — the restart loop: rebuild
-  the job, restore the latest checkpoint, replay sources from the
-  checkpointed offset, report a structured :class:`RecoveryReport`.
+* :mod:`~repro.asp.runtime.fault.recovery` — the round protocol: a
+  :class:`Lane` (store, coordinator, injector, restart history) and the
+  one restart loop, :func:`run_lane` — rebuild the job, restore the
+  lane's latest checkpoint, replay sources from the checkpointed offset.
 
 :mod:`~repro.asp.runtime.fault.chaos` drives all of it over the pattern
 catalog and verifies the recovered output is byte-identical to a clean
@@ -31,9 +32,12 @@ from repro.asp.runtime.fault.injection import (
     parse_fault_plan,
 )
 from repro.asp.runtime.fault.recovery import (
+    Lane,
     RecoveryReport,
     RestartRecord,
-    run_with_recovery,
+    checkpoint_metrics,
+    open_lanes,
+    run_lane,
 )
 from repro.asp.runtime.fault.store import (
     Checkpoint,
@@ -51,10 +55,13 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InMemoryCheckpointStore",
+    "Lane",
     "RecoveryReport",
     "RestartRecord",
     "capture_job_state",
+    "checkpoint_metrics",
+    "open_lanes",
     "parse_fault_plan",
     "restore_job_state",
-    "run_with_recovery",
+    "run_lane",
 ]

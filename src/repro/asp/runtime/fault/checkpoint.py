@@ -86,22 +86,17 @@ class CheckpointCoordinator:
     def take(self, job: "SerialJob") -> Checkpoint:
         started = self.clock.now()
         payload = pickle_payload(capture_job_state(job))
-        checkpoint = Checkpoint(self._next_id, job.events_in, payload)
-        self.store.save(checkpoint)
-        self._next_id += 1
-        self.count += 1
-        self.bytes_total += checkpoint.size_bytes
-        self.duration.observe(self.clock.now() - started)
-        return checkpoint
+        return self.save_payload(payload, job.events_in, started)
 
-    def save_payload(self, payload: bytes, offset: int) -> Checkpoint:
-        """Persist an externally captured state blob (same accounting).
-
-        The serve data plane's process-mode rounds capture shard state in
-        a worker process and ship the pickled payload back; the parent
-        coordinator owns ids, retention and the overhead metrics.
-        """
-        started = self.clock.now()
+    def save_payload(
+        self, payload: bytes, offset: int, started: float | None = None
+    ) -> Checkpoint:
+        """Persist a captured state blob; ids, retention and the overhead
+        metrics live here. Process-mode shards capture their state in a
+        worker process and ship the payload back to the lane's
+        coordinator."""
+        if started is None:
+            started = self.clock.now()
         checkpoint = Checkpoint(self._next_id, offset, payload)
         self.store.save(checkpoint)
         self._next_id += 1

@@ -1,32 +1,46 @@
-"""Restart-from-checkpoint — the recovery loop around the serial job.
+"""The round protocol — one checkpoint/restart loop for batch and serve.
 
-On an :class:`~repro.errors.InjectedFaultError` (or a real crash that
-surfaces as one) the loop builds a *fresh* :class:`SerialJob` over the
-same flow, restores the latest checkpoint into it — operator state,
-watermark progress and the source offset — and replays the merged source
-stream from that offset. :func:`~repro.asp.runtime.scheduler
-.merge_sources` is deterministic (ties broken by source order), so
-skipping the first ``offset`` pairs reproduces exactly the prefix the
-checkpoint already consumed; sinks are part of the snapshot, so nothing
-is double-emitted (effectively-once output).
+A *lane* is everything one (sub)flow needs to survive a crash: the
+store its snapshots go to, the coordinator that takes them and measures
+their cost, the injector whose crash specs must fire exactly once, and
+the history of masked crashes. A serial run has one lane, a sharded run
+one per shard (``<scope>/shard-i``).
 
-Attempt 1 always takes checkpoint 0 before any event flows — recovery is
-possible even when the crash precedes the first cadence checkpoint.
+A *round* (:func:`run_lane`) builds a fresh :class:`SerialJob` over the
+flow, restores the lane's latest checkpoint into it — operator state,
+watermark progress, sinks and the source offset — or takes checkpoint 0
+when the lane is empty, and replays the merged source stream from that
+offset. :func:`~repro.asp.runtime.scheduler.merge_sources` is
+deterministic (ties broken by source order), so skipping the first
+``offset`` pairs reproduces exactly the prefix the checkpoint already
+consumed; sinks are part of the snapshot, so nothing is double-emitted
+(effectively-once output). On an :class:`~repro.errors
+.InjectedFaultError` the caller's crash handler decides whether the
+round is attempted again from the lane's latest checkpoint.
+
+``execute`` is one terminal round over fresh lanes; ``repro serve`` runs
+many rounds over a job's lanes, withholding the terminal watermark until
+the drain and cutting a checkpoint at every round boundary.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.asp.graph import Dataflow
 from repro.asp.runtime.backends.base import ExecutionSettings
+from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.checkpoint import CheckpointCoordinator
 from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
-from repro.asp.runtime.fault.store import InMemoryCheckpointStore
+from repro.asp.runtime.fault.store import CheckpointStore, InMemoryCheckpointStore
+from repro.asp.runtime.observability.registry import merge_metric_trees
 from repro.asp.runtime.result import RunResult
 from repro.errors import InjectedFaultError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.asp.runtime.backends.serial import SerialBackend
+    from repro.asp.runtime.backends.sharded import ShardedBackend
 
 
 @dataclass(frozen=True)
@@ -37,7 +51,6 @@ class RestartRecord:
     failed_at_event: int | None
     resumed_from_offset: int
     replayed_events: int
-    backoff_s: float
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -45,17 +58,19 @@ class RestartRecord:
             "failed_at_event": self.failed_at_event,
             "resumed_from_offset": self.resumed_from_offset,
             "replayed_events": self.replayed_events,
-            "backoff_s": self.backoff_s,
         }
 
 
 @dataclass
 class RecoveryReport:
-    """Structured outcome of a fault-tolerant execution."""
+    """Structured outcome of a lane's fault-tolerant execution."""
 
-    attempts: int = 0
     recovered: bool = False
     restarts: list[RestartRecord] = field(default_factory=list)
+
+    @property
+    def attempts(self) -> int:
+        return len(self.restarts) + 1
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -65,63 +80,160 @@ class RecoveryReport:
         }
 
 
-def run_with_recovery(flow: Dataflow, settings: ExecutionSettings) -> RunResult:
-    """Execute ``flow`` serially with checkpointing and crash recovery.
+@dataclass
+class Lane:
+    """What lives across the attempts and rounds of one (sub)flow."""
 
-    The injector and the coordinator live across attempts: a crash spec
-    fires once (replay must not re-trigger it) and checkpoint overhead
-    accumulates over the whole run. Each attempt gets a fresh job object
-    — the crashed one's channels and instrumentation are abandoned, the
-    operator instances are rebuilt from the checkpoint.
+    store: CheckpointStore
+    coordinator: CheckpointCoordinator
+    injector: FaultInjector
+    #: Shard index of a sharded run's lane; None for a serial run's.
+    shard: int | None = None
+    report: RecoveryReport = field(default_factory=RecoveryReport)
+
+
+def open_lanes(
+    store: CheckpointStore,
+    interval: int | None,
+    plan: FaultPlan | None,
+    shards: int | None = None,
+) -> list[Lane]:
+    """The lanes of a run over ``store``: one for a serial run, or with
+    ``shards`` one per shard, each on the ``shard-i`` scope of the store
+    with its slice of the fault plan."""
+
+    def lane(scope: CheckpointStore, faults: FaultPlan | None, shard: int | None) -> Lane:
+        return Lane(
+            scope,
+            CheckpointCoordinator(scope, interval),
+            FaultInjector(faults or FaultPlan()),
+            shard,
+        )
+
+    if shards is None:
+        return [lane(store, plan, None)]
+    return [
+        lane(store.scoped(f"shard-{i}"), plan and plan.for_shard(i), i)
+        for i in range(shards)
+    ]
+
+
+#: Called with (lane, crash, offset replay would resume from); True
+#: retries the round from the lane's latest checkpoint.
+CrashHandler = Callable[[Lane, InjectedFaultError, int], bool]
+
+
+def run_lane(
+    flow: Dataflow,
+    settings: ExecutionSettings,
+    lane: Lane | None,
+    on_crash: CrashHandler,
+    *,
+    terminal: bool = True,
+    cut: bool = False,
+) -> RunResult:
+    """One round of ``flow`` on ``lane``; the only restart loop there is.
+
+    Each attempt gets a fresh job object — a crashed one's channels and
+    instrumentation are abandoned, the operator instances are rebuilt
+    from the checkpoint. When ``on_crash`` gives up, the round returns
+    the crashed attempt's failed result. ``cut`` takes a round-boundary
+    checkpoint after a successful round, so the next round resumes
+    exactly there (only ``repro serve`` asks for it). Without a lane the
+    flow just runs: no checkpoints, no masked crashes.
     """
-    from repro.asp.runtime.backends.serial import SerialJob
-
-    store = settings.checkpoint_store or InMemoryCheckpointStore()
-    plan = settings.fault_plan or FaultPlan()
-    injector = FaultInjector(plan)
-    coordinator = CheckpointCoordinator(store, settings.checkpoint_interval)
-    report = RecoveryReport()
-    max_attempts = settings.max_restarts + 1
+    if lane is None:
+        return SerialJob(flow, settings).run(terminal_watermark=terminal)
+    latest = lane.store.latest()
     while True:
-        report.attempts += 1
-        job = SerialJob(flow, settings, injector=injector, coordinator=coordinator)
-        if report.attempts == 1:
+        job = SerialJob(
+            flow, settings, injector=lane.injector, coordinator=lane.coordinator
+        )
+        if latest is None:
             # Checkpoint 0: the pristine pre-stream state, so a crash
             # before the first cadence checkpoint can still recover.
-            coordinator.take(job)
+            latest = lane.coordinator.take(job)
         else:
-            latest = store.latest()
-            if latest is not None:
-                coordinator.restore_into(job, latest)
-                job.start_offset = latest.offset
+            lane.coordinator.restore_into(job, latest)
+            job.start_offset = latest.offset
         try:
-            result = job.run()
+            result = job.run(terminal_watermark=terminal)
+            break
         except InjectedFaultError as exc:
-            if report.attempts >= max_attempts:
-                result = job.to_failed_result(str(exc))
-                _attach(result, report, coordinator)
-                return result
-            latest = store.latest()
-            resume_offset = latest.offset if latest is not None else 0
-            report.restarts.append(
+            latest = lane.store.latest() or latest
+            if not on_crash(lane, exc, latest.offset):
+                lane.report.recovered = False
+                return job.to_failed_result(str(exc))
+            lane.report.restarts.append(
                 RestartRecord(
-                    attempt=report.attempts,
+                    attempt=lane.report.attempts,
                     failed_at_event=exc.at_event,
-                    resumed_from_offset=resume_offset,
-                    replayed_events=max(0, (exc.at_event or 1) - 1 - resume_offset),
-                    backoff_s=settings.restart_backoff_s,
+                    resumed_from_offset=latest.offset,
+                    replayed_events=max(0, (exc.at_event or 1) - 1 - latest.offset),
                 )
             )
-            if settings.restart_backoff_s > 0:
-                _time.sleep(settings.restart_backoff_s)
-            continue
-        report.recovered = not result.failed and bool(report.restarts)
-        _attach(result, report, coordinator)
-        return result
+    lane.report.recovered = not result.failed and bool(lane.report.restarts)
+    if cut and not result.failed:
+        lane.coordinator.take(job)
+    return result
 
 
-def _attach(
-    result: RunResult, report: RecoveryReport, coordinator: CheckpointCoordinator
-) -> None:
-    result.metrics["recovery"] = report.as_dict()
-    result.metrics["checkpoints"] = coordinator.metrics()
+def execute_round(
+    backend: "SerialBackend | ShardedBackend",
+    flow: Dataflow,
+    settings: ExecutionSettings,
+) -> RunResult:
+    """A backend's ``execute``: its round, once, terminal, on fresh lanes.
+
+    Lanes exist only when the settings ask for fault tolerance; each may
+    restart ``settings.max_restarts`` times. The lanes' recovery and
+    checkpoint views land in ``RunResult.metrics``.
+    """
+
+    def within_budget(lane: Lane, _exc: InjectedFaultError, _offset: int) -> bool:
+        return len(lane.report.restarts) < settings.max_restarts
+
+    if not settings.fault_tolerant:
+        return backend.run_round(flow, settings, None, within_budget)
+    lanes = open_lanes(
+        settings.checkpoint_store or InMemoryCheckpointStore(),
+        settings.checkpoint_interval,
+        settings.fault_plan,
+        backend.shards,
+    )
+    result = backend.run_round(flow, settings, lanes, within_budget)
+    result.metrics["recovery"] = recovery_metrics(lanes)
+    result.metrics["checkpoints"] = checkpoint_metrics(lanes)
+    return result
+
+
+def recovery_metrics(lanes: Sequence[Lane]) -> dict[str, Any]:
+    """A serial lane's report, or the job-level sums over shard lanes
+    with the per-shard reports kept."""
+    reports = [lane.report.as_dict() for lane in lanes]
+    if lanes[0].shard is None:
+        return reports[0]
+    return {
+        "attempts": sum(r["attempts"] for r in reports),
+        "restarts": sum(len(r["restarts"]) for r in reports),
+        "recovered": all(r["recovered"] or not r["restarts"] for r in reports),
+        "shards": [{"shard": lane.shard, **r} for lane, r in zip(lanes, reports)],
+    }
+
+
+def checkpoint_metrics(lanes: Sequence[Lane]) -> dict[str, Any]:
+    """Checkpoint overhead of a run or a job: a serial lane's coordinator
+    view, or the same keys summed over shard lanes plus ``shards``."""
+    per_lane = [lane.coordinator.metrics() for lane in lanes]
+    if lanes[0].shard is None:
+        return per_lane[0]
+    return {
+        "count": sum(c["count"] for c in per_lane),
+        "bytes_total": sum(c["bytes_total"] for c in per_lane),
+        "interval": per_lane[0]["interval"],
+        "duration": merge_metric_trees(
+            {"duration": c["duration"]} for c in per_lane
+        )["duration"],
+        "duration_p95_s": max(c["duration_p95_s"] for c in per_lane),
+        "shards": [{"shard": lane.shard, **c} for lane, c in zip(lanes, per_lane)],
+    }

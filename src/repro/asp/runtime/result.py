@@ -84,39 +84,6 @@ class RunResult:
         return self.events_in / self.pipeline_seconds if self.events_in else 0.0
 
 
-def _merge_recovery_metrics(results: Sequence[RunResult]) -> dict[str, Any] | None:
-    """Job-level recovery view: sums over shards, per-shard reports kept."""
-    per_shard = [r.metrics.get("recovery") for r in results]
-    if not any(per_shard):
-        return None
-    reports = [r or {"attempts": 1, "recovered": False, "restarts": []} for r in per_shard]
-    return {
-        "attempts": sum(r["attempts"] for r in reports),
-        "restarts": sum(len(r["restarts"]) for r in reports),
-        "recovered": all(
-            r["recovered"] or not r["restarts"] for r in reports
-        ),
-        "shards": [
-            {"shard": index, **report} for index, report in enumerate(reports)
-        ],
-    }
-
-
-def _merge_checkpoint_metrics(results: Sequence[RunResult]) -> dict[str, Any] | None:
-    per_shard = [r.metrics.get("checkpoints") for r in results]
-    present = [c for c in per_shard if c]
-    if not present:
-        return None
-    return {
-        "count": sum(c["count"] for c in present),
-        "bytes_total": sum(c["bytes_total"] for c in present),
-        "duration_p95_s": max(c["duration_p95_s"] for c in present),
-        "shards": [
-            {"shard": index, **c} for index, c in enumerate(per_shard) if c
-        ],
-    }
-
-
 def merge_shard_results(
     job_name: str,
     results: Sequence[RunResult],
@@ -160,12 +127,6 @@ def merge_shard_results(
             for index, tree in enumerate(shard_operator_trees)
         ],
     }
-    recovery = _merge_recovery_metrics(results)
-    if recovery is not None:
-        metrics["recovery"] = recovery
-    checkpoints = _merge_checkpoint_metrics(results)
-    if checkpoints is not None:
-        metrics["checkpoints"] = checkpoints
     return RunResult(
         job_name=job_name,
         events_in=sum(r.events_in for r in results),

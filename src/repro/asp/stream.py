@@ -244,7 +244,6 @@ class StreamEnvironment:
         checkpoint_store=None,
         fault_plan=None,
         max_restarts: int = 3,
-        restart_backoff_s: float = 0.0,
         batch_size: int = 1,
     ) -> RunResult:
         resolved = resolve_backend(backend)
@@ -257,7 +256,6 @@ class StreamEnvironment:
             checkpoint_store=checkpoint_store,
             fault_plan=fault_plan,
             max_restarts=max_restarts,
-            restart_backoff_s=restart_backoff_s,
             batch_size=batch_size,
         )
         return resolved.execute(self.flow, settings)

@@ -1,21 +1,15 @@
 """Figure 6 — scalability over parallel workers.
 
 The paper scales SEQ7 and ITER4 (128 keys) from one to four workers with
-16 slots each. Two reproduction paths:
+16 slots each. The reproduction is measured: the sharded execution
+backend splits each keyed plan into per-shard subgraphs (O3 made
+physical) and actually runs them; throughput comes from the measured
+makespan (slowest shard). The FCEP side runs its NFA keyed on the same
+attribute — the only parallelization dimension FCEP has.
 
-* **measured** (default): the sharded execution backend splits each keyed
-  plan into per-shard subgraphs (O3 made physical) and actually runs
-  them; throughput comes from the measured makespan (slowest shard). The
-  FCEP side runs its NFA keyed on the same attribute — the only
-  parallelization dimension FCEP has.
-* **modeled**: the legacy simulated cluster (pass ``worker_counts=`` or
-  ``modeled=True``) reproducing the makespan model analytically — more
-  workers spread the key partitions, the slowest worker bounds the job.
-
-Expected shape either way: both approaches scale, FCEP gains the most
-relative to its one-worker baseline (it is the most resource-starved)
-but never reaches the mapped queries' absolute throughput (~60 % gap on
-average).
+Expected shape: both approaches scale, FCEP gains the most relative to
+its one-shard baseline (it is the most resource-starved) but never
+reaches the mapped queries' absolute throughput (~60 % gap on average).
 """
 
 from __future__ import annotations
@@ -26,13 +20,7 @@ from repro.asp.runtime import ShardedBackend
 from repro.experiments.common import ExperimentRow, Scale
 from repro.experiments.fig4 import iter4_pattern, keyed_workload, seq7_pattern
 from repro.mapping.optimizations import TranslationOptions
-from repro.runtime.cluster import ClusterConfig
-from repro.runtime.harness import (
-    run_fasp,
-    run_fasp_on_cluster,
-    run_fcep,
-    run_fcep_on_cluster,
-)
+from repro.runtime.harness import run_fasp, run_fcep
 
 _APPROACHES: tuple[tuple[str, TranslationOptions | None], ...] = (
     ("FCEP", None),
@@ -46,30 +34,15 @@ _KEY_ATTRIBUTE = "id"
 
 def fig6_scalability(
     scale: Scale | None = None,
-    worker_counts: Sequence[int] | None = None,
-    slots_per_worker: int = 16,
     num_keys: int = 128,
     shard_counts: Sequence[int] = (1, 2, 4),
-    modeled: bool = False,
 ) -> list[ExperimentRow]:
-    """Scale-out rows for Figure 6.
+    """Scale-out rows for Figure 6 (``parameter="shards=N"``).
 
-    By default shards are *executed* on the sharded backend and the rows
-    carry measured throughput (``parameter="shards=N"``). Passing
-    ``worker_counts`` (or ``modeled=True``) selects the legacy analytic
-    cluster model instead (``parameter="workers=N"``).
+    Shards are *executed* on the sharded backend; the rows carry
+    measured throughput.
     """
     scale = scale or Scale.default()
-    if worker_counts is not None or modeled:
-        return _fig6_modeled(
-            scale, worker_counts or (1, 2, 4), slots_per_worker, num_keys
-        )
-    return _fig6_measured(scale, shard_counts, num_keys)
-
-
-def _fig6_measured(
-    scale: Scale, shard_counts: Sequence[int], num_keys: int
-) -> list[ExperimentRow]:
     # x8 volume so even quarter-key shards carry enough work for stable
     # per-stage timing.
     streams = keyed_workload(num_keys, scale.events * 8, seed=scale.seed)
@@ -109,39 +82,5 @@ def _fig6_measured(
                 ExperimentRow.from_measurement(
                     "fig6", parameter, measurement, shards=shards
                 )
-            )
-    return rows
-
-
-def _fig6_modeled(
-    scale: Scale,
-    worker_counts: Sequence[int],
-    slots_per_worker: int,
-    num_keys: int,
-) -> list[ExperimentRow]:
-    # x8 volume so even 64-slot partitions carry enough work for stable
-    # per-slot timing.
-    streams = keyed_workload(num_keys, scale.events * 8, seed=scale.seed)
-    rows: list[ExperimentRow] = []
-    seq7 = seq7_pattern()
-    iter4 = iter4_pattern()
-    v_only = {"V": streams["V"]}
-    for workers in worker_counts:
-        config = ClusterConfig(num_workers=workers, slots_per_worker=slots_per_worker)
-        for _label, options in _APPROACHES:
-            if options is None:
-                measurement, _outcome = run_fcep_on_cluster(seq7, streams, config)
-            else:
-                measurement, _outcome = run_fasp_on_cluster(seq7, streams, config, options)
-            rows.append(
-                ExperimentRow.from_measurement("fig6", f"workers={workers}", measurement)
-            )
-        for _label, options in _APPROACHES + (("FASP-O2+O3", TranslationOptions.o2_o3()),):
-            if options is None:
-                measurement, _outcome = run_fcep_on_cluster(iter4, v_only, config)
-            else:
-                measurement, _outcome = run_fasp_on_cluster(iter4, v_only, config, options)
-            rows.append(
-                ExperimentRow.from_measurement("fig6", f"workers={workers}", measurement)
             )
     return rows

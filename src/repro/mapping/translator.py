@@ -488,7 +488,6 @@ class TranslatedQuery:
         checkpoint_store=None,
         fault_plan=None,
         max_restarts: int = 3,
-        restart_backoff_s: float = 0.0,
         batch_size: int = 1,
     ) -> RunResult:
         if self.sink is None:
@@ -504,7 +503,6 @@ class TranslatedQuery:
             checkpoint_store=checkpoint_store,
             fault_plan=fault_plan,
             max_restarts=max_restarts,
-            restart_backoff_s=restart_backoff_s,
             batch_size=batch_size,
         )
         if self.analysis is not None:

@@ -1,13 +1,11 @@
-"""Simulated cluster execution — the *analytic* scale-out model.
+"""Simulated cluster execution — Figure 4's slot model.
 
-Measured scale-out now lives in the sharded execution backend
+Scale-out (Figure 6) is measured on the sharded execution backend
 (:class:`repro.asp.runtime.ShardedBackend`), which actually splits a
-keyed plan into per-shard subgraphs and runs them; use it via
-``backend="sharded"`` on the harness or ``fig6_scalability()``'s default
-path. This module remains the analytic fallback: it predicts cluster
-behaviour (slot counts, skew, per-worker memory budgets) without
-executing shards, which is cheap and lets experiments model
-configurations larger than the local machine.
+keyed plan into per-shard subgraphs and runs them. This module models
+what that backend does not: a worker's task slots, key skew over them
+and per-worker memory budgets — the keys sweep and the memory-exhaustion
+probe of Figure 4, whose orderings rest on its robust-makespan timing.
 
 The paper's cluster (Section 5.1.1) is five nodes with 16 task slots per
 worker; parallelism comes exclusively from key partitioning (both for

@@ -12,9 +12,10 @@ that
   API, compiling submissions through the PR 6 optimizer — co-submitted
   queries share scans via ``translate_many``
   (:mod:`~repro.runtime.service.jobs`);
-* runs every job as incremental checkpoint-backed rounds on the serial
-  reference engine, so jobs survive worker crashes and expose
-  effectively-once sink output (PR 4's coordinator + stores);
+* runs every job as incremental checkpoint-backed rounds — the round
+  protocol of :mod:`repro.asp.runtime.fault.recovery`, on the serial or
+  the sharded backend — so jobs survive worker crashes and expose
+  effectively-once sink output;
 * serves per-job ``repro.metrics/v1`` trees and checkpoint state from
   ``/jobs/<id>/metrics`` and ``/jobs/<id>/checkpoints`` (PR 2's
   observability layer);
@@ -24,6 +25,7 @@ that
   (:mod:`~repro.runtime.service.server`).
 """
 
+from repro.asp.runtime.backends.sharded import SHARD_MODES
 from repro.runtime.service.events import (
     SourceTracker,
     WireError,
@@ -39,7 +41,6 @@ from repro.runtime.service.jobs import (
     JobState,
     ServiceConfig,
 )
-from repro.runtime.service.rounds import SHARD_MODES
 from repro.runtime.service.server import ReproService, ServiceHandle, start_in_thread
 from repro.runtime.service.state import ServiceState
 from repro.runtime.service.client import (

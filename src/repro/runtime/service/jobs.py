@@ -10,10 +10,11 @@ routes per type).
 Execution is *incremental replay*, built from the PR 4 fault-tolerance
 primitives rather than a new engine: ingested events queue in a bounded
 per-job ingress buffer; the worker drains them into the job's log and
-runs a **round** — a :class:`~repro.asp.runtime.backends.serial
-.SerialJob` over the same flow that restores the job's latest checkpoint
+runs a **round** of the job's backend on the job's lanes
+(:mod:`repro.asp.runtime.fault.recovery`) — the same ``run_round`` a
+one-shot ``execute`` runs once: restore each lane's latest checkpoint
 (operator state, watermark progress, sink contents, source offset),
-replays the log from that offset, and checkpoints again at the end. The
+replay the log from that offset, and checkpoint again at the end. The
 terminal watermark is withheld until the final drain round, so windows
 stay open across rounds exactly as they would in one continuous run.
 Crashes (injected or real ``InjectedFaultError``) retry from the latest
@@ -39,16 +40,21 @@ from typing import Any, Mapping
 from repro.asp.datamodel import Event, TypeRegistry
 from repro.asp.operators.source import GeneratorSource
 from repro.asp.runtime import (
-    CheckpointCoordinator,
     DirectoryCheckpointStore,
     ExecutionSettings,
     InMemoryCheckpointStore,
+    Lane,
     RunResult,
+    SerialBackend,
+    ShardedBackend,
+    checkpoint_metrics,
     merge_metric_trees,
+    open_lanes,
     parse_fault_plan,
     run_report,
 )
-from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
+from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
+from repro.asp.runtime.fault.injection import FaultPlan
 from repro.asp.runtime.observability import MetricsRegistry
 from repro.errors import (
     ExecutionError,
@@ -64,12 +70,6 @@ from repro.runtime.service.events import (
     SourceTracker,
     event_from_wire,
     event_to_wire,
-)
-from repro.runtime.service.rounds import (
-    SHARD_MODES,
-    run_round_attempts,
-    run_sharded_round,
-    shutdown_pool,
 )
 from repro.runtime.service.state import ServiceState
 from repro.sea.parser import parse_pattern
@@ -222,20 +222,12 @@ class Job:
     #: The service configuration with this job's overrides applied.
     config: ServiceConfig
     settings: ExecutionSettings
-    store: Any
-    coordinator: CheckpointCoordinator
-    injector: FaultInjector
+    #: The backend whose ``run_round`` executes this job's rounds.
+    runner: SerialBackend | ShardedBackend
+    #: One checkpoint/restart lane for a serial job (scope ``<job>/``),
+    #: one per shard for a sharded one (``<job>/shard-i/``).
+    lanes: list[Lane]
     event_types: frozenset[str]
-    #: Round execution backend ("serial" or "sharded") and its O3 key.
-    backend: str = "serial"
-    key_attribute: str | None = None
-    #: True when the job carries a fault plan (forces inline dispatch —
-    #: injected crashes must fire exactly once across restarts).
-    fault_active: bool = False
-    #: Per-shard checkpoint namespaces/coordinators/injectors (sharded).
-    shard_stores: list[Any] = field(default_factory=list)
-    shard_coordinators: list[CheckpointCoordinator] = field(default_factory=list)
-    shard_injectors: list[FaultInjector] = field(default_factory=list)
     #: Monotonic enqueue time of the oldest queued event (SLO clock).
     pending_since: float | None = None
     #: Per-tenant lifecycle of a shared-scan group ("running"/"cancelled").
@@ -350,8 +342,16 @@ class Job:
                 return None
             return (now - self.pending_since) * 1000.0
 
+    @property
+    def backend(self) -> str:
+        return self.runner.name
+
+    @property
+    def shards(self) -> int | None:
+        return self.runner.shards
+
     def record_restart(
-        self, exc: InjectedFaultError, resumed_from: int, shard: int | None = None
+        self, lane: Lane, exc: InjectedFaultError, resumed_from: int
     ) -> bool:
         """Account one injected-crash restart; False once the budget is gone
         (the job is marked failed)."""
@@ -360,9 +360,11 @@ class Job:
             "resumed_from_offset": resumed_from,
             "round": self.rounds,
         }
-        if shard is not None:
-            entry["shard"] = shard
+        if lane.shard is not None:
+            entry["shard"] = lane.shard
         with self.cond:
+            if self.state == JobState.FAILED:
+                return False  # another shard already spent the budget
             self.restarts.append(entry)
             if len(self.restarts) > self.config.max_restarts:
                 self.state = JobState.FAILED
@@ -380,6 +382,14 @@ class Job:
         return sorted(
             repr(m.dedup_key()) for m in self.compiled.matches_of(index)
         )
+
+    def match_count(self, name: str) -> int:
+        """``len(match_keys(name))`` without building the keys."""
+        frozen = self.frozen_matches.get(name)
+        if frozen is not None:
+            return len(frozen)
+        sink = self.compiled.sinks[self.query_names.index(name)]
+        return sink.count if sink is not None else 0
 
 
 #: The per-query ``options`` a submission may set (others are ignored).
@@ -438,8 +448,8 @@ def _parse_query_spec(spec: Any, index: int) -> tuple[str, Any, TranslationOptio
 
 
 def _select_backend(
-    requested: str, options_list: list[TranslationOptions], flow: Any
-) -> tuple[str, str | None]:
+    config: ServiceConfig, options_list: list[TranslationOptions], flow: Any
+) -> SerialBackend | ShardedBackend:
     """Pick the round backend from the plan's partition-safety proof.
 
     "sharded" needs every co-submitted plan to carry the *same* partition
@@ -451,8 +461,9 @@ def _select_backend(
     """
     from repro.analysis.partition import shardability_diagnostics
 
+    requested = config.job_backend
     if requested == "serial":
-        return "serial", None
+        return SerialBackend()
     keys = sorted({
         options.partition_attribute
         for options in options_list
@@ -463,7 +474,7 @@ def _select_backend(
     ) else None
     diagnostics = shardability_diagnostics(flow) if key is not None else []
     if key is not None and not diagnostics:
-        return "sharded", key
+        return ShardedBackend(config.job_shards, key, config.shard_mode)
     if requested == "sharded":
         if key is None:
             raise ServiceError(
@@ -477,7 +488,7 @@ def _select_backend(
             + "; ".join(d.message for d in diagnostics),
             details=[d.as_dict() for d in diagnostics],
         )
-    return "serial", None
+    return SerialBackend()
 
 
 class JobManager:
@@ -728,21 +739,13 @@ class JobManager:
                 + "; ".join(d.message for d in sharing.diagnostics if d.is_error),
                 details=[d.as_dict() for d in sharing.diagnostics],
             )
-        backend, key_attribute = _select_backend(
-            config.job_backend, options_list, compiled.env.flow
-        )
+        runner = _select_backend(config, options_list, compiled.env.flow)
         settings = ExecutionSettings(
             watermark_interval=min(plan.window_slide for plan in compiled.plans),
             max_out_of_orderness=config.max_out_of_orderness,
             checkpoint_interval=config.checkpoint_interval,
             batch_size=config.batch_size,
         )
-        store = self._base_store.scoped(job_id)
-        shard_stores = [
-            store.scoped(f"shard-{index}")
-            for index in range(config.job_shards if backend == "sharded" else 0)
-        ]
-        plan = fault_plan or FaultPlan()
         return Job(
             job_id=job_id,
             name=job_name,
@@ -750,22 +753,14 @@ class JobManager:
             compiled=compiled,
             config=config,
             settings=settings,
-            store=store,
-            coordinator=CheckpointCoordinator(store, config.checkpoint_interval),
-            injector=FaultInjector(plan),
+            runner=runner,
+            lanes=open_lanes(
+                self._base_store.scoped(job_id),
+                config.checkpoint_interval,
+                fault_plan,
+                runner.shards,
+            ),
             event_types=event_types,
-            backend=backend,
-            key_attribute=key_attribute,
-            fault_active=fault_plan is not None,
-            shard_stores=shard_stores,
-            shard_coordinators=[
-                CheckpointCoordinator(shard_store, config.checkpoint_interval)
-                for shard_store in shard_stores
-            ],
-            shard_injectors=[
-                FaultInjector(plan.for_shard(index) or FaultPlan())
-                for index in range(len(shard_stores))
-            ],
             tenant_states={name: "running" for name in names},
             log=log,
         )
@@ -958,12 +953,18 @@ class JobManager:
             if queue_age is not None:
                 job.trigger_latency_ms.observe(queue_age)
             started = time.perf_counter()
-            if job.backend == "sharded":
-                result = run_sharded_round(job, terminal)
-            else:
-                result = run_round_attempts(job, job.compiled.env.flow, terminal)
-            if result is None:
-                # The restart budget died mid-round; the job is FAILED.
+            # Only here does a round end in a checkpoint: the next round
+            # resumes from this cut.
+            result = job.runner.run_round(
+                job.compiled.env.flow,
+                job.settings,
+                job.lanes,
+                job.record_restart,
+                terminal=terminal,
+                cut=True,
+            )
+            if job.state == JobState.FAILED:
+                # The restart budget died mid-round.
                 self._persist_progress(job)
                 return None
             job.events_processed = result.events_in
@@ -1038,13 +1039,10 @@ class JobManager:
             "rounds": job.rounds,
             "restarts": len(job.restarts),
             "backend": job.backend,
-            "shards": job.config.job_shards if job.backend == "sharded" else None,
+            "shards": job.shards,
             "round_slo_ms": job.config.round_slo_ms,
             "tenants": dict(job.tenant_states),
-            "matches": {
-                name: len(job.match_keys(name))
-                for name in job.query_names
-            },
+            "matches": {name: job.match_count(name) for name in job.query_names},
         }
 
     def job_metrics(self, job_id: str) -> dict[str, Any]:
@@ -1096,20 +1094,10 @@ class JobManager:
                 "rounds": job.rounds,
                 "restarts": list(job.restarts),
                 "backend": job.backend,
-                "shards": job.config.job_shards if job.backend == "sharded" else None,
+                "shards": job.shards,
                 "round_slo_ms": job.config.round_slo_ms,
                 "tenants": dict(job.tenant_states),
-                "checkpoints": (
-                    {
-                        "count": sum(c.count for c in job.shard_coordinators),
-                        "bytes_total": sum(
-                            c.bytes_total for c in job.shard_coordinators
-                        ),
-                        "interval": job.coordinator.interval,
-                    }
-                    if job.backend == "sharded"
-                    else job.coordinator.metrics()
-                ),
+                "checkpoints": checkpoint_metrics(job.lanes),
             }
         return report
 
@@ -1118,36 +1106,25 @@ class JobManager:
         with job.run_lock:
             # Sharded jobs keep checkpoint-per-shard in scoped substores;
             # the job-level view aggregates them (entries tagged by shard).
-            if job.backend == "sharded":
-                stores = list(job.shard_stores)
-                coordinator = {
-                    "count": sum(c.count for c in job.shard_coordinators),
-                    "bytes_total": sum(
-                        c.bytes_total for c in job.shard_coordinators
-                    ),
-                    "interval": job.coordinator.interval,
-                    "shards": [c.metrics() for c in job.shard_coordinators],
-                }
-            else:
-                stores = [job.store]
-                coordinator = job.coordinator.metrics()
             entries = []
-            for shard, store in enumerate(stores):
-                for c in store.checkpoints():
+            for lane in job.lanes:
+                for c in lane.store.checkpoints():
                     entry = {
                         "checkpoint_id": c.checkpoint_id,
                         "offset": c.offset,
                         "size_bytes": c.size_bytes,
                     }
-                    if job.backend == "sharded":
-                        entry["shard"] = shard
+                    if lane.shard is not None:
+                        entry["shard"] = lane.shard
                     entries.append(entry)
             return {
                 "job": job.job_id,
                 "backend": job.backend,
-                "coordinator": coordinator,
+                "coordinator": checkpoint_metrics(job.lanes),
                 "entries": entries,
-                "durable": isinstance(job.store, DirectoryCheckpointStore),
+                "durable": isinstance(
+                    job.lanes[0].store, DirectoryCheckpointStore
+                ),
             }
 
     def job_matches(self, job_id: str) -> dict[str, Any]:

@@ -113,12 +113,11 @@ class TestFig5Driver:
 
 class TestFig6Driver:
     def test_scaling_structure(self):
-        rows = fig6_scalability(TINY, worker_counts=(1, 2), slots_per_worker=4,
-                                num_keys=8)
-        workers = {r.parameter for r in rows}
-        assert workers == {"workers=1", "workers=2"}
+        rows = fig6_scalability(TINY, num_keys=8, shard_counts=(1, 2))
+        shards = {r.parameter for r in rows}
+        assert shards == {"shards=1", "shards=2"}
         for r in rows:
-            assert r.extras.get("workers") in (1, 2)
+            assert r.extras.get("shards") in (1, 2)
 
 
 class TestReporting:

@@ -133,6 +133,39 @@ class TestShardedEquivalence:
         )
         assert sharded == serial
 
+    def test_process_mode_degrades_to_inline_on_a_broken_pool(self, monkeypatch):
+        """A poisoned worker pool costs parallelism, never the run."""
+        pytest.importorskip("cloudpickle")
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.asp.runtime.backends import sharded
+
+        class PoisonedPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        monkeypatch.setattr(sharded, "_pool", None, raising=False)
+        monkeypatch.setattr(sharded, "ProcessPoolExecutor", PoisonedPool)
+        pattern = parse_pattern(KEYED_PATTERNS[0])
+        events = keyed_stream(3, n=40)
+        query = translate(pattern, sources_for(events), TranslationOptions.o3())
+        result = query.execute(backend=ShardedBackend(shards=2, mode="process"))
+        assert not result.failed
+        assert result.metadata["mode"] == "inline"
+        assert {m.dedup_key() for m in query.matches()} == match_set(pattern, events)
+
     def test_sharded_result_metadata(self):
         pattern = parse_pattern(KEYED_PATTERNS[0])
         events = keyed_stream(5, n=50)

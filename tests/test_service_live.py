@@ -258,4 +258,4 @@ class TestLiveEquivalence:
         # drained before exit: queue empty, final checkpoint taken
         job = service.manager.jobs[info["id"]]
         assert job.state == "drained" and job.pending == 0
-        assert job.store.latest() is not None
+        assert job.lanes[0].store.latest() is not None

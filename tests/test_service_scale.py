@@ -184,6 +184,27 @@ class TestShardedRounds:
         assert shards_seen == {0, 1}
         assert doc["coordinator"]["count"] == len(doc["entries"])
 
+    def test_checkpoint_documents_have_one_shape(self):
+        """Serial and sharded jobs report checkpoint overhead under the
+        same keys (a sharded job adds the per-shard list), on both read
+        endpoints."""
+        streams = offset_streams(events=400, seed=3)
+        manager = JobManager(ServiceConfig(round_events=150))
+        serial = manager.submit({"query": "traffic-congestion"})
+        sharded = manager.submit(sharded_submit(name="shard-doc", shards=2))
+        ingest_all(manager, streams)
+        manager.drain()
+        keys = {"count", "bytes_total", "interval", "duration", "duration_p95_s"}
+        for info, expected in ((serial, keys), (sharded, keys | {"shards"})):
+            chain = manager.job_checkpoints(info["id"])["coordinator"]
+            metrics = manager.job_metrics(info["id"])["service"]["checkpoints"]
+            assert set(chain) == set(metrics) == expected
+            assert chain["count"] == metrics["count"] > 0
+            assert chain["duration"]["count"] == chain["count"]
+        shards = manager.job_checkpoints(sharded["id"])["coordinator"]["shards"]
+        assert [shard["shard"] for shard in shards] == [0, 1]
+        assert all(set(shard) == keys | {"shard"} for shard in shards)
+
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 2, reason="process mode needs >1 cpu"
     )
