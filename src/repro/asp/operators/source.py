@@ -21,6 +21,7 @@ class Source:
     def __init__(self, name: str, event_type: str | None = None):
         self.name = name
         self.event_type = event_type
+        #: Events pulled from this source so far, replayed ones included.
         self.emitted = 0
 
     def events(self) -> Iterator[Event]:
@@ -57,6 +58,20 @@ class ListSource(Source):
 
     def __len__(self) -> int:
         return len(self._events)
+
+
+class LogSource(ListSource):
+    """A :class:`ListSource` over a list its owner keeps appending to.
+
+    The list is not copied: ``materialized()`` is the list itself, so
+    every run sees what has been appended since the last one and reads it
+    from its offset (``repro serve``'s ingestion log).
+    """
+
+    def __init__(self, log: list[Event], name: str = "log-source",
+                 event_type: str | None = None):
+        Source.__init__(self, name, event_type)
+        self._events = log
 
 
 class GeneratorSource(Source):

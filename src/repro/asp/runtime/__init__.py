@@ -53,6 +53,7 @@ from repro.asp.runtime.observability import (
     Histogram,
     MetricsRegistry,
     OperatorMetrics,
+    fold_metric_tree,
     load_report,
     merge_metric_trees,
     render_metrics_summary,
@@ -88,6 +89,7 @@ __all__ = [
     "WatermarkService",
     "build_channels",
     "checkpoint_metrics",
+    "fold_metric_tree",
     "open_lanes",
     "parse_fault_plan",
     "load_report",

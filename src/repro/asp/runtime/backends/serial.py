@@ -16,8 +16,9 @@ drained, so that point is a consistent cut — the
 :class:`~repro.asp.runtime.fault.checkpoint.CheckpointCoordinator`
 snapshots there, and a :class:`~repro.asp.runtime.fault.injection
 .FaultInjector` crashes there (plus virtual slow-operator delays and
-severed channels on the data path). ``start_offset`` replays the merged
-source stream from a checkpointed position.
+severed channels on the data path). A run starts after the job's
+``events_in`` — 0 on a fresh job, a restored checkpoint's offset, or
+where the job's previous run stopped.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ class SerialJob:
     Construction validates the flow, binds operator state to the job's
     registry and wires the event clock; :meth:`run` is then a pure drive
     loop with two shapes: the per-event reference (``batch_size == 1``)
-    and the batch engine (``batch_size > 1``).
+    and the batch engine (``batch_size > 1``). A job whose run withheld
+    the terminal watermark can run again: it continues the same logical
+    stream with whatever its sources have gained since, and measures
+    that run alone.
     """
 
     def __init__(
@@ -103,12 +107,6 @@ class SerialJob:
         #: ``batch_size`` alone selects the engine: 1 is the per-event
         #: reference, anything larger the batch engine.
         self._batched = settings.batch_size > 1
-        #: Per-source (node_id, source, column store, ts column) entries
-        #: when every source is materialized and time-sorted: the
-        #: scheduler then merges by the ts arrays and cuts batches as
-        #: zero-copy :class:`ColumnarBatch` views. ``None`` otherwise —
-        #: batches are then row lists.
-        self._source_arrays = self._prepare_columnar() if self._batched else None
         #: Operators that inherit the base no-op ``on_watermark``. The
         #: batched broadcast skips calling them (watermark frames and the
         #: call counter are still accounted, so channel totals and
@@ -134,9 +132,8 @@ class SerialJob:
             if self._batched
             else {}
         )
-        #: Source events with a merged-stream index <= start_offset are
-        #: skipped (already consumed by the restored checkpoint).
-        self.start_offset = 0
+        #: Merged-stream index of the last source event consumed; a run
+        #: starts after it.
         self.events_in = 0
         self.items_out = 0
 
@@ -284,15 +281,21 @@ class SerialJob:
         """One column store per source, if every source allows it.
 
         Returns the scheduler's ``(node_id, source, store, ts)`` entries
-        when every source is an in-memory, time-sorted sequence — the
-        precondition of the scheduler's array merges, whose batches are
-        column views — else ``None``.
+        and how many merged events precede their first rows when every
+        source is an in-memory, time-sorted sequence — the precondition
+        of the scheduler's array merges, whose batches are column views —
+        else ``None``. A single source is the merged stream itself, so
+        its store covers the unread events only.
         """
+        sources = self.flow.source_nodes()
+        arrays_from = self.events_in if len(sources) == 1 else 0
         arrays = []
-        for node in self.flow.source_nodes():
+        for node in sources:
             events = node.source.materialized()
             if events is None:
                 return None
+            if arrays_from:
+                events = events[arrays_from:]
             if not isinstance(events, list):
                 events = list(events)
             store = ColumnStore(events)
@@ -302,7 +305,7 @@ class SerialJob:
             if ts != sorted(ts):
                 return None
             arrays.append((node.node_id, node.source, store, ts))
-        return arrays or None
+        return (arrays, arrays_from) if arrays else None
 
     def _inject_batch(self, source_node_id: int, events) -> None:
         for channel in self.channels[source_node_id]:
@@ -379,10 +382,11 @@ class SerialJob:
         """
         instr = self.instrumentation
         started = instr.start_run()
+        for group in self.channels.values():
+            for channel in group:
+                channel.reset()
         failed = False
         failure: str | None = None
-        if self.start_offset:
-            self.events_in = self.start_offset
         try:
             if self._batched:
                 self._drive_batched()
@@ -408,10 +412,10 @@ class SerialJob:
         instr = self.instrumentation
         injector = self.injector
         coordinator = self.coordinator
-        for index, (node_id, event) in enumerate(merge_sources(self.flow), start=1):
-            if index <= self.start_offset:
-                # Replay: the checkpoint already consumed this prefix.
-                continue
+        offset = self.events_in
+        for index, (node_id, event) in enumerate(
+            merge_sources(self.flow, offset), start=offset + 1
+        ):
             self.events_in = index
             if injector is not None:
                 injector.before_event(index)
@@ -452,15 +456,21 @@ class SerialJob:
             for node in self.flow.nodes.values()
             if not node.is_source
         )
+        # Column stores when every source is materialized and
+        # time-sorted: the scheduler then merges by the ts arrays and
+        # cuts batches as zero-copy :class:`ColumnarBatch` views.
+        # Otherwise batches are row lists.
+        arrays, arrays_from = self._prepare_columnar() or (None, 0)
         for node_id, events, watermark, last_index in merge_batches(
             self.flow,
             self.watermarks,
             batch_size=self.settings.batch_size,
-            start_offset=self.start_offset,
+            start_offset=self.events_in,
             cut_indices=cut_indices,
             cut_intervals=cut_intervals,
             regroup=regroup,
-            arrays=self._source_arrays,
+            arrays=arrays,
+            arrays_from=arrays_from,
         ):
             first_index = last_index - len(events) + 1
             if injector is not None:

@@ -130,11 +130,10 @@ def _sink_payloads(flow: Dataflow) -> SinkPayloads:
 
 def _shard_entry(blob: bytes) -> bytes:
     """Worker-process entry: one shard's round, state payload in and out."""
-    flow, settings, payload, offset, terminal, cut = cloudpickle.loads(blob)
+    flow, settings, payload, terminal, cut = cloudpickle.loads(blob)
     job = SerialJob(flow, settings)
     if payload is not None:
         restore_job_state(job, unpickle_payload(payload))
-        job.start_offset = offset
     result = job.run(terminal_watermark=terminal)
     state = pickle_payload(capture_job_state(job)) if cut else None
     return cloudpickle.dumps((result, _sink_payloads(flow), state, job.events_in))
@@ -150,8 +149,9 @@ def _fold_sinks(flow: Dataflow, shard_payloads: Sequence[SinkPayloads]) -> None:
         sink.count = sum(count for count, _i, _l, _g in parts)
         if isinstance(sink, CollectSink):
             # Shard order is arbitrary; restore a deterministic global
-            # event-time order (ties broken by shard index).
-            sink.items[:] = sorted(
+            # event-time order (ties broken by shard index). A new list,
+            # like a restore: one list object only ever grows at its end.
+            sink.items = sorted(
                 (item for _c, items, _l, _g in parts for item in items or ()),
                 key=lambda item: item.ts,
             )
@@ -271,7 +271,6 @@ class ShardedBackend:
                         flow,
                         shipped,
                         latest.payload if latest is not None else None,
-                        latest.offset if latest is not None else 0,
                         terminal,
                         cut,
                     )

@@ -54,6 +54,10 @@ class Channel:
     def frame_watermark(self) -> None:
         self.watermarks += 1
 
+    def reset(self) -> None:
+        """Zero the counters: frames are counted per run."""
+        self.items = self.watermarks = self.peak_burst = 0
+
     def stats(self) -> dict[str, Any]:
         return {
             "edge": f"{self.source_name}->{self.target_name}:p{self.port}",

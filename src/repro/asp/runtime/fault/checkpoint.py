@@ -47,6 +47,7 @@ def capture_job_state(job: "SerialJob") -> dict[str, Any]:
 
 
 def restore_job_state(job: "SerialJob", data: dict[str, Any]) -> None:
+    job.events_in = data["offset"]
     job.items_out = data["items_out"]
     job.watermarks.restore(data["watermark"])
     for node in job.flow.operator_nodes():
@@ -75,6 +76,8 @@ class CheckpointCoordinator:
         self.bytes_total = 0
         self.duration = Histogram()
         self._next_id = 0
+        #: Offset of the newest checkpoint this coordinator saved.
+        self.last_offset: int | None = None
 
     def due(self, events_in: int) -> bool:
         return (
@@ -100,6 +103,7 @@ class CheckpointCoordinator:
         checkpoint = Checkpoint(self._next_id, offset, payload)
         self.store.save(checkpoint)
         self._next_id += 1
+        self.last_offset = offset
         self.count += 1
         self.bytes_total += checkpoint.size_bytes
         self.duration.observe(self.clock.now() - started)

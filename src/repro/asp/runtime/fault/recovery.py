@@ -6,17 +6,23 @@ their cost, the injector whose crash specs must fire exactly once, and
 the history of masked crashes. A serial run has one lane, a sharded run
 one per shard (``<scope>/shard-i``).
 
-A *round* (:func:`run_lane`) builds a fresh :class:`SerialJob` over the
-flow, restores the lane's latest checkpoint into it — operator state,
-watermark progress, sinks and the source offset — or takes checkpoint 0
-when the lane is empty, and replays the merged source stream from that
-offset. :func:`~repro.asp.runtime.scheduler.merge_sources` is
-deterministic (ties broken by source order), so skipping the first
-``offset`` pairs reproduces exactly the prefix the checkpoint already
-consumed; sinks are part of the snapshot, so nothing is double-emitted
-(effectively-once output). On an :class:`~repro.errors
-.InjectedFaultError` the caller's crash handler decides whether the
-round is attempted again from the lane's latest checkpoint.
+A *round* (:func:`run_lane`) runs a :class:`SerialJob` over the flow from
+the lane's newest cut to the end of the flow's sources. The lane keeps
+the job of its last round, and the next round over the same flow object
+continues it: the operators, the watermark progress, the sinks and the
+source offset are where that round left them, so a round costs its new
+events. Without such a job — the first round, a new process, after a
+crash or a failed round, or when the flow is not the one the job was
+built over (a sharded round re-extracts its shard flows) — the round
+builds a fresh job and restores the lane's latest checkpoint into it, or
+takes checkpoint 0 when the lane is empty.
+:func:`~repro.asp.runtime.scheduler.merge_sources` is deterministic
+(ties broken by source order), so dropping the first ``offset`` pairs
+reproduces exactly the prefix the checkpoint already consumed; sinks are
+part of the snapshot, so nothing is double-emitted (effectively-once
+output). On an :class:`~repro.errors.InjectedFaultError` the caller's
+crash handler decides whether the round is attempted again from the
+lane's latest checkpoint.
 
 ``execute`` is one terminal round over fresh lanes; ``repro serve`` runs
 many rounds over a job's lanes, withholding the terminal watermark until
@@ -90,6 +96,9 @@ class Lane:
     #: Shard index of a sharded run's lane; None for a serial run's.
     shard: int | None = None
     report: RecoveryReport = field(default_factory=RecoveryReport)
+    #: The job of the lane's last round, standing exactly at the lane's
+    #: newest checkpoint; None when the next round has to restore.
+    job: SerialJob | None = None
 
 
 def open_lanes(
@@ -134,28 +143,34 @@ def run_lane(
 ) -> RunResult:
     """One round of ``flow`` on ``lane``; the only restart loop there is.
 
-    Each attempt gets a fresh job object — a crashed one's channels and
+    The round continues the lane's live job when that job was built over
+    this very ``flow`` object. Otherwise, and for every attempt after a
+    crash, it builds a fresh one — a crashed job's channels and
     instrumentation are abandoned, the operator instances are rebuilt
     from the checkpoint. When ``on_crash`` gives up, the round returns
     the crashed attempt's failed result. ``cut`` takes a round-boundary
-    checkpoint after a successful round, so the next round resumes
-    exactly there (only ``repro serve`` asks for it). Without a lane the
-    flow just runs: no checkpoints, no masked crashes.
+    checkpoint after a successful round (only ``repro serve`` asks for
+    it): that is what a crash in the next round, or the next process,
+    restores, and what makes the job worth keeping for the next round.
+    Without a lane the flow just runs: no checkpoints, no masked crashes.
     """
     if lane is None:
         return SerialJob(flow, settings).run(terminal_watermark=terminal)
-    latest = lane.store.latest()
+    job, lane.job = lane.job, None
+    if job is not None and job.flow is not flow:
+        job = None
+    latest = None if job is not None else lane.store.latest()
     while True:
-        job = SerialJob(
-            flow, settings, injector=lane.injector, coordinator=lane.coordinator
-        )
-        if latest is None:
-            # Checkpoint 0: the pristine pre-stream state, so a crash
-            # before the first cadence checkpoint can still recover.
-            latest = lane.coordinator.take(job)
-        else:
-            lane.coordinator.restore_into(job, latest)
-            job.start_offset = latest.offset
+        if job is None:
+            job = SerialJob(
+                flow, settings, injector=lane.injector, coordinator=lane.coordinator
+            )
+            if latest is None:
+                # Checkpoint 0: the pristine pre-stream state, so a crash
+                # before the first cadence checkpoint can still recover.
+                latest = lane.coordinator.take(job)
+            else:
+                lane.coordinator.restore_into(job, latest)
         try:
             result = job.run(terminal_watermark=terminal)
             break
@@ -172,9 +187,15 @@ def run_lane(
                     replayed_events=max(0, (exc.at_event or 1) - 1 - latest.offset),
                 )
             )
+            job = None
     lane.report.recovered = not result.failed and bool(lane.report.restarts)
     if cut and not result.failed:
-        lane.coordinator.take(job)
+        # A round that ends on a cadence multiple was checkpointed on its
+        # last event, and nothing moved since unless the terminal
+        # watermark did: that checkpoint is the cut.
+        if terminal or lane.coordinator.last_offset != job.events_in:
+            lane.coordinator.take(job)
+        lane.job = job
     return result
 
 

@@ -73,6 +73,16 @@ class Instrumentation:
     # -- busy time -------------------------------------------------------
 
     def start_run(self) -> float:
+        """Open a run. Measurement is per run: a job that runs again (a
+        serve lane's next round) starts from empty samples, zeroed
+        operator metrics and state peaks at their current level, which
+        is where a job freshly restored from this job's checkpoint
+        would start."""
+        self.samples = []
+        self.budget_checks = 0
+        for metrics in self.op_metrics.values():
+            metrics.reset()
+        self.registry.reset_peaks()
         self._started = self._clock.now()
         return self._started
 

@@ -35,6 +35,7 @@ from repro.asp.runtime.observability.registry import (
     Histogram,
     MetricsRegistry,
     ScopedMetrics,
+    fold_metric_tree,
     merge_metric_trees,
     percentile_from_buckets,
     summarize_metric,
@@ -59,6 +60,7 @@ __all__ = [
     "OperatorMetrics",
     "ScanObservation",
     "ScopedMetrics",
+    "fold_metric_tree",
     "load_report",
     "merge_metric_trees",
     "operator_metrics_tree",

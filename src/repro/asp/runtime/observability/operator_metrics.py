@@ -43,6 +43,12 @@ class OperatorMetrics:
     def __init__(self, scope: str, kind: str):
         self.scope = scope
         self.kind = kind
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero everything measured; a job that runs again reports each
+        run on its own (fused segments keep their reference to this
+        object)."""
         self.busy = 0.0
         self.events_in = 0
         self.events_out = 0

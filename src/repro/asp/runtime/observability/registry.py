@@ -221,65 +221,65 @@ class MetricsRegistry:
         }
 
 
-def _merge_histograms(left: dict[str, Any], right: dict[str, Any]) -> dict[str, Any]:
-    if left["bounds"] != right["bounds"]:
+def _fold_histogram(total: dict[str, Any], other: Mapping[str, Any]) -> None:
+    if total["bounds"] != other["bounds"]:
         raise ValueError("cannot merge histograms with different bounds")
-    count = left["count"] + right["count"]
-    mins = [d["min"] for d in (left, right) if d["count"]]
-    maxes = [d["max"] for d in (left, right) if d["count"]]
-    return {
-        "type": "histogram",
-        "bounds": list(left["bounds"]),
-        "counts": [a + b for a, b in zip(left["counts"], right["counts"])],
-        "count": count,
-        "sum": left["sum"] + right["sum"],
-        "min": min(mins) if mins else 0.0,
-        "max": max(maxes) if maxes else 0.0,
-    }
+    if other["count"]:
+        seen = total["count"] > 0
+        total["min"] = min(total["min"], other["min"]) if seen else other["min"]
+        total["max"] = max(total["max"], other["max"]) if seen else other["max"]
+    total["counts"] = [a + b for a, b in zip(total["counts"], other["counts"])]
+    total["count"] += other["count"]
+    total["sum"] += other["sum"]
 
 
-def _merge_values(left: Any, right: Any) -> Any:
-    if isinstance(left, Mapping) and isinstance(right, Mapping):
-        ltype, rtype = left.get("type"), right.get("type")
-        if ltype != rtype:
-            return left
-        if ltype == "counter":
-            return {"type": "counter", "value": left["value"] + right["value"]}
-        if ltype == "gauge":
-            agg = left.get("agg", "last")
-            if agg == "sum":
-                value = left["value"] + right["value"]
-            elif agg == "max":
-                value = max(left["value"], right["value"])
-            elif agg == "min":
-                value = min(left["value"], right["value"])
-            else:
-                value = right["value"]
-            return {"type": "gauge", "value": value, "agg": agg}
-        if ltype == "histogram":
-            return _merge_histograms(left, right)
-        # Plain nested mapping: merge recursively.
-        if ltype is None:
-            return merge_metric_trees([dict(left), dict(right)])
-    return left  # annotations (kind, names): first wins, shards agree
+def _fold_metric(total: dict[str, Any], other: Mapping[str, Any]) -> None:
+    mtype = total.get("type")
+    if mtype != other.get("type"):
+        return
+    if mtype == "counter":
+        total["value"] += other["value"]
+    elif mtype == "gauge":
+        agg = total.get("agg", "last")
+        if agg == "sum":
+            total["value"] += other["value"]
+        elif agg == "max":
+            total["value"] = max(total["value"], other["value"])
+        elif agg == "min":
+            total["value"] = min(total["value"], other["value"])
+        else:
+            total["value"] = other["value"]
+    elif mtype == "histogram":
+        _fold_histogram(total, other)
+    elif mtype is None:
+        # Plain nested mapping: fold recursively.
+        fold_metric_tree(total, other)
+
+
+def fold_metric_tree(total: dict[str, Any], tree: Mapping[str, Any]) -> None:
+    """Add the serialized metric ``tree`` into ``total``, in place.
+
+    Counters and histogram buckets add, gauges combine per their declared
+    aggregation, plain annotations (kind, names) keep the first value.
+    What ``total`` lacks is copied in, so it never shares a node with a
+    folded tree; a running total (a serve job's operator tree over its
+    rounds) pays for the tree it folds, not for the one it holds.
+    """
+    for key, value in tree.items():
+        if key not in total:
+            total[key] = _copy_tree(value)
+        elif isinstance(total[key], dict) and isinstance(value, Mapping):
+            _fold_metric(total[key], value)
 
 
 def merge_metric_trees(
     trees: Iterable[Mapping[str, Any]],
 ) -> dict[str, Any]:
-    """Structurally merge serialized metric trees (shard roll-up).
-
-    Counters and histogram buckets add, gauges combine per their declared
-    aggregation, plain annotations keep the first value. Scopes missing
-    from some trees merge from whichever trees have them.
-    """
+    """Structurally merge serialized metric trees (shard roll-up):
+    :func:`fold_metric_tree` of each into one new tree."""
     merged: dict[str, Any] = {}
     for tree in trees:
-        for key, value in tree.items():
-            if key not in merged:
-                merged[key] = _copy_tree(value)
-            else:
-                merged[key] = _merge_values(merged[key], value)
+        fold_metric_tree(merged, tree)
     return merged
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from itertools import islice, repeat
 from typing import Iterator, Sequence
 
 from repro.asp.datamodel import ColumnarBatch, Event
@@ -20,16 +21,34 @@ from repro.asp.graph import Dataflow, Node
 from repro.asp.time import Watermark, WatermarkGenerator
 
 
-def merge_sources(flow: Dataflow) -> Iterator[tuple[int, Event]]:
+def merge_sources(flow: Dataflow, offset: int = 0) -> Iterator[tuple[int, Event]]:
     """Merge all source iterators by (ts, source order).
 
     Yields ``(node_id, event)`` pairs in global event-time order, which is
     how a centralized ASPS observes multiple producer streams. Ties on
     the timestamp are broken by source registration order, so replays are
     deterministic.
+
+    ``offset`` drops the first ``offset`` pairs (a checkpoint already
+    consumed them). Over a single in-memory source the merged stream *is*
+    that source's sequence, so the stream starts at the offset — what a
+    run costs follows its unread events, not the length of the log.
+    Anything else is merged from the start and the prefix discarded.
     """
+    sources = flow.source_nodes()
+    if len(sources) == 1:
+        source = sources[0].source
+        events = source.materialized()
+        if events is not None:
+            unread = events[offset:]
+            source.emitted += len(unread)
+            return zip(repeat(sources[0].node_id), unread)
+    return islice(_heap_merge(sources), offset, None)
+
+
+def _heap_merge(sources: Sequence[Node]) -> Iterator[tuple[int, Event]]:
     iterators: list[tuple[int, Iterator[Event]]] = [
-        (node.node_id, iter(node.source)) for node in flow.source_nodes()
+        (node.node_id, iter(node.source)) for node in sources
     ]
     heap: list[tuple[int, int, int, Event]] = []
     for order, (node_id, it) in enumerate(iterators):
@@ -57,6 +76,7 @@ def merge_batches(
     cut_intervals: Sequence[int] = (),
     regroup: bool = False,
     arrays: "list[tuple] | None",
+    arrays_from: int = 0,
 ) -> Iterator[tuple[int, "list[Event] | ColumnarBatch", Watermark | None, int]]:
     """Group the merged source stream into watermark-aligned micro-batches.
 
@@ -94,9 +114,12 @@ def merge_batches(
     emission points are located by bisect — per-batch instead of
     per-event scheduling cost — and each batch is a zero-copy
     :class:`~repro.asp.datamodel.ColumnarBatch` range over its store.
-    With ``None``, and for the short interleaved runs of multi-source
-    strict plans, a generic per-event heap merge produces the identical
-    batches as row lists.
+    ``arrays_from`` says how many merged events precede the arrays' first
+    rows: 0 for whole sources (the prefix up to ``start_offset`` is then
+    skipped), ``start_offset`` when a single source's store was built
+    over its unread suffix alone. With ``None``, and for the short
+    interleaved runs of multi-source strict plans, a generic per-event
+    merge produces the identical batches as row lists.
     """
     cuts = sorted({c for c in cut_indices if c > start_offset})
     intervals = [iv for iv in cut_intervals if iv and iv > 0]
@@ -115,11 +138,13 @@ def merge_batches(
 
     if arrays is not None:
         if regroup:
-            yield from _merge_windows(arrays, watermarks, limit_for, start_offset)
+            yield from _merge_windows(
+                arrays, watermarks, limit_for, start_offset, arrays_from
+            )
             return
         if len(arrays) == 1:
             yield from _merge_batches_fast(
-                arrays, watermarks, limit_for, start_offset
+                arrays, watermarks, limit_for, start_offset, arrays_from
             )
             return
         # Multi-source strict mode: same-source runs degenerate to the
@@ -134,9 +159,9 @@ def merge_batches(
     limit = 0
     last_index = start_offset
     observe = watermarks.observe
-    for index, (node_id, event) in enumerate(merge_sources(flow), start=1):
-        if index <= start_offset:
-            continue
+    for index, (node_id, event) in enumerate(
+        merge_sources(flow, start_offset), start=start_offset + 1
+    ):
         if batch and (node_id != batch_node or index > limit):
             yield batch_node, batch, None, index - 1
             batch = []
@@ -153,7 +178,7 @@ def merge_batches(
         yield batch_node, batch, None, last_index
 
 
-def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
+def _merge_batches_fast(arrays, watermarks, limit_for, start_offset, arrays_from):
     """Galloping merge over sorted source arrays (see merge_batches).
 
     Reproduces exactly the generic path's batches: the same (ts, source
@@ -173,7 +198,7 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
     pos = [0] * k
     sizes = [len(entry[3]) for entry in arrays]
     active = [i for i in range(k) if sizes[i]]
-    index = 0  # global 1-based index of the last consumed event
+    index = arrays_from  # global 1-based index of the last consumed event
     while active:
         if len(active) == 1:
             best = active[0]
@@ -235,7 +260,7 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
             active.remove(best)
 
 
-def _merge_windows(arrays, watermarks, limit_for, start_offset):
+def _merge_windows(arrays, watermarks, limit_for, start_offset, arrays_from):
     """Watermark-window regrouped merge (see merge_batches, regroup=True).
 
     Each iteration locates the next watermark-triggering event — the
@@ -245,23 +270,28 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset):
     watermark on the window's final batch. Delivery order is fully
     deterministic, so replay from ``start_offset`` (in *delivery* index
     space) skips exactly the events a crashed attempt already processed.
-    The watermark schedule is simulated from the generator's fresh state:
-    restarted attempts restore a mid-stream generator snapshot, but the
-    window structure must match the original attempt's from event one.
+    When a prefix has to be skipped, the watermark schedule is simulated
+    from the generator's fresh state: restarted attempts restore a
+    mid-stream generator snapshot, but the window structure must match
+    the original attempt's from event one. Arrays that begin at the
+    offset have no prefix to simulate and continue from the generator.
     """
     generator = watermarks.generator
     ooo = generator.max_out_of_orderness
     interval = generator.emit_interval
     sync = generator.restore_state
-    # Fresh-generator state (WatermarkGenerator defaults), NOT the
-    # current snapshot: see docstring.
-    max_ts = -(2**62)
-    last_emitted = -(2**62)
+    if arrays_from == start_offset:
+        state = generator.snapshot_state()
+        max_ts, last_emitted = state["max_ts"], state["last_emitted"]
+    else:
+        # Fresh-generator state (WatermarkGenerator defaults), NOT the
+        # current snapshot: see docstring.
+        max_ts = last_emitted = -(2**62)
 
     k = len(arrays)
     pos = [0] * k
     sizes = [len(entry[3]) for entry in arrays]
-    index = 0  # global 1-based delivery index of the last consumed event
+    index = arrays_from  # global 1-based delivery index of the last consumed event
     while True:
         threshold = last_emitted + interval + ooo
         cuts = [

@@ -103,6 +103,14 @@ class StateRegistry:
     def peak_bytes(self) -> int:
         return self._peak_bytes
 
+    def reset_peaks(self) -> None:
+        """Forget past peaks: the job's and every handle's peak restart
+        from what is held now (peaks are measured per run)."""
+        self._peak_bytes = 0
+        for handle in self._handles:
+            handle.peak_bytes = handle.bytes_used
+            handle.peak_items = handle.items
+
     def handles(self) -> Iterator[StateHandle]:
         return iter(self._handles)
 

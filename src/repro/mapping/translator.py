@@ -514,11 +514,12 @@ class TranslatedQuery:
         result.metrics["plan"] = self.plan.summary()
         return result
 
-    def matches(self) -> list[ComplexEvent]:
+    def matches(self, start: int = 0) -> list[ComplexEvent]:
+        """The sink's items as matches, from its ``start``-th item on."""
         if not isinstance(self.sink, CollectSink):
             raise TranslationError("matches() requires a CollectSink")
         out: list[ComplexEvent] = []
-        for item in self.sink.items:
+        for item in self.sink.items[start:]:
             if isinstance(item, ComplexEvent):
                 out.append(item)
             else:

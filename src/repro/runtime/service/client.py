@@ -230,6 +230,9 @@ def stream_events(
     """
     error_lines: list[dict[str, Any]] = []
     with socket.create_connection((host, port), timeout=timeout) as sock:
+        # The buffered writer below flushes in chunks; none of them may
+        # wait for the previous one's acknowledgement.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         writer = sock.makefile("wb")
         reader = sock.makefile("rb")
         seq = start_seq

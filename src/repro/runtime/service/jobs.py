@@ -12,11 +12,13 @@ primitives rather than a new engine: ingested events queue in a bounded
 per-job ingress buffer; the worker drains them into the job's log and
 runs a **round** of the job's backend on the job's lanes
 (:mod:`repro.asp.runtime.fault.recovery`) — the same ``run_round`` a
-one-shot ``execute`` runs once: restore each lane's latest checkpoint
-(operator state, watermark progress, sink contents, source offset),
-replay the log from that offset, and checkpoint again at the end. The
-terminal watermark is withheld until the final drain round, so windows
-stay open across rounds exactly as they would in one continuous run.
+one-shot ``execute`` runs once: continue each lane's live job from the
+log offset it stopped at (or, without one, restore the lane's latest
+checkpoint: operator state, watermark progress, sink contents, source
+offset), read the log from that offset, and checkpoint again at the
+end. The terminal watermark is withheld until the final drain round, so
+windows stay open across rounds exactly as they would in one continuous
+run.
 Crashes (injected or real ``InjectedFaultError``) retry from the latest
 checkpoint under the job's restart budget; sinks are part of every
 snapshot, so output is effectively-once across any number of worker
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.asp.datamodel import Event, TypeRegistry
-from repro.asp.operators.source import GeneratorSource
+from repro.asp.operators.source import LogSource
 from repro.asp.runtime import (
     DirectoryCheckpointStore,
     ExecutionSettings,
@@ -48,7 +50,7 @@ from repro.asp.runtime import (
     SerialBackend,
     ShardedBackend,
     checkpoint_metrics,
-    merge_metric_trees,
+    fold_metric_tree,
     open_lanes,
     parse_fault_plan,
     run_report,
@@ -250,6 +252,11 @@ class Job:
     restarts: list[dict[str, Any]] = field(default_factory=list)
     operator_tree: dict[str, Any] = field(default_factory=dict)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: Per query name: the sink list the keys were rendered from, how
+    #: many of its items they cover, and the sorted keys.
+    _match_keys: dict[str, tuple[list, int, list[str]]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         scope = self.registry.scope("ingress")
@@ -268,6 +275,10 @@ class Job:
             "duration_ms", bounds=_ROUND_MS_BOUNDS
         )
         self.slo_rounds = rounds_scope.counter("slo_triggered")
+        #: Source events the rounds pulled from the log, replayed ones
+        #: included; equals ``events_processed`` while every round reads
+        #: only what it has not seen.
+        self.events_read = rounds_scope.counter("events_read")
 
     # -- ingestion ---------------------------------------------------------
 
@@ -374,14 +385,26 @@ class Job:
 
     def match_keys(self, name: str) -> list[str]:
         """Canonical (sorted dedup-key) matches of one tenant — the frozen
-        snapshot for a cancelled tenant, the live sink otherwise."""
+        snapshot for a cancelled tenant, the live sink otherwise.
+
+        A match's key is rendered once: the sorted list is kept and
+        extended with what the sink gained since the last call. A sink's
+        item list only grows at its end; whatever replaces its contents
+        (a restore after a crash, a sharded round's fold) installs a new
+        list, and the keys are then rendered afresh.
+        """
         frozen = self.frozen_matches.get(name)
         if frozen is not None:
             return list(frozen)
-        index = self.query_names.index(name)
-        return sorted(
-            repr(m.dedup_key()) for m in self.compiled.matches_of(index)
-        )
+        query = self.compiled.queries[self.query_names.index(name)]
+        items, seen, keys = self._match_keys.get(name) or (None, 0, [])
+        if items is not query.sink.items:
+            items, seen, keys = query.sink.items, 0, []
+        if len(items) > seen:
+            keys.extend(repr(m.dedup_key()) for m in query.matches(seen))
+            keys.sort()
+            self._match_keys[name] = (items, len(items), keys)
+        return list(keys)
 
     def match_count(self, name: str) -> int:
         """``len(match_keys(name))`` without building the keys."""
@@ -695,7 +718,7 @@ class JobManager:
                 raise ServiceError("bad-fault-plan", str(exc)) from exc
 
         log: list[Event] = []
-        shared = GeneratorSource(lambda: list(log), name=f"ingest[{job_id}]")
+        shared = LogSource(log, name=f"ingest[{job_id}]")
         event_types = frozenset(
             t for _n, pattern, _o in parsed
             for t in pattern.distinct_event_types()
@@ -953,16 +976,23 @@ class JobManager:
             if queue_age is not None:
                 job.trigger_latency_ms.observe(queue_age)
             started = time.perf_counter()
+            flow = job.compiled.env.flow
+
+            def pulled() -> int:
+                return sum(node.source.emitted for node in flow.source_nodes())
+
+            read_before = pulled()
             # Only here does a round end in a checkpoint: the next round
             # resumes from this cut.
             result = job.runner.run_round(
-                job.compiled.env.flow,
+                flow,
                 job.settings,
                 job.lanes,
                 job.record_restart,
                 terminal=terminal,
                 cut=True,
             )
+            job.events_read.inc(pulled() - read_before)
             if job.state == JobState.FAILED:
                 # The restart budget died mid-round.
                 self._persist_progress(job)
@@ -974,12 +1004,7 @@ class JobManager:
             job.peak_state_bytes = max(job.peak_state_bytes, result.peak_state_bytes)
             job.work_units += result.work_units
             job.round_duration_ms.observe((time.perf_counter() - started) * 1000.0)
-            round_tree = result.metrics.get("operators") or {}
-            job.operator_tree = (
-                merge_metric_trees([job.operator_tree, round_tree])
-                if job.operator_tree
-                else round_tree
-            )
+            fold_metric_tree(job.operator_tree, result.metrics.get("operators") or {})
             if result.failed:
                 with job.cond:
                     job.state = JobState.FAILED

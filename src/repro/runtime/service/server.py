@@ -31,12 +31,21 @@ The TCP ingest protocol accepts the same NDJSON lines; malformed lines
 get a ``{"error": ...}`` response line (the connection stays open),
 ``{"op": "sync"}`` answers with a ``{"sync": ...}`` summary barrier, and
 ``{"op": "bye"}`` or EOF ends the session.
+
+A producer writes a batch and then a short line that asks for an answer
+(the barrier; an HTTP body after its head). With Nagle's algorithm on,
+its kernel holds the short write until the batch is acknowledged, and a
+receiver that has nothing to send back delays that acknowledgement by
+about 40 ms — a write–write–read stall that has nothing to do with the
+work. Every accepted connection therefore acknowledges what it reads at
+once (:func:`_ack_at_once`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -59,6 +68,26 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _ack_at_once(writer: asyncio.StreamWriter) -> None:
+    """Acknowledge this connection's received segments immediately.
+
+    Linux leaves quick-ACK mode by itself (the flag is a hint the kernel
+    clears as the connection's traffic pattern changes), so a session
+    calls this at accept and again after every read; setting it also
+    sends an acknowledgement that was being delayed. Where the platform
+    has no ``TCP_QUICKACK`` nothing happens and acknowledgements keep
+    the kernel's default timing.
+    """
+    option = getattr(socket, "TCP_QUICKACK", None)
+    sock = writer.get_extra_info("socket")
+    if option is None or sock is None:
+        return
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, option, 1)
+    except OSError:
+        pass  # the peer is gone; the next read or write reports it
 
 
 def _new_summary() -> dict[str, Any]:
@@ -140,6 +169,7 @@ class ReproService:
     async def _handle_http(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        _ack_at_once(writer)
         try:
             status, body = await self._http_request(reader)
             writer.write(_http_response(status, body))
@@ -334,11 +364,13 @@ class ReproService:
     ) -> None:
         loop = asyncio.get_running_loop()
         summary = _new_summary()
+        _ack_at_once(writer)
         try:
             applied = 0  # lines handed on so far; replies carry line numbers
             tail = b""
             while True:
                 chunk = await reader.read(_READ_BYTES)
+                _ack_at_once(writer)
                 *lines, tail = (tail + chunk).split(b"\n")
                 if tail and (not chunk or len(tail) > _READ_BYTES):
                     # EOF after an unterminated line, or no newline in

@@ -129,7 +129,7 @@ def test_streaming_source_falls_back_to_row_batches():
 
     _, ref, ref_bytes = run(1)
     job, res, out_bytes = run(256)
-    assert job._source_arrays is None
+    assert job._prepare_columnar() is None
     assert not res.failed, res.failure
     assert out_bytes == ref_bytes
     assert (res.events_in, res.items_out) == (ref.events_in, ref.items_out)
@@ -137,7 +137,9 @@ def test_streaming_source_falls_back_to_row_batches():
 
     # The same streams as lists do get column stores.
     listed = _fresh_query(pattern, streams, options)
-    assert SerialJob(listed.env.flow, ExecutionSettings(batch_size=256))._source_arrays
+    assert SerialJob(
+        listed.env.flow, ExecutionSettings(batch_size=256)
+    )._prepare_columnar()
 
 
 def _fanout_env(events, n_consumers):

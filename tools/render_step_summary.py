@@ -95,7 +95,8 @@ def render_serve(report: dict) -> list[str]:
         "",
         f"Streamed **{report.get('events_streamed', '?')}** events over TCP "
         f"to {len(report.get('queries', {}))} live queries "
-        f"({report.get('rounds', '?')} processing rounds, "
+        f"({report.get('rounds', '?')} processing rounds reading "
+        f"{report.get('events_read', '?')} log events, "
         f"{report.get('checkpoints', '?')} checkpoints).",
         "",
     ]
@@ -131,6 +132,7 @@ def render_soak(report: dict) -> list[str]:
     gauges = report.get("gauges", {})
     trigger = gauges.get("round_trigger_latency_ms", {})
     duration = gauges.get("round_duration_ms", {})
+    deciles = gauges.get("group_round_deciles", {})
     lines = [
         "## Serve soak",
         "",
@@ -145,6 +147,13 @@ def render_soak(report: dict) -> list[str]:
         f"round trigger latency p95 {trigger.get('p95_ms', '?')} ms "
         f"(max {trigger.get('max_ms', '?')} ms); "
         f"round duration p95 {duration.get('p95_ms', '?')} ms.",
+        "",
+        f"Group job, {deciles.get('rounds', '?')} rounds: mean round "
+        f"{deciles.get('first_decile_ms', '?')} ms over the first tenth, "
+        f"{deciles.get('last_decile_ms', '?')} ms over the last; per "
+        f"thousand events {deciles.get('first_decile_ms_per_kevent', '?')} ms "
+        f"and {deciles.get('last_decile_ms_per_kevent', '?')} ms "
+        f"(growth ratio **{deciles.get('growth_ratio', '?')}**).",
         "",
         "| job | tenant | state | rounds | events | matches | max queue |",
         "| --- | --- | --- | ---: | ---: | ---: | ---: |",

@@ -21,7 +21,9 @@ drives it exactly like a tenant would:
    one-shot batch reference computed in this process;
 4. assert the metrics endpoint serves a ``repro.metrics/v1`` tree with
    the admission counters, and the checkpoints endpoint a non-empty
-   durable chain;
+   durable chain; on the plain run (serial jobs, no kill) also that
+   ``rounds.events_read`` equals ``events_processed`` — every round read
+   only the log's unread suffix, held as a count, not a timing;
 5. stop the server with SIGTERM and require a clean graceful-drain exit.
 
 Exits nonzero on any mismatch; ``--report`` writes a JSON summary that
@@ -321,7 +323,8 @@ def main(argv: list[str] | None = None) -> int:
 
             client.drain()
 
-            rounds = checkpoints = 0
+            plain = not (args.group or args.sharded or args.kill_after is not None)
+            rounds = checkpoints = events_read = 0
             for job_id in sorted(set(jobs.values())):
                 metrics = client.metrics(job_id)
                 if metrics.get("schema") != "repro.metrics/v1":
@@ -330,6 +333,14 @@ def main(argv: list[str] | None = None) -> int:
                 if ingress["admission.accepted"]["value"] <= 0:
                     failures.append(f"{job_id}: no admission accounting")
                 rounds += metrics["service"]["rounds"]
+                read = metrics["service"]["ingress"]["rounds"]["events_read"]["value"]
+                events_read += read
+                processed = client.job(job_id)["events_processed"]
+                if plain and read != processed:
+                    failures.append(
+                        f"{job_id}: rounds read {read} log events to process "
+                        f"{processed} (a round must read only its suffix)"
+                    )
                 chain = client.checkpoints(job_id)
                 if not (chain["durable"] and chain["entries"]):
                     failures.append(f"{job_id}: no durable checkpoints")
@@ -355,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
                     failures.append(f"{query_name}: server != batch")
             report["rounds"] = rounds
             report["checkpoints"] = checkpoints
+            report["events_read"] = events_read
 
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=args.timeout)

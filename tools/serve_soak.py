@@ -13,7 +13,11 @@ that): after the final drain every job ever submitted must sit in a
 terminal state (``drained``/``cancelled``), none ``failed``, none stuck
 ``running``. The JSON report carries queue-depth and round-latency
 gauges (max depth seen, trigger-latency/duration histograms merged
-across jobs, SLO-triggered round count) for the step summary.
+across jobs, SLO-triggered round count) for the step summary, plus the
+mean round duration of the long-lived group job over the first and the
+last tenth of its rounds, and the same per thousand events processed
+(rounds grow with the backlog): that ratio is how much an event's cost
+grew with the log.
 
 Usage::
 
@@ -98,6 +102,29 @@ def merge_histograms(snapshots: list[dict]) -> dict:
     }
 
 
+def decile_round_ms(samples: list[tuple[int, float, int]]) -> dict:
+    """Mean round duration, and duration per thousand events, over the
+    first and the last tenth of a job's rounds, from ``(rounds, sum_ms,
+    events_processed)`` readings of what the job publishes, taken as the
+    soak went (the reading nearest each tenth)."""
+    rounds, total_ms, events = samples[-1] if samples else (0, 0.0, 0)
+    head = next((s for s in samples if s[0] >= rounds / 10), None)
+    tail = next((s for s in reversed(samples) if s[0] <= rounds - rounds / 10), None)
+    if rounds < 10 or not head[2] or events == tail[2]:
+        return {"rounds": rounds}
+    first_ms, last_ms = head[1], total_ms - tail[1]
+    first_kev = first_ms / head[2] * 1000.0
+    last_kev = last_ms / (events - tail[2]) * 1000.0
+    return {
+        "rounds": rounds,
+        "first_decile_ms": round(first_ms / head[0], 3),
+        "last_decile_ms": round(last_ms / (rounds - tail[0]), 3),
+        "first_decile_ms_per_kevent": round(first_kev, 3),
+        "last_decile_ms_per_kevent": round(last_kev, 3),
+        "growth_ratio": round(last_kev / first_kev, 2),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=30.0,
@@ -125,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     wire = build_wire(args.events, args.seed)
     job_names: dict[str, str] = {}  # job id -> display name
     depth_max: dict[str, int] = {}
+    #: Per tick, the group job's (rounds, summed round ms, events processed).
+    group_rounds: list[tuple[int, float, int]] = []
     submitted = cancelled = 0
     streamed = duplicates = rejected = 0
 
@@ -186,6 +215,13 @@ def main(argv: list[str] | None = None) -> int:
                     depth = status["queue_depth"]
                     if depth > depth_max.get(status["id"], -1):
                         depth_max[status["id"]] = depth
+                    if status["id"] == group_id:
+                        duration = client.metrics(group_id)["service"]["ingress"][
+                            "rounds"]["duration_ms"]
+                        group_rounds.append((
+                            duration["count"], duration["sum"],
+                            status["events_processed"],
+                        ))
                     if status["state"] == "failed":
                         failures.append(
                             f"{status['id']} failed mid-soak: {status['failure']}"
@@ -254,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
                 "queue_depth_max": max(depth_max.values(), default=0),
                 "round_trigger_latency_ms": merge_histograms(trigger_snaps),
                 "round_duration_ms": merge_histograms(duration_snaps),
+                "group_round_deciles": decile_round_ms(group_rounds),
                 "slo_rounds": slo_rounds,
             }
             report.update(
@@ -269,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"gauges: queue_depth_max={gauges['queue_depth_max']} "
                 f"trigger_p95={gauges['round_trigger_latency_ms']['p95_ms']}ms "
                 f"duration_p95={gauges['round_duration_ms']['p95_ms']}ms "
-                f"slo_rounds={slo_rounds}"
+                f"slo_rounds={slo_rounds} "
+                f"group_round_growth={gauges['group_round_deciles'].get('growth_ratio')}"
             )
         except Exception as exc:  # noqa: BLE001 - report, then fail the job
             failures.append(f"{type(exc).__name__}: {exc}")
