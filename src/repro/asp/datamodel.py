@@ -203,6 +203,28 @@ class ComplexEvent:
         self.detection_ts = detection_ts
         self.size_bytes = 64 + sum(e.size_bytes for e in self.events)
 
+    @staticmethod
+    def from_parts(
+        events: tuple[Event, ...], ts_b: int, ts_e: int, ts: int, size_bytes: int
+    ) -> "ComplexEvent":
+        """Compose a match in O(1) from what its parts already carry.
+
+        The caller guarantees ``ts_b``/``ts_e`` are the extremes of
+        ``events`` and ``size_bytes`` is ``64 +`` their sizes — true
+        whenever a match is built from parts that each know their own
+        span and size (a join pair, a strictly increasing Kleene pick).
+        Field for field what ``ComplexEvent(events, ts=ts)`` yields,
+        without re-deriving any of it from the leaves.
+        """
+        ce = object.__new__(ComplexEvent)
+        ce.events = events
+        ce.ts_b = ts_b
+        ce.ts_e = ts_e
+        ce.ts = ts
+        ce.detection_ts = None
+        ce.size_bytes = size_bytes
+        return ce
+
     @property
     def duration(self) -> int:
         return self.ts_e - self.ts_b

@@ -27,20 +27,27 @@ they behave as Equi Joins (optimization O3: hash-partitionable); without,
 they run in a single global partition — the paper's "no naive key
 partitioning" case. A ``theta`` predicate (temporal order and any other
 non-equi constraint) is applied to every candidate pair.
+
+The batch engine runs an interval join's pair loop as a function
+generated from the plan (:func:`probe_source`). The sliding join's
+per-window pair loop stays interpreted on purpose: its constant is the
+W/slide cost the paper attributes to sliding windows, and the gates
+calibrated on it (``bench_optimizer``'s never-loses parity and its
+``SEQ-wide/static`` floor) fail when only that side gets cheaper;
+``tests/test_paper_claims.py`` pins the pair count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice, repeat
+from types import CodeType
 from typing import Any, Callable, Iterable, Literal, Sequence
 
 from repro.asp.datamodel import ComplexEvent
-from repro.asp.operators.base import (
-    Item,
-    StatefulOperator,
-    constituents,
-)
+from repro.asp.operators.base import Item, StatefulOperator
 from repro.asp.operators.window import IntervalBounds, SlidingWindowAssigner, WindowSpec
 from repro.asp.time import Watermark
 
@@ -54,11 +61,11 @@ def _global_key(_item: Item) -> Any:
     return GLOBAL_KEY
 
 
-def _group_by_key(items: Sequence[Item], key_fn: KeyFn) -> dict[Any, list[Item]]:
-    """Partition a run by join key, preserving arrival order per key."""
+def _group_by_key(keys: Iterable[Any], items: Sequence[Item]) -> dict[Any, list[Item]]:
+    """Partition a run by its items' join keys, preserving arrival order
+    per key."""
     groups: dict[Any, list[Item]] = {}
-    for item in items:
-        key = key_fn(item)
+    for key, item in zip(keys, items):
         group = groups.get(key)
         if group is None:
             groups[key] = [item]
@@ -74,10 +81,28 @@ def compose(left: Item, right: Item, emit_ts: Literal["min", "max"]) -> ComplexE
     nested patterns (strictest downstream window constraint), ``max`` for
     complete matches.
     """
-    events = constituents(left) + constituents(right)
-    ce = ComplexEvent(events)
-    ce.ts = ce.ts_b if emit_ts == "min" else ce.ts_e
-    return ce
+    # O(1) in the number of constituents: both parts already carry their
+    # span and size, so nothing is re-derived from the leaves. Slot for
+    # slot what ``ComplexEvent(l_events + r_events)`` yields.
+    if type(left) is ComplexEvent:
+        events, ts_b, ts_e, size = left.events, left.ts_b, left.ts_e, left.size_bytes
+    else:
+        events, ts_b, ts_e, size = (left,), left.ts, left.ts, 64 + left.size_bytes
+    if type(right) is ComplexEvent:
+        events += right.events
+        size += right.size_bytes - 64
+        r_b, r_e = right.ts_b, right.ts_e
+    else:
+        events += (right,)
+        size += right.size_bytes
+        r_b = r_e = right.ts
+    if r_b < ts_b:
+        ts_b = r_b
+    if r_e > ts_e:
+        ts_e = r_e
+    return ComplexEvent.from_parts(
+        events, ts_b, ts_e, ts_b if emit_ts == "min" else ts_e, size
+    )
 
 
 class _SideBuffer:
@@ -303,7 +328,7 @@ class SlidingWindowJoin(StatefulOperator):
         if not self.is_keyed:
             buffer.extend(GLOBAL_KEY, items)
         else:
-            for key, group in _group_by_key(items, key_fn).items():
+            for key, group in _group_by_key(map(key_fn, items), items).items():
                 buffer.extend(key, group)
         # min() over the run commutes with the per-item cursor rule: the
         # window index is monotone in ts and nothing fires mid-batch.
@@ -409,6 +434,134 @@ class SlidingWindowJoin(StatefulOperator):
         self.work_units += tested
 
 
+@dataclass(frozen=True)
+class ProbePlan:
+    """What is known about an interval join before any event arrives.
+
+    The translator attaches one to the theta closure it lowers
+    (``theta.probe_plan``, the way a scan's ``check.mask`` travels); a
+    handwritten ``IntervalJoin(bounds, theta=fn)`` has none and gets the
+    default: both shapes decided per item, ``theta`` called per pair.
+    """
+
+    #: What each input delivers: ``"event"`` (bare ``Event``),
+    #: ``"complex"`` (``ComplexEvent``) or ``"any"`` (tested per item).
+    left_shape: str = "any"
+    right_shape: str = "any"
+    #: Sequence order ``max(left.ts) < min(right.ts)`` (Eq. 10).
+    ordered: bool = False
+    #: Iteration's inter-event condition on (last of left, first of right).
+    condition: Callable[[Any, Any], bool] | None = None
+    #: The residual conjuncts as Python expressions over ``l``/``r`` (a
+    #: bare event side), ``le[i]``/``re[j]`` (constituents) and the
+    #: constants ``_k0…``; ``None`` when the pair test stays one call to
+    #: ``theta`` — ``fallback`` then says for which conjunct and why.
+    conjuncts: tuple[str, ...] | None = None
+    constants: tuple[Any, ...] = ()
+    fallback: str = ""
+
+    def describe(self) -> str:
+        """The ``probe:`` note of ``repro explain``, after the join label."""
+        shapes = f"{self.left_shape.capitalize()}×{self.right_shape.capitalize()}"
+        if self.conjuncts is None:
+            return f"{shapes}, falls back to theta() for {self.fallback}"
+        n = len(self.conjuncts)
+        return f"{shapes}, {n} conjunct{'' if n == 1 else 's'} inlined"
+
+
+def _unpack(v: str, shape: str) -> tuple[list[str], list[str]]:
+    """Source lines binding one side's span (``{v}_b``/``{v}_e``, needed
+    to test a pair) and its events and event bytes (``{v}e``/``{v}_size``,
+    needed by a complex side's conjuncts and to compose)."""
+    event = ([f"{v}_b = {v}_e = {v}.ts"], [f"{v}e = ({v},)", f"{v}_size = {v}.size_bytes"])
+    complex_ = (
+        [f"{v}e = {v}.events", f"{v}_b = {v}.ts_b", f"{v}_e = {v}.ts_e"],
+        [f"{v}_size = {v}.size_bytes - 64"],
+    )
+    if shape == "event":
+        return event
+    if shape == "complex":
+        return complex_
+    branch = [f"if type({v}) is _CE:"]
+    branch += ["    " + line for line in complex_[0] + complex_[1]]
+    branch += ["else:"]
+    branch += ["    " + line for line in event[0] + event[1]]
+    return branch, []
+
+
+def probe_source(
+    plan: ProbePlan, port: int, emit_ts: str, calls_theta: bool
+) -> str:
+    """Source of the probe of one join and arriving side.
+
+    ``_probe(item, candidates, append)`` tests the arriving ``item``
+    (left on port 0, right on port 1) against the opposite buffer's
+    candidate slice and appends every match: per pair exactly what
+    :meth:`IntervalJoin._test_and_emit` does — the total-span rule, then
+    order, consecutive condition and residual conjuncts in ``theta``'s
+    order, then :func:`compose` — with everything the plan fixes (shapes,
+    which tests exist, the emit timestamp) decided here instead of per
+    pair. Swapping the span rule and the order test is invisible (both
+    are integer comparisons) and lets an ordered pair use
+    ``ts_b = l_b, ts_e = r_e``, which order implies.
+    """
+    arriving, candidate = ("l", "r") if port == 0 else ("r", "l")
+    shape = {"l": plan.left_shape, "r": plan.right_shape}
+    head, head_late = _unpack(arriving, shape[arriving])
+    early, late = _unpack(candidate, shape[candidate])
+    inline = plan.conjuncts is not None
+    tests: list[str] = []
+    if inline and plan.ordered:
+        tests.append("if l_e >= r_b: continue")
+        ts_b, ts_e = "l_b", "r_e"
+    else:
+        tests += ["ts_b = l_b if l_b < r_b else r_b", "ts_e = l_e if l_e > r_e else r_e"]
+        ts_b, ts_e = "ts_b", "ts_e"
+    tests.append(f"if {ts_e} - {ts_b} >= _upper: continue")
+    if not inline:
+        if calls_theta:
+            tests.append("if not theta(l, r): continue")
+    else:
+        if plan.condition is not None:
+            last = "l" if plan.left_shape == "event" else "le[-1]"
+            first = "r" if plan.right_shape == "event" else "re[0]"
+            tests.append(f"if not cond({last}, {first}): continue")
+        tests += [f"if not ({expr}): continue" for expr in plan.conjuncts or ()]
+    emit = [
+        "ce = _new(_CE)",
+        "ce.events = le + re",
+        f"ce.ts_b = {ts_b}",
+        f"ce.ts_e = {ts_e}",
+        f"ce.ts = {ts_b if emit_ts == 'min' else ts_e}",
+        "ce.detection_ts = None",
+        "ce.size_bytes = 64 + l_size + r_size",
+        "append(ce)",
+    ]
+    lines = [f"def _probe({arriving}, candidates, append):"]
+    lines += ["    " + line for line in head + head_late]
+    lines.append(f"    for {candidate} in candidates:")
+    lines += ["        " + line for line in early + tests + late + emit]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=512)
+def _probe_code(source: str) -> CodeType:
+    return compile(source, "<interval-join probe>", "exec")
+
+
+def compile_probe(source: str, namespace: dict[str, object]) -> Callable[..., None]:
+    """The one place probe source becomes a function.
+
+    Code objects are cached by source text — joins of one shape share
+    one, whatever their bounds, constants and callables, which live in
+    ``namespace``. The function keeps its ``source`` for debuggers.
+    """
+    exec(_probe_code(source), namespace)  # noqa: S102 - generated from plan facts
+    probe: Any = namespace["_probe"]
+    probe.source = source
+    return probe
+
+
 class IntervalJoin(StatefulOperator):
     """Content-based window join (optimization O1, Section 4.3.1).
 
@@ -442,6 +595,16 @@ class IntervalJoin(StatefulOperator):
         self._right: _SideBuffer | None = None
         self.pairs_tested = 0
         self.pairs_emitted = 0
+        # One per arriving port, compiled on that port's first batch:
+        # constructing (and so submitting) a join compiles nothing.
+        self._probes: list[Callable[..., None] | None] = [None, None]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Probes derive from configuration, they are not state: a copied
+        # or pickled join builds its own on first use.
+        state = self.__dict__.copy()
+        state["_probes"] = [None, None]
+        return state
 
     @property
     def key_parallel_safe(self) -> bool:
@@ -522,40 +685,67 @@ class IntervalJoin(StatefulOperator):
         whole run before probing emits exactly the pairs, in exactly the
         order, of per-item processing. Every pair is still emitted once:
         whichever side is processed later finds the earlier one buffered.
+
+        The pair loop is this join's generated probe (:func:`probe_source`);
+        counters advance per candidate slice and end equal to the
+        per-event path's.
         """
         if not items:
             return []
         self._ensure_buffers()
-        self.work_units += len(items)
-        out: list[Item] = []
+        lower, upper = self.bounds.lower, self.bounds.upper
+        # Candidate timestamps relative to the arriving item's: rights in
+        # (ts + lower, ts + upper), lefts in (ts - upper, ts - lower).
         if port == 0:
-            key_fn = self.left_key
-            if not self.is_keyed:
-                self._left.extend(GLOBAL_KEY, items)
-            else:
-                for key, group in _group_by_key(items, key_fn).items():
-                    self._left.extend(key, group)
-            right = self._right
-            window_for = self.bounds.window_for
-            for item in items:
-                win = window_for(item.ts)
-                for r_item in right.slice(key_fn(item), win.begin, win.end):
-                    self._test_and_emit(item, r_item, out)
+            own, other, key_fn = self._left, self._right, self.left_key
+            begin_offset, end_offset = lower + 1, upper
         elif port == 1:
-            key_fn = self.right_key
-            if not self.is_keyed:
-                self._right.extend(GLOBAL_KEY, items)
-            else:
-                for key, group in _group_by_key(items, key_fn).items():
-                    self._right.extend(key, group)
-            left = self._left
-            upper, lower = self.bounds.upper, self.bounds.lower
-            for item in items:
-                for l_item in left.slice(key_fn(item), item.ts - upper + 1, item.ts - lower):
-                    self._test_and_emit(l_item, item, out)
+            own, other, key_fn = self._right, self._left, self.right_key
+            begin_offset, end_offset = 1 - upper, -lower
         else:
             raise ValueError(f"join received item on invalid port {port}")
+        probe = self._probes[port] or self._build_probe(port)
+        keys: Iterable[Any]
+        if self.is_keyed:
+            keys = [key_fn(item) for item in items]
+            for key, group in _group_by_key(keys, items).items():
+                own.extend(key, group)
+        else:
+            keys = repeat(GLOBAL_KEY)
+            own.extend(GLOBAL_KEY, items)
+        out: list[Item] = []
+        append = out.append
+        entry_of = other.by_key.get
+        tested = 0
+        for key, item in zip(keys, items):
+            entry = entry_of(key)
+            if entry is None:
+                continue
+            ts_list, candidates = entry
+            ts = item.ts
+            lo = bisect_left(ts_list, ts + begin_offset)
+            hi = bisect_left(ts_list, ts + end_offset, lo)
+            if lo < hi:
+                tested += hi - lo
+                probe(item, candidates[lo:hi], append)
+        self.pairs_tested += tested
+        self.pairs_emitted += len(out)
+        self.work_units += len(items) + tested
         return out
+
+    def _build_probe(self, port: int) -> Callable[..., None]:
+        plan = getattr(self.theta, "probe_plan", None) or ProbePlan()
+        namespace: dict[str, object] = {
+            "_CE": ComplexEvent,
+            "_new": object.__new__,
+            "_upper": self.bounds.upper,
+            "theta": self.theta,
+            "cond": plan.condition,
+        }
+        namespace.update((f"_k{i}", value) for i, value in enumerate(plan.constants))
+        source = probe_source(plan, port, self.emit_ts, self.theta is not None)
+        probe = self._probes[port] = compile_probe(source, namespace)
+        return probe
 
     def _test_and_emit(self, l_item: Item, r_item: Item, out: list[Item]) -> None:
         self.pairs_tested += 1

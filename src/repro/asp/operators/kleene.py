@@ -227,11 +227,6 @@ class KleeneIterOperator(StatefulOperator):
                 newest = ts_list[-1]
         return newest // self.window.slide
 
-    def _is_first_window(self, window_begin: int, newest: int) -> bool:
-        size, slide = self.window.size, self.window.slide
-        first_k = -(-(newest - size + 1) // slide)  # ceil
-        return window_begin == first_k * slide
-
     def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
         if self._next_window_index is None:
             return ()
@@ -280,11 +275,11 @@ class KleeneIterOperator(StatefulOperator):
         """
         candidates = sorted(candidates, key=lambda e: (e.ts, e.id, e.value))
         runs: list[list[Event]] = []
-        last_ts: int | None = None
+        run_ts: list[int] = []
         for event in candidates:
-            if event.ts != last_ts:
+            if not run_ts or event.ts != run_ts[-1]:
                 runs.append([event])
-                last_ts = event.ts
+                run_ts.append(event.ts)
             else:
                 runs[-1].append(event)
         minimum = self.minimum
@@ -292,12 +287,24 @@ class KleeneIterOperator(StatefulOperator):
         condition = self.condition
         emit_max = self.emit_ts == "max"
         n_runs = len(runs)
+        # Cross-window dedup: only the first window containing the newest
+        # pick emits — the window whose last slide stripe holds it.
+        stripe = begin + self.window.size - self.window.slide
+        # Bounded ITER^m emits on its m-th pick only, so that pick starts
+        # at the stripe's first run: earlier completions cannot emit here.
+        final_start = 0 if unbounded else bisect_left(run_ts, stripe)
+        from_parts = ComplexEvent.from_parts
         stack: list[Event] = []
+        tested = emitted = 0
 
-        def extend(run_index: int) -> None:
+        def extend(run_index: int, stack_bytes: int) -> None:
+            nonlocal tested, emitted
+            size = len(stack) + 1
+            if size == minimum and run_index < final_start:
+                run_index = final_start
             for r in range(run_index, n_runs):
                 for event in runs[r]:
-                    self.combos_tested += 1
+                    tested += 1
                     if (
                         condition is not None
                         and stack
@@ -305,19 +312,26 @@ class KleeneIterOperator(StatefulOperator):
                     ):
                         continue
                     stack.append(event)
-                    size = len(stack)
-                    if size >= minimum and (unbounded or size == minimum):
-                        # Cross-window dedup: only the first window
-                        # containing the newest pick emits.
-                        if self._is_first_window(begin, event.ts):
-                            ce = ComplexEvent(tuple(stack))
-                            if emit_max:
-                                ce.ts = ce.ts_e
-                            self.matches_emitted += 1
-                            out.append(ce)
+                    size_bytes = stack_bytes + event.size_bytes
+                    if size >= minimum and event.ts >= stripe:
+                        # Picks come from strictly increasing runs: the
+                        # first and the last are the match's span.
+                        first_ts = stack[0].ts
+                        out.append(
+                            from_parts(
+                                tuple(stack),
+                                first_ts,
+                                event.ts,
+                                event.ts if emit_max else first_ts,
+                                size_bytes,
+                            )
+                        )
+                        emitted += 1
                     if unbounded or size < minimum:
-                        extend(r + 1)
+                        extend(r + 1, size_bytes)
                     stack.pop()
 
-        extend(0)
+        extend(0, 64)
+        self.combos_tested += tested
+        self.matches_emitted += emitted
         self.work_units += len(candidates)

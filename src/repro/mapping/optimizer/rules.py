@@ -560,6 +560,14 @@ class AnnotateColumnarSegments(Rule):
     notes, with the cardinality interval of each as the justification —
     a wide survivor interval means the mask saves many per-event closure
     calls. Annotation only — the plan tree is untouched.
+
+    Each binary join gets one note saying what the batch engine will run
+    for it: an interval join its generated probe (input shapes, how many
+    residual conjuncts are inlined, or which one keeps the probe calling
+    ``theta()`` and why — :func:`repro.mapping.translator.probe_plan`, the
+    same facts the lowered operator compiles from); a sliding join the
+    interpreted per-window pair loop with its ``W/slide`` re-test factor,
+    the paper's cost for overlapping windows.
     """
 
     name = "annotate-columnar-segments"
@@ -567,12 +575,22 @@ class AnnotateColumnarSegments(Rule):
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
         from repro.analysis.cardinality import interpret_node, _join_ordinals
+        from repro.mapping.translator import probe_plan
         from repro.sea.predicates import compile_mask
 
         notes: list[str] = []
         cache: dict = {}
         ordinals = _join_ordinals(plan.root)
         for node in plan.root.walk():
+            if isinstance(node, WindowJoin):
+                if node.strategy is WindowStrategy.INTERVAL:
+                    notes.append(f"probe: {node.label()} {probe_plan(node).describe()}")
+                else:
+                    notes.append(
+                        f"sliding: {node.label()} interpreted per-window pair "
+                        f"loop (W/slide = {-(-node.window_size // node.window_slide)})"
+                    )
+                continue
             if not (isinstance(node, StreamScan) and node.filters):
                 continue
             if compile_mask(node.filters) is None:
@@ -592,11 +610,13 @@ class AnnotateColumnarSegments(Rule):
                 f"mask pass ({len(node.filters)} conjunct(s), {survivors})"
             )
         segments = [n for n in notes if n.startswith("columnar segment")]
-        if not segments:
-            return RuleDecision.decline("no mask-compilable scan")
+        joins = [n for n in notes if n.startswith(("probe", "sliding"))]
+        if not segments and not joins:
+            return RuleDecision.decline("no mask-compilable scan and no binary join")
         return RuleDecision.fire(
             dc_replace(plan, notes=plan.notes + tuple(notes)),
-            f"marked {len(segments)} columnar segment(s) for the batch engine",
+            f"marked {len(segments)} columnar segment(s) and {len(joins)} "
+            "join pair loop(s) for the batch engine",
         )
 
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Literal, Mapping, Seq
 from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
 from repro.asp.runtime import RunResult
 from repro.asp.operators.base import Item, constituents
+from repro.asp.operators.join import ProbePlan
 from repro.asp.operators.sink import CollectSink, Sink
 from repro.asp.operators.source import Source
 from repro.asp.operators.window import IntervalBounds, WindowSpec
@@ -48,7 +49,14 @@ from repro.mapping.optimizer.ir import (
     WindowStrategy,
 )
 from repro.sea.ast import Pattern
-from repro.sea.predicates import Predicate, compile_check, compile_mask
+from repro.sea.predicates import (
+    CORE_SLOTS,
+    Attr,
+    Predicate,
+    compile_check,
+    compile_mask,
+    predicate_source,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - the analysis package sits above mapping
     from repro.analysis.diagnostics import AnalysisReport
@@ -90,7 +98,69 @@ def _make_theta(join: WindowJoin) -> Callable[[Item, Item], bool] | None:
                     return False
         return True
 
+    if join.strategy is WindowStrategy.INTERVAL:
+        # What the batch engine's generated probe inlines in place of
+        # calling this closure per pair; travels like a scan's check.mask.
+        theta.probe_plan = probe_plan(join)  # type: ignore[attr-defined]
     return theta
+
+
+def _shape(node: PlanNode) -> str:
+    """What a plan node emits: bare events, composed matches, or either."""
+    if isinstance(node, (StreamScan, NseqPrepare)):
+        return "event"
+    if isinstance(node, (WindowJoin, MultiWayJoin, KleeneIterate, Permute)):
+        return "complex"
+    return "any"
+
+
+def probe_plan(join: WindowJoin) -> ProbePlan:
+    """The plan facts an interval join's generated probe is built from.
+
+    Each residual conjunct becomes a Python expression over the pair:
+    ``l``/``r`` for a bare-event side, ``le[i]``/``re[j]`` for the i-th
+    constituent otherwise; core attributes are slot reads, any other goes
+    through ``event[name]`` so a missing one still raises ``SchemaError``.
+    One conjunct without such a form — an alias bound more than once (the
+    closure's later-binding-wins rule is not positional), a constituent
+    index on a side of unknown arity, a predicate outside the closed AST
+    — and the probe keeps calling the closure for the whole pair test.
+    """
+    left_shape, right_shape = _shape(join.left), _shape(join.right)
+    sides = (
+        ("l", left_shape, join.left.aliases),
+        ("r", right_shape, join.right.aliases),
+    )
+    bound = join.left.aliases + join.right.aliases
+    constants: list[Any] = []
+
+    def attr_source(ref: Attr) -> str:
+        if bound.count(ref.alias) != 1:
+            raise TypeError(f"alias '{ref.alias}' bound {bound.count(ref.alias)} times")
+        var, shape, aliases = sides[0] if ref.alias in sides[0][2] else sides[1]
+        index = aliases.index(ref.alias)
+        if shape == "any" and index:
+            raise TypeError(f"'{ref.alias}' is constituent {index} of an input of unknown arity")
+        event = var if shape == "event" else f"{var}e[{index}]"
+        slot = CORE_SLOTS.get(ref.attribute)
+        return f"{event}.{slot}" if slot else f"{event}[{ref.attribute!r}]"
+
+    conjuncts: list[str] = []
+    for pred in join.extra_theta:
+        try:
+            conjuncts.append(predicate_source(pred, attr_source, constants))
+        except TypeError as exc:
+            return ProbePlan(
+                left_shape, right_shape, fallback=f"{pred.render()} ({exc})"
+            )
+    return ProbePlan(
+        left_shape,
+        right_shape,
+        join.ordered,
+        join.consecutive_condition,  # type: ignore[arg-type]
+        tuple(conjuncts),
+        tuple(constants),
+    )
 
 
 def _make_key_fn(
@@ -431,8 +501,16 @@ class _Compiler:
         def permute(item: Item) -> Item:
             if not isinstance(item, ComplexEvent):
                 return item
-            events = tuple(item.events[i] for i in order)
-            return ComplexEvent(events, detection_ts=item.detection_ts, ts=item.ts)
+            # A permutation keeps the match's span and size.
+            ce = ComplexEvent.from_parts(
+                tuple(item.events[i] for i in order),
+                item.ts_b,
+                item.ts_e,
+                item.ts,
+                item.size_bytes,
+            )
+            ce.detection_ts = item.detection_ts
+            return ce
 
         return source.map(
             permute, name=f"permute[{','.join(map(str, order))}]"

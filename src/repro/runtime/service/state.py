@@ -35,7 +35,9 @@ targets process death (SIGKILL), where the page cache survives.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import threading
 from pathlib import Path
 from typing import IO, Any, Iterator
@@ -44,6 +46,8 @@ _MANIFEST = "job.json"
 _PROGRESS = "state.json"
 _WAL = "ingest.wal"
 _TRACKER = "tracker.json"
+
+_TMP_SERIAL = itertools.count()
 
 
 class ServiceState:
@@ -156,9 +160,19 @@ class ServiceState:
 
     @staticmethod
     def _write_atomic(path: Path, doc: dict[str, Any]) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        tmp.replace(path)
+        # Writers of one path can race (a cancel persisting progress while
+        # the worker does): each writes its own temporary, the last
+        # ``replace`` wins. One shared ``<name>.tmp`` let the second
+        # ``replace`` find its file already renamed away.
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.{next(_TMP_SERIAL)}.tmp"
+        )
+        try:
+            tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _job_order(job_id: str) -> int:

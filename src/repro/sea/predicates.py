@@ -373,8 +373,8 @@ def compile_check(predicates: Iterable[Predicate]) -> Callable[[Event], bool] | 
 # over the core slot attributes compile; anything else (``attrs`` map
 # lookups) returns ``None`` and the operator falls back to rows.
 
-#: Event.__getitem__ names that map onto ColumnStore columns.
-_MASK_COLUMNS = {
+#: Event.__getitem__ names that are slots (and ColumnStore columns).
+CORE_SLOTS = {
     "ts": "ts",
     "id": "id",
     "value": "value",
@@ -385,40 +385,46 @@ _MASK_COLUMNS = {
 }
 
 
-def _mask_expr(expr: Expr, cols: dict[str, None], consts: list[Any]) -> str:
+def _source_expr(expr: Expr, attr_source: Callable[[Attr], str], consts: list[Any]) -> str:
     if isinstance(expr, Const):
         consts.append(expr.value)
         return f"_k{len(consts) - 1}"
     if isinstance(expr, Attr):
-        column = _MASK_COLUMNS.get(expr.attribute)
-        if column is None:
-            raise TypeError(f"no column for attribute '{expr.attribute}'")
-        cols[column] = None
-        return f"_c_{column}[_i]"
+        return attr_source(expr)
     if isinstance(expr, Arith):
-        left = _mask_expr(expr.left, cols, consts)
-        right = _mask_expr(expr.right, cols, consts)
+        left = _source_expr(expr.left, attr_source, consts)
+        right = _source_expr(expr.right, attr_source, consts)
         return f"({left} {expr.op} {right})"
-    raise TypeError(f"cannot compile expression {expr!r} to a mask")
+    raise TypeError(f"cannot compile expression {expr!r} to source")
 
 
-_MASK_CMP = {"=": "==", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_SOURCE_CMP = {"=": "==", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-def _mask_pred(pred: Predicate, cols: dict[str, None], consts: list[Any]) -> str:
+def predicate_source(
+    pred: Predicate, attr_source: Callable[[Attr], str], consts: list[Any]
+) -> str:
+    """``pred`` as a Python expression, for generated functions.
+
+    ``attr_source`` renders each attribute reference (and raises
+    ``TypeError`` for one it cannot); constants are appended to
+    ``consts`` and named ``_k<position>``. Operators and short-circuit
+    order are ``evaluate``'s. Raises ``TypeError`` for node types
+    outside the closed AST (an opaque UDF predicate).
+    """
     if isinstance(pred, Compare):
-        left = _mask_expr(pred.left, cols, consts)
-        right = _mask_expr(pred.right, cols, consts)
-        return f"{left} {_MASK_CMP[pred.op]} {right}"
+        left = _source_expr(pred.left, attr_source, consts)
+        right = _source_expr(pred.right, attr_source, consts)
+        return f"{left} {_SOURCE_CMP[pred.op]} {right}"
     if isinstance(pred, And):
-        return f"({_mask_pred(pred.left, cols, consts)} and {_mask_pred(pred.right, cols, consts)})"
+        return f"({predicate_source(pred.left, attr_source, consts)} and {predicate_source(pred.right, attr_source, consts)})"
     if isinstance(pred, Or):
-        return f"({_mask_pred(pred.left, cols, consts)} or {_mask_pred(pred.right, cols, consts)})"
+        return f"({predicate_source(pred.left, attr_source, consts)} or {predicate_source(pred.right, attr_source, consts)})"
     if isinstance(pred, Not):
-        return f"(not ({_mask_pred(pred.inner, cols, consts)}))"
+        return f"(not ({predicate_source(pred.inner, attr_source, consts)}))"
     if isinstance(pred, TruePredicate):
         return "True"
-    raise TypeError(f"cannot compile predicate {pred!r} to a mask")
+    raise TypeError(f"cannot compile predicate {pred!r} to source")
 
 
 def compile_mask(predicates: Iterable[Predicate]) -> Callable[[Any, Iterable[int]], list[int]] | None:
@@ -433,8 +439,16 @@ def compile_mask(predicates: Iterable[Predicate]) -> Callable[[Any, Iterable[int
     """
     cols: dict[str, None] = {}
     consts: list[Any] = []
+
+    def column_ref(attribute: Attr) -> str:
+        column = CORE_SLOTS.get(attribute.attribute)
+        if column is None:
+            raise TypeError(f"no column for attribute '{attribute.attribute}'")
+        cols[column] = None
+        return f"_c_{column}[_i]"
+
     try:
-        parts = [_mask_pred(p, cols, consts) for p in predicates]
+        parts = [predicate_source(p, column_ref, consts) for p in predicates]
     except TypeError:
         return None
     body = " and ".join(f"({p})" for p in parts) if parts else "True"

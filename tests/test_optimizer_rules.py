@@ -242,9 +242,51 @@ class TestAnnotateColumnarSegments:
         assert decision.fired
         assert any("columnar segment" in note for note in decision.plan.notes)
 
-    def test_declines_on_unfiltered_scans(self):
-        plan = plan_for("PATTERN SEQ(Q a, V b) WITHIN 10 MINUTES")
+    def test_declines_without_filtered_scans_or_binary_joins(self):
+        plan = plan_for("PATTERN OR(Q a, V b) WITHIN 10 MINUTES")
         assert not AnnotateColumnarSegments().apply(plan, ctx_for()).fired
+
+    def notes(self, text, options=None):
+        plan = plan_for(text, options)
+        decision = AnnotateColumnarSegments().apply(plan, ctx_for(options=options))
+        assert decision.fired
+        return decision.plan.notes
+
+    def test_interval_join_note_says_what_the_probe_inlines(self):
+        notes = self.notes(
+            "PATTERN SEQ(Q a, V b) WHERE a.value < b.value WITHIN 10 MINUTES",
+            TranslationOptions.o1(),
+        )
+        assert (
+            "probe: Join⋈θ[interval ordered] Event×Event, 1 conjunct inlined" in notes
+        )
+
+    def test_interval_join_note_names_the_conjunct_that_falls_back(self):
+        plan = plan_for(
+            "PATTERN SEQ(Q a, V b) WHERE a.value < b.value WITHIN 10 MINUTES",
+            TranslationOptions.o1(),
+        )
+        # A self-join chain spelt with one alias: the closure binds the
+        # later `a`, which a positional expression cannot say.
+        root = dataclasses.replace(
+            plan.root, right=dataclasses.replace(plan.root.right, alias="a")
+        )
+        decision = AnnotateColumnarSegments().apply(
+            dataclasses.replace(plan, root=root), ctx_for()
+        )
+        assert (
+            "probe: Join⋈θ[interval ordered] Event×Event, falls back to theta() "
+            "for a.value < b.value (alias 'a' bound 2 times)" in decision.plan.notes
+        )
+
+    def test_sliding_join_note_states_the_retest_factor(self):
+        notes = self.notes(
+            "PATTERN SEQ(Q a, V b) WITHIN 10 MINUTES SLIDE 2 MINUTES"
+        )
+        assert (
+            "sliding: Join⋈θ[sliding ordered] interpreted per-window pair loop "
+            "(W/slide = 5)" in notes
+        )
 
 
 class TestRewriteEngine:

@@ -290,3 +290,49 @@ class TestSection4Mapping:
         stream operators instead of one."""
         plan = build_plan(parse_pattern("PATTERN SEQ(Q a, V b, W c) WITHIN 5 MINUTES"))
         assert len(plan.operators()) >= 5  # 3 scans + 2 joins
+
+    def test_claim_sliding_join_retests_pairs_per_overlapping_window(self):
+        """§3.1.4/§4.3.1, as a cost contract: the sliding-window join
+        joins every window independently, so it tests Σ |L_w|·|R_w| pairs
+        over fired windows and keys — each pair once per window that
+        contains it, ≈ W/slide times what the interval join (O1), which
+        probes once per arriving event, tests for the same matches. The
+        optimizer, the advisor and EXPERIMENTS.md are calibrated on this
+        constant; a faster pair loop must not change the count."""
+        from repro.asp.operators.join import IntervalJoin, SlidingWindowJoin
+
+        size, slide = 10 * MIN, MIN
+        pattern = parse_pattern(
+            "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES SLIDE 1 MINUTE"
+        )
+        events = stream(4, n=240, types=("Q", "V"))
+
+        def run(options):
+            query = translate(pattern, sources_for(events), options)
+            query.execute()
+            (join,) = [
+                node.payload
+                for node in query.env.flow.nodes.values()
+                if isinstance(node.payload, (SlidingWindowJoin, IntervalJoin))
+            ]
+            return join, {m.dedup_key() for m in query.matches()}
+
+        sliding, sliding_matches = run(TranslationOptions())
+        interval, interval_matches = run(TranslationOptions.o1())
+        assert isinstance(sliding, SlidingWindowJoin) and isinstance(interval, IntervalJoin)
+
+        timestamps = [e.ts for e in events]
+        first_k = -(-(min(timestamps) - size + 1) // slide)
+        expected = 0
+        for k in range(first_k, max(timestamps) // slide + 1):
+            window = [e for e in events if k * slide <= e.ts < k * slide + size]
+            for key in {e.id for e in window}:
+                lefts = sum(1 for e in window if e.event_type == "Q" and e.id == key)
+                rights = sum(1 for e in window if e.event_type == "V" and e.id == key)
+                expected += lefts * rights
+        assert sliding.pairs_tested == expected
+
+        ratio = sliding.pairs_tested / interval.pairs_tested
+        assert 0.75 * (size / slide) <= ratio <= 1.25 * (size / slide)
+        assert sliding_matches == interval_matches
+        assert sliding_matches == {m.dedup_key() for m in evaluate_pattern(pattern, events)}

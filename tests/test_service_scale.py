@@ -426,6 +426,53 @@ class TestDurableResume:
         assert doc["progress"]["rounds"] == 2
         assert state.max_job_number() == 7
 
+    def test_concurrent_progress_writes_do_not_collide(self, tmp_path):
+        """A cancel's progress record racing the worker's: every writer
+        has its own temporary, so no ``replace`` finds its file gone, the
+        record always parses and no temporary is left behind."""
+        import sys
+        import threading
+
+        state = ServiceState(tmp_path)
+        state.write_progress("job-1", {"writer": -1, "n": -1})
+        target = state.job_dir("job-1") / "state.json"
+        writers, writes = 8, 60
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def write(writer: int) -> None:
+            try:
+                for n in range(writes):
+                    state.write_progress("job-1", {"writer": writer, "n": n})
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    assert set(json.loads(target.read_text())) == {"writer", "n"}
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+            reader = threading.Thread(target=read)
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert json.loads(target.read_text())["n"] == writes - 1
+        assert [p.name for p in target.parent.iterdir() if ".tmp" in p.name] == []
+
 
 class TestClientBackoff:
     def test_schedule_is_capped_exponential(self):

@@ -71,7 +71,7 @@ PARITY_FLOOR = 0.7
 #:   where batching cannot help.
 #: * ``+opt`` — optimized vs default plan: the metrics-fed join reorder
 #:   (measured ~2x; the o1-only control is unlisted and must merely hold
-#:   parity) and the static W/slide interval switch (~9x).
+#:   parity) and the static W/slide interval switch (~12x).
 #: * ``+shared`` — shared tenant group vs unshared capacity (measured
 #:   ~2x for 8 congestion variants); the scan-sharing ratio is
 #:   scale-stable, so the floor already applies at the CI smoke scale.
