@@ -7,8 +7,9 @@ counts must be identical within each pair (the equivalence suite
 enforces this per event; here it doubles as a cheap sanity check on the
 measured runs).
 
-The speedup floors (>=8x on the mask-dominated SEQ1/ITER3_1 headline
-cells, >=2x on the fig3a and metro-rush cells) hold at the default
+The speedup floors (>=8x on the filter-dominated SEQ1/ITER3_1 headline
+cells — the generated row filter; a closure per row reaches ~4x —
+>=2x on the fig3a and metro-rush cells) hold at the default
 20 k-event scale; smoke scales shrink the batches and windows, so the
 hard floors live in ``tools/check_bench_regression.py``, not here. NSEQ1
 is order-sensitive (strict arrival-order merge) and is only required not

@@ -17,6 +17,15 @@ from repro.workloads.selectivity import calibrate_filter_selectivity
 
 import math
 
+#: Runs per side; the one with the smallest wall is kept. The assertions
+#: below order FCEP against FASP, and a single shot per side lets a host
+#: slow phase landing on one of them decide that order.
+_REPS = 3
+
+
+def _best_run(run):
+    return min((run()[2] for _ in range(_REPS)), key=lambda r: r.wall_seconds)
+
 
 def test_latency_under_load(benchmark):
     scale = bench_scale(sensors=8)
@@ -29,8 +38,10 @@ def test_latency_under_load(benchmark):
                 sigma_pct / 100.0, 15 * 60_000, sensors=scale.sensors
             )
             pattern = seq2_pattern(p, window_minutes=15)
-            _m, _s, fcep_run = run_fcep(pattern, streams)
-            _m, _s, fasp_run = run_fasp(pattern, streams, TranslationOptions.o1())
+            fcep_run = _best_run(lambda: run_fcep(pattern, streams))
+            fasp_run = _best_run(
+                lambda: run_fasp(pattern, streams, TranslationOptions.o1())
+            )
             out.append((sigma_pct, PipelineModel.from_run(fcep_run),
                         PipelineModel.from_run(fasp_run)))
         return out

@@ -20,7 +20,6 @@ This module provides that unified representation:
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter as _attrgetter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -261,131 +260,6 @@ class ComplexEvent:
     def __repr__(self) -> str:
         types = ",".join(e.event_type for e in self.events)
         return f"ComplexEvent([{types}], ts_b={self.ts_b}, ts_e={self.ts_e})"
-
-
-#: Columns a :class:`ColumnStore` can materialize. ``event_type`` rides
-#: along so type routing can compare against a plain string column.
-_COLUMN_ATTRIBUTES = ("ts", "id", "value", "lat", "lon", "event_type")
-
-
-class ColumnStore:
-    """Lazily-built struct-of-arrays view over one source's event list.
-
-    When every source is materialized and time-sorted, the batch engine
-    builds one store per source at job start; the scheduler's array
-    merges then cut every micro-batch as a zero-copy ``(start, stop)``
-    view (:class:`ColumnarBatch`; an index selection after a predicate
-    mask) into these shared columns. Columns
-    materialize on first access only — a plan whose predicates touch
-    ``value`` never pays for ``lat``/``lon`` columns.
-    """
-
-    __slots__ = ("events", "_columns", "_uniform_type", "_has_uniform")
-
-    def __init__(self, events: Sequence[Event]):
-        self.events = events
-        self._columns: dict[str, list] = {}
-        self._uniform_type: str | None = None
-        self._has_uniform = False
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def column(self, name: str) -> list:
-        """The full base column ``name`` (one entry per event)."""
-        col = self._columns.get(name)
-        if col is None:
-            if name not in _COLUMN_ATTRIBUTES:
-                raise SchemaError(f"no column for attribute '{name}'")
-            # map + attrgetter runs the gather loop in C.
-            col = self._columns[name] = list(map(_attrgetter(name), self.events))
-        return col
-
-    @property
-    def uniform_type(self) -> str | None:
-        """The single event type of this store, or ``None`` when mixed.
-
-        Computed once; type-routing filters use it to pass whole batches
-        through without touching any per-event data.
-        """
-        if not self._has_uniform:
-            self._has_uniform = True
-            events = self.events
-            if events:
-                first = events[0].event_type
-                if all(e.event_type == first for e in events):
-                    self._uniform_type = first
-        return self._uniform_type
-
-
-class ColumnarBatch:
-    """A zero-copy selection of one :class:`ColumnStore`'s rows.
-
-    Either a contiguous ``[start, stop)`` range (fresh source batches) or
-    an explicit index list (after predicate masks). Operators that
-    understand columns read ``store.column(name)[i]`` for ``i`` in
-    :meth:`iter_indices`; everything else calls :meth:`to_events` and
-    processes rows — the universal fallback that keeps mixed plans
-    running. The events returned are the *same objects* the row engine
-    would deliver, which is what makes column-view output byte-comparable.
-    """
-
-    __slots__ = ("store", "start", "stop", "indices")
-
-    def __init__(
-        self,
-        store: ColumnStore,
-        start: int = 0,
-        stop: int | None = None,
-        indices: Sequence[int] | None = None,
-    ):
-        self.store = store
-        self.indices = indices
-        if indices is None:
-            self.start = start
-            self.stop = len(store.events) if stop is None else stop
-        else:
-            self.start = 0
-            self.stop = len(indices)
-
-    def __len__(self) -> int:
-        if self.indices is None:
-            return self.stop - self.start
-        return len(self.indices)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def iter_indices(self) -> Sequence[int]:
-        """Base-column indices of the selected rows, in stream order."""
-        if self.indices is None:
-            return range(self.start, self.stop)
-        return self.indices
-
-    def column(self, name: str) -> list:
-        return self.store.column(name)
-
-    @property
-    def uniform_type(self) -> str | None:
-        return self.store.uniform_type
-
-    def select(self, indices: Sequence[int]) -> "ColumnarBatch":
-        """A narrower view over the same store (predicate mask output)."""
-        return ColumnarBatch(self.store, indices=indices)
-
-    def to_events(self) -> list[Event]:
-        """Materialize the selected rows (the row-engine fallback)."""
-        if self.indices is None:
-            events = self.store.events
-            if isinstance(events, list):
-                return events[self.start : self.stop]
-            return list(events[self.start : self.stop])
-        events = self.store.events
-        return [events[i] for i in self.indices]
-
-    def __repr__(self) -> str:
-        kind = "range" if self.indices is None else "index"
-        return f"ColumnarBatch({kind}, n={len(self)})"
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 Every physical operator consumes *items* (``Event`` or ``ComplexEvent``)
 on one or more input ports and produces items on its single output. The
-executor drives operators with three calls:
+executor drives operators with four calls:
 
-* :meth:`Operator.process` — one item arrived on ``port``;
+* :meth:`Operator.process` — one item arrived on ``port`` (the per-event
+  reference);
+* :meth:`Operator.process_batch` — a list of items arrived back to back
+  on ``port`` (the batch engine; defaults to a loop over ``process``);
 * :meth:`Operator.on_watermark` — event time advanced; stateful operators
   finalize complete windows here;
 * :meth:`Operator.on_close` — the stream ended; flush remaining state.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence, Union
 
-from repro.asp.datamodel import ColumnarBatch, ComplexEvent, Event
+from repro.asp.datamodel import ComplexEvent, Event
 from repro.asp.state import StateHandle, StateRegistry
 from repro.asp.time import Watermark
 
@@ -124,21 +127,6 @@ class Operator:
         for item in items:
             out.extend(process(item, port))
         return out
-
-    def process_columnar(self, batch: "ColumnarBatch", port: int = 0):
-        """Handle a struct-of-arrays micro-batch.
-
-        When every source is materialized and time-sorted, the batch
-        engine's array merges cut batches as zero-copy views over
-        per-source column stores. Operators whose work is a per-event attribute test
-        (the filters' compiled masks) override this and return either a
-        new :class:`ColumnarBatch` (keeping the run columnar for
-        downstream operators) or a plain item list. Everything else
-        inherits this default, which materializes the rows and delegates
-        to :meth:`process_batch` — joins and iteration spend their time
-        probing and emitting, which columns do not speed up.
-        """
-        return self.process_batch(batch.to_events(), port)
 
     def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
         """Event time advanced past ``watermark.value``; emit results of

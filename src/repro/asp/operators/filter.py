@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.asp.datamodel import ColumnarBatch
 from repro.asp.operators.base import Item, Operator
 
 
@@ -20,16 +19,13 @@ class FilterOperator(Operator):
     def __init__(self, predicate: Callable[[Item], bool], name: str | None = None):
         super().__init__(name or "filter")
         self.predicate = predicate
-        # The SEA translator attaches a closure-compiled twin of its
-        # tree-walking predicate as ``predicate.compiled``; the batch
-        # path runs that. Per-event ``process`` keeps the original
-        # callable — it is the reference semantics the compiled form is
+        # The SEA translator attaches the generated row filter of its
+        # tree-walking predicate as ``predicate.keep`` (``keep(items) ->
+        # survivors``, :func:`repro.sea.predicates.compile_mask`); the
+        # batch path runs that. Per-event ``process`` keeps the original
+        # callable — it is the reference semantics the generated form is
         # validated against (the equivalence suite runs both).
-        self.fast_predicate = getattr(predicate, "compiled", None) or predicate
-        # Column twin: ``mask(store, indices) -> indices`` evaluating
-        # the predicate over whole columns. Attached by the translator
-        # when every pushdown conjunct is maskable.
-        self.column_mask = getattr(predicate, "mask", None)
+        self.keep = getattr(predicate, "keep", None)
         self.passed = 0
         self.dropped = 0
 
@@ -42,34 +38,21 @@ class FilterOperator(Operator):
         return ()
 
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
-        # One predicate comprehension per run: no per-item tuple framing,
-        # counters updated once per batch.
-        predicate = self.fast_predicate
-        out = [item for item in items if predicate(item)]
-        n = len(items)
+        # One comprehension per run: no per-item tuple framing, counters
+        # updated once per batch.
+        keep = self.keep
+        if keep is not None:
+            out = keep(items)
+        else:
+            predicate = self.predicate
+            out = [item for item in items if predicate(item)]
+        return self._tally(len(items), out)
+
+    def _tally(self, n: int, out: list[Item]) -> list[Item]:
         self.work_units += n
         self.passed += len(out)
         self.dropped += n - len(out)
         return out
-
-    def process_columnar(self, batch: ColumnarBatch, port: int = 0):
-        mask = self.column_mask
-        if mask is not None:
-            kept = mask(batch.store, batch.iter_indices())
-        else:
-            # No compiled mask: run the row predicate by index, still
-            # avoiding the materialized slice and keeping the output
-            # columnar for downstream operators.
-            predicate = self.fast_predicate
-            events = batch.store.events
-            kept = [i for i in batch.iter_indices() if predicate(events[i])]
-        n = len(batch)
-        self.work_units += n
-        self.passed += len(kept)
-        self.dropped += n - len(kept)
-        if len(kept) == n:
-            return batch
-        return batch.select(kept)
 
     @property
     def observed_selectivity(self) -> float:
@@ -94,23 +77,9 @@ class TypeFilterOperator(FilterOperator):
             name or f"type-filter[{event_type}]",
         )
 
-    def process_columnar(self, batch: ColumnarBatch, port: int = 0):
-        n = len(batch)
-        self.work_units += n
-        # A source whose store is uniformly this type routes the whole
-        # batch through in O(1) — no per-event work at all. This is the
-        # common case: each per-type sub-plan reads one physical stream.
-        if batch.uniform_type is not None:
-            if batch.uniform_type == self.event_type:
-                self.passed += n
-                return batch
-            self.dropped += n
-            return batch.select([])
-        types = batch.column("event_type")
+    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         wanted = self.event_type
-        kept = [i for i in batch.iter_indices() if types[i] == wanted]
-        self.passed += len(kept)
-        self.dropped += n - len(kept)
-        if len(kept) == n:
-            return batch
-        return batch.select(kept)
+        return self._tally(
+            len(items),
+            [item for item in items if getattr(item, "event_type", None) == wanted],
+        )

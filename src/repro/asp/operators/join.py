@@ -439,7 +439,7 @@ class ProbePlan:
     """What is known about an interval join before any event arrives.
 
     The translator attaches one to the theta closure it lowers
-    (``theta.probe_plan``, the way a scan's ``check.mask`` travels); a
+    (``theta.probe_plan``, the way a scan's ``check.keep`` travels); a
     handwritten ``IntervalJoin(bounds, theta=fn)`` has none and gets the
     default: both shapes decided per item, ``theta`` called per pair.
     """

@@ -44,8 +44,8 @@ class ExecutionSettings:
     #: The one engine selector. 1 = the per-event reference path every
     #: equivalence suite compares against; > 1 = the batch engine
     #: (micro-batches that never cross watermark emissions, checkpoint
-    #: cuts or source switches, stateless chains fused, column views
-    #: over materialized time-sorted sources), byte-identical by test.
+    #: cuts or source switches, stateless chains fused, scan filters
+    #: run as one generated comprehension), byte-identical by test.
     batch_size: int = 1
 
     def without_hooks(self) -> "ExecutionSettings":

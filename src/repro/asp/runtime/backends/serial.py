@@ -23,9 +23,9 @@ where the job's previous run stopped.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
-from repro.asp.datamodel import ColumnarBatch, ColumnStore
 from repro.asp.graph import Dataflow
 from repro.asp.operators.base import Operator
 from repro.asp.runtime.backends.base import ExecutionSettings
@@ -49,6 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1`` — the batched
 #: equivalent of the per-event ``events_in & MASK`` stride sample.
 _SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
+
+_event_ts = attrgetter("ts")
 
 
 class SerialJob:
@@ -220,10 +222,6 @@ class SerialJob:
         while True:
             segment = segments.get(node_id) if port == 0 else None
             if segment is not None:
-                if type(items) is ColumnarBatch:
-                    # Fused chains are row programs; materializing here
-                    # hands them the identical Event objects.
-                    items = items.to_events()
                 start = clock.now()
                 outputs = segment.process_batch(items)
                 segment.busy += clock.now() - start
@@ -233,10 +231,7 @@ class SerialJob:
             else:
                 node = nodes[node_id]
                 start = clock.now()
-                if type(items) is ColumnarBatch:
-                    outputs = node.operator.process_columnar(items, port)
-                else:
-                    outputs = node.operator.process_batch(items, port)
+                outputs = node.operator.process_batch(items, port)
                 if delays:
                     delay = delays.get(node_id)
                     if delay:
@@ -277,15 +272,13 @@ class SerialJob:
             channel.frame_items(1)
             self._push(channel.target_id, event, channel.port, source_node_id)
 
-    def _prepare_columnar(self):
-        """One column store per source, if every source allows it.
-
-        Returns the scheduler's ``(node_id, source, store, ts)`` entries
-        and how many merged events precede their first rows when every
+    def _prepare_arrays(self):
+        """The scheduler's ``(node_id, source, events, ts)`` entries and
+        how many merged events precede their first rows, when every
         source is an in-memory, time-sorted sequence — the precondition
-        of the scheduler's array merges, whose batches are column views —
-        else ``None``. A single source is the merged stream itself, so
-        its store covers the unread events only.
+        of the scheduler's array merges — else ``None``. A single source
+        is the merged stream itself, so its entry covers the unread
+        events only.
         """
         sources = self.flow.source_nodes()
         arrays_from = self.events_in if len(sources) == 1 else 0
@@ -298,13 +291,12 @@ class SerialJob:
                 events = events[arrays_from:]
             if not isinstance(events, list):
                 events = list(events)
-            store = ColumnStore(events)
-            ts = store.column("ts")
+            ts = list(map(_event_ts, events))
             # C-speed sortedness check: timsort is O(n) on sorted input,
             # far cheaper than a per-pair Python generator scan.
             if ts != sorted(ts):
                 return None
-            arrays.append((node.node_id, node.source, store, ts))
+            arrays.append((node.node_id, node.source, events, ts))
         return (arrays, arrays_from) if arrays else None
 
     def _inject_batch(self, source_node_id: int, events) -> None:
@@ -456,11 +448,10 @@ class SerialJob:
             for node in self.flow.nodes.values()
             if not node.is_source
         )
-        # Column stores when every source is materialized and
-        # time-sorted: the scheduler then merges by the ts arrays and
-        # cuts batches as zero-copy :class:`ColumnarBatch` views.
-        # Otherwise batches are row lists.
-        arrays, arrays_from = self._prepare_columnar() or (None, 0)
+        # When every source is materialized and time-sorted the
+        # scheduler merges by the ts arrays and cuts batches as slices;
+        # otherwise it merges per event.
+        arrays, arrays_from = self._prepare_arrays() or (None, 0)
         for node_id, events, watermark, last_index in merge_batches(
             self.flow,
             self.watermarks,

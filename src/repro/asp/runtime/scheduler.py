@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
 from typing import Iterator, Sequence
 
-from repro.asp.datamodel import ColumnarBatch, Event
+from repro.asp.datamodel import Event
 from repro.asp.graph import Dataflow, Node
 from repro.asp.time import Watermark, WatermarkGenerator
 
@@ -77,7 +77,7 @@ def merge_batches(
     regroup: bool = False,
     arrays: "list[tuple] | None",
     arrays_from: int = 0,
-) -> Iterator[tuple[int, "list[Event] | ColumnarBatch", Watermark | None, int]]:
+) -> Iterator[tuple[int, list[Event], Watermark | None, int]]:
     """Group the merged source stream into watermark-aligned micro-batches.
 
     Each yielded ``(node_id, events, watermark, last_index)`` batch is a
@@ -106,20 +106,19 @@ def merge_batches(
     ``start_offset`` are skipped without being observed (checkpoint
     replay: the restored generator already saw them).
 
-    ``arrays`` holds one ``(node_id, source, store, ts)`` entry per
-    source — its :class:`~repro.asp.datamodel.ColumnStore` and that
-    store's ts column — when every source is an in-memory, time-sorted
-    sequence (see :meth:`~repro.asp.operators.source.Source.materialized`).
-    Runs are then found with a galloping bisect merge, watermark
-    emission points are located by bisect — per-batch instead of
-    per-event scheduling cost — and each batch is a zero-copy
-    :class:`~repro.asp.datamodel.ColumnarBatch` range over its store.
+    ``arrays`` holds one ``(node_id, source, events, ts)`` entry per
+    source — its event list and that list's timestamps — when every
+    source is an in-memory, time-sorted sequence (see
+    :meth:`~repro.asp.operators.source.Source.materialized`). Runs are
+    then found with a galloping bisect merge, watermark emission points
+    are located by bisect — per-batch instead of per-event scheduling
+    cost — and each batch is the slice ``events[i:stop]``.
     ``arrays_from`` says how many merged events precede the arrays' first
     rows: 0 for whole sources (the prefix up to ``start_offset`` is then
-    skipped), ``start_offset`` when a single source's store was built
-    over its unread suffix alone. With ``None``, and for the short
-    interleaved runs of multi-source strict plans, a generic per-event
-    merge produces the identical batches as row lists.
+    skipped), ``start_offset`` when a single source's entry covers its
+    unread suffix alone. With ``None``, and for the short interleaved
+    runs of multi-source strict plans, a generic per-event merge
+    produces the identical batches.
     """
     cuts = sorted({c for c in cut_indices if c > start_offset})
     intervals = [iv for iv in cut_intervals if iv and iv > 0]
@@ -203,11 +202,11 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset, arrays_from
         if len(active) == 1:
             best = active[0]
             end = sizes[best]
-            node_id, source, store, ts = arrays[best]
+            node_id, source, events, ts = arrays[best]
             start = pos[best]
         else:
             best = min(active, key=lambda i: (arrays[i][3][pos[i]], i))
-            node_id, source, store, ts = arrays[best]
+            node_id, source, events, ts = arrays[best]
             start = pos[best]
             end = sizes[best]
             for other in active:
@@ -247,7 +246,7 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset, arrays_from
                     max_ts = ts[stop - 1]
             if watermark is not None:
                 last_emitted = watermark.value
-            batch = ColumnarBatch(store, i, stop)
+            batch = events[i:stop]
             index += stop - i
             source.emitted += stop - i
             generator.restore_state(
@@ -316,7 +315,7 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset, arrays_from):
             return
         wm_value = trigger_ts - ooo if trigger_src >= 0 else None
         for slice_pos, (i, hi) in enumerate(slices):
-            node_id, source, store, ts = arrays[i]
+            node_id, source, events, ts = arrays[i]
             lo = pos[i]
             is_trigger = trigger_src >= 0 and slice_pos == len(slices) - 1
             while lo < hi:
@@ -332,7 +331,7 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset, arrays_from):
                 first_index = index + 1
                 limit = limit_for(first_index)
                 stop = min(hi, lo + (limit - first_index + 1))
-                batch = ColumnarBatch(store, lo, stop)
+                batch = events[lo:stop]
                 count = stop - lo
                 index += count
                 source.emitted += count

@@ -3,21 +3,21 @@
 Measures the same translated plan twice: once on the per-event reference
 path (``batch_size=1`` — the interpreter every equivalence suite
 validates against) and once on the batch engine (``batch_size=256``:
-watermark-aligned micro-batches, fused stateless chains, column views
-with compiled predicate masks over materialized sources). Three cell
-families:
+watermark-aligned micro-batches, fused stateless chains, one generated
+row filter per scan). Three cell families:
 
 * the Figure 3a patterns at the paper's calibrated selectivities, where
   per-event engine overhead dominates — the regime batching targets;
 * the headline cells ``SEQ1`` / ``ITER3_1`` under the O1 interval join
   with multi-conjunct WHERE clauses (geo-fence guards plus a narrow
   value band, ~1% pass): the reference path walks the predicate tree per
-  event while the batch engine runs one compiled column mask per batch.
+  event while the batch engine runs one generated comprehension per
+  batch.
   A coarse watermark cadence (32 broadcasts per run) keeps windowing
   overhead — identical in both modes — from drowning the data-path
   ratio. These carry the >=8x floor in
-  ``tools/check_bench_regression.py`` (row batches alone reach ~4x, so
-  the floor trips if the mask path is lost);
+  ``tools/check_bench_regression.py`` (a closure per row reaches ~4x,
+  so the floor trips if the generated filter is lost);
 * the catalog queries (SEQ ``traffic-congestion``, ITER
   ``stalled-traffic``) on a metro-density rush-hour morning: 16 segments
   over 10 h (~19 k events, ~32 events/min against the catalog's 1-minute
@@ -85,7 +85,7 @@ _RUSH_EVENTS_AT_DEFAULT = 2 * _RUSH_SEGMENTS * _RUSH_DURATION_MIN
 def headline_seq_pattern():
     """``SEQ1``: two geo-fence guards plus a narrow value band per side
     (~0.8% pass each), so the reference path pays four predicate-tree
-    walks per event while the batch engine's mask is one compiled
+    walks per event while the batch engine's filter is one generated
     comprehension."""
     q_lo = quantity_threshold_for_selectivity(0.01)
     q_hi = quantity_threshold_for_selectivity(0.002)

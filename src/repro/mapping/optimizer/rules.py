@@ -23,9 +23,10 @@ Inventory, in application order:
 6.  :class:`AnnotateFusionSegments` — records the stateless stage runs
     the batched engine will fuse into single passes; placement becomes
     auditable in ``repro explain`` without changing the plan shape.
-7.  :class:`AnnotateColumnarSegments` — records which scans the batch
-    engine runs as one compiled column mask, with cardinality-interval
-    justifications; annotation only, like rule 6.
+7.  :class:`AnnotateCompiledSegments` — records which scan filters the
+    batch engine runs as one generated pass, with cardinality-interval
+    justifications, and what each join's pair loop is; annotation only,
+    like rule 6.
 
 Rules 1–4, 6 and 7 are output-preserving and run under the engine's
 RA70x invariant check; rule 5 declares ``preserves_output = False``.
@@ -546,20 +547,19 @@ class AnnotateFusionSegments(Rule):
         )
 
 
-class AnnotateColumnarSegments(Rule):
-    """Record the scans the batch engine evaluates as column masks.
+class AnnotateCompiledSegments(Rule):
+    """Record what the batch engine runs for each scan filter and join.
 
-    The batch engine cuts batches of materialized, time-sorted sources
-    as zero-copy column views; a scan filter then runs as one compiled
-    column mask when every conjunct compiles via
-    :func:`repro.sea.predicates.compile_mask` (attribute/const
-    comparisons — UDFs and cross-alias conjuncts fall back to row
-    evaluation). Joins, aggregates and Kleene iteration consume row
-    batches: their time goes to probing and emission, which columns do
-    not speed up. This rule writes the masked scans into the plan's
-    notes, with the cardinality interval of each as the justification —
-    a wide survivor interval means the mask saves many per-event closure
-    calls. Annotation only — the plan tree is untouched.
+    A scan filter runs as one generated comprehension over the batch
+    when every conjunct is in the closed predicate AST
+    (:func:`repro.sea.predicates.row_filter_source`, the text
+    :func:`~repro.sea.predicates.compile_mask` executes when the plan is
+    lowered — nothing is compiled here); an opaque predicate node keeps
+    the filter calling its tree-walking callable per event. This rule
+    writes either into the plan's notes, a compiled filter with the
+    cardinality interval of its scan as the justification — a wide
+    survivor interval means the pass saves many per-event calls.
+    Annotation only — the plan tree is untouched.
 
     Each binary join gets one note saying what the batch engine will run
     for it: an interval join its generated probe (input shapes, how many
@@ -570,13 +570,13 @@ class AnnotateColumnarSegments(Rule):
     the paper's cost for overlapping windows.
     """
 
-    name = "annotate-columnar-segments"
-    description = "make column-mask segment placement explicit"
+    name = "annotate-compiled-segments"
+    description = "make generated-filter and join pair-loop placement explicit"
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
         from repro.analysis.cardinality import interpret_node, _join_ordinals
         from repro.mapping.translator import probe_plan
-        from repro.sea.predicates import compile_mask
+        from repro.sea.predicates import row_filter_source
 
         notes: list[str] = []
         cache: dict = {}
@@ -593,10 +593,13 @@ class AnnotateColumnarSegments(Rule):
                 continue
             if not (isinstance(node, StreamScan) and node.filters):
                 continue
-            if compile_mask(node.filters) is None:
+            opaque = next(
+                (p for p in node.filters if row_filter_source([p]) is None), None
+            )
+            if opaque is not None:
                 notes.append(
-                    f"columnar: {node.label()} stays row-at-a-time "
-                    "(filter not mask-compilable)"
+                    f"interpreted filter: {node.label()} "
+                    f"({opaque.render()}: not in the closed predicate AST)"
                 )
                 continue
             bounds = interpret_node(node, ctx.model, cache, ordinals)
@@ -606,16 +609,16 @@ class AnnotateColumnarSegments(Rule):
                 else "survivor rate unknown"
             )
             notes.append(
-                f"columnar segment: {node.label()} -> one vectorized "
-                f"mask pass ({len(node.filters)} conjunct(s), {survivors})"
+                f"compiled filter: {node.label()} -> one generated "
+                f"pass ({len(node.filters)} conjunct(s), {survivors})"
             )
-        segments = [n for n in notes if n.startswith("columnar segment")]
+        filters = [n for n in notes if n.startswith("compiled filter")]
         joins = [n for n in notes if n.startswith(("probe", "sliding"))]
-        if not segments and not joins:
-            return RuleDecision.decline("no mask-compilable scan and no binary join")
+        if not filters and not joins:
+            return RuleDecision.decline("no compiled scan filter and no binary join")
         return RuleDecision.fire(
             dc_replace(plan, notes=plan.notes + tuple(notes)),
-            f"marked {len(segments)} columnar segment(s) and {len(joins)} "
+            f"marked {len(filters)} compiled filter(s) and {len(joins)} "
             "join pair loop(s) for the batch engine",
         )
 
@@ -631,5 +634,5 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     ChooseIntervalWindows(),
     ChooseAggregateIteration(),
     AnnotateFusionSegments(),
-    AnnotateColumnarSegments(),
+    AnnotateCompiledSegments(),
 )

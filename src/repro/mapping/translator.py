@@ -50,10 +50,9 @@ from repro.mapping.optimizer.ir import (
 )
 from repro.sea.ast import Pattern
 from repro.sea.predicates import (
-    CORE_SLOTS,
     Attr,
     Predicate,
-    compile_check,
+    attribute_read,
     compile_mask,
     predicate_source,
 )
@@ -100,7 +99,7 @@ def _make_theta(join: WindowJoin) -> Callable[[Item, Item], bool] | None:
 
     if join.strategy is WindowStrategy.INTERVAL:
         # What the batch engine's generated probe inlines in place of
-        # calling this closure per pair; travels like a scan's check.mask.
+        # calling this closure per pair; travels like a scan's check.keep.
         theta.probe_plan = probe_plan(join)  # type: ignore[attr-defined]
     return theta
 
@@ -142,8 +141,7 @@ def probe_plan(join: WindowJoin) -> ProbePlan:
         if shape == "any" and index:
             raise TypeError(f"'{ref.alias}' is constituent {index} of an input of unknown arity")
         event = var if shape == "event" else f"{var}e[{index}]"
-        slot = CORE_SLOTS.get(ref.attribute)
-        return f"{event}.{slot}" if slot else f"{event}[{ref.attribute!r}]"
+        return attribute_read(event, ref.attribute)
 
     conjuncts: list[str] = []
     for pred in join.extra_theta:
@@ -360,14 +358,11 @@ class _Compiler:
                     return False
             return True
 
-        # Closure-compiled form of the same conjunction; the batched
-        # engine's filter hot path picks it up (the per-event
-        # reference path keeps the tree-walking evaluator).
-        check.compiled = compile_check(filters)  # type: ignore[attr-defined]
-        # Column-mask form for batches that arrive as column views;
-        # ``None`` when any conjunct falls outside the maskable
-        # (core-attribute) subset.
-        check.mask = compile_mask(filters)  # type: ignore[attr-defined]
+        # Generated row filter of the same conjunction; the batch
+        # engine's filter hot path picks it up (the per-event reference
+        # path keeps the tree-walking evaluator). ``None`` when a
+        # conjunct is outside the closed predicate AST.
+        check.keep = compile_mask(filters)  # type: ignore[attr-defined]
         return handle.filter(check, name=f"filter[{alias}]")
 
     def _compile_join(self, node: WindowJoin) -> StreamHandle:

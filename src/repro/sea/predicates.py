@@ -280,100 +280,19 @@ def classify_conjuncts(
     return single, equi, multi
 
 
-def compile_single_alias(predicates: Iterable[Predicate], alias: str) -> Callable[[Event], bool]:
-    """Compile single-alias conjuncts into an ``Event -> bool`` callable."""
-    preds = list(predicates)
-
-    def check(event: Event) -> bool:
-        binding = {alias: event}
-        return all(p.evaluate(binding) for p in preds)
-
-    return check
-
-
-# -- closure compilation (batched/fused execution hot path) -------------------
+# -- generated row filter (the batch engine's pushdown filters) ----------------
 #
 # Tree-walking ``evaluate`` pays a binding-dict allocation, an operator
-# table lookup, and a virtual dispatch per node per call. For predicates
+# table lookup and a virtual dispatch per node per call. For predicates
 # whose conjuncts each reference at most one alias — the filter-pushdown
-# case — the tree can instead be compiled once into nested closures that
-# read the event directly. Semantics are identical to ``evaluate`` with
-# a singleton binding (same operators, same short-circuiting).
+# case — the tree is instead rendered once as Python source, and one
+# generated comprehension runs the whole conjunction over a batch as
+# inline bytecode: no per-event call, no attribute dispatch for the core
+# slots. Semantics are ``evaluate``'s with a singleton binding (same
+# operators, same short-circuit order, same ``SchemaError`` for a
+# missing attribute).
 
-
-def _compile_expr(expr: Expr) -> Callable[[Event], Any]:
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda event: value
-    if isinstance(expr, Attr):
-        attribute = expr.attribute
-        return lambda event: event[attribute]
-    if isinstance(expr, Arith):
-        op = _ARITH_OPS[expr.op]
-        left = _compile_expr(expr.left)
-        right = _compile_expr(expr.right)
-        return lambda event: op(left(event), right(event))
-    raise TypeError(f"cannot compile expression {expr!r}")
-
-
-def _compile_pred(pred: Predicate) -> Callable[[Event], bool]:
-    if isinstance(pred, Compare):
-        op = _CMP_OPS[pred.op]
-        left = _compile_expr(pred.left)
-        right = _compile_expr(pred.right)
-        return lambda event: op(left(event), right(event))
-    if isinstance(pred, And):
-        left = _compile_pred(pred.left)
-        right = _compile_pred(pred.right)
-        return lambda event: left(event) and right(event)
-    if isinstance(pred, Or):
-        left = _compile_pred(pred.left)
-        right = _compile_pred(pred.right)
-        return lambda event: left(event) or right(event)
-    if isinstance(pred, Not):
-        inner = _compile_pred(pred.inner)
-        return lambda event: not inner(event)
-    if isinstance(pred, TruePredicate):
-        return lambda event: True
-    raise TypeError(f"cannot compile predicate {pred!r}")
-
-
-def compile_check(predicates: Iterable[Predicate]) -> Callable[[Event], bool] | None:
-    """Compile a conjunct list (each referencing at most one alias, i.e.
-    pushdown filters over a single event) into one fast closure, or
-    ``None`` for predicate types without a compiled form."""
-    try:
-        checks = [_compile_pred(p) for p in predicates]
-    except TypeError:
-        return None
-    if not checks:
-        return lambda event: True
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(event: Event) -> bool:
-        for c in checks:
-            if not c(event):
-                return False
-        return True
-
-    return check
-
-
-# -- column mask compilation (struct-of-arrays batches) -----------------------
-#
-# The batch engine carries batches of materialized, time-sorted sources
-# as views over parallel arrays (one list per core attribute, shared
-# across every batch of a source). A pushdown
-# filter then wants a *mask*: given the base columns and the indices a
-# batch selects, return the surviving indices. Compiling the predicate
-# tree into one generated list comprehension removes the per-event
-# closure call and attribute dispatch the row path pays — the comparison
-# runs as inline bytecode over local list references. Only predicates
-# over the core slot attributes compile; anything else (``attrs`` map
-# lookups) returns ``None`` and the operator falls back to rows.
-
-#: Event.__getitem__ names that are slots (and ColumnStore columns).
+#: Event.__getitem__ names that are slots.
 CORE_SLOTS = {
     "ts": "ts",
     "id": "id",
@@ -427,38 +346,45 @@ def predicate_source(
     raise TypeError(f"cannot compile predicate {pred!r} to source")
 
 
-def compile_mask(predicates: Iterable[Predicate]) -> Callable[[Any, Iterable[int]], list[int]] | None:
-    """Compile pushdown conjuncts into a column-mask function.
+def attribute_read(event: str, attribute: str) -> str:
+    """Source text reading ``attribute`` of the event named ``event``: a
+    slot read for a core attribute, ``event['name']`` for any other — so
+    a missing one raises ``SchemaError`` where ``evaluate`` would."""
+    slot = CORE_SLOTS.get(attribute)
+    return f"{event}.{slot}" if slot else f"{event}[{attribute!r}]"
 
-    Returns ``mask(store, indices) -> [surviving indices]`` evaluating the
-    conjunction over the store's base columns, or ``None`` when any
-    conjunct falls outside the maskable subset (then the row-compiled
-    ``compile_check`` closure remains the fast path). Short-circuit order
-    matches ``evaluate``/``compile_check`` exactly, so masked and row
-    execution agree event-for-event.
-    """
-    cols: dict[str, None] = {}
+
+def row_filter_source(predicates: Iterable[Predicate]) -> tuple[str, list[Any]] | None:
+    """Source text and constants of the row filter of pushdown conjuncts,
+    or ``None`` when a conjunct falls outside the closed predicate AST."""
     consts: list[Any] = []
-
-    def column_ref(attribute: Attr) -> str:
-        column = CORE_SLOTS.get(attribute.attribute)
-        if column is None:
-            raise TypeError(f"no column for attribute '{attribute.attribute}'")
-        cols[column] = None
-        return f"_c_{column}[_i]"
-
     try:
-        parts = [predicate_source(p, column_ref, consts) for p in predicates]
+        parts = [
+            predicate_source(p, lambda ref: attribute_read("_e", ref.attribute), consts)
+            for p in predicates
+        ]
     except TypeError:
         return None
     body = " and ".join(f"({p})" for p in parts) if parts else "True"
-    lines = ["def _mask(store, indices):"]
-    for name in cols:
-        lines.append(f"    _c_{name} = store.column({name!r})")
-    lines.append(f"    return [_i for _i in indices if {body}]")
+    return f"def keep(events):\n    return [_e for _e in events if {body}]", consts
+
+
+def compile_mask(predicates: Iterable[Predicate]) -> Callable[[Iterable[Event]], list[Event]] | None:
+    """Compile pushdown conjuncts into the one generated row filter.
+
+    Returns ``keep(events) -> [surviving events]`` evaluating the
+    conjunction over a batch in one comprehension, or ``None`` for a
+    predicate node without a source form (an opaque UDF predicate; the
+    filter operator then runs its callable per item). Agrees with
+    ``evaluate`` event for event, raised errors included.
+    """
+    rendered = row_filter_source(predicates)
+    if rendered is None:
+        return None
+    source, consts = rendered
     namespace: dict[str, Any] = {f"_k{j}": v for j, v in enumerate(consts)}
-    exec("\n".join(lines), namespace)  # noqa: S102 - generated from a closed AST
-    return namespace["_mask"]
+    exec(source, namespace)  # noqa: S102 - generated from a closed AST
+    return namespace["keep"]
 
 
 # -- convenience constructors used by tests and examples ---------------------

@@ -1,15 +1,15 @@
 """Batch engine equivalence.
 
 The batch engine (``batch_size > 1``: watermark-aligned micro-batches,
-fused stateless chains, column views with compiled predicate masks) is a
+fused stateless chains, generated row filters) is a
 pure execution-strategy change: for every catalog query it must emit the
 exact same match multiset as the per-event reference path
 (``batch_size == 1``), with identical ``events_in``/``items_out``,
 join-level ``pairs_emitted``, channel frame totals and peak state.
 Fused segments must preserve exact per-stage metrics, checkpoint/recovery
 and sharded runs must stay byte-identical, and a streaming source — where
-the engine falls back from column views to row batches — must not change
-any of it.
+the engine falls back from the array merge to the per-event merge — must
+not change any of it.
 """
 
 from hypothesis import given, settings as hsettings, strategies as st
@@ -35,7 +35,7 @@ SCALE_SENSORS = 3
 SEED = 11
 
 #: Batch sizes exercised against the per-event reference: tiny odd
-#: batches (boundary churn, many row<->column crossings), a mid size,
+#: batches (boundary churn), a mid size,
 #: the production size, and batches larger than the whole stream.
 BATCH_SIZES = [7, 64, 256, 1024]
 
@@ -105,9 +105,26 @@ def test_batched_state_accounting_matches_reference():
     assert batched.peak_state_bytes > 0
 
 
+def test_every_process_batch_call_receives_a_list():
+    """A batch is a list of events, at every hop of every catalog plan."""
+    for name in sorted(CATALOG):
+        pattern = CATALOG[name]()
+        streams = _streams_for(pattern, SCALE_EVENTS, SCALE_SENSORS, SEED)
+        query = _fresh_query(pattern, streams, recommend_options(pattern).options)
+        received = []
+        for node in query.env.flow.operator_nodes():
+            def spy(items, port=0, _inner=node.operator.process_batch):
+                received.append(type(items))
+                return _inner(items, port)
+
+            node.operator.process_batch = spy
+        assert not query.execute(batch_size=256).failed
+        assert received and set(received) == {list}, name
+
+
 def test_streaming_source_falls_back_to_row_batches():
-    """Non-materialized sources have no column stores: the batch engine
-    delivers row batches (generic merge) and still equals the reference."""
+    """Non-materialized sources have no arrays to bisect: the batch engine
+    merges per event (generic merge) and still equals the reference."""
     pattern = CATALOG["traffic-congestion"]()
     options = recommend_options(pattern).options
     streams = _streams_for(pattern, SCALE_EVENTS, SCALE_SENSORS, SEED)
@@ -129,17 +146,17 @@ def test_streaming_source_falls_back_to_row_batches():
 
     _, ref, ref_bytes = run(1)
     job, res, out_bytes = run(256)
-    assert job._prepare_columnar() is None
+    assert job._prepare_arrays() is None
     assert not res.failed, res.failure
     assert out_bytes == ref_bytes
     assert (res.events_in, res.items_out) == (ref.events_in, ref.items_out)
     assert res.metadata["channels"]["item_frames"] == ref.metadata["channels"]["item_frames"]
 
-    # The same streams as lists do get column stores.
+    # The same streams as lists do get the array merge.
     listed = _fresh_query(pattern, streams, options)
     assert SerialJob(
         listed.env.flow, ExecutionSettings(batch_size=256)
-    )._prepare_columnar()
+    )._prepare_arrays()
 
 
 def _fanout_env(events, n_consumers):

@@ -104,3 +104,39 @@ class TestPublicApi:
             assert module.__all__
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_operator_protocol_has_two_data_entry_points(self):
+        """An operator takes an item (``process``, the per-event oracle)
+        or a list of items (``process_batch``) — nothing else, and the
+        data model has no batch container for a third to take."""
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.asp.datamodel as datamodel
+        import repro.asp.operators
+        import repro.cep.operator
+
+        modules = [repro.cep.operator] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(
+                repro.asp.operators.__path__, "repro.asp.operators."
+            )
+        ]
+        extra = sorted(
+            f"{cls.__module__}.{cls.__name__}.{name}"
+            for module in modules
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+            for name in vars(cls)
+            if name.startswith("process_") and name != "process_batch"
+        )
+        assert extra == []
+        classes = {
+            name
+            for name, cls in vars(datamodel).items()
+            if inspect.isclass(cls) and cls.__module__ == datamodel.__name__
+        }
+        assert classes == {
+            "Event", "ComplexEvent", "Attribute", "Schema", "EventTypeInfo", "TypeRegistry",
+        }

@@ -40,7 +40,7 @@ from repro.mapping.optimizer.rewrite import (
 )
 from repro.mapping.optimizer.rules import (
     DEFAULT_RULES,
-    AnnotateColumnarSegments,
+    AnnotateCompiledSegments,
     AnnotateFusionSegments,
     ChooseAggregateIteration,
     ChooseIntervalWindows,
@@ -232,23 +232,68 @@ class TestAnnotateFusionSegments:
         assert not AnnotateFusionSegments().apply(plan, ctx_for()).fired
 
 
-class TestAnnotateColumnarSegments:
-    def test_fires_on_mask_compilable_filters(self):
+class TestAnnotateCompiledSegments:
+    def test_compiled_filter_note(self):
         plan = plan_for(
             "PATTERN SEQ(Q a, V b) WHERE a.value > 40 AND b.value < 10 "
             "WITHIN 10 MINUTES"
         )
-        decision = AnnotateColumnarSegments().apply(plan, ctx_for())
+        decision = AnnotateCompiledSegments().apply(
+            plan, ctx_for(RatesModel({"Q": 10.0, "V": 1.0}))
+        )
         assert decision.fired
-        assert any("columnar segment" in note for note in decision.plan.notes)
+        assert AnnotateCompiledSegments.name == "annotate-compiled-segments"
+        assert (
+            "compiled filter: Scan(Q a) σ[a.value > 40] -> one generated pass "
+            "(1 conjunct(s), survivors <= 10/s)" in decision.plan.notes
+        )
+
+    def test_interpreted_filter_note_names_the_opaque_node(self):
+        from tests.test_join_probe import ValueBelow
+
+        plan = plan_for("PATTERN SEQ(Q a, V b) WHERE b.value < 10 WITHIN 10 MINUTES")
+        scan = dataclasses.replace(plan.root.left, filters=(ValueBelow("a", 50),))
+        decision = AnnotateCompiledSegments().apply(
+            dataclasses.replace(plan, root=dataclasses.replace(plan.root, left=scan)),
+            ctx_for(),
+        )
+        assert (
+            f"interpreted filter: {scan.label()} "
+            "(below(a, 50): not in the closed predicate AST)" in decision.plan.notes
+        )
+        assert sum(n.startswith("compiled filter") for n in decision.plan.notes) == 1
+
+    def test_applying_the_rule_compiles_nothing(self, monkeypatch):
+        """``explain`` learns whether a filter compiles from its source
+        text alone; the one ``exec`` per scan belongs to ``translate``."""
+        import builtins
+
+        calls = []
+        for name in ("exec", "compile"):
+            original = getattr(builtins, name)
+            monkeypatch.setattr(
+                builtins,
+                name,
+                lambda *a, _original=original, _name=name, **k: (
+                    calls.append(_name),
+                    _original(*a, **k),
+                )[1],
+            )
+        plan = plan_for(
+            "PATTERN SEQ(Q a, V b) WHERE a.value > 40 AND b.value < 10 "
+            "AND a.value < b.value WITHIN 10 MINUTES",
+            TranslationOptions.o1(),
+        )
+        assert AnnotateCompiledSegments().apply(plan, ctx_for()).fired
+        assert calls == []
 
     def test_declines_without_filtered_scans_or_binary_joins(self):
         plan = plan_for("PATTERN OR(Q a, V b) WITHIN 10 MINUTES")
-        assert not AnnotateColumnarSegments().apply(plan, ctx_for()).fired
+        assert not AnnotateCompiledSegments().apply(plan, ctx_for()).fired
 
     def notes(self, text, options=None):
         plan = plan_for(text, options)
-        decision = AnnotateColumnarSegments().apply(plan, ctx_for(options=options))
+        decision = AnnotateCompiledSegments().apply(plan, ctx_for(options=options))
         assert decision.fired
         return decision.plan.notes
 
@@ -271,7 +316,7 @@ class TestAnnotateColumnarSegments:
         root = dataclasses.replace(
             plan.root, right=dataclasses.replace(plan.root.right, alias="a")
         )
-        decision = AnnotateColumnarSegments().apply(
+        decision = AnnotateCompiledSegments().apply(
             dataclasses.replace(plan, root=root), ctx_for()
         )
         assert (

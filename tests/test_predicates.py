@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.asp.datamodel import Event
+from repro.asp.operators.filter import FilterOperator
+from repro.asp.operators.source import ListSource
+from repro.asp.runtime.backends.sharded import ShardedBackend
 from repro.errors import PatternValidationError
+from repro.mapping.optimizations import TranslationOptions
+from repro.mapping.translator import translate
+from repro.sea.parser import parse_pattern
 from repro.sea.predicates import (
     And,
     Arith,
@@ -17,7 +23,7 @@ from repro.sea.predicates import (
     attr,
     classify_conjuncts,
     cmp,
-    compile_single_alias,
+    compile_mask,
     conjunction_of,
     const,
 )
@@ -160,17 +166,145 @@ class TestClassification:
         assert not equi and len(multi) == 1
 
 
-class TestCompileSingleAlias:
-    def test_compiled_filter(self):
-        check = compile_single_alias(
-            [Compare(">", Attr("q", "value"), Const(40))], "q"
-        )
-        assert check(Q)
-        assert not check(V.with_attrs(value=10.0))
+def _e(attribute):
+    return Attr("e", attribute)
 
-    def test_empty_predicates_accept_all(self):
-        check = compile_single_alias([], "q")
-        assert check(Q)
+
+#: Every event carries ``lane`` and ``tag``.
+TAGGED = [
+    Event("Q", ts=10, id=1, value=50.0, lat=1.0, lon=2.0, attrs={"lane": 2, "tag": "x"}),
+    Event("V", ts=20, id=2, value=30.0, lat=4.0, attrs={"lane": 5, "tag": "y"}),
+    Event("Q", ts=30, id=3, value=5.0, lat=0.5, attrs={"lane": 3, "tag": "x"}),
+]
+#: The low-valued Q and the PM10 event carry neither.
+MIXED = TAGGED[:2] + [Event("Q", ts=40, id=4, value=5.0), Event("PM10", ts=50, id=5, value=70.0)]
+
+ROW_FILTER_CASES = {
+    "no-conjuncts": [],
+    "true": [TruePredicate()],
+    "single-compare": [Compare(">", Attr("q", "value"), Const(40))],
+    "const-on-the-left": [Compare("<=", Const(30), _e("value"))],
+    "const-only": [Compare("<", Const(1), Const(2))],
+    "attr-vs-attr": [Compare(">", _e("value"), _e("lat"))],
+    "type-string": [Compare("=", _e("type"), Const("Q"))],
+    "event_type-string": [Compare("!=", _e("event_type"), Const("V"))],
+    "non-core-numeric": [Compare(">=", _e("lane"), Const(3))],
+    "non-core-string": [Compare("==", _e("tag"), Const("x"))],
+    "arith-core": [
+        Compare(">", Arith("+", Arith("*", _e("value"), Const(2)), _e("id")), Const(62))
+    ],
+    "arith-division-by-a-zero-slot": [
+        Compare("<", Arith("/", _e("value"), _e("lat")), Const(20))
+    ],
+    "arith-non-core": [Compare("<", Arith("-", _e("lane"), Const(1)), _e("id"))],
+    "and-or-not": [
+        And(
+            Or(Compare("<", _e("value"), Const(10)), Compare(">", _e("ts"), Const(15))),
+            Not(Compare("=", _e("id"), Const(2))),
+        )
+    ],
+    "or-left-holds-never-reads-the-right": [
+        Or(Compare(">=", _e("value"), Const(0)), Compare(">", _e("lane"), Const(3)))
+    ],
+    "or-left-fails-reads-the-right": [
+        Or(Compare(">", _e("value"), Const(40)), Compare(">", _e("lane"), Const(3)))
+    ],
+    "earlier-conjunct-shields-a-later-one": [
+        Compare(">", _e("value"), Const(20)),
+        Compare(">", _e("lane"), Const(1)),
+    ],
+    "one-alias-per-conjunct": [
+        Compare(">", Attr("v", "value"), Const(10)),
+        Compare("<", Attr("v[1]", "ts"), Const(45)),
+    ],
+}
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # the error is the outcome under comparison
+        return type(exc), str(exc)
+
+
+class TestGeneratedRowFilter:
+    """``compile_mask`` — the one compiled predicate form — against the
+    tree-walking ``evaluate`` it replaces in the batch engine."""
+
+    @pytest.mark.parametrize("events", [TAGGED, MIXED], ids=["tagged", "mixed"])
+    @pytest.mark.parametrize("case", ROW_FILTER_CASES)
+    def test_agrees_with_evaluate(self, case, events):
+        conjuncts = ROW_FILTER_CASES[case]
+        keep = compile_mask(conjuncts)
+
+        def reference():
+            return [
+                e for e in events
+                if all(p.evaluate({a: e for a in p.aliases()}) for p in conjuncts)
+            ]
+
+        want = _outcome(reference)
+        got = _outcome(lambda: keep(events))
+        assert got == want
+        if isinstance(want, list):
+            assert all(a is b for a, b in zip(got, want))
+        if case == "no-conjuncts":
+            assert got == events
+        if case.startswith("or-left") and events is MIXED:
+            assert isinstance(want, list) == (case == "or-left-holds-never-reads-the-right")
+
+    def test_opaque_node_has_no_generated_form_and_the_callable_runs(self):
+        from tests.test_join_probe import ValueBelow
+
+        conjuncts = [Compare(">", _e("ts"), Const(10)), ValueBelow("e", 40)]
+        assert compile_mask(conjuncts) is None
+
+        def check(event):
+            return all(p.evaluate({"e": event}) for p in conjuncts)
+
+        check.keep = compile_mask(conjuncts)
+        operator = FilterOperator(check)
+        assert operator.process_batch(MIXED) == [MIXED[1], MIXED[2]]
+        assert (operator.passed, operator.dropped, operator.work_units) == (2, 2, 4)
+
+    def test_generated_filter_survives_cloudpickle_and_a_process_mode_run(self):
+        cloudpickle = pytest.importorskip("cloudpickle")
+        pattern = parse_pattern(
+            "PATTERN SEQ(Q a, V b) WHERE a.id = b.id AND a.value > 40 "
+            "AND b.value < 35 WITHIN 5 MINUTES"
+        )
+        streams = {
+            t: [
+                Event(t, ts=60_000 * i, id=i % 4, value=float((i * 37 + len(t)) % 90))
+                for i in range(200)
+            ]
+            for t in ("Q", "V")
+        }
+
+        def run(**kwargs):
+            sources = {t: ListSource(list(evs), name=t, event_type=t) for t, evs in streams.items()}
+            query = translate(pattern, sources, TranslationOptions.o3(), analyze=False)
+            result = query.execute(**kwargs)
+            assert not result.failed, result.failure
+            return query, result, sorted(m.dedup_key() for m in query.matches())
+
+        query, _result, want = run(batch_size=1)
+        assert want
+        filters = [
+            node.operator
+            for node in query.env.flow.operator_nodes()
+            if type(node.operator) is FilterOperator
+        ]
+        assert filters and all(op.keep is not None for op in filters)
+        for op in filters:
+            clone = cloudpickle.loads(cloudpickle.dumps(op))
+            assert clone.keep(streams["Q"]) == op.keep(streams["Q"])
+        _query, result, got = run(
+            backend=ShardedBackend(shards=2, key_attribute="id", mode="process"),
+            batch_size=64,
+        )
+        assert result.metadata["mode"] == "process"
+        assert got == want
 
 
 class TestConvenienceConstructors:

@@ -64,8 +64,9 @@ PARITY_FLOOR = 0.7
 #: everywhere else.
 #:
 #: * ``+batched`` — batch engine vs per-event reference. The headline
-#:   cells are mask-dominated (measured ~16x; row batches without the
-#:   column masks reach ~4x, so 8x trips if the mask path is lost); the
+#:   cells are filter-dominated (measured 12-18x with the generated row
+#:   filter; a closure per row reaches ~4x, so 8x trips if the generated
+#:   filter is lost); the
 #:   fig3a and metro-rush cells measured 3-6x. NSEQ1 is unlisted: its
 #:   order-sensitive UDF pins the scheduler to strict arrival-order runs
 #:   where batching cannot help.
