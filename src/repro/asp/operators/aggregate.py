@@ -18,22 +18,11 @@ express Kleene*).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.asp.datamodel import Event
-from repro.asp.operators.base import Item, StatefulOperator
-from repro.asp.operators.window import SlidingWindowAssigner, WindowSpec
-from repro.asp.time import Watermark
-
-KeyFn = Callable[[Item], Any]
-
-_GLOBAL = "__global__"
-
-
-def _global_key(_item: Item) -> Any:
-    return _GLOBAL
-
+from repro.asp.operators.base import Item
+from repro.asp.operators.window import KeyFn, SlidingWindowOperator, WindowSpec
 
 _BUILTIN_AGGREGATES: dict[str, Callable[[Sequence[float]], float]] = {
     "count": lambda values: float(len(values)),
@@ -44,7 +33,7 @@ _BUILTIN_AGGREGATES: dict[str, Callable[[Sequence[float]], float]] = {
 }
 
 
-class WindowAggregate(StatefulOperator):
+class WindowAggregate(SlidingWindowOperator):
     """Per-(key, sliding window) aggregate over an attribute.
 
     Emits one :class:`Event` per non-empty window with ``value`` set to the
@@ -54,6 +43,8 @@ class WindowAggregate(StatefulOperator):
     """
 
     kind = "window-aggregate"
+    counters = ("windows_fired",)
+    buffer_keys = ("by_key",)
 
     @property
     def reorder_safe(self) -> bool:
@@ -71,201 +62,52 @@ class WindowAggregate(StatefulOperator):
         output_type: str = "AGG",
         name: str | None = None,
     ):
-        super().__init__(name or f"window-{function}")
         if function not in _BUILTIN_AGGREGATES:
             raise ValueError(
                 f"unknown aggregate '{function}'; expected one of {sorted(_BUILTIN_AGGREGATES)}"
             )
-        self.window = window
-        self.assigner = SlidingWindowAssigner(window)
-        self.function = function
-        self.fn = _BUILTIN_AGGREGATES[function]
-        self.attribute = attribute
-        self.key_fn = key_fn or _global_key
-        self.is_keyed = key_fn is not None
-        self.output_type = output_type
-        self._by_key: dict[Any, tuple[list[int], list[float]]] = {}
-        self._handle = None
-        self._next_window_index: int | None = None
-        self._windows_fired = False
-        self.windows_fired = 0
-
-    @property
-    def key_parallel_safe(self) -> bool:
-        return self.is_keyed
-
-    def state_horizon_ms(self) -> int:
-        # Per-window accumulators drop once their window fires.
-        return self.window.size
-
-    def collect_metrics(self) -> dict[str, int | float]:
-        metrics = super().collect_metrics()
-        metrics["windows_fired"] = self.windows_fired
-        return metrics
-
-    def setup(self, registry) -> None:
-        super().setup(registry)
-        self._handle = self._ensure_handle()
-
-    def _ensure_handle(self):
-        if self._handle is None:
-            self._handle = self.create_state("window-buffer")
-        return self._handle
-
-    def snapshot_state(self) -> dict[str, Any]:
-        snap = super().snapshot_state()
-        snap.update(
-            by_key={
-                key: (list(ts_list), list(values))
-                for key, (ts_list, values) in self._by_key.items()
-            },
-            next_window_index=self._next_window_index,
-            windows_fired_flag=self._windows_fired,
-            windows_fired=self.windows_fired,
-        )
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self._by_key = {
-            key: (list(ts_list), list(values))
-            for key, (ts_list, values) in snapshot["by_key"].items()
-        }
-        self._next_window_index = snapshot["next_window_index"]
-        self._windows_fired = snapshot["windows_fired_flag"]
-        self.windows_fired = snapshot["windows_fired"]
-        handle = self._ensure_handle()
-        handle.reset()
-        entries = sum(len(ts_list) for ts_list, _values in self._by_key.values())
-        handle.adjust(96 * entries, entries)
-
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        handle = self._ensure_handle()
-        key = self.key_fn(item)
-        entry = self._by_key.get(key)
-        if entry is None:
-            entry = ([], [])
-            self._by_key[key] = entry
-        ts_list, values = entry
-        value = float(item[self.attribute]) if isinstance(item, Event) else float(len(item))
-        ts = item.ts
-        if ts_list and ts < ts_list[-1]:
-            pos = bisect_left(ts_list, ts)
-            ts_list.insert(pos, ts)
-            values.insert(pos, value)
-        else:
-            ts_list.append(ts)
-            values.append(value)
         # The buffer stores one (ts, value) pair per item — account the
         # stored footprint, not the incoming event's (which may carry
         # attrs); eviction removes the same 96 bytes per entry.
-        handle.adjust(96, +1)
-        first_index = self.assigner.indices_for(ts)[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            # Out-of-order arrival within lateness: open earlier windows
-            # while none has fired yet.
-            self._next_window_index = first_index
-        return ()
-
-    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
-        """Bulk-buffer a run: one ledger adjustment, one cursor update.
-
-        Windows fire only in :meth:`on_watermark` and batches never span a
-        watermark, so accumulating a whole run before any firing is
-        equivalent to per-item processing.
-        """
-        if not items:
-            return []
-        n = len(items)
-        self.work_units += n
-        handle = self._ensure_handle()
-        key_fn = self.key_fn
-        attribute = self.attribute
-        by_key = self._by_key
-        min_ts = items[0].ts
-        for item in items:
-            key = key_fn(item)
-            entry = by_key.get(key)
-            if entry is None:
-                entry = ([], [])
-                by_key[key] = entry
-            ts_list, values = entry
-            value = float(item[attribute]) if isinstance(item, Event) else float(len(item))
-            ts = item.ts
-            if ts_list and ts < ts_list[-1]:
-                pos = bisect_left(ts_list, ts)
-                ts_list.insert(pos, ts)
-                values.insert(pos, value)
-            else:
-                ts_list.append(ts)
-                values.append(value)
-            if ts < min_ts:
-                min_ts = ts
-        handle.adjust(96 * n, n)
-        first_index = self.assigner.indices_for(min_ts)[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            self._next_window_index = first_index
-        return []
-
-    def _last_useful_index(self) -> int:
-        """Largest window index containing any buffered value (guards the
-        terminal watermark against iterating to MAX_WATERMARK)."""
-        newest = -(2**62)
-        for ts_list, _values in self._by_key.values():
-            if ts_list and ts_list[-1] > newest:
-                newest = ts_list[-1]
-        return newest // self.window.slide
-
-    def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
-        if self._next_window_index is None:
-            return ()
-        handle = self._ensure_handle()
-        last_complete = min(
-            self.assigner.last_index_before(watermark.value), self._last_useful_index()
+        super().__init__(
+            name or f"window-{function}", window, (key_fn,), self._value, entry_bytes=96
         )
-        out: list[Item] = []
-        k = self._next_window_index
-        if k <= last_complete:
-            self._windows_fired = True
-        while k <= last_complete:
-            win = self.assigner.window_for_index(k)
-            for key, (ts_list, values) in self._by_key.items():
-                lo = bisect_left(ts_list, win.begin)
-                hi = bisect_left(ts_list, win.end)
-                if lo == hi:
-                    continue  # empty windows never fire (no Kleene*)
-                self.work_units += hi - lo
-                self.windows_fired += 1
-                out.append(self._emit(key, win.begin, win.end, values[lo:hi]))
-            k += 1
-        self._next_window_index = k
-        min_keep = k * self.window.slide
-        empty = []
-        for key, (ts_list, values) in self._by_key.items():
-            cut = bisect_left(ts_list, min_keep)
-            if cut:
-                handle.adjust(-96 * cut, -cut)
-                del ts_list[:cut]
-                del values[:cut]
-            if not ts_list:
-                empty.append(key)
-        for key in empty:
-            del self._by_key[key]
-        return out
+        self.function = function
+        self.fn = _BUILTIN_AGGREGATES[function]
+        self.attribute = attribute
+        self.output_type = output_type
+        self.windows_fired = 0
 
-    def _emit(self, key: Any, begin: int, end: int, values: Sequence[float]) -> Event:
-        return Event(
-            event_type=self.output_type,
-            ts=end - 1,
-            id=key,
-            value=self.fn(values),
-            attrs={"window_begin": begin, "window_end": end, "count": len(values)},
-        )
+    def _value(self, item: Item) -> float:
+        return float(item[self.attribute]) if isinstance(item, Event) else float(len(item))
+
+    def watermark_delay(self) -> int:
+        # A result carries its window's inclusive end, which the firing
+        # watermark has only just passed: nothing lags behind it.
+        return 0
+
+    def _fire_window(self, begin: int, end: int, out: list[Item]) -> None:
+        # Empty windows never fire (no Kleene*): spans() skips them.
+        for key, ts_list, values, lo, hi in self._open_buffers()[0].spans(begin, end):
+            self.work_units += hi - lo
+            self.windows_fired += 1
+            for value in self._fold(ts_list, values, lo, hi):
+                out.append(
+                    Event(
+                        event_type=self.output_type,
+                        ts=end - 1,
+                        id=key,
+                        value=value,
+                        attrs={"window_begin": begin, "window_end": end, "count": hi - lo},
+                    )
+                )
+
+    def _fold(
+        self, ts_list: list[int], values: list[float], lo: int, hi: int
+    ) -> Iterable[float]:
+        """The result values of one non-empty (key, window): of the
+        time-sorted ``values[lo:hi]``, buffered at ``ts_list[lo:hi]``."""
+        return (self.fn(values[lo:hi]),)
 
 
 class SortedWindowUdfAggregate(WindowAggregate):
@@ -294,53 +136,18 @@ class SortedWindowUdfAggregate(WindowAggregate):
     ):
         super().__init__(
             window,
-            function="count",  # placeholder; _emit is overridden
+            function="count",  # unused: _fold is overridden
             attribute=attribute,
             key_fn=key_fn,
             output_type=output_type,
             name=name or "window-udf",
         )
         self.udf = udf
-        self._pending: list[Event] = []
 
-    def snapshot_state(self) -> dict[str, Any]:
-        snap = super().snapshot_state()
-        snap["pending"] = list(self._pending)
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self._pending = list(snapshot["pending"])
-
-    def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
-        # Reuse the parent's window machinery; _emit captures the UDF
-        # outputs in batches of events instead of one count event.
-        self._pending = []
-        for event in super().on_watermark(watermark):
-            # parent emitted one placeholder per window; _emit already
-            # queued the real outputs, so drop the placeholder.
-            del event
-        out = self._pending
-        self._pending = []
-        return out
-
-    def _emit(self, key: Any, begin: int, end: int, values: Sequence[float]) -> Event:
-        # ``values`` are already time-sorted because the buffer is sorted.
-        entry = self._by_key[key]
-        ts_list = entry[0]
-        lo = bisect_left(ts_list, begin)
-        pairs = [(ts_list[lo + i], v) for i, v in enumerate(values)]
-        for result in self.udf(pairs):
-            self._pending.append(
-                Event(
-                    event_type=self.output_type,
-                    ts=end - 1,
-                    id=key,
-                    value=float(result),
-                    attrs={"window_begin": begin, "window_end": end, "count": len(values)},
-                )
-            )
-        return Event(event_type="__placeholder__", ts=end - 1, id=key)
+    def _fold(
+        self, ts_list: list[int], values: list[float], lo: int, hi: int
+    ) -> Iterable[float]:
+        return map(float, self.udf(list(zip(ts_list[lo:hi], values[lo:hi]))))
 
 
 def kleene_plus_count_udf(minimum: int) -> Callable[[Sequence[tuple[int, float]]], list[float]]:

@@ -15,8 +15,9 @@ Two physical window implementations are provided:
   attributes to small slide sizes. To keep the *semantics* duplicate-free
   while preserving that cost, a pair is emitted only from the first
   window containing both items (no extra state; see
-  ``_is_first_shared_window``). Pass ``emit_duplicates=True`` to study
-  the raw duplicate-emitting behaviour (paper Section 3.1.4).
+  :meth:`SlidingWindowOperator._is_first_shared_window`). Pass
+  ``emit_duplicates=True`` to study the raw duplicate-emitting behaviour
+  (paper Section 3.1.4).
 * :class:`IntervalJoin` — optimization O1: content-based windows anchored
   at left-stream events, bounds ``(lower, upper)`` relative to ``e1.ts``.
   Matches eagerly on arrival from either side; no duplicates by
@@ -39,39 +40,28 @@ calibrated on it (``bench_optimizer``'s never-loses parity and its
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from types import CodeType
 from typing import Any, Callable, Iterable, Literal, Sequence
 
 from repro.asp.datamodel import ComplexEvent
 from repro.asp.operators.base import Item, StatefulOperator
-from repro.asp.operators.window import IntervalBounds, SlidingWindowAssigner, WindowSpec
+from repro.asp.operators.window import (
+    GLOBAL_KEY,
+    IntervalBounds,
+    KeyFn,
+    SlidingWindowOperator,
+    WindowSpec,
+    _SideBuffer,
+    global_key,
+    group_by_key,
+)
 from repro.asp.time import Watermark
 
-KeyFn = Callable[[Item], Any]
 ThetaFn = Callable[[Item, Item], bool]
-
-GLOBAL_KEY = "__global__"
-
-
-def _global_key(_item: Item) -> Any:
-    return GLOBAL_KEY
-
-
-def _group_by_key(keys: Iterable[Any], items: Sequence[Item]) -> dict[Any, list[Item]]:
-    """Partition a run by its items' join keys, preserving arrival order
-    per key."""
-    groups: dict[Any, list[Item]] = {}
-    for key, item in zip(keys, items):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [item]
-        else:
-            group.append(item)
-    return groups
 
 
 def compose(left: Item, right: Item, emit_ts: Literal["min", "max"]) -> ComplexEvent:
@@ -105,120 +95,14 @@ def compose(left: Item, right: Item, emit_ts: Literal["min", "max"]) -> ComplexE
     )
 
 
-class _SideBuffer:
-    """Per-key, time-sorted buffer for one join side with state accounting."""
-
-    __slots__ = ("by_key", "handle")
-
-    def __init__(self, handle):
-        self.by_key: dict[Any, tuple[list[int], list[Item]]] = {}
-        self.handle = handle
-
-    def add(self, key: Any, item: Item) -> None:
-        entry = self.by_key.get(key)
-        if entry is None:
-            entry = ([], [])
-            self.by_key[key] = entry
-        ts_list, items = entry
-        ts = item.ts
-        if ts_list and ts < ts_list[-1]:
-            # Out-of-order insert (rare with watermark-aligned sources).
-            pos = bisect_right(ts_list, ts)
-            ts_list.insert(pos, ts)
-            items.insert(pos, item)
-        else:
-            ts_list.append(ts)
-            items.append(item)
-        self.handle.adjust(item.size_bytes, +1)
-
-    def extend(self, key: Any, run: Sequence[Item]) -> None:
-        """Bulk-insert a run of items with one ledger adjustment.
-
-        In-order items (the overwhelmingly common case — a micro-batch is
-        a time-ordered run from one source) take the append path without
-        any bisect; only genuinely late items fall back to positional
-        insertion.
-        """
-        entry = self.by_key.get(key)
-        if entry is None:
-            entry = ([], [])
-            self.by_key[key] = entry
-        ts_list, items = entry
-        added_bytes = 0
-        for item in run:
-            ts = item.ts
-            if ts_list and ts < ts_list[-1]:
-                pos = bisect_right(ts_list, ts)
-                ts_list.insert(pos, ts)
-                items.insert(pos, item)
-            else:
-                ts_list.append(ts)
-                items.append(item)
-            added_bytes += item.size_bytes
-        self.handle.adjust(added_bytes, len(run))
-
-    def slice(self, key: Any, begin: int, end: int) -> list[Item]:
-        """Items of ``key`` with ts in [begin, end)."""
-        entry = self.by_key.get(key)
-        if entry is None:
-            return []
-        ts_list, items = entry
-        lo = bisect_left(ts_list, begin)
-        hi = bisect_left(ts_list, end)
-        return items[lo:hi]
-
-    def evict_before(self, min_keep_ts: int) -> None:
-        """Drop every item with ts < ``min_keep_ts``."""
-        empty_keys = []
-        for key, (ts_list, items) in self.by_key.items():
-            cut = bisect_left(ts_list, min_keep_ts)
-            if cut:
-                freed = sum(i.size_bytes for i in islice(items, cut))
-                del ts_list[:cut]
-                del items[:cut]
-                self.handle.adjust(-freed, -cut)
-            if not ts_list:
-                empty_keys.append(key)
-        for key in empty_keys:
-            del self.by_key[key]
-
-    def keys(self) -> Iterable[Any]:
-        return self.by_key.keys()
-
-    def total_items(self) -> int:
-        return sum(len(items) for _ts, items in self.by_key.values())
-
-    # -- fault tolerance ---------------------------------------------------
-
-    def snapshot(self) -> dict[Any, tuple[list[int], list[Item]]]:
-        """Copy of the buffer content (containers copied, items shared)."""
-        return {
-            key: (list(ts_list), list(items))
-            for key, (ts_list, items) in self.by_key.items()
-        }
-
-    def restore(self, data: dict[Any, tuple[list[int], list[Item]]]) -> None:
-        """Replace the buffer and re-account the handle from the content."""
-        self.by_key = {
-            key: (list(ts_list), list(items))
-            for key, (ts_list, items) in data.items()
-        }
-        self.handle.reset()
-        total_bytes = 0
-        total_items = 0
-        for _ts_list, items in self.by_key.values():
-            total_bytes += sum(item.size_bytes for item in items)
-            total_items += len(items)
-        if total_items:
-            self.handle.adjust(total_bytes, total_items)
-
-
-class SlidingWindowJoin(StatefulOperator):
+class SlidingWindowJoin(SlidingWindowOperator):
     """Join both sides within every complete sliding window (Eq. 4/5)."""
 
     arity = 2
     kind = "window-join"
     reorder_safe = True
+    counters = ("pairs_tested", "pairs_emitted")
+    buffer_keys = ("left", "right")
 
     def __init__(
         self,
@@ -230,172 +114,18 @@ class SlidingWindowJoin(StatefulOperator):
         emit_duplicates: bool = False,
         name: str | None = None,
     ):
-        super().__init__(name or "sliding-window-join")
-        self.window = window
-        self.assigner = SlidingWindowAssigner(window)
+        super().__init__(name or "sliding-window-join", window, (left_key, right_key))
         self.theta = theta
-        self.left_key = left_key or _global_key
-        self.right_key = right_key or _global_key
-        self.is_keyed = left_key is not None and right_key is not None
         self.emit_ts: Literal["min", "max"] = emit_ts
         self.emit_duplicates = emit_duplicates
-        self._left: _SideBuffer | None = None
-        self._right: _SideBuffer | None = None
-        self._next_window_index: int | None = None
-        self._windows_fired = False
         self.pairs_tested = 0
         self.pairs_emitted = 0
 
-    @property
-    def key_parallel_safe(self) -> bool:
-        return self.is_keyed
-
-    def collect_metrics(self) -> dict[str, int | float]:
-        metrics = super().collect_metrics()
-        metrics["pairs_tested"] = self.pairs_tested
-        metrics["pairs_emitted"] = self.pairs_emitted
-        return metrics
-
-    def setup(self, registry) -> None:
-        super().setup(registry)
-        self._ensure_buffers()
-
-    def _ensure_buffers(self) -> None:
-        if self._left is None:
-            self._left = _SideBuffer(self.create_state("left-buffer"))
-            self._right = _SideBuffer(self.create_state("right-buffer"))
-
-    def snapshot_state(self) -> dict[str, Any]:
-        self._ensure_buffers()
-        snap = super().snapshot_state()
-        snap.update(
-            left=self._left.snapshot(),
-            right=self._right.snapshot(),
-            next_window_index=self._next_window_index,
-            windows_fired=self._windows_fired,
-            pairs_tested=self.pairs_tested,
-            pairs_emitted=self.pairs_emitted,
-        )
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self._ensure_buffers()
-        self._left.restore(snapshot["left"])
-        self._right.restore(snapshot["right"])
-        self._next_window_index = snapshot["next_window_index"]
-        self._windows_fired = snapshot["windows_fired"]
-        self.pairs_tested = snapshot["pairs_tested"]
-        self.pairs_emitted = snapshot["pairs_emitted"]
-
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self._ensure_buffers()
-        self.work_units += 1
-        if port == 0:
-            self._left.add(self.left_key(item), item)
-        elif port == 1:
-            self._right.add(self.right_key(item), item)
-        else:
-            raise ValueError(f"join received item on invalid port {port}")
-        first_index = self.assigner.indices_for(item.ts)[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            # Out-of-order arrival (within the allowed lateness) may open
-            # earlier windows — but only before any window fired; after
-            # that, the watermark guarantees no event needs them.
-            self._next_window_index = first_index
-        return ()
-
-    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
-        """Bulk-buffer a run: grouped extends, one window-cursor update.
-
-        Emission happens exclusively in :meth:`on_watermark`, and batches
-        never span a watermark, so buffering a whole run at once is
-        byte-equivalent to per-item processing.
-        """
-        if not items:
-            return []
-        self._ensure_buffers()
-        n = len(items)
-        self.work_units += n
-        if port == 0:
-            buffer, key_fn = self._left, self.left_key
-        elif port == 1:
-            buffer, key_fn = self._right, self.right_key
-        else:
-            raise ValueError(f"join received item on invalid port {port}")
-        if not self.is_keyed:
-            buffer.extend(GLOBAL_KEY, items)
-        else:
-            for key, group in _group_by_key(map(key_fn, items), items).items():
-                buffer.extend(key, group)
-        # min() over the run commutes with the per-item cursor rule: the
-        # window index is monotone in ts and nothing fires mid-batch.
-        first_index = self.assigner.indices_for(min(i.ts for i in items))[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            self._next_window_index = first_index
-        return []
-
-    def watermark_delay(self) -> int:
-        # Window results carry event times down to W behind the firing
-        # watermark (emit_ts="min" of a pair whose window just closed).
-        return self.window.size
-
-    def state_horizon_ms(self) -> int:
-        # Side buffers evict items once no shared window can contain them.
-        return self.window.size
-
-    def _is_first_shared_window(self, window_begin: int, newest: int) -> bool:
-        """True when this window is the earliest containing the whole
-        composition (anchored at its newest constituent)."""
-        size, slide = self.window.size, self.window.slide
-        first_k = -(-(newest - size + 1) // slide)  # ceil
-        return window_begin == first_k * slide
-
-    def _last_useful_index(self) -> int:
-        """Largest window index containing any buffered item.
-
-        A terminal watermark would otherwise ask for windows up to
-        ``MAX_WATERMARK``; windows past the newest buffered item are
-        provably empty and are skipped.
-        """
-        newest = -(2**62)
-        for buf in (self._left, self._right):
-            for ts_list, _items in buf.by_key.values():
-                if ts_list and ts_list[-1] > newest:
-                    newest = ts_list[-1]
-        return newest // self.window.slide
-
-    def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
-        self._ensure_buffers()
-        if self._next_window_index is None:
-            return ()
-        last_complete = min(
-            self.assigner.last_index_before(watermark.value), self._last_useful_index()
-        )
-        out: list[Item] = []
-        k = self._next_window_index
-        if k <= last_complete:
-            self._windows_fired = True
-        while k <= last_complete:
-            win = self.assigner.window_for_index(k)
-            self._join_window(win.begin, win.end, out)
-            k += 1
-        self._next_window_index = k
-        # Items older than the next window's start can never join again.
-        min_keep = k * self.window.slide
-        self._left.evict_before(min_keep)
-        self._right.evict_before(min_keep)
-        return out
-
-    def _join_window(self, begin: int, end: int, out: list[Item]) -> None:
-        left, right = self._left, self._right
+    def _fire_window(self, begin: int, end: int, out: list[Item]) -> None:
+        left, right = self._open_buffers()
         theta = self.theta
         tested = 0
-        for key in left.keys():
+        for key in left.by_key:
             lefts = left.slice(key, begin, end)
             if not lefts:
                 continue
@@ -587,8 +317,8 @@ class IntervalJoin(StatefulOperator):
         super().__init__(name or "interval-join")
         self.bounds = bounds
         self.theta = theta
-        self.left_key = left_key or _global_key
-        self.right_key = right_key or _global_key
+        self.left_key = left_key or global_key
+        self.right_key = right_key or global_key
         self.is_keyed = left_key is not None and right_key is not None
         self.emit_ts: Literal["min", "max"] = emit_ts
         self._left: _SideBuffer | None = None
@@ -708,7 +438,7 @@ class IntervalJoin(StatefulOperator):
         keys: Iterable[Any]
         if self.is_keyed:
             keys = [key_fn(item) for item in items]
-            for key, group in _group_by_key(keys, items).items():
+            for key, group in group_by_key(keys, items).items():
                 own.extend(key, group)
         else:
             keys = repeat(GLOBAL_KEY)

@@ -21,26 +21,17 @@ lets experiments explore.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Literal, Sequence
+from typing import Any, Callable, Literal, Sequence
 
 from repro.asp.datamodel import ComplexEvent, Event
-from repro.asp.operators.base import Item, StatefulOperator
-from repro.asp.operators.join import _SideBuffer
-from repro.asp.operators.window import SlidingWindowAssigner, WindowSpec
-from repro.asp.time import Watermark
+from repro.asp.operators.base import Item
+from repro.asp.operators.window import KeyFn, SlidingWindowOperator, WindowSpec
 
 #: Composite predicate over the candidate event tuple (one per input).
 TupleTheta = Callable[[Sequence[Event]], bool]
-KeyFn = Callable[[Item], Any]
-
-_GLOBAL = "__global__"
 
 
-def _global_key(_item: Item) -> Any:
-    return _GLOBAL
-
-
-class MultiWayWindowJoin(StatefulOperator):
+class MultiWayWindowJoin(SlidingWindowOperator):
     """n-ary sliding window join (Beam semantics).
 
     ``ordered=True`` enforces strictly increasing timestamps across the
@@ -52,6 +43,11 @@ class MultiWayWindowJoin(StatefulOperator):
     """
 
     kind = "multiway-window-join"
+    # Each window's combinations are the product of its per-port slices:
+    # regrouping same-window arrivals across sources changes the order
+    # they are enumerated in, never the set.
+    reorder_safe = True
+    counters = ("tuples_tested", "tuples_emitted")
 
     def __init__(
         self,
@@ -65,126 +61,22 @@ class MultiWayWindowJoin(StatefulOperator):
     ):
         if arity < 2:
             raise ValueError("multi-way join requires at least two inputs")
-        super().__init__(name or f"multiway-join[{arity}]")
+        super().__init__(name or f"multiway-join[{arity}]", window, [key_fn] * arity)
         self.arity = arity
-        self.window = window
-        self.assigner = SlidingWindowAssigner(window)
         self.ordered = ordered
         self.theta = theta
-        self.key_fn = key_fn or _global_key
-        self.is_keyed = key_fn is not None
         self.emit_ts: Literal["min", "max"] = emit_ts
-        self._buffers: list[_SideBuffer] | None = None
-        self._next_window_index: int | None = None
-        self._windows_fired = False
         self.tuples_tested = 0
         self.tuples_emitted = 0
 
-    @property
-    def key_parallel_safe(self) -> bool:
-        return self.is_keyed
-
-    def collect_metrics(self) -> dict[str, int | float]:
-        metrics = super().collect_metrics()
-        metrics["tuples_tested"] = self.tuples_tested
-        metrics["tuples_emitted"] = self.tuples_emitted
-        return metrics
-
-    def setup(self, registry) -> None:
-        super().setup(registry)
-        self._ensure_buffers()
-
-    def _ensure_buffers(self) -> None:
-        if self._buffers is None:
-            self._buffers = [
-                _SideBuffer(self.create_state(f"buffer-{port}"))
-                for port in range(self.arity)
-            ]
-
-    def snapshot_state(self) -> dict[str, Any]:
-        self._ensure_buffers()
-        snap = super().snapshot_state()
-        snap.update(
-            buffers=[buf.snapshot() for buf in self._buffers],
-            next_window_index=self._next_window_index,
-            windows_fired=self._windows_fired,
-            tuples_tested=self.tuples_tested,
-            tuples_emitted=self.tuples_emitted,
-        )
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self._ensure_buffers()
-        for buf, data in zip(self._buffers, snapshot["buffers"]):
-            buf.restore(data)
-        self._next_window_index = snapshot["next_window_index"]
-        self._windows_fired = snapshot["windows_fired"]
-        self.tuples_tested = snapshot["tuples_tested"]
-        self.tuples_emitted = snapshot["tuples_emitted"]
-
-    def watermark_delay(self) -> int:
-        return self.window.size
-
-    def state_horizon_ms(self) -> int:
-        return self.window.size
-
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self._ensure_buffers()
-        self.work_units += 1
-        if not 0 <= port < self.arity:
-            raise ValueError(f"multi-way join received item on invalid port {port}")
-        self._buffers[port].add(self.key_fn(item), item)
-        first_index = self.assigner.indices_for(item.ts)[0]
-        if self._next_window_index is None:
-            self._next_window_index = first_index
-        elif not self._windows_fired and first_index < self._next_window_index:
-            self._next_window_index = first_index
-        return ()
-
-    def _last_useful_index(self) -> int:
-        newest = -(2**62)
-        for buf in self._buffers:
-            for ts_list, _items in buf.by_key.values():
-                if ts_list and ts_list[-1] > newest:
-                    newest = ts_list[-1]
-        return newest // self.window.slide
-
-    def _is_first_shared_window(self, window_begin: int, timestamps: Sequence[int]) -> bool:
-        size, slide = self.window.size, self.window.slide
-        newest = max(timestamps)
-        first_k = -(-(newest - size + 1) // slide)
-        return window_begin == first_k * slide
-
-    def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
-        self._ensure_buffers()
-        if self._next_window_index is None:
-            return ()
-        last_complete = min(
-            self.assigner.last_index_before(watermark.value),
-            self._last_useful_index(),
-        )
-        out: list[Item] = []
-        k = self._next_window_index
-        if k <= last_complete:
-            self._windows_fired = True
-        while k <= last_complete:
-            win = self.assigner.window_for_index(k)
-            self._join_window(win.begin, win.end, out)
-            k += 1
-        self._next_window_index = k
-        min_keep = k * self.window.slide
-        for buf in self._buffers:
-            buf.evict_before(min_keep)
-        return out
-
-    def _join_window(self, begin: int, end: int, out: list[Item]) -> None:
+    def _fire_window(self, begin: int, end: int, out: list[Item]) -> None:
+        buffers = self._open_buffers()
         keys: set[Any] = set()
-        for buf in self._buffers:
-            keys.update(buf.by_key.keys())
+        for buf in buffers:
+            keys.update(buf.by_key)
         tested = 0
         for key in keys:
-            slices = [buf.slice(key, begin, end) for buf in self._buffers]
+            slices = [buf.slice(key, begin, end) for buf in buffers]
             if any(not s for s in slices):
                 continue
             for combo in itertools.product(*slices):
@@ -201,7 +93,7 @@ class MultiWayWindowJoin(StatefulOperator):
                     )
                 if self.theta is not None and not self.theta(tuple(events)):
                     continue
-                if not self._is_first_shared_window(begin, timestamps):
+                if not self._is_first_shared_window(begin, max(timestamps)):
                     continue
                 ce = ComplexEvent(tuple(events))
                 ce.ts = ce.ts_b if self.emit_ts == "min" else ce.ts_e

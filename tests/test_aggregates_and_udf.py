@@ -81,15 +81,6 @@ class TestWindowAggregate:
         assert out[0]["window_end"] == 2 * MIN
         assert out[0].ts == 2 * MIN - 1
 
-    def test_state_evicted_after_firing(self):
-        op = WindowAggregate(WindowSpec(MIN, MIN))
-        registry = StateRegistry()
-        op.setup(registry)
-        for i in range(50):
-            op.process(Event("V", ts=i * MIN))
-            op.on_watermark(Watermark(i * MIN))
-        assert registry.total_items() <= 3
-
 
 class TestSortedWindowUdfAggregate:
     def test_udf_receives_sorted_pairs(self):

@@ -98,18 +98,6 @@ class TestOperator:
         assert len(out) == 1
         assert out[0].events[1].value == 9.0
 
-    def test_no_duplicates_across_overlapping_windows(self):
-        join = MultiWayWindowJoin(2, WindowSpec(5 * MIN, MIN), ordered=True)
-        join.setup(StateRegistry())
-        out = []
-        for i in range(10):
-            join.process(Event("A", ts=i * MIN), port=0)
-            join.process(Event("B", ts=i * MIN + 1000), port=1)
-            out.extend(join.on_watermark(Watermark(i * MIN - MIN)))
-        out.extend(join.on_watermark(Watermark.terminal()))
-        keys = [ce.dedup_key() for ce in out]
-        assert len(keys) == len(set(keys))
-
     def test_invalid_arity(self):
         with pytest.raises(ValueError):
             MultiWayWindowJoin(1, WindowSpec(MIN, MIN))
@@ -119,15 +107,6 @@ class TestOperator:
         join.setup(StateRegistry())
         with pytest.raises(ValueError):
             join.process(Event("A", ts=0), port=5)
-
-    def test_state_evicted(self):
-        join = MultiWayWindowJoin(2, WindowSpec(2 * MIN, MIN))
-        registry = StateRegistry()
-        join.setup(registry)
-        for i in range(50):
-            join.process(Event("A", ts=i * MIN), port=0)
-            join.on_watermark(Watermark(i * MIN))
-        assert registry.total_items() <= 6
 
     def test_watermark_delay(self):
         join = MultiWayWindowJoin(3, WindowSpec(7 * MIN, MIN))

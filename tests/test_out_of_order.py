@@ -17,16 +17,42 @@ from repro.workloads.disorder import max_disorder, shuffle_bounded
 MIN = minutes(1)
 
 
-def make_stream(seed, n=50):
+def make_stream(seed, n=50, types=("Q", "V")):
     rng = random.Random(seed)
     return [
-        Event(rng.choice(["Q", "V"]), ts=i * MIN, id=1,
+        Event(rng.choice(types), ts=i * MIN, id=1,
               value=round(rng.uniform(0, 100), 3))
         for i in range(n)
     ]
 
 
-def run_disordered(pattern, arrival_events, allowed_lateness):
+#: One plan per sliding-window operator: (pattern, options, event types,
+#: whether the plan is exact — the O2 count is approximate by design, so
+#: its disordered output is held to its own in-order output instead of
+#: the oracle's).
+PLANS = [
+    pytest.param(
+        "PATTERN SEQ(Q a, V b) WITHIN 5 MINUTES SLIDE 1 MINUTE",
+        TranslationOptions.fasp(), ("Q", "V"), True, id="seq",
+    ),
+    pytest.param(
+        "PATTERN SEQ(Q a, V b, W c) WITHIN 5 MINUTES SLIDE 1 MINUTE",
+        TranslationOptions(use_multiway_joins=True), ("Q", "V", "W"), True,
+        id="seq3-multiway",
+    ),
+    pytest.param(
+        "PATTERN ITER3(V v) WHERE v.value > 40 WITHIN 5 MINUTES SLIDE 1 MINUTE",
+        TranslationOptions(iteration_strategy="exact"), ("Q", "V"), True,
+        id="iter-exact",
+    ),
+    pytest.param(
+        "PATTERN ITER3(V v) WHERE v.value > 40 WITHIN 5 MINUTES SLIDE 1 MINUTE",
+        TranslationOptions.o2(), ("Q", "V"), False, id="o2-count",
+    ),
+]
+
+
+def run_disordered(pattern, arrival_events, allowed_lateness, options=None):
     # One pre-merged source delivering in arrival order.
     source = ListSource(arrival_events, name="disordered")
     by_type = {}
@@ -35,9 +61,15 @@ def run_disordered(pattern, arrival_events, allowed_lateness):
     sources = {t: source for t in by_type}
     # Reuse the same physical source object for all types: the compiler
     # adds per-type routing filters since source.event_type is None.
-    query = translate(pattern, sources, TranslationOptions.fasp())
+    query = translate(pattern, sources, options or TranslationOptions.fasp())
     query.execute(max_out_of_orderness=allowed_lateness)
     return query.matches()
+
+
+def expected_keys(pattern, events, options, exact):
+    if exact:
+        return {m.dedup_key() for m in evaluate_pattern(pattern, events)}
+    return {m.dedup_key() for m in run_disordered(pattern, events, 0, options)}
 
 
 class TestShuffleBounded:
@@ -63,16 +95,16 @@ class TestShuffleBounded:
 
 
 class TestExactnessUnderBoundedDisorder:
-    def test_matches_preserved_with_adequate_lateness(self):
-        pattern = parse_pattern(
-            "PATTERN SEQ(Q a, V b) WITHIN 6 MINUTES SLIDE 1 MINUTE"
-        )
-        events = make_stream(5)
-        want = {m.dedup_key() for m in evaluate_pattern(pattern, events)}
+    @pytest.mark.parametrize("text,options,types,exact", PLANS)
+    def test_matches_preserved_with_adequate_lateness(self, text, options, types, exact):
+        pattern = parse_pattern(text)
+        events = make_stream(5, types=types)
+        want = expected_keys(pattern, events, options, exact)
+        assert want
         shuffled = shuffle_bounded(events, 2 * MIN, seed=3)
         got = {
             m.dedup_key()
-            for m in run_disordered(pattern, shuffled, allowed_lateness=2 * MIN)
+            for m in run_disordered(pattern, shuffled, 2 * MIN, options)
         }
         assert got == want
 
@@ -91,20 +123,19 @@ class TestExactnessUnderBoundedDisorder:
         got = {m.dedup_key() for m in query.matches()}
         assert got == want
 
+    @pytest.mark.parametrize("text,options,types,exact", PLANS)
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6),
            delay_min=st.integers(min_value=0, max_value=4))
-    def test_property_exact_when_lateness_covers_disorder(self, seed, delay_min):
-        pattern = parse_pattern(
-            "PATTERN SEQ(Q a, V b) WITHIN 5 MINUTES SLIDE 1 MINUTE"
-        )
-        events = make_stream(seed, n=35)
-        want = {m.dedup_key() for m in evaluate_pattern(pattern, events)}
+    def test_property_exact_when_lateness_covers_disorder(
+        self, text, options, types, exact, seed, delay_min
+    ):
+        pattern = parse_pattern(text)
+        events = make_stream(seed, n=35, types=types)
+        want = expected_keys(pattern, events, options, exact)
         shuffled = shuffle_bounded(events, delay_min * MIN, seed=seed)
         got = {
             m.dedup_key()
-            for m in run_disordered(
-                pattern, shuffled, allowed_lateness=delay_min * MIN
-            )
+            for m in run_disordered(pattern, shuffled, delay_min * MIN, options)
         }
         assert got == want
