@@ -20,6 +20,10 @@ class Sink(Operator):
 
     kind = "sink"
     reorder_safe = True
+    #: Name of the attribute holding what this sink retains, a list that
+    #: only grows at its end (None: retains nothing). A checkpoint counts
+    #: the list and journals its new suffix (``fault.checkpoint``).
+    retains: str | None = None
 
     def __init__(self, name: str | None = None):
         super().__init__(name or "sink")
@@ -48,14 +52,19 @@ class Sink(Operator):
     def snapshot_state(self) -> dict[str, Any]:
         # Sinks are part of the checkpoint so a recovered run does not
         # double-emit: replay resumes with the exact sink content the
-        # checkpoint observed (effectively-once output).
+        # checkpoint observed (effectively-once output). What a sink
+        # retains is counted by the cut and held by the output journal.
         snap = super().snapshot_state()
         snap["count"] = self.count
         return snap
 
     def restore_state(self, snapshot: dict[str, Any]) -> None:
+        """``snapshot`` carries the retained list under its attribute
+        name (``restore_job_state`` puts it there from the journal)."""
         super().restore_state(snapshot)
         self.count = snapshot["count"]
+        if self.retains:
+            setattr(self, self.retains, list(snapshot[self.retains]))
 
 
 class DiscardSink(Sink):
@@ -72,6 +81,8 @@ class DiscardSink(Sink):
 class CollectSink(Sink):
     """Retain every item; used by correctness tests and examples."""
 
+    retains = "items"
+
     def __init__(self, name: str | None = None):
         super().__init__(name or "collect-sink")
         self.items: List[Item] = []
@@ -83,15 +94,6 @@ class CollectSink(Sink):
         self.count += len(items)
         self.items.extend(items)
         return []
-
-    def snapshot_state(self) -> dict[str, Any]:
-        snap = super().snapshot_state()
-        snap["items"] = list(self.items)
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self.items = list(snapshot["items"])
 
     def matches(self) -> list[ComplexEvent]:
         return [i for i in self.items if isinstance(i, ComplexEvent)]
@@ -122,6 +124,8 @@ class LatencySink(Sink):
     fall back to the match's ``detection_ts`` bookkeeping.
     """
 
+    retains = "latencies_s"
+
     def __init__(self, name: str | None = None):
         super().__init__(name or "latency-sink")
         self.latencies_s: list[float] = []
@@ -131,15 +135,6 @@ class LatencySink(Sink):
         """Read wall time from the job's shared clock instead of the raw
         counter, so injected slow-operator delays appear in latencies."""
         self._wall_clock = clock
-
-    def snapshot_state(self) -> dict[str, Any]:
-        snap = super().snapshot_state()
-        snap["latencies_s"] = list(self.latencies_s)
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self.latencies_s = list(snapshot["latencies_s"])
 
     def accept(self, item: Item) -> None:
         now = self._wall_clock() if self._wall_clock is not None else _time.perf_counter()
@@ -177,6 +172,8 @@ class EventTimeLatencySink(Sink):
     :meth:`set_event_clock` at setup.
     """
 
+    retains = "lags_ms"
+
     def __init__(self, name: str | None = None):
         super().__init__(name or "event-time-latency-sink")
         self.lags_ms: list[int] = []
@@ -184,15 +181,6 @@ class EventTimeLatencySink(Sink):
 
     def set_event_clock(self, clock: Callable[[], int]) -> None:
         self._event_clock = clock
-
-    def snapshot_state(self) -> dict[str, Any]:
-        snap = super().snapshot_state()
-        snap["lags_ms"] = list(self.lags_ms)
-        return snap
-
-    def restore_state(self, snapshot: dict[str, Any]) -> None:
-        super().restore_state(snapshot)
-        self.lags_ms = list(snapshot["lags_ms"])
 
     def accept(self, item: Item) -> None:
         if self._event_clock is None:

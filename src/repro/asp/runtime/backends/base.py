@@ -23,6 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.asp.graph import Dataflow
 
 
+#: Default engine of ``repro run``, ``repro serve`` and ``ServiceConfig``.
+#: ``ExecutionSettings`` defaults to 1: a bare library call is the oracle.
+DEFAULT_BATCH_SIZE = 256
+
+
 @dataclass(frozen=True)
 class ExecutionSettings:
     """Per-run knobs every backend honours."""

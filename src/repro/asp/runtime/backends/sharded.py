@@ -22,9 +22,10 @@ Dispatch modes
     Shards run concurrently on one long-lived spawn-context worker pool.
     Subgraphs contain lambdas (predicates, theta conditions), so they are
     shipped with ``cloudpickle``. The parent owns every lane: a worker
-    maps (flow, state payload in) to (result, sink payloads, state
-    payload out) and never sees a store. Cadence checkpoints are skipped
-    — the round boundary is the durable cut — and a run with a fault
+    maps (flow, state and journalled sink output in) to (result, sink
+    payloads, state payload out) and never sees a store: the parent
+    commits the cut, in the one on-disk format. Cadence checkpoints are
+    skipped — the round boundary is the durable cut — and a run with a fault
     plan dispatches inline, because an injected crash must fire exactly
     once across restarts and so needs its injector in this process.
 ``inline``
@@ -37,7 +38,7 @@ Dispatch modes
 ``auto`` (default)
     ``process`` when the machine has more than one CPU, else ``inline``.
 
-Shard sink contents are cumulative (part of every snapshot), so each
+Shard sink contents are cumulative (every cut counts them), so each
 round *replaces* the caller's sink contents with the union over shards:
 ``TranslatedQuery.matches()``, harness code and the serve read endpoints
 observe a sharded run exactly like a serial one.
@@ -55,22 +56,17 @@ from typing import Sequence
 
 from repro.asp.graph import Dataflow, extract_shards
 from repro.asp.operators.keyby import key_by_attribute
-from repro.asp.operators.sink import (
-    CollectSink,
-    EventTimeLatencySink,
-    LatencySink,
-    Sink,
-)
+from repro.asp.operators.sink import CollectSink, Sink
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
-from repro.asp.runtime.fault.checkpoint import capture_job_state, restore_job_state
+from repro.asp.runtime.fault.checkpoint import capture_job_state, restore_job_state, sink_outputs
 from repro.asp.runtime.fault.recovery import (
     CrashHandler,
     Lane,
     execute_round,
     run_lane,
 )
-from repro.asp.runtime.fault.store import pickle_payload, unpickle_payload
+from repro.asp.runtime.fault.store import log, pickle_payload
 from repro.asp.runtime.result import RunResult, merge_shard_results
 from repro.errors import ExecutionError, ShardabilityError
 
@@ -81,8 +77,8 @@ except ImportError:  # pragma: no cover - present in the reference env
 
 SHARD_MODES = ("auto", "process", "inline")
 
-#: Per sink node id: (count, collected items, wall latencies, event-time lags).
-SinkPayloads = dict[int, tuple[int, list | None, list | None, list | None]]
+#: Per sink node id: (count, the list the sink retains or None).
+SinkPayloads = dict[int, tuple[int, list | None]]
 
 _pool: ProcessPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -115,25 +111,20 @@ def shutdown_pool() -> None:
 
 
 def _sink_payloads(flow: Dataflow) -> SinkPayloads:
-    payloads: SinkPayloads = {}
-    for node in flow.sink_nodes():
-        sink = node.operator
-        if isinstance(sink, Sink):
-            payloads[node.node_id] = (
-                sink.count,
-                list(sink.items) if isinstance(sink, CollectSink) else None,
-                list(sink.latencies_s) if isinstance(sink, LatencySink) else None,
-                list(sink.lags_ms) if isinstance(sink, EventTimeLatencySink) else None,
-            )
-    return payloads
+    retained = sink_outputs(flow)
+    return {
+        node.node_id: (node.operator.count, retained.get(node.node_id))
+        for node in flow.sink_nodes()
+        if isinstance(node.operator, Sink)
+    }
 
 
 def _shard_entry(blob: bytes) -> bytes:
-    """Worker-process entry: one shard's round, state payload in and out."""
-    flow, settings, payload, terminal, cut = cloudpickle.loads(blob)
+    """Worker-process entry: one shard's round, state in and payload out."""
+    flow, settings, state, terminal, cut = cloudpickle.loads(blob)
     job = SerialJob(flow, settings)
-    if payload is not None:
-        restore_job_state(job, unpickle_payload(payload))
+    if state is not None:
+        restore_job_state(job, *state)
     result = job.run(terminal_watermark=terminal)
     state = pickle_payload(capture_job_state(job)) if cut else None
     return cloudpickle.dumps((result, _sink_payloads(flow), state, job.events_in))
@@ -146,19 +137,15 @@ def _fold_sinks(flow: Dataflow, shard_payloads: Sequence[SinkPayloads]) -> None:
         parts = [p[node.node_id] for p in shard_payloads if node.node_id in p]
         if not parts or not isinstance(sink, Sink):  # pragma: no cover
             continue
-        sink.count = sum(count for count, _i, _l, _g in parts)
-        if isinstance(sink, CollectSink):
-            # Shard order is arbitrary; restore a deterministic global
-            # event-time order (ties broken by shard index). A new list,
-            # like a restore: one list object only ever grows at its end.
-            sink.items = sorted(
-                (item for _c, items, _l, _g in parts for item in items or ()),
-                key=lambda item: item.ts,
-            )
-        if isinstance(sink, LatencySink):
-            sink.latencies_s[:] = [x for _c, _i, lat, _g in parts for x in lat or ()]
-        if isinstance(sink, EventTimeLatencySink):
-            sink.lags_ms[:] = [x for _c, _i, _l, lags in parts for x in lags or ()]
+        sink.count = sum(count for count, _retained in parts)
+        if sink.retains:
+            merged = [x for _count, retained in parts for x in retained or ()]
+            if isinstance(sink, CollectSink):
+                # Shard order is arbitrary; restore a deterministic global
+                # event-time order (ties broken by shard index).
+                merged.sort(key=lambda item: item.ts)
+            # A new list, like a restore: a list object only grows at its end.
+            setattr(sink, sink.retains, merged)
 
 
 class ShardedBackend:
@@ -230,9 +217,10 @@ class ShardedBackend:
                 outcomes = self._run_in_pool(
                     shard_flows, settings, shard_lanes, terminal, cut
                 )
-            except (OSError, BrokenProcessPool):
+            except (OSError, BrokenProcessPool) as exc:
                 # No fork/spawn rights or a poisoned pool: the round still
                 # happens, sequentially, against the same lanes.
+                log.debug("%s: process round fell back to inline: %r", flow.name, exc)
                 shutdown_pool()
         if outcomes is None:
             mode = "inline"
@@ -265,23 +253,15 @@ class ShardedBackend:
         blobs = []
         for flow, lane in zip(shard_flows, lanes):
             latest = lane.store.latest() if lane is not None else None
-            blobs.append(
-                cloudpickle.dumps(
-                    (
-                        flow,
-                        shipped,
-                        latest.payload if latest is not None else None,
-                        terminal,
-                        cut,
-                    )
-                )
-            )
+            state = lane.coordinator.load(latest) if latest is not None else None
+            blobs.append(cloudpickle.dumps((flow, shipped, state, terminal, cut)))
         pool = _shared_pool()
         futures = [pool.submit(_shard_entry, blob) for blob in blobs]
         outcomes: list[tuple[RunResult, SinkPayloads]] = []
         for lane, future in zip(lanes, futures):
             result, payloads, state, events_in = cloudpickle.loads(future.result())
             if lane is not None and state is not None:
-                lane.coordinator.save_payload(state, events_in)
+                retained = {n: kept for n, (_c, kept) in payloads.items() if kept is not None}
+                lane.coordinator.commit(retained, state, events_in)
             outcomes.append((result, payloads))
         return outcomes

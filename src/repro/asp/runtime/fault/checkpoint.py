@@ -11,6 +11,13 @@ captures every operator's :meth:`~repro.asp.operators.base.Operator
 persists the pickled blob to a :class:`~repro.asp.runtime.fault.store
 .CheckpointStore`.
 
+What a sink retains is not in that blob — it grows with the stream, and
+only at its end. A cut first appends to the store's output journal what
+each sink's list gained since the previous cut, then saves a payload
+that counts the lists; a restore reads the journal back up to those
+counts. A record past them was left by an attempt that died between its
+append and its save, and the next cut's record replaces it (DESIGN §9).
+
 Overhead is measured, not guessed: count, total bytes and a duration
 histogram (p95) accumulate across recovery attempts and surface in
 ``RunResult.metrics["checkpoints"]``.
@@ -20,21 +27,35 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.asp.graph import Dataflow
+from repro.asp.operators.sink import Sink
 from repro.asp.runtime.clock import RuntimeClock
 from repro.asp.runtime.fault.store import (
     Checkpoint,
     CheckpointStore,
+    log,
     pickle_payload,
     unpickle_payload,
 )
 from repro.asp.runtime.observability import Histogram
+from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.backends.serial import SerialJob
 
 
+def sink_outputs(flow: Dataflow) -> dict[int, list]:
+    """By node id, the list each retaining sink of ``flow`` holds."""
+    return {
+        node.node_id: getattr(node.operator, node.operator.retains)
+        for node in flow.sink_nodes()
+        if isinstance(node.operator, Sink) and node.operator.retains
+    }
+
+
 def capture_job_state(job: "SerialJob") -> dict[str, Any]:
-    """Everything a restarted job needs: offset, watermark, operators."""
+    """Everything a restarted job needs: offset, watermark, operators,
+    and how much of each sink's output the journal must give back."""
     return {
         "offset": job.events_in,
         "items_out": job.items_out,
@@ -43,15 +64,23 @@ def capture_job_state(job: "SerialJob") -> dict[str, Any]:
             node.node_id: node.operator.snapshot_state()
             for node in job.flow.operator_nodes()
         },
+        "journalled": {n: len(kept) for n, kept in sink_outputs(job.flow).items()},
     }
 
 
-def restore_job_state(job: "SerialJob", data: dict[str, Any]) -> None:
+def restore_job_state(
+    job: "SerialJob", data: dict[str, Any], outputs: dict[int, list] | None = None
+) -> None:
+    """``outputs``: the journalled lists of the sinks ``data`` only counts
+    (a payload from before the journal carries them in its sink snapshots)."""
     job.events_in = data["offset"]
     job.items_out = data["items_out"]
     job.watermarks.restore(data["watermark"])
     for node in job.flow.operator_nodes():
-        node.operator.restore_state(data["operators"][node.node_id])
+        snapshot = data["operators"][node.node_id]
+        if outputs and node.node_id in outputs:
+            snapshot = {**snapshot, node.operator.retains: outputs[node.node_id]}
+        node.operator.restore_state(snapshot)
 
 
 class CheckpointCoordinator:
@@ -78,6 +107,9 @@ class CheckpointCoordinator:
         self._next_id = 0
         #: Offset of the newest checkpoint this coordinator saved.
         self.last_offset: int | None = None
+        #: Per sink node, how many items of its output the journal holds
+        #: as of the cut the lane stands at.
+        self._journalled: dict[int, int] = {}
 
     def due(self, events_in: int) -> bool:
         return (
@@ -89,28 +121,64 @@ class CheckpointCoordinator:
     def take(self, job: "SerialJob") -> Checkpoint:
         started = self.clock.now()
         payload = pickle_payload(capture_job_state(job))
-        return self.save_payload(payload, job.events_in, started)
+        return self.commit(sink_outputs(job.flow), payload, job.events_in, started)
 
-    def save_payload(
-        self, payload: bytes, offset: int, started: float | None = None
+    def commit(
+        self,
+        outputs: dict[int, list],
+        payload: bytes,
+        offset: int,
+        started: float | None = None,
     ) -> Checkpoint:
-        """Persist a captured state blob; ids, retention and the overhead
-        metrics live here. Process-mode shards capture their state in a
-        worker process and ship the payload back to the lane's
-        coordinator."""
+        """One cut: journal what each sink's output gained, then persist the
+        state blob (a process-mode shard ships both back from its worker)."""
         if started is None:
             started = self.clock.now()
+        records = [
+            (node_id, held, items[held:])
+            for node_id, items in outputs.items()
+            if len(items) > (held := self._journalled.get(node_id, 0))
+        ]
+        written = self.store.append_output(records) if records else 0
+        self._journalled = {node_id: len(items) for node_id, items in outputs.items()}
         checkpoint = Checkpoint(self._next_id, offset, payload)
         self.store.save(checkpoint)
         self._next_id += 1
         self.last_offset = offset
         self.count += 1
-        self.bytes_total += checkpoint.size_bytes
+        self.bytes_total += checkpoint.size_bytes + written
         self.duration.observe(self.clock.now() - started)
         return checkpoint
 
-    def restore_into(self, job: "SerialJob", checkpoint: Checkpoint) -> None:
-        restore_job_state(job, unpickle_payload(checkpoint.payload))
+    def load(self, checkpoint: Checkpoint) -> tuple[dict[str, Any], dict[int, list]]:
+        """A checkpoint's state and the sink output it counts, read back from
+        the journal (``restore_job_state``'s arguments); the lane now stands there."""
+        started = self.clock.now()
+        data = unpickle_payload(checkpoint.payload)
+        counts = data.get("journalled")
+        if counts is None:
+            log.debug("lane %r: adopted whole-sink %r", self.store, checkpoint)
+            counts = {}
+        held: dict[int, list] = {node_id: [] for node_id in counts}
+        for node_id, start, items in self.store.read_output() if counts else ():
+            if node_id in held and start <= len(held[node_id]):
+                # A record replaces an earlier one from its start; one
+                # that starts past the end leaves the journal short.
+                held[node_id][start:] = items
+        for node_id, count in counts.items():
+            if len(held[node_id]) < count:
+                raise ExecutionError(
+                    f"lane {self.store!r}: the output journal holds "
+                    f"{len(held[node_id])} items of sink node {node_id} "
+                    f"where {checkpoint!r} needs {count}"
+                )
+            del held[node_id][count:]
+        self._journalled = counts
+        log.debug(
+            "lane %r: restored %r, %d items read back in %.1f ms", self.store,
+            checkpoint, sum(counts.values()), (self.clock.now() - started) * 1e3,
+        )
+        return data, held
 
     def metrics(self) -> dict[str, Any]:
         return {

@@ -18,9 +18,10 @@ builds a fresh job and restores the lane's latest checkpoint into it, or
 takes checkpoint 0 when the lane is empty.
 :func:`~repro.asp.runtime.scheduler.merge_sources` is deterministic
 (ties broken by source order), so dropping the first ``offset`` pairs
-reproduces exactly the prefix the checkpoint already consumed; sinks are
-part of the snapshot, so nothing is double-emitted (effectively-once
-output). On an :class:`~repro.errors.InjectedFaultError` the caller's
+reproduces exactly the prefix the checkpoint already consumed; a cut
+counts what the sinks hold and the lane's output journal holds it, so
+nothing is double-emitted (effectively-once output). On an
+:class:`~repro.errors.InjectedFaultError` the caller's
 crash handler decides whether the round is attempted again from the
 lane's latest checkpoint.
 
@@ -37,9 +38,9 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.asp.graph import Dataflow
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
-from repro.asp.runtime.fault.checkpoint import CheckpointCoordinator
+from repro.asp.runtime.fault.checkpoint import CheckpointCoordinator, restore_job_state
 from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
-from repro.asp.runtime.fault.store import CheckpointStore, InMemoryCheckpointStore
+from repro.asp.runtime.fault.store import CheckpointStore, InMemoryCheckpointStore, log
 from repro.asp.runtime.observability.registry import merge_metric_trees
 from repro.asp.runtime.result import RunResult
 from repro.errors import InjectedFaultError
@@ -159,6 +160,8 @@ def run_lane(
     job, lane.job = lane.job, None
     if job is not None and job.flow is not flow:
         job = None
+    if job is not None:
+        log.debug("lane %r: continued live at offset %d", lane.store, job.events_in)
     latest = None if job is not None else lane.store.latest()
     while True:
         if job is None:
@@ -170,7 +173,7 @@ def run_lane(
                 # before the first cadence checkpoint can still recover.
                 latest = lane.coordinator.take(job)
             else:
-                lane.coordinator.restore_into(job, latest)
+                restore_job_state(job, *lane.coordinator.load(latest))
         try:
             result = job.run(terminal_watermark=terminal)
             break

@@ -60,6 +60,7 @@ from repro.asp.runtime import (
     resolve_backend,
     write_metrics_json,
 )
+from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.time import minutes
 from repro.cep.matches import dedup
 from repro.cep.nfa import run_nfa
@@ -684,9 +685,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           "delay=0.001;drop:from=src,to=filter'")
     run.add_argument("--max-restarts", type=int, default=3,
                      help="restarts allowed before the run fails (default 3)")
-    run.add_argument("--batch-size", type=int, default=256, metavar="N",
-                     help="micro-batch size of the FASP batch engine "
-                          "(default 256; 1 = per-event reference path)")
+    run.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",
+                     help="micro-batch size of the FASP batch engine (default "
+                          f"{DEFAULT_BATCH_SIZE}; 1 = per-event reference path)")
     run.set_defaults(func=cmd_run)
 
     metrics = sub.add_parser("metrics",
@@ -803,10 +804,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "oldest queued event has waited MS milliseconds")
     serve.add_argument("--max-restarts", type=int, default=3,
                        help="per-job restart budget")
-    serve.add_argument("--batch-size", type=int, default=1, metavar="N",
+    serve.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",
                        help="micro-batch size of processing rounds (default "
-                            "1 = per-event reference path; per-job override: "
-                            "submit with \"batch_size\": N)")
+                            f"{DEFAULT_BATCH_SIZE}; 1 = the per-event oracle; "
+                            "per-job override: submit with \"batch_size\": N)")
     serve.add_argument("--max-out-of-orderness", type=int, default=0,
                        help="allowed event-time disorder of ingestion (ms)")
     serve.add_argument("--optimize", choices=OPTIMIZE_MODES, default="off",

@@ -20,9 +20,9 @@ end. The terminal watermark is withheld until the final drain round, so
 windows stay open across rounds exactly as they would in one continuous
 run.
 Crashes (injected or real ``InjectedFaultError``) retry from the latest
-checkpoint under the job's restart budget; sinks are part of every
-snapshot, so output is effectively-once across any number of worker
-restarts.
+checkpoint under the job's restart budget; every cut counts what the
+sinks hold and the lane's output journal holds it, so output is
+effectively-once across any number of worker restarts.
 
 Admission control: when a job's ingress queue is full the configured
 policy either **rejects** the event with a ``retry_after_ms`` hint or
@@ -55,8 +55,10 @@ from repro.asp.runtime import (
     parse_fault_plan,
     run_report,
 )
+from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
 from repro.asp.runtime.fault.injection import FaultPlan
+from repro.asp.runtime.fault.store import unpickle_payload
 from repro.asp.runtime.observability import MetricsRegistry
 from repro.errors import (
     ExecutionError,
@@ -137,7 +139,7 @@ class ServiceConfig:
     #: Restart budget per job across its whole lifetime.
     max_restarts: int = 3
     #: Engine of the rounds: 1 = per-event reference, > 1 = batch engine.
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
     #: Allowed event-time disorder of the ingestion stream (ms).
     max_out_of_orderness: int = 0
     #: Optimizer mode applied at submit ("off"/"static"/"profile").
@@ -984,14 +986,19 @@ class JobManager:
             read_before = pulled()
             # Only here does a round end in a checkpoint: the next round
             # resumes from this cut.
-            result = job.runner.run_round(
-                flow,
-                job.settings,
-                job.lanes,
-                job.record_restart,
-                terminal=terminal,
-                cut=True,
-            )
+            try:
+                result = job.runner.run_round(
+                    flow,
+                    job.settings,
+                    job.lanes,
+                    job.record_restart,
+                    terminal=terminal,
+                    cut=True,
+                )
+            except ExecutionError as exc:  # a lane whose journal is short of its cut
+                with job.cond:
+                    job.state = JobState.FAILED
+                    job.failure = str(exc)
             job.events_read.inc(pulled() - read_before)
             if job.state == JobState.FAILED:
                 # The restart budget died mid-round.
@@ -1132,21 +1139,28 @@ class JobManager:
             # Sharded jobs keep checkpoint-per-shard in scoped substores;
             # the job-level view aggregates them (entries tagged by shard).
             entries = []
+            journals = []
             for lane in job.lanes:
-                for c in lane.store.checkpoints():
-                    entry = {
-                        "checkpoint_id": c.checkpoint_id,
-                        "offset": c.offset,
-                        "size_bytes": c.size_bytes,
-                    }
-                    if lane.shard is not None:
-                        entry["shard"] = lane.shard
-                    entries.append(entry)
+                tag = {} if lane.shard is None else {"shard": lane.shard}
+                chain = lane.store.checkpoints()
+                entries += [
+                    {"checkpoint_id": c.checkpoint_id, "offset": c.offset,
+                     "size_bytes": c.size_bytes, **tag}
+                    for c in chain
+                ]
+                # What the newest cut reads back, and the file it reads.
+                newest = unpickle_payload(chain[-1].payload) if chain else {}
+                journals.append({
+                    "journal_items": sum(newest.get("journalled", {}).values()),
+                    "journal_bytes": lane.store.output_bytes(),
+                    **tag,
+                })
             return {
                 "job": job.job_id,
                 "backend": job.backend,
                 "coordinator": checkpoint_metrics(job.lanes),
                 "entries": entries,
+                "lanes": journals,
                 "durable": isinstance(
                     job.lanes[0].store, DirectoryCheckpointStore
                 ),

@@ -32,8 +32,6 @@ from repro.asp.runtime import (
 from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault import recovery
 from repro.asp.runtime.fault.chaos import canonical_match_bytes
-from repro.asp.runtime.fault.checkpoint import capture_job_state
-from repro.asp.runtime.fault.store import pickle_payload
 from repro.mapping.advisor import recommend_options
 from repro.mapping.translator import translate
 from repro.patterns import CATALOG
@@ -44,7 +42,7 @@ from repro.runtime.service import (
     event_to_wire,
     start_in_thread,
 )
-from tests.test_round_protocol import INTERVAL, full_log, no_retry, write_checkpoint
+from tests.test_round_protocol import ENGINES, INTERVAL, full_log, no_retry, write_checkpoint
 
 CASES = ("traffic-congestion", "street-lighting-demand", "congestion-cleared")
 
@@ -100,7 +98,7 @@ def built_jobs(monkeypatch):
 
 
 class TestARoundReadsItsSuffix:
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("batch_size", ENGINES)
     @pytest.mark.parametrize("case", CASES)
     def test_k_rounds_pull_every_event_once(self, case, batch_size, built_jobs):
         events = full_log(case)
@@ -154,7 +152,7 @@ class TestARoundReadsItsSuffix:
 class TestCrashDropsTheLiveJob:
     CASE = "traffic-congestion"
 
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("batch_size", ENGINES)
     def test_retry_restores_then_the_next_round_is_live(self, batch_size, built_jobs):
         events = full_log(self.CASE)
         clean, _source = build(self.CASE, events)
@@ -282,7 +280,7 @@ class TestOneCutPerState:
 
 
 class TestARoundsResultIsThatRound:
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("batch_size", ENGINES)
     def test_samples_wall_and_operator_tree_exclude_earlier_rounds(self, batch_size):
         case = "traffic-congestion"
         events = full_log(case)
@@ -340,7 +338,7 @@ class TestResumeFindsWhatItFound:
         query.execute()
         return canonical_match_bytes(query.matches())
 
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("batch_size", ENGINES)
     def test_a_fresh_manager_over_the_same_state_dir(self, tmp_path, batch_size, built_jobs):
         events = full_log(self.CASE)
         config = ServiceConfig(
@@ -387,7 +385,7 @@ class TestResumeFindsWhatItFound:
         job = SerialJob(scratch.compiled.env.flow, scratch.settings)
         job.run(terminal_watermark=False)
         scope = tmp_path / "job-1"
-        write_checkpoint(scope, job.events_in, pickle_payload(capture_job_state(job)))
+        write_checkpoint(scope, job)
         (scope / "job.json").write_text(
             json.dumps({"job_id": "job-1", "request": self.REQUEST})
         )

@@ -28,9 +28,10 @@ from repro.asp.runtime import (
     ShardedBackend,
     open_lanes,
 )
+from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.chaos import canonical_match_bytes
-from repro.asp.runtime.fault.checkpoint import capture_job_state
+from repro.asp.runtime.fault.checkpoint import capture_job_state, sink_outputs
 from repro.asp.runtime.fault.store import pickle_payload
 from repro.experiments.common import Scale, qnv_aq_workload
 from repro.mapping.advisor import recommend_options
@@ -40,6 +41,8 @@ from repro.runtime.service import JobManager, ServiceConfig, event_to_wire
 
 KEY = "id"
 INTERVAL = 100
+#: The per-event oracle and the engine ``repro run`` and ``serve`` default to.
+ENGINES = [1, DEFAULT_BATCH_SIZE]
 STREAMS = qnv_aq_workload(Scale(events=800, sensors=4, seed=7))
 
 #: name -> (pattern factory, options, shardable). Every catalog query is
@@ -130,7 +133,7 @@ def lane_events(result):
 
 
 class TestOneShotEqualsRounds:
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("batch_size", ENGINES)
     @pytest.mark.parametrize("case, backend_name", backend_cases())
     def test_execute_equals_k_rounds(self, case, backend_name, batch_size):
         if backend_name == "sharded-process":
@@ -292,13 +295,27 @@ class TestRestartBudget:
         assert status["restarts"] == 1
 
 
-def write_checkpoint(directory, offset, payload):
-    """One checkpoint in the directory store's layout, by hand."""
+def parent_format_state(job):
+    """A job's state as the commit before the output journal captured it:
+    each retaining sink's snapshot carries its list, and no count."""
+    state = capture_job_state(job)
+    del state["journalled"]
+    for node_id, retained in sink_outputs(job.flow).items():
+        retains = job.flow.nodes[node_id].operator.retains
+        state["operators"][node_id][retains] = list(retained)
+    return state
+
+
+def write_checkpoint(directory, job):
+    """One checkpoint of ``job`` in the directory store's layout as that
+    commit left it, by hand: a whole-sink payload and no journal."""
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "chk-handmade-0.pickle").write_bytes(payload)
-    (directory / "manifest.json").write_text(json.dumps(
-        [{"checkpoint_id": 0, "offset": offset, "file": "chk-handmade-0.pickle"}]
-    ))
+    (directory / "chk-handmade-0.pickle").write_bytes(
+        pickle_payload(parent_format_state(job))
+    )
+    (directory / "manifest.json").write_text(json.dumps([
+        {"checkpoint_id": 0, "offset": job.events_in, "file": "chk-handmade-0.pickle"}
+    ]))
 
 
 class TestExistingStateDirsResume:
@@ -309,14 +326,16 @@ class TestExistingStateDirsResume:
 
     CASE = "traffic-congestion"
 
+    @pytest.mark.parametrize("batch_size", ENGINES)
     @pytest.mark.parametrize("backend, shards", [("serial", None), ("sharded", 2)])
-    def test_hand_written_state_dir_resumes(self, tmp_path, backend, shards):
+    def test_hand_written_state_dir_resumes(self, tmp_path, backend, shards, batch_size):
         request = {
             "name": "old",
             "query": {"catalog": self.CASE, "name": "old", "options": {"o3": KEY}},
             "backend": backend,
             "shards": 2,
             "shard_mode": "inline",
+            "batch_size": batch_size,
         }
         events = full_log(self.CASE)
         durable = events[: len(events) // 2]
@@ -337,9 +356,7 @@ class TestExistingStateDirsResume:
             scope = tmp_path / "job-1"
             if shards is not None:
                 scope = scope / f"shard-{index}"
-            write_checkpoint(
-                scope, job.events_in, pickle_payload(capture_job_state(job))
-            )
+            write_checkpoint(scope, job)
             offsets.append(job.events_in)
         (tmp_path / "job-1" / "job.json").write_text(
             json.dumps({"job_id": "job-1", "request": request})

@@ -15,11 +15,16 @@ from hypothesis import given, settings, strategies as st
 from repro.asp.runtime import FaultPlan, FaultSpec
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
-from repro.asp.runtime.fault.checkpoint import capture_job_state, restore_job_state
+from repro.asp.runtime.fault.checkpoint import (
+    capture_job_state,
+    restore_job_state,
+    sink_outputs,
+)
 from repro.asp.runtime.fault.store import pickle_payload, unpickle_payload
 from repro.mapping.translator import translate
 from repro.sea.parser import parse_pattern
 
+from tests.test_round_protocol import parent_format_state
 from tests.test_random_patterns import (
     flat_pattern_text,
     make_stream,
@@ -56,8 +61,10 @@ class TestSnapshotRoundTrip:
 
         twin = _fresh_query(pattern, events)
         twin_job = SerialJob(twin.env.flow, ExecutionSettings())
-        restore_job_state(twin_job, unpickle_payload(payload))
+        # The state counts what the sinks retain; the lists travel beside it.
+        restore_job_state(twin_job, unpickle_payload(payload), sink_outputs(job.flow))
         assert _state_key(capture_job_state(twin_job)) == _state_key(state)
+        assert sink_outputs(twin_job.flow) == sink_outputs(job.flow)
 
     @settings(max_examples=8, deadline=None)
     @given(text=nested_pattern_text(), seed=st.integers(min_value=0, max_value=10**6))
@@ -70,8 +77,11 @@ class TestSnapshotRoundTrip:
         state = capture_job_state(job)
         twin = _fresh_query(pattern, events)
         twin_job = SerialJob(twin.env.flow, ExecutionSettings())
-        restore_job_state(twin_job, unpickle_payload(pickle_payload(state)))
+        # A payload whose sink snapshots still carry their lists.
+        whole = pickle_payload(parent_format_state(job))
+        restore_job_state(twin_job, unpickle_payload(whole))
         assert _state_key(capture_job_state(twin_job)) == _state_key(state)
+        assert sink_outputs(twin_job.flow) == sink_outputs(job.flow)
 
 
 class TestCrashRecoveryEquivalence:

@@ -6,8 +6,9 @@ ports, durable state dir, stdout/stderr captured to ``--log``), then
 drives it exactly like a tenant would:
 
 1. submit the catalog queries over the HTTP control API — as separate
-   jobs, or (``--group``) as one shared-scan tenant group, plus one job
-   whose rounds run on the batch engine (``"batch_size": 256``);
+   jobs, or (``--group``) as one shared-scan tenant group, on the
+   server's default engine (the batch engine), plus one job whose
+   rounds run the per-event oracle (``"batch_size": 1``);
    ``--sharded`` additionally submits an
    O3-partitioned inline pattern whose rounds run on the sharded
    backend;
@@ -72,12 +73,12 @@ QUERIES = ("traffic-congestion", "street-lighting-demand")
 #: The --sharded job: an O3-partitioned pattern the RA40x proof accepts.
 SHARDED_NAME = "sharded-id"
 SHARDED_PATTERN = "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES"
-#: Always-submitted batched job: the same catalog query as one of the
-#: per-event jobs, but its rounds run on the batch engine — the
-#: byte-identity check against the per-event one-shot reference then
-#: covers the batch engine end to end through the service.
-BATCHED_NAME = "tc-batched"
-BATCHED_QUERY = "traffic-congestion"
+#: Always-submitted per-event job: the same catalog query as one of the
+#: default (batch-engine) jobs, but its rounds run the per-event oracle
+#: — both engines are then held to the per-event one-shot reference,
+#: byte for byte, end to end through the service.
+PER_EVENT_NAME = "tc-per-event"
+PER_EVENT_QUERY = "traffic-congestion"
 
 
 def build_streams(events: int, seed: int) -> dict[str, list]:
@@ -109,8 +110,8 @@ def batch_reference(query_name: str, streams: dict[str, list]) -> bytes:
         return _batch_bytes(
             pattern, TranslationOptions(partition_attribute="id"), streams
         )
-    if query_name == BATCHED_NAME:
-        query_name = BATCHED_QUERY  # per-event reference for the batched job
+    if query_name == PER_EVENT_NAME:
+        query_name = PER_EVENT_QUERY
     pattern = CATALOG[query_name]()
     return _batch_bytes(pattern, recommend_options(pattern).options, streams)
 
@@ -231,12 +232,12 @@ def main(argv: list[str] | None = None) -> int:
                     jobs[query_name] = info["id"]
                     print(f"submitted {query_name} -> {info['id']}")
             info = client.submit({
-                "name": BATCHED_NAME,
-                "query": {"catalog": BATCHED_QUERY, "name": BATCHED_NAME},
-                "batch_size": 256,
+                "name": PER_EVENT_NAME,
+                "query": {"catalog": PER_EVENT_QUERY, "name": PER_EVENT_NAME},
+                "batch_size": 1,
             })
-            jobs[BATCHED_NAME] = info["id"]
-            print(f"submitted {BATCHED_NAME} -> {info['id']} (batch-engine rounds)")
+            jobs[PER_EVENT_NAME] = info["id"]
+            print(f"submitted {PER_EVENT_NAME} -> {info['id']} (per-event rounds)")
             if args.sharded:
                 info = client.submit({
                     "name": SHARDED_NAME,
