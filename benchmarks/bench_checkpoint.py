@@ -17,6 +17,11 @@ from repro.runtime.metrics import format_tps
 
 CHECKPOINT_INTERVAL = 500
 
+#: Runs per side; the one with the smallest wall is kept. The assertion
+#: below orders the two sides, and a single shot per side lets a host
+#: slow phase landing on one of them decide that order.
+_REPS = 3
+
 
 def test_checkpoint_overhead(benchmark):
     scale = bench_scale(sensors=4)
@@ -30,8 +35,12 @@ def test_checkpoint_overhead(benchmark):
             ("checkpoint=off", None),
             ("checkpoint=on", CHECKPOINT_INTERVAL),
         ):
-            measurement, _sink, result = run_fasp(
-                pattern, streams, checkpoint_interval=interval
+            measurement, _sink, result = min(
+                (
+                    run_fasp(pattern, streams, checkpoint_interval=interval)
+                    for _ in range(_REPS)
+                ),
+                key=lambda run: run[2].wall_seconds,
             )
             rows.append(
                 ExperimentRow.from_measurement("checkpoint", parameter, measurement)

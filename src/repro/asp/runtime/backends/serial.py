@@ -492,7 +492,7 @@ class SerialJob:
             failure=failure,
             samples=instr.samples,
             stage_seconds=instr.stage_seconds(),
-            metrics={"operators": instr.metrics_tree(self.watermarks.delays)},
+            operator_records=instr.operator_records(self.watermarks.delays),
             metadata={
                 "backend": "serial",
                 "channels": channel_totals(self.channels),

@@ -27,7 +27,10 @@ lane's latest checkpoint.
 
 ``execute`` is one terminal round over fresh lanes; ``repro serve`` runs
 many rounds over a job's lanes, withholding the terminal watermark until
-the drain and cutting a checkpoint at every round boundary.
+the drain. A round delivers, a cut persists: a lane's job may stand any
+number of rounds past the lane's newest cut, and a crash or a new process
+restores that cut and replays the log suffix behind it — the replay is
+deterministic, and its journal records replace what the lost rounds wrote.
 """
 
 from __future__ import annotations
@@ -97,9 +100,17 @@ class Lane:
     #: Shard index of a sharded run's lane; None for a serial run's.
     shard: int | None = None
     report: RecoveryReport = field(default_factory=RecoveryReport)
-    #: The job of the lane's last round, standing exactly at the lane's
-    #: newest checkpoint; None when the next round has to restore.
+    #: The job of the lane's last round, standing at the lane's newest
+    #: checkpoint or past it; None when the next round has to restore.
     job: SerialJob | None = None
+
+    def cut(self, terminal: bool = False) -> None:
+        """Checkpoint the live job unless it stands at the newest cut. One
+        that ended on a cadence multiple was checkpointed on its last event
+        and nothing moved since — unless the terminal watermark did."""
+        job = self.job
+        if job is not None and (terminal or self.coordinator.last_offset != job.events_in):
+            self.coordinator.take(job)
 
 
 def open_lanes(
@@ -149,10 +160,10 @@ def run_lane(
     crash, it builds a fresh one — a crashed job's channels and
     instrumentation are abandoned, the operator instances are rebuilt
     from the checkpoint. When ``on_crash`` gives up, the round returns
-    the crashed attempt's failed result. ``cut`` takes a round-boundary
-    checkpoint after a successful round (only ``repro serve`` asks for
-    it): that is what a crash in the next round, or the next process,
-    restores, and what makes the job worth keeping for the next round.
+    the crashed attempt's failed result. A successful round leaves its
+    job on the lane for the next one; ``cut`` also takes a round-boundary
+    checkpoint (only ``repro serve`` asks for it): that is what a crash
+    in a later round, or the next process, restores.
     Without a lane the flow just runs: no checkpoints, no masked crashes.
     """
     if lane is None:
@@ -192,13 +203,10 @@ def run_lane(
             )
             job = None
     lane.report.recovered = not result.failed and bool(lane.report.restarts)
-    if cut and not result.failed:
-        # A round that ends on a cadence multiple was checkpointed on its
-        # last event, and nothing moved since unless the terminal
-        # watermark did: that checkpoint is the cut.
-        if terminal or lane.coordinator.last_offset != job.events_in:
-            lane.coordinator.take(job)
+    if not result.failed:
         lane.job = job
+        if cut:
+            lane.cut(terminal)
     return result
 
 

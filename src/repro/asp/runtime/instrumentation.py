@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.asp.graph import Dataflow
 from repro.asp.runtime.clock import RuntimeClock
-from repro.asp.runtime.observability import OperatorMetrics, operator_metrics_tree
+from repro.asp.runtime.observability import OperatorMetrics, OperatorRecord
 from repro.asp.state import StateRegistry
 
 #: How many events between budget checks / metric samples.
@@ -59,13 +59,14 @@ class Instrumentation:
         self.sample_every = max(1, sample_every)
         self.on_sample = on_sample
         self.samples: list[dict[str, Any]] = []
+        self._operator_nodes = flow.operator_nodes()
         #: Per-operator telemetry (busy time, events in/out, latency
         #: histogram), updated inline by the executing backend.
         self.op_metrics: dict[int, OperatorMetrics] = {
             node.node_id: OperatorMetrics(
                 f"{node.name}#{node.node_id}", node.operator.kind
             )
-            for node in flow.operator_nodes()
+            for node in self._operator_nodes
         }
         self.budget_checks = 0
         self._started = self._clock.now()
@@ -137,14 +138,20 @@ class Instrumentation:
         return sample
 
     def total_work_units(self) -> int:
-        return sum(n.operator.work_units for n in self.flow.operator_nodes())
+        return sum(node.payload.work_units for node in self._operator_nodes)
 
-    def metrics_tree(
+    def operator_records(
         self, watermark_delays: dict[int, int] | None = None
-    ) -> dict[str, Any]:
-        """The per-operator typed metric tree of this run (see
-        :mod:`repro.asp.runtime.observability`)."""
-        return operator_metrics_tree(self.op_metrics, self.flow, watermark_delays)
+    ) -> dict[str, OperatorRecord]:
+        """This run's per-operator numbers by ``name#node_id`` scope (the
+        typed tree is built from them when the result's metrics are read)."""
+        delays = watermark_delays or {}
+        return {
+            (metrics := self.op_metrics[node.node_id]).scope: metrics.record(
+                node.payload, delays.get(node.node_id, 0)
+            )
+            for node in self._operator_nodes
+        }
 
     # -- convenience ------------------------------------------------------
 

@@ -26,6 +26,8 @@ from repro.asp.runtime.observability.costprofile import (
 from repro.asp.runtime.observability.operator_metrics import (
     LATENCY_SAMPLE_MASK,
     OperatorMetrics,
+    OperatorRecord,
+    add_operator_records,
     operator_metrics_tree,
 )
 from repro.asp.runtime.observability.registry import (
@@ -58,8 +60,10 @@ __all__ = [
     "LATENCY_SAMPLE_MASK",
     "MetricsRegistry",
     "OperatorMetrics",
+    "OperatorRecord",
     "ScanObservation",
     "ScopedMetrics",
+    "add_operator_records",
     "fold_metric_tree",
     "load_report",
     "merge_metric_trees",

@@ -96,6 +96,16 @@ class Histogram:
         if value > self.vmax:
             self.vmax = value
 
+    def add(self, other: "Histogram") -> None:
+        """Bucket-wise sum, as :func:`fold_metric_tree` does to the dicts."""
+        if self.bounds != other.bounds:
+            raise ValueError("cannot merge histograms with different bounds")
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.total += other.total
+        self.vmin = min(self.vmin, other.vmin)
+        self.vmax = max(self.vmax, other.vmax)
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -262,13 +272,13 @@ def fold_metric_tree(total: dict[str, Any], tree: Mapping[str, Any]) -> None:
     Counters and histogram buckets add, gauges combine per their declared
     aggregation, plain annotations (kind, names) keep the first value.
     What ``total`` lacks is copied in, so it never shares a node with a
-    folded tree; a running total (a serve job's operator tree over its
-    rounds) pays for the tree it folds, not for the one it holds.
+    folded tree. The trees are ``to_dict`` output or parsed JSON, so a
+    node is a ``dict``.
     """
     for key, value in tree.items():
         if key not in total:
             total[key] = _copy_tree(value)
-        elif isinstance(total[key], dict) and isinstance(value, Mapping):
+        elif isinstance(total[key], dict) and isinstance(value, dict):
             _fold_metric(total[key], value)
 
 
@@ -284,7 +294,7 @@ def merge_metric_trees(
 
 
 def _copy_tree(value: Any) -> Any:
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         return {k: _copy_tree(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_copy_tree(v) for v in value]

@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.asp.runtime.observability.registry import merge_metric_trees
+from repro.asp.runtime.observability.operator_metrics import (
+    OperatorRecord,
+    add_operator_records,
+    operator_metrics_tree,
+)
 
 
 @dataclass
@@ -40,6 +44,10 @@ class RunResult:
     #: Serializable to JSON via
     #: :func:`repro.asp.runtime.observability.report.run_report`.
     metrics: dict[str, Any] = field(default_factory=dict)
+    #: The run's per-operator numbers by scope. A run records them;
+    #: ``metrics["operators"]`` is built from them when ``metrics`` is
+    #: first read, so a run nobody asks about never pays for its tree.
+    operator_records: dict[str, OperatorRecord] = field(default_factory=dict)
 
     @property
     def serial_throughput_tps(self) -> float:
@@ -84,6 +92,22 @@ class RunResult:
         return self.events_in / self.pipeline_seconds if self.events_in else 0.0
 
 
+def _read_metrics(result: RunResult) -> dict[str, Any]:
+    metrics = result.__dict__["metrics"]
+    if "operators" not in metrics and result.operator_records:
+        metrics = {"operators": operator_metrics_tree(result.operator_records), **metrics}
+        result.__dict__["metrics"] = metrics
+    return metrics
+
+
+# Installed after the dataclass is built (a property in the class body
+# would be taken for the field's default); the generated ``__init__``
+# and ``replace`` assign through the setter.
+RunResult.metrics = property(  # type: ignore[assignment]
+    _read_metrics, lambda result, metrics: result.__dict__.__setitem__("metrics", metrics)
+)
+
+
 def merge_shard_results(
     job_name: str,
     results: Sequence[RunResult],
@@ -115,16 +139,17 @@ def merge_shard_results(
             failures.append(f"shard {index}: {result.failure}")
     shard_pipeline = [r.pipeline_seconds for r in results]
     # Operator scopes (name#node_id) are identical across shard clones,
-    # so the per-shard trees roll up scope-by-scope: counters and
+    # so the per-shard records roll up scope-by-scope: counters and
     # histogram buckets add, state gauges sum, watermark lag takes the
-    # max. Both views are kept — the merged tree for job-level totals,
-    # the per-shard list for skew analysis.
-    shard_operator_trees = [r.metrics.get("operators", {}) for r in results]
+    # max. Both views are kept — the merged records for job-level totals,
+    # the per-shard trees for skew analysis.
+    operator_records: dict[str, OperatorRecord] = {}
+    for result in results:
+        add_operator_records(operator_records, result.operator_records)
     metrics: dict[str, Any] = {
-        "operators": merge_metric_trees(shard_operator_trees),
         "shards": [
-            {"shard": index, "operators": tree}
-            for index, tree in enumerate(shard_operator_trees)
+            {"shard": index, "operators": result.metrics.get("operators", {})}
+            for index, result in enumerate(results)
         ],
     }
     return RunResult(
@@ -139,6 +164,7 @@ def merge_shard_results(
         samples=merged_samples,
         stage_seconds=stage_seconds,
         metrics=metrics,
+        operator_records=operator_records,
         metadata={
             "backend": "sharded",
             "shards": shards,

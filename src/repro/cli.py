@@ -558,7 +558,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         admission=args.admission,
         retry_after_ms=args.retry_after_ms,
-        round_events=args.round_events,
         checkpoint_interval=args.checkpoint_interval,
         max_restarts=args.max_restarts,
         batch_size=args.batch_size,
@@ -569,7 +568,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         job_backend=args.job_backend,
         job_shards=args.job_shards,
         shard_mode=args.job_shard_mode,
-        round_slo_ms=args.round_slo_ms,
     )
     service = ReproService(
         JobManager(config),
@@ -778,8 +776,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "block the producer (TCP backpressure)")
     serve.add_argument("--retry-after-ms", type=int, default=250,
                        help="hint returned with rejected events")
-    serve.add_argument("--round-events", type=int, default=500,
-                       help="run a processing round every N queued events")
     serve.add_argument("--checkpoint-interval", type=int, default=500,
                        help="snapshot cadence inside rounds (events)")
     serve.add_argument("--checkpoint-dir", metavar="DIR",
@@ -799,9 +795,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        default="auto",
                        help="sharded round dispatch: worker processes or "
                             "inline ('auto' picks by machine)")
-    serve.add_argument("--round-slo-ms", type=int, default=None, metavar="MS",
-                       help="round latency SLO: trigger a round once the "
-                            "oldest queued event has waited MS milliseconds")
     serve.add_argument("--max-restarts", type=int, default=3,
                        help="per-job restart budget")
     serve.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",

@@ -9,14 +9,17 @@ routes per type).
 
 Execution is *incremental replay*, built from the PR 4 fault-tolerance
 primitives rather than a new engine: ingested events queue in a bounded
-per-job ingress buffer; the worker drains them into the job's log and
-runs a **round** of the job's backend on the job's lanes
-(:mod:`repro.asp.runtime.fault.recovery`) — the same ``run_round`` a
-one-shot ``execute`` runs once: continue each lane's live job from the
-log offset it stopped at (or, without one, restore the lane's latest
-checkpoint: operator state, watermark progress, sink contents, source
-offset), read the log from that offset, and checkpoint again at the
-end. The terminal watermark is withheld until the final drain round, so
+per-job ingress buffer; whenever a job has queued input the worker drains
+it into the job's log and runs a **round** of the job's backend on the
+job's lanes (:mod:`repro.asp.runtime.fault.recovery`) — the same
+``run_round`` a one-shot ``execute`` runs once: continue each lane's live
+job from the log offset it stopped at (or, without one, restore the
+lane's latest checkpoint: operator state, watermark progress, sink
+contents, source offset) and read the log from that offset. A round's
+size is what arrived while the previous one ran. A round delivers, a
+**cut** persists: checkpoints follow ``checkpoint_interval`` inside
+rounds, a producer's heartbeat or flush, and the drain — not the rounds.
+The terminal watermark is withheld until the final drain round, so
 windows stay open across rounds exactly as they would in one continuous
 run.
 Crashes (injected or real ``InjectedFaultError``) retry from the latest
@@ -50,7 +53,6 @@ from repro.asp.runtime import (
     SerialBackend,
     ShardedBackend,
     checkpoint_metrics,
-    fold_metric_tree,
     open_lanes,
     parse_fault_plan,
     run_report,
@@ -58,8 +60,12 @@ from repro.asp.runtime import (
 from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
 from repro.asp.runtime.fault.injection import FaultPlan
-from repro.asp.runtime.fault.store import unpickle_payload
-from repro.asp.runtime.observability import MetricsRegistry
+from repro.asp.runtime.fault.store import log, unpickle_payload
+from repro.asp.runtime.observability import (
+    MetricsRegistry,
+    OperatorRecord,
+    add_operator_records,
+)
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -87,11 +93,16 @@ AdmissionPolicy = ("reject", "block")
 JobBackend = ("auto", "serial", "sharded")
 
 
-#: Bucket edges (ms) of the round trigger-latency / duration histograms.
-_ROUND_MS_BOUNDS = (
+#: Bucket edges of the per-round histograms: ms for the trigger latency
+#: and the duration, events for the round size.
+_ROUND_BOUNDS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0, 10000.0,
 )
+
+#: The idle worker's wait. No wake-up is lost (flag and wait share
+#: ``_wake``); the timeout only bounds how long a bug there could hide.
+_IDLE_WAIT_S = 0.05
 
 
 class JobState:
@@ -108,7 +119,6 @@ _JOB_OVERRIDES = {
     "admission": "admission",
     "queue_limit": "queue_limit",
     "retry_after_ms": "retry_after_ms",
-    "round_events": "round_events",
     "checkpoint_interval": "checkpoint_interval",
     "max_restarts": "max_restarts",
     "batch_size": "batch_size",
@@ -117,7 +127,6 @@ _JOB_OVERRIDES = {
     "backend": "job_backend",
     "shards": "job_shards",
     "shard_mode": "shard_mode",
-    "round_slo_ms": "round_slo_ms",
 }
 
 
@@ -131,10 +140,8 @@ class ServiceConfig:
     admission: str = "reject"
     #: Hint returned with rejections.
     retry_after_ms: int = 250
-    #: Run a processing round once this many events are queued.
-    round_events: int = 500
     #: Checkpoint cadence inside rounds (events); None disables cadence
-    #: checkpoints (round-boundary checkpoints always happen).
+    #: checkpoints (a heartbeat, a flush and the drain still cut).
     checkpoint_interval: int | None = 500
     #: Restart budget per job across its whole lifetime.
     max_restarts: int = 3
@@ -157,9 +164,6 @@ class ServiceConfig:
     job_shards: int = 2
     #: Sharded round dispatch: worker processes, inline, or auto.
     shard_mode: str = "auto"
-    #: Round SLO (ms): trigger a round once the oldest queued event has
-    #: waited this long, independent of count/flush. None disables.
-    round_slo_ms: int | None = None
 
     def __post_init__(self) -> None:
         for name, allowed in (
@@ -172,7 +176,6 @@ class ServiceConfig:
                 raise ValueError(f"{name} must be one of {allowed}")
         for name, minimum in (
             ("queue_limit", 1),
-            ("round_events", 1),
             ("job_shards", 1),
             ("batch_size", 1),
             ("max_restarts", 0),
@@ -181,10 +184,8 @@ class ServiceConfig:
         ):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}")
-        for name in ("checkpoint_interval", "round_slo_ms"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 (or null to disable)")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be >= 1 (or null to disable)")
 
     def for_job(self, request: Mapping[str, Any]) -> "ServiceConfig":
         """This configuration with one submission's overrides applied.
@@ -232,7 +233,7 @@ class Job:
     #: one per shard for a sharded one (``<job>/shard-i/``).
     lanes: list[Lane]
     event_types: frozenset[str]
-    #: Monotonic enqueue time of the oldest queued event (SLO clock).
+    #: Monotonic enqueue time of the oldest queued event.
     pending_since: float | None = None
     #: Per-tenant lifecycle of a shared-scan group ("running"/"cancelled").
     tenant_states: dict[str, str] = field(default_factory=dict)
@@ -252,7 +253,8 @@ class Job:
     work_units: int = 0
     rounds: int = 0
     restarts: list[dict[str, Any]] = field(default_factory=list)
-    operator_tree: dict[str, Any] = field(default_factory=dict)
+    #: Per operator scope, its numbers summed over the rounds.
+    operator_records: dict[str, OperatorRecord] = field(default_factory=dict)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Per query name: the sink list the keys were rendered from, how
     #: many of its items they cover, and the sorted keys.
@@ -268,15 +270,17 @@ class Job:
         self.queue_depth = scope.gauge("queue.depth", agg="max")
         self.log_size = scope.gauge("log.size", agg="max")
         rounds_scope = self.registry.scope("rounds")
-        #: Time from the oldest event's enqueue to its round starting —
-        #: the quantity the round SLO bounds (histograms in ms).
+        #: Time from the oldest event's enqueue to its round starting.
         self.trigger_latency_ms = rounds_scope.histogram(
-            "trigger_latency_ms", bounds=_ROUND_MS_BOUNDS
+            "trigger_latency_ms", bounds=_ROUND_BOUNDS
         )
         self.round_duration_ms = rounds_scope.histogram(
-            "duration_ms", bounds=_ROUND_MS_BOUNDS
+            "duration_ms", bounds=_ROUND_BOUNDS
         )
-        self.slo_rounds = rounds_scope.counter("slo_triggered")
+        #: New events per round: what arrived while the last one ran.
+        self.events_per_round = rounds_scope.histogram(
+            "events_per_round", bounds=_ROUND_BOUNDS
+        )
         #: Source events the rounds pulled from the log, replayed ones
         #: included; equals ``events_processed`` while every round reads
         #: only what it has not seen.
@@ -288,7 +292,8 @@ class Job:
         """Admit one event into the ingress queue (admission control).
 
         Returns ``{"accepted": bool, ...}``; when rejected, carries the
-        stable ``reason`` and a ``retry_after_ms`` hint.
+        stable ``reason`` and a ``retry_after_ms`` hint; ``round_ready``:
+        the queue was empty, so the worker may be asleep.
         """
         with self.cond:
             if self.state != JobState.RUNNING or draining:
@@ -312,48 +317,42 @@ class Job:
                         "reason": "queue-full",
                         "retry_after_ms": self.config.retry_after_ms,
                     }
-            if not self.queue:
+            ready = not self.queue
+            if ready:
                 self.pending_since = time.monotonic()
             self.queue.append(event)
             self.accepted.inc()
             self.queue_depth.set(len(self.queue))
-            ready = len(self.queue) >= self.config.round_events
         return {"accepted": True, "round_ready": ready}
 
-    def drain_queue(self) -> int:
-        """Move queued events into the log; unblocks waiting producers."""
+    def drain_queue(self) -> tuple[float | None, bool]:
+        """Move queued events into the log; unblocks waiting producers.
+        Returns the oldest one's wait (ms, None if none) and whether a
+        flush was asked for since the last call."""
         with self.cond:
-            moved = len(self.queue)
-            if moved:
+            waited = None
+            if self.queue:
+                waited = (time.monotonic() - self.pending_since) * 1000.0
                 self.log.extend(self.queue)
                 self.queue.clear()
             self.pending_since = None
+            flush, self.flush_requested = self.flush_requested, False
             self.queue_depth.set(0)
             self.log_size.set(len(self.log))
             self.cond.notify_all()
-        return moved
+        return waited, flush
 
     @property
     def pending(self) -> int:
         with self.cond:
             return len(self.queue)
 
-    def slo_due(self, now: float) -> bool:
-        """True when the oldest queued event has outwaited the round SLO."""
+    def wants_round(self) -> bool:
+        """The one round trigger: running, and input queued or a flush asked."""
         with self.cond:
-            slo = self.config.round_slo_ms
-            if slo is None or self.pending_since is None:
-                return False
-            if not self.queue:
-                return False
-            return (now - self.pending_since) * 1000.0 >= slo
-
-    def queue_age_ms(self, now: float) -> float | None:
-        """Age of the oldest queued event (None when the queue is empty)."""
-        with self.cond:
-            if self.pending_since is None or not self.queue:
-                return None
-            return (now - self.pending_since) * 1000.0
+            return self.state == JobState.RUNNING and (
+                bool(self.queue) or self.flush_requested
+            )
 
     @property
     def backend(self) -> str:
@@ -521,8 +520,9 @@ class JobManager:
 
     Thread model: server threads call :meth:`submit`/:meth:`ingest`/
     :meth:`cancel`/read endpoints; one background worker thread runs the
-    processing rounds. ``drain`` runs final rounds synchronously in the
-    calling thread (the per-job ``run_lock`` keeps rounds exclusive).
+    processing rounds, one per job with queued input per pass, and sleeps
+    only when no job has any. ``drain`` runs final rounds synchronously in
+    the calling thread (the per-job ``run_lock`` keeps rounds exclusive).
     """
 
     def __init__(self, config: ServiceConfig | None = None):
@@ -536,6 +536,7 @@ class JobManager:
         self._jobs_lock = threading.Lock()
         self._ingest_lock = threading.Lock()
         self._wake = threading.Condition()
+        self._kicked = False  # set by kick(), cleared before each worker pass
         self._stop = threading.Event()
         self._worker: threading.Thread | None = None
         durable = self.config.durable_dir
@@ -559,8 +560,7 @@ class JobManager:
 
     def stop(self) -> None:
         self._stop.set()
-        with self._wake:
-            self._wake.notify_all()
+        self.kick()
         if self._worker is not None:
             self._worker.join(timeout=10)
             self._worker = None
@@ -665,8 +665,9 @@ class JobManager:
         scans), plus an optional ``fault_plan`` and per-job overrides of
         the service configuration (the keys of ``_JOB_OVERRIDES``,
         resolved by :meth:`ServiceConfig.for_job`). Keys this version
-        does not know — including the retired ``fusion``/``columnar`` of
-        older requests and durable manifests — are ignored.
+        does not know — including the retired ``fusion``/``columnar`` and
+        ``round_events``/``round_slo_ms`` of older requests and durable
+        manifests — are ignored.
         """
         if self.draining:
             raise ServiceError("draining", "server is draining", status=503)
@@ -908,7 +909,7 @@ class JobManager:
         return out
 
     def heartbeat(self, source: str | None, ts: int) -> None:
-        """A producer watermark: record it and flush queued work.
+        """A producer watermark: record it and ask every job for a cut.
 
         Durable mode snapshots the tracker under the ingestion lock so
         the persisted dedup horizon is consistent with the WAL tail.
@@ -929,54 +930,60 @@ class JobManager:
         self.kick()
 
     def flush(self, job_id: str) -> None:
+        """Ask for a round of whatever is queued and a cut behind it."""
         job = self._get(job_id)
         with job.cond:
             job.flush_requested = True
         self.kick()
 
     def kick(self) -> None:
+        """Wake the worker: a queue went non-empty or a flush was asked."""
         with self._wake:
+            self._kicked = True
             self._wake.notify_all()
 
     # -- the worker --------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        """A round for every job that wants one, one per job per pass (no
+        job starves another); sleep only after a pass that found none.
+        Whoever asks for a round changes the job, then kicks."""
         while not self._stop.is_set():
-            progressed = False
-            now = time.monotonic()
+            with self._wake:
+                self._kicked = False
+            ran = False
             for job in list(self.jobs.values()):
-                if job.state != JobState.RUNNING:
-                    continue
-                count_ready = job.pending >= job.config.round_events or (
-                    job.flush_requested and job.pending > 0
-                )
-                # The SLO only *adds* rounds: deadline-triggered exactly
-                # when neither the count nor a flush would fire one.
-                slo_ready = not count_ready and job.slo_due(now)
-                if count_ready or slo_ready:
-                    if slo_ready:
-                        job.slo_rounds.inc()
-                    self.run_round(job)
-                    progressed = True
-                elif job.flush_requested:
-                    with job.cond:
-                        job.flush_requested = False
-            if not progressed:
+                if job.wants_round():
+                    self.run_round(job, cut=False)
+                    ran = True
+            if not ran:
                 with self._wake:
-                    self._wake.wait(timeout=0.05)
+                    if not self._kicked:
+                        self._wake.wait(timeout=_IDLE_WAIT_S)
 
-    def run_round(self, job: Job, terminal: bool = False) -> RunResult | None:
-        """Drain the queue and process the new log suffix as one round."""
+    def run_round(
+        self, job: Job, terminal: bool = False, cut: bool = True
+    ) -> RunResult | None:
+        """Drain the queue and process the new log suffix as one round.
+
+        It ends in a checkpoint when ``cut`` (the worker passes False), a
+        flush was requested, it is terminal, or the job is sharded (its
+        lanes rebuild from the cut every round) — and such a cut is taken
+        even when nothing is new. Otherwise the lanes stand past their cut.
+        """
         with job.run_lock:
-            queue_age = job.queue_age_ms(time.monotonic())
-            job.drain_queue()
-            with job.cond:
-                job.flush_requested = False
+            waited, flush = job.drain_queue()
+            cut = cut or flush or terminal or job.shards is not None
             new_events = len(job.log) - job.events_processed
             if new_events == 0 and not terminal:
+                if cut:
+                    for lane in job.lanes:
+                        lane.cut()
+                    self._persist_progress(job)
                 return None
-            if queue_age is not None:
-                job.trigger_latency_ms.observe(queue_age)
+            if waited is not None:
+                job.trigger_latency_ms.observe(waited)
+            job.events_per_round.observe(new_events)
             started = time.perf_counter()
             flow = job.compiled.env.flow
 
@@ -984,8 +991,6 @@ class JobManager:
                 return sum(node.source.emitted for node in flow.source_nodes())
 
             read_before = pulled()
-            # Only here does a round end in a checkpoint: the next round
-            # resumes from this cut.
             try:
                 result = job.runner.run_round(
                     flow,
@@ -993,13 +998,19 @@ class JobManager:
                     job.lanes,
                     job.record_restart,
                     terminal=terminal,
-                    cut=True,
+                    cut=cut,
                 )
             except ExecutionError as exc:  # a lane whose journal is short of its cut
                 with job.cond:
                     job.state = JobState.FAILED
                     job.failure = str(exc)
-            job.events_read.inc(pulled() - read_before)
+            read = pulled() - read_before
+            job.events_read.inc(read)
+            log.debug(
+                "%s: round %d (%s) read %d events, %s", job.job_id, job.rounds + 1,
+                "terminal" if terminal else "flush" if flush else "input",
+                read, "cut" if cut else "no cut",
+            )
             if job.state == JobState.FAILED:
                 # The restart budget died mid-round.
                 self._persist_progress(job)
@@ -1011,12 +1022,13 @@ class JobManager:
             job.peak_state_bytes = max(job.peak_state_bytes, result.peak_state_bytes)
             job.work_units += result.work_units
             job.round_duration_ms.observe((time.perf_counter() - started) * 1000.0)
-            fold_metric_tree(job.operator_tree, result.metrics.get("operators") or {})
+            add_operator_records(job.operator_records, result.operator_records)
             if result.failed:
                 with job.cond:
                     job.state = JobState.FAILED
                     job.failure = result.failure
-            self._persist_progress(job)
+            if cut or result.failed:  # what a new process starts from moves with the cuts
+                self._persist_progress(job)
             return result
 
     # -- drain / shutdown --------------------------------------------------
@@ -1072,7 +1084,6 @@ class JobManager:
             "restarts": len(job.restarts),
             "backend": job.backend,
             "shards": job.shards,
-            "round_slo_ms": job.config.round_slo_ms,
             "tenants": dict(job.tenant_states),
             "matches": {name: job.match_count(name) for name in job.query_names},
         }
@@ -1103,8 +1114,8 @@ class JobManager:
                 work_units=job.work_units,
                 failed=job.state == JobState.FAILED,
                 failure=job.failure,
+                operator_records=job.operator_records,
                 metrics={
-                    "operators": job.operator_tree,
                     "plan": per_query(lambda q: q.plan.summary()),
                     # What the submit-time verifier said (warnings such
                     # as RA304 included), as `repro run --metrics-json`.
@@ -1127,7 +1138,6 @@ class JobManager:
                 "restarts": list(job.restarts),
                 "backend": job.backend,
                 "shards": job.shards,
-                "round_slo_ms": job.config.round_slo_ms,
                 "tenants": dict(job.tenant_states),
                 "checkpoints": checkpoint_metrics(job.lanes),
             }

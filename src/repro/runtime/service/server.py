@@ -15,7 +15,7 @@ Control API (JSON in/out)::
     GET    /jobs/{id}             one job's status (id or unique name)
     DELETE /jobs/{id}             cancel
     DELETE /jobs/{id}/tenants/{q} cancel one tenant of a shared-scan group
-    POST   /jobs/{id}/flush       force a processing round
+    POST   /jobs/{id}/flush       round + cut: process what is queued, checkpoint
     GET    /jobs/{id}/metrics     repro.metrics/v1 report + service section
     GET    /jobs/{id}/checkpoints checkpoint chain + coordinator counters
     GET    /jobs/{id}/matches     canonical match keys per query
@@ -271,7 +271,9 @@ class ReproService:
                 return 200, await loop.run_in_executor(None, manager.cancel, job_id)
             if tail == "flush" and method == "POST":
                 manager.flush(job_id)
-                return 200, {"status": "flush-requested", "job": job_id}
+                return 200, {
+                    "status": "flush-requested", "job": job_id, "does": "round + cut",
+                }
             if tail == "metrics" and method == "GET":
                 return 200, await loop.run_in_executor(
                     None, manager.job_metrics, job_id

@@ -165,11 +165,9 @@ def test_unsafe_query_in_a_group_is_named(capsys):
         {"query": "traffic-congestion", "shards": "two"},
         {"query": "traffic-congestion", "checkpoint_interval": -5},
         {"query": "traffic-congestion", "queue_limit": 0},
-        {"query": "traffic-congestion", "round_events": 0},
         {"query": "traffic-congestion", "max_restarts": -1},
         {"query": "traffic-congestion", "retry_after_ms": -1},
         {"query": "traffic-congestion", "max_out_of_orderness": -1},
-        {"query": "traffic-congestion", "round_slo_ms": 0},
         {"query": "traffic-congestion", "backend": "threads"},
         {"query": "traffic-congestion", "shard_mode": "fork"},
     ],

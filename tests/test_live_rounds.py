@@ -342,7 +342,7 @@ class TestResumeFindsWhatItFound:
     def test_a_fresh_manager_over_the_same_state_dir(self, tmp_path, batch_size, built_jobs):
         events = full_log(self.CASE)
         config = ServiceConfig(
-            state_dir=str(tmp_path), round_events=150, batch_size=batch_size
+            state_dir=str(tmp_path), batch_size=batch_size
         )
         first = JobManager(config)
         job_id = first.submit(self.REQUEST)["id"]
@@ -397,7 +397,7 @@ class TestResumeFindsWhatItFound:
                 doc = {"event": event_to_wire(event, "t", seq), "jobs": ["job-1"]}
                 wal.write(json.dumps(doc, sort_keys=True) + "\n")
 
-        manager = JobManager(ServiceConfig(state_dir=str(tmp_path), round_events=100))
+        manager = JobManager(ServiceConfig(state_dir=str(tmp_path)))
         manager.resume()
         assert manager.resumed == {"jobs": ["job-1"], "wal_events": len(durable)}
         resumed = manager.jobs["job-1"]
@@ -417,7 +417,7 @@ class TestMatchKeysAreRenderedOnce:
 
     def test_keys_follow_the_sink_through_rounds_and_a_restore(self):
         events = full_log(self.CASE)
-        manager = JobManager(ServiceConfig(round_events=100))
+        manager = JobManager(ServiceConfig())
         boundary = 300
         info = manager.submit({
             "name": "q", "query": {"catalog": self.CASE, "name": "q"},
@@ -447,7 +447,7 @@ class TestMatchKeysAreRenderedOnce:
 
     def test_sharded_folds_and_a_frozen_tenant(self):
         events = full_log(self.CASE)
-        manager = JobManager(ServiceConfig(round_events=100))
+        manager = JobManager(ServiceConfig())
         info = manager.submit({
             "name": "pair",
             "queries": [
@@ -487,7 +487,7 @@ needs_quickack = pytest.mark.skipif(
 class TestWire:
     @pytest.fixture()
     def handle(self):
-        service = start_in_thread(ServiceConfig(round_events=250))
+        service = start_in_thread(ServiceConfig())
         try:
             yield service
         finally:

@@ -311,7 +311,7 @@ class TestCrashWindows:
         assert f"needs {len(kept)}" in str(gap.value)
 
     def test_the_service_fails_the_job_and_keeps_its_worker(self, tmp_path):
-        config = ServiceConfig(state_dir=str(tmp_path), round_events=100)
+        config = ServiceConfig(state_dir=str(tmp_path))
         first = JobManager(config)
         job_id = first.submit({"name": "q", "query": {"catalog": CASE, "name": "q"}})["id"]
         for seq, event in enumerate(EVENTS[: len(EVENTS) // 2], start=1):
@@ -377,7 +377,7 @@ class TestServeRunsBothEnginesAlike:
 
     def serve(self, state_dir, batch_size):
         config = ServiceConfig(
-            state_dir=str(state_dir), round_events=150, batch_size=batch_size
+            state_dir=str(state_dir), batch_size=batch_size
         )
         seen = []
         manager = JobManager(config)

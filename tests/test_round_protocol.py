@@ -274,7 +274,7 @@ class TestRestartBudget:
 
     @pytest.mark.parametrize("backend", ["serial", "sharded"])
     def test_serve_fails_the_job(self, backend):
-        manager = JobManager(ServiceConfig(round_events=100))
+        manager = JobManager(ServiceConfig())
         info = manager.submit({
             "name": "doomed",
             "query": {"catalog": self.CASE, "name": "doomed",

@@ -279,8 +279,7 @@ class TestRoundsEquivalence:
 
     def test_server_matches_batch_bytes(self):
         streams = offset_streams()
-        manager = JobManager(ServiceConfig(round_events=200,
-                                           checkpoint_interval=100))
+        manager = JobManager(ServiceConfig(checkpoint_interval=100))
         info = manager.submit({"query": "traffic-congestion"})
         self.ingest_all(manager, streams)
         manager.run_round(manager.jobs[info["id"]])  # mid-stream round
@@ -293,8 +292,7 @@ class TestRoundsEquivalence:
 
     def test_crash_recovery_preserves_byte_identity(self):
         streams = offset_streams()
-        manager = JobManager(ServiceConfig(round_events=300,
-                                           checkpoint_interval=150))
+        manager = JobManager(ServiceConfig(checkpoint_interval=150))
         info = manager.submit(
             {"query": "traffic-congestion", "fault_plan": "crash:at=700"}
         )
@@ -309,7 +307,7 @@ class TestRoundsEquivalence:
 
     def test_cosubmitted_queries_both_match_batch(self):
         streams = offset_streams(events=900, seed=5)
-        manager = JobManager(ServiceConfig(round_events=250))
+        manager = JobManager(ServiceConfig())
         info = manager.submit(
             {"queries": ["traffic-congestion", "street-lighting-demand"]}
         )
@@ -321,7 +319,7 @@ class TestRoundsEquivalence:
 
     def test_restart_budget_exhaustion_fails_the_job(self):
         streams = offset_streams(events=600, seed=3)
-        manager = JobManager(ServiceConfig(round_events=100))
+        manager = JobManager(ServiceConfig())
         info = manager.submit(
             {"query": "traffic-congestion",
              "fault_plan": "crash:at=50;crash:at=50;crash:at=50",
@@ -336,7 +334,7 @@ class TestRoundsEquivalence:
     def test_durable_store_uses_per_job_subdirectories(self, tmp_path):
         streams = offset_streams(events=600, seed=9)
         manager = JobManager(
-            ServiceConfig(round_events=100, checkpoint_dir=str(tmp_path))
+            ServiceConfig(checkpoint_dir=str(tmp_path))
         )
         a = manager.submit({"name": "a", "query": "traffic-congestion"})
         b = manager.submit({"name": "b", "query": "street-lighting-demand"})
@@ -355,8 +353,7 @@ class TestAdmissionControl:
 
     def test_reject_policy_counts_and_hints(self):
         manager = JobManager(
-            ServiceConfig(queue_limit=5, admission="reject",
-                          round_events=1000, retry_after_ms=99)
+            ServiceConfig(queue_limit=5, admission="reject", retry_after_ms=99)
         )
         info = manager.submit({"query": "traffic-congestion"})
         outcomes = [manager.ingest_event(e) for e in self.make_events(8)]
@@ -371,7 +368,7 @@ class TestAdmissionControl:
 
     def test_block_policy_waits_for_the_worker(self):
         manager = JobManager(
-            ServiceConfig(queue_limit=4, admission="block", round_events=4)
+            ServiceConfig(queue_limit=4, admission="block")
         )
         info = manager.submit({"query": "traffic-congestion"})
         job = manager.jobs[info["id"]]
@@ -400,7 +397,7 @@ class TestAdmissionControl:
 
     def test_blocked_producer_released_by_cancel(self):
         manager = JobManager(
-            ServiceConfig(queue_limit=2, admission="block", round_events=100)
+            ServiceConfig(queue_limit=2, admission="block")
         )
         info = manager.submit({"query": "traffic-congestion"})
         results = []
@@ -442,7 +439,7 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_cancel_clears_queue_and_rejects_ingest(self):
-        manager = JobManager(ServiceConfig(round_events=1000))
+        manager = JobManager(ServiceConfig())
         info = manager.submit({"query": "traffic-congestion"})
         manager.ingest_event(Event("Q", ts=1, value=1.0))
         status = manager.cancel(info["id"])
@@ -466,7 +463,7 @@ class TestLifecycle:
         assert err.value.status == 503 and err.value.code == "draining"
 
     def test_worker_thread_runs_rounds(self):
-        manager = JobManager(ServiceConfig(round_events=50))
+        manager = JobManager(ServiceConfig())
         manager.start()
         try:
             info = manager.submit({"query": "traffic-congestion"})
@@ -483,7 +480,7 @@ class TestLifecycle:
             manager.stop()
 
     def test_metrics_report_schema(self):
-        manager = JobManager(ServiceConfig(round_events=100))
+        manager = JobManager(ServiceConfig())
         info = manager.submit({"query": "traffic-congestion"})
         streams = offset_streams(events=400, seed=4)
         for event in merge_streams_for_wire(streams):

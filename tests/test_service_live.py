@@ -26,7 +26,7 @@ from repro.runtime.service import merge_streams_for_wire
 @pytest.fixture()
 def handle():
     service = start_in_thread(
-        ServiceConfig(round_events=250, checkpoint_interval=100)
+        ServiceConfig(checkpoint_interval=100)
     )
     try:
         yield service
@@ -246,7 +246,7 @@ class TestLiveEquivalence:
         assert chk["coordinator"]["count"] >= 1 and chk["entries"]
 
     def test_shutdown_endpoint_drains_then_stops(self):
-        service = start_in_thread(ServiceConfig(round_events=100))
+        service = start_in_thread(ServiceConfig())
         client = ServiceClient(service.host, service.http_port)
         info = client.submit({"query": "traffic-congestion"})
         streams = offset_streams(events=300, seed=29)

@@ -156,7 +156,7 @@ class TestShardedRounds:
     def test_sharded_rounds_match_batch_bytes(self):
         streams = offset_streams()
         manager = JobManager(
-            ServiceConfig(round_events=200, checkpoint_interval=100)
+            ServiceConfig(checkpoint_interval=100)
         )
         info = manager.submit(sharded_submit(name="shard-eq", shards=3))
         assert info["backend"] == "sharded"
@@ -172,7 +172,7 @@ class TestShardedRounds:
     def test_sharded_checkpoints_per_shard(self, tmp_path):
         streams = offset_streams(events=500, seed=3)
         manager = JobManager(
-            ServiceConfig(round_events=150, checkpoint_interval=None,
+            ServiceConfig(checkpoint_interval=None,
                           state_dir=str(tmp_path))
         )
         info = manager.submit(sharded_submit(name="shard-chk", shards=2))
@@ -189,7 +189,7 @@ class TestShardedRounds:
         same keys (a sharded job adds the per-shard list), on both read
         endpoints."""
         streams = offset_streams(events=400, seed=3)
-        manager = JobManager(ServiceConfig(round_events=150))
+        manager = JobManager(ServiceConfig())
         serial = manager.submit({"query": "traffic-congestion"})
         sharded = manager.submit(sharded_submit(name="shard-doc", shards=2))
         ingest_all(manager, streams)
@@ -211,7 +211,7 @@ class TestShardedRounds:
     def test_process_mode_matches_batch_bytes(self):
         pytest.importorskip("cloudpickle")
         streams = offset_streams(events=500, seed=7)
-        manager = JobManager(ServiceConfig(round_events=200))
+        manager = JobManager(ServiceConfig())
         info = manager.submit(
             sharded_submit(name="shard-proc", shards=2, shard_mode="process")
         )
@@ -229,7 +229,7 @@ class TestTenantGroups:
 
     def test_cancelling_one_tenant_preserves_the_others_bytes(self):
         streams = offset_streams()
-        manager = JobManager(ServiceConfig(round_events=250))
+        manager = JobManager(ServiceConfig())
         info = self.submit_group(manager)
         half = {t: evs[: len(evs) // 2] for t, evs in streams.items()}
         rest = {t: evs[len(evs) // 2:] for t, evs in streams.items()}
@@ -269,31 +269,8 @@ class TestTenantGroups:
         assert err.value.status == 404
 
 
-class TestRoundSlo:
-    def test_slo_triggers_a_round_before_the_count_threshold(self):
-        streams = offset_streams(events=120, seed=2)
-        manager = JobManager(
-            ServiceConfig(round_events=100_000, round_slo_ms=30)
-        )
-        manager.start()
-        try:
-            info = manager.submit({"query": "traffic-congestion"})
-            job = manager.jobs[info["id"]]
-            ingest_all(manager, streams)
-            deadline = time.monotonic() + 5.0
-            while job.rounds == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert job.rounds >= 1, "the SLO never fired a round"
-            assert job.slo_rounds.value >= 1
-            tree = manager.job_metrics(info["id"])["service"]["ingress"]
-            latency = tree["rounds"]["trigger_latency_ms"]
-            assert latency["count"] >= 1
-        finally:
-            manager.stop()
-
-
 class TestDurableResume:
-    CONFIG = dict(round_events=150, checkpoint_interval=100)
+    CONFIG = dict(checkpoint_interval=100)
 
     def test_restart_resumes_and_replay_is_byte_identical(self, tmp_path):
         streams = offset_streams()
@@ -351,9 +328,11 @@ class TestDurableResume:
 
     def test_old_format_manifest_resumes_with_retired_keys_ignored(self, tmp_path):
         """Manifests store the raw submit dict, so one written before the
-        engine flags were retired still carries ``fusion``/``columnar``:
-        resume must accept it, ignore the keys and — here across a second
-        mid-stream kill on the batch engine — serve identical bytes."""
+        engine flags and the round knobs were retired still carries
+        ``fusion``/``columnar`` and ``round_events``/``round_slo_ms``
+        (values no check of this version would pass): resume must accept
+        it, ignore the keys and — here across a second mid-stream kill on
+        the batch engine — serve identical bytes."""
         job_dir = tmp_path / "job-1"
         job_dir.mkdir()
         (job_dir / "job.json").write_text(json.dumps({
@@ -364,6 +343,8 @@ class TestDurableResume:
                 "batch_size": 256,
                 "fusion": True,
                 "columnar": True,
+                "round_events": 0,
+                "round_slo_ms": "soon",
             },
         }))
         streams = offset_streams()
@@ -417,7 +398,7 @@ class TestDurableResume:
 
     def test_manifest_round_trips_the_submit_request(self, tmp_path):
         state = ServiceState(tmp_path)
-        request = {"query": "traffic-congestion", "round_events": 10}
+        request = {"query": "traffic-congestion", "queue_limit": 10}
         state.write_manifest("job-7", request)
         state.write_progress("job-7", {"state": "running", "rounds": 2})
         (doc,) = state.load_jobs()

@@ -132,6 +132,7 @@ def render_soak(report: dict) -> list[str]:
     gauges = report.get("gauges", {})
     trigger = gauges.get("round_trigger_latency_ms", {})
     duration = gauges.get("round_duration_ms", {})
+    sizes = gauges.get("events_per_round", {})
     deciles = gauges.get("group_round_deciles", {})
     lines = [
         "## Serve soak",
@@ -141,11 +142,12 @@ def render_soak(report: dict) -> list[str]:
         f"events streamed, {report.get('submitted', '?')} submits, "
         f"{report.get('cancelled', '?')} cancels, "
         f"{report.get('rounds', '?')} processing rounds "
-        f"({gauges.get('slo_rounds', '?')} SLO-triggered).",
+        f"(trigger latency p95 {trigger.get('p95_ms', '?')} ms, "
+        f"max {trigger.get('max_ms', '?')} ms).",
         "",
         f"Queue depth max **{gauges.get('queue_depth_max', '?')}**; "
-        f"round trigger latency p95 {trigger.get('p95_ms', '?')} ms "
-        f"(max {trigger.get('max_ms', '?')} ms); "
+        f"events per round mean {sizes.get('mean_events', '?')}, "
+        f"p95 {sizes.get('p95_events', '?')}; "
         f"round duration p95 {duration.get('p95_ms', '?')} ms.",
         "",
         f"Group job, {deciles.get('rounds', '?')} rounds: mean round "

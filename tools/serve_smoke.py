@@ -136,7 +136,6 @@ def start_server(
         "--http-port", "0",
         "--tcp-port", "0",
         "--ready-file", str(ready_file),
-        "--round-events", "250",
         "--checkpoint-interval", "100",
     ]
     if state_dir is not None:

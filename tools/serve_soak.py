@@ -12,8 +12,8 @@ The gate is lifecycle hygiene, not byte-identity (the smoke covers
 that): after the final drain every job ever submitted must sit in a
 terminal state (``drained``/``cancelled``), none ``failed``, none stuck
 ``running``. The JSON report carries queue-depth and round-latency
-gauges (max depth seen, trigger-latency/duration histograms merged
-across jobs, SLO-triggered round count) for the step summary, plus the
+gauges (max depth seen, trigger-latency/duration/round-size histograms
+merged across jobs) for the step summary, plus the
 mean round duration of the long-lived group job over the first and the
 last tenth of its rounds, and the same per thousand events processed
 (rounds grow with the backlog): that ratio is how much an event's cost
@@ -78,11 +78,11 @@ def submit_variant(client: ServiceClient, window: int, generation: int) -> str:
     return info["id"]
 
 
-def merge_histograms(snapshots: list[dict]) -> dict:
+def merge_histograms(snapshots: list[dict], unit: str = "ms") -> dict:
     """Merge same-bounds histogram snapshots; report count/mean/p95/max."""
     live = [s for s in snapshots if s.get("count")]
     if not live:
-        return {"count": 0, "mean_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
+        return {"count": 0, f"mean_{unit}": 0.0, f"p95_{unit}": 0.0, f"max_{unit}": 0.0}
     bounds = live[0]["bounds"]
     counts = [0] * (len(bounds) + 1)
     for snap in live:
@@ -94,11 +94,11 @@ def merge_histograms(snapshots: list[dict]) -> dict:
     vmax = max(s["max"] for s in live)
     return {
         "count": count,
-        "mean_ms": round(total / count, 3),
-        "p95_ms": round(
+        f"mean_{unit}": round(total / count, 3),
+        f"p95_{unit}": round(
             percentile_from_buckets(bounds, counts, count, vmin, vmax, 95), 3
         ),
-        "max_ms": round(vmax, 3),
+        f"max_{unit}": round(vmax, 3),
     }
 
 
@@ -136,8 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--churn-every", type=int, default=3, metavar="TICKS",
                         help="cancel+replace one tenant every N ticks (default 3)")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--round-slo-ms", type=float, default=100.0,
-                        help="per-job round SLO under soak (default 100)")
     parser.add_argument("--report", metavar="PATH", help="write the JSON summary here")
     args = parser.parse_args(argv)
 
@@ -158,23 +156,16 @@ def main(argv: list[str] | None = None) -> int:
     streamed = duplicates = rejected = 0
 
     with tempfile.TemporaryDirectory() as tmp:
-        # round_events is set high so the round SLO — not the count
-        # threshold — is what keeps latency bounded under soak traffic.
         config = ServiceConfig(
             checkpoint_dir=str(Path(tmp) / "checkpoints"),
-            round_events=1000,
             checkpoint_interval=500,
-            round_slo_ms=args.round_slo_ms,
         )
         handle = start_in_thread(config)
         try:
             client = ServiceClient(
                 handle.host, handle.http_port, retries=3, backoff_base_ms=100
             )
-            print(
-                f"service up: http={handle.http_port} tcp={handle.tcp_port} "
-                f"round_slo_ms={args.round_slo_ms:g}"
-            )
+            print(f"service up: http={handle.http_port} tcp={handle.tcp_port}")
 
             info = client.submit({"name": "group", "queries": list(GROUP_QUERIES)})
             group_id = info["id"]
@@ -257,7 +248,8 @@ def main(argv: list[str] | None = None) -> int:
 
             trigger_snaps: list[dict] = []
             duration_snaps: list[dict] = []
-            slo_rounds = rounds = 0
+            size_snaps: list[dict] = []
+            rounds = 0
             for status in client.jobs():
                 job_id = status["id"]
                 if status["state"] not in ("drained", "cancelled"):
@@ -278,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
                 rounds_scope = metrics.get("rounds", {})
                 trigger_snaps.append(rounds_scope.get("trigger_latency_ms", {}))
                 duration_snaps.append(rounds_scope.get("duration_ms", {}))
-                slo_rounds += rounds_scope.get("slo_triggered", {}).get("value", 0)
+                size_snaps.append(rounds_scope.get("events_per_round", {}))
 
             group_status = client.job(group_id)
             if group_status["tenants"].get(GROUP_QUERIES[1]) != "cancelled":
@@ -291,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
                 "round_trigger_latency_ms": merge_histograms(trigger_snaps),
                 "round_duration_ms": merge_histograms(duration_snaps),
                 "group_round_deciles": decile_round_ms(group_rounds),
-                "slo_rounds": slo_rounds,
+                "events_per_round": merge_histograms(size_snaps, unit="events"),
             }
             report.update(
                 events_streamed=streamed,
@@ -306,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"gauges: queue_depth_max={gauges['queue_depth_max']} "
                 f"trigger_p95={gauges['round_trigger_latency_ms']['p95_ms']}ms "
                 f"duration_p95={gauges['round_duration_ms']['p95_ms']}ms "
-                f"slo_rounds={slo_rounds} "
+                f"events_per_round_p95={gauges['events_per_round']['p95_events']} "
                 f"group_round_growth={gauges['group_round_deciles'].get('growth_ratio')}"
             )
         except Exception as exc:  # noqa: BLE001 - report, then fail the job
