@@ -40,12 +40,14 @@ def test_fig4_data_characteristics(benchmark):
     from benchmarks.common import assert_fasp_not_dominated
 
     assert_fasp_not_dominated(rows, tolerance=0.75)
-    # FASP leverages additional keys (allowing makespan noise).
+    # FASP leverages additional keys. Each cell's throughput is a measured
+    # makespan (the slowest of 16 shards), so allow for its timing noise.
     assert tput("SEQ7", "FASP-O1+O3", 128) > tput("SEQ7", "FASP-O1+O3", 16) * 0.7
     # Interval joins beat sliding windows for ITER4 -- the paper's
-    # Section 5.2.3 discussion of the slide-size overhead. Small cluster
-    # cells carry per-slot timing noise, so require the ordering in the
-    # majority of cells rather than every one.
+    # Section 5.2.3 discussion of the slide-size overhead. The 16-key cell
+    # spreads the fewest events over 16 shards, so its measured makespan
+    # is the noisiest: require the ordering in the majority of cells
+    # rather than every one.
     wins = sum(
         tput("ITER4", "FASP-O1+O3", keys) > tput("ITER4", "FASP-O3", keys)
         for keys in KEYS

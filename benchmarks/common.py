@@ -43,7 +43,8 @@ def assert_fasp_not_dominated(rows: list[ExperimentRow], tolerance: float = 0.8)
     """The paper's headline shape: in every cell the best FASP variant
     reaches at least ``tolerance`` of FCEP's throughput (usually far
     more). Failed FCEP runs count as FASP wins. The tolerance absorbs
-    per-slot timing noise in small cluster cells."""
+    the timing noise of a measured makespan (slowest shard) in cells that
+    spread few events over many shards."""
     cells: dict[tuple, list[ExperimentRow]] = {}
     for row in rows:
         cells.setdefault((row.pattern, row.parameter), []).append(row)

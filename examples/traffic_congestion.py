@@ -3,22 +3,19 @@
 A keyed congestion pattern (quantity spike followed by a velocity drop on
 the *same* road segment) runs over hundreds of segments. The key-match
 constraint enables optimization O3: the mapped query partitions by
-segment id and scales out over a simulated multi-worker cluster, which
-the monolithic CEP operator cannot exploit beyond per-key NFAs.
+segment id and scales out over the sharded execution backend (one
+subgraph per shard, throughput = events / slowest shard); FCEP shards
+the same way, one NFA per key.
 
 Run:  python examples/traffic_congestion.py
 """
 
+from repro.asp.runtime import ShardedBackend
 from repro.asp.time import minutes
 from repro.experiments.report import render_figure
 from repro.experiments.common import ExperimentRow
 from repro.mapping import TranslationOptions
-from repro.runtime import (
-    ClusterConfig,
-    format_tps,
-    run_fasp_on_cluster,
-    run_fcep_on_cluster,
-)
+from repro.runtime import format_tps, run_fasp, run_fcep
 from repro.sea import parse_pattern
 from repro.workloads import QnVConfig, qnv_streams
 
@@ -42,17 +39,19 @@ def main() -> None:
     print(f"\nWorkload: {total} sensor readings from 64 road segments")
 
     rows = []
-    for workers in (1, 2, 4):
-        config = ClusterConfig(num_workers=workers, slots_per_worker=8)
-        fcep, _ = run_fcep_on_cluster(pattern, streams, config)
-        fasp, _ = run_fasp_on_cluster(
-            pattern, streams, config, TranslationOptions.o1_o3()
+    for shards in (1, 2, 4):
+        backend = ShardedBackend(shards=shards, key_attribute="id")
+        fcep, _sink, _result = run_fcep(
+            pattern, streams, key_attribute="id", backend=backend
         )
-        rows.append(ExperimentRow.from_measurement("demo", f"workers={workers}", fcep))
-        rows.append(ExperimentRow.from_measurement("demo", f"workers={workers}", fasp))
+        fasp, _sink, _result = run_fasp(
+            pattern, streams, TranslationOptions.o1_o3(), backend=backend
+        )
+        rows.append(ExperimentRow.from_measurement("demo", f"shards={shards}", fcep))
+        rows.append(ExperimentRow.from_measurement("demo", f"shards={shards}", fasp))
         assert fcep.matches == fasp.matches, "engines must agree on matches"
         print(
-            f"  {workers} worker(s): FCEP {format_tps(fcep.throughput_tps):>14s}"
+            f"  {shards} shard(s): FCEP {format_tps(fcep.throughput_tps):>14s}"
             f"   FASP-O1+O3 {format_tps(fasp.throughput_tps):>14s}"
             f"   ({fasp.matches} congestion alerts)"
         )

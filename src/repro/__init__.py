@@ -6,7 +6,7 @@ EDBT 2024): the general mapping of CEP patterns onto ASP operators,
 together with every substrate it needs — a push-based ASP dataflow
 engine, a FlinkCEP-analog NFA engine, the SEA pattern algebra with a
 declarative parser and executable formal semantics, synthetic sensor
-workloads, and a simulated multi-worker cluster.
+workloads, and a sharded execution backend for key-partitioned scale-out.
 
 Quick start::
 
@@ -48,13 +48,7 @@ from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.optimizer import build_plan
 from repro.mapping.sql import render_sql
 from repro.mapping.translator import TranslatedQuery, translate
-from repro.runtime.cluster import ClusterConfig
-from repro.runtime.harness import (
-    run_fasp,
-    run_fasp_on_cluster,
-    run_fcep,
-    run_fcep_on_cluster,
-)
+from repro.runtime.harness import run_fasp, run_fcep
 from repro.sea.ast import Pattern, conj, disj, iteration, nseq, ref, seq
 from repro.sea.parser import parse_pattern
 from repro.sea.semantics import evaluate_pattern
@@ -63,7 +57,7 @@ from repro.sea.validation import validate_pattern
 __version__ = "1.0.0"
 
 __all__ = [
-    "AnalysisReport", "CepOperator", "CepPatternBuilder", "ClusterConfig",
+    "AnalysisReport", "CepOperator", "CepPatternBuilder",
     "ComplexEvent", "Diagnostic", "Event", "ExecutionError",
     "IntervalBounds", "MS_PER_MINUTE", "MemoryExhaustedError", "Pattern",
     "PatternSyntaxError", "PatternValidationError", "ReproError", "STAM",
@@ -73,6 +67,6 @@ __all__ = [
     "TypeRegistry", "WindowSpec", "analyze_query", "build_plan", "conj",
     "disj", "evaluate_pattern", "from_sea_pattern", "hours", "iteration",
     "minutes", "nseq", "parse_pattern", "ref", "render_sql", "run_fasp",
-    "run_fasp_on_cluster", "run_fcep", "run_fcep_on_cluster", "seconds",
-    "seq", "sliding", "translate", "tumbling", "validate_pattern",
+    "run_fcep", "seconds", "seq", "sliding", "translate", "tumbling",
+    "validate_pattern",
 ]

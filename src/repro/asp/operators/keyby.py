@@ -3,10 +3,10 @@
 The mapped queries parallelize via Equi-Join keys (optimization O3):
 events are partitioned by a key attribute (the paper uses the sensor
 ``id``), stateful operators run one instance per partition, and a shuffle
-re-partitions between operators. The executor here is single-process, so
-the *physical* parallelism is simulated by
-:mod:`repro.runtime.cluster`, which uses these helpers to split the key
-space over task slots.
+re-partitions between operators. The physical split is the sharded
+execution backend's: :func:`repro.asp.graph.extract_shards` routes every
+source event to shard ``partition_for(key, shards)`` and runs one
+subgraph per shard.
 """
 
 from __future__ import annotations
@@ -55,32 +55,12 @@ def partition_for(key: Hashable, num_partitions: int) -> int:
     return stable_hash(key) % num_partitions
 
 
-def split_by_partition(
-    events: Iterable[Event], selector: KeySelector, num_partitions: int
-) -> list[list[Event]]:
-    """Shuffle step: route each event to its hash partition."""
-    partitions: list[list[Event]] = [[] for _ in range(num_partitions)]
-    for event in events:
-        partitions[partition_for(selector(event), num_partitions)].append(event)
-    return partitions
-
-
-def keys_per_partition(
-    keys: Sequence[Hashable], num_partitions: int
-) -> list[list[Hashable]]:
-    """Which keys land on which partition — used to report skew."""
-    out: list[list[Hashable]] = [[] for _ in range(num_partitions)]
-    for key in keys:
-        out[partition_for(key, num_partitions)].append(key)
-    return out
-
-
 class KeyByOperator(Operator):
     """Annotate items with their partition key (logical key-by).
 
-    In a distributed ASPS this operator implies a network shuffle; in the
-    simulation it only records the key so downstream keyed operators and
-    the cluster scheduler can use it.
+    In a distributed ASPS this operator implies a network shuffle; here it
+    only records the key. The shuffle itself happens once, at the sources,
+    when the sharded backend splits the plan.
     """
 
     kind = "key-by"

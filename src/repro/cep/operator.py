@@ -29,8 +29,8 @@ class CepOperator(StatefulOperator):
 
     ``key_fn`` enables the only parallelization dimension FCEP has
     (Section 5.1.2: "FCEP can leverage partitioning by key and otherwise
-    runs on a single thread"); the simulated cluster uses it to split the
-    key space over task slots.
+    runs on a single thread"); with it the plan is keyed, so the sharded
+    backend can split the key space over shards.
     """
 
     kind = "cep"

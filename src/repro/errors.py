@@ -148,9 +148,5 @@ class ServiceError(ReproError):
         return out
 
 
-class ClusterError(ReproError):
-    """Invalid cluster configuration (no slots, unknown node...)."""
-
-
 class WorkloadError(ReproError):
     """A workload generator received inconsistent parameters."""

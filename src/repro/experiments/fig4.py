@@ -7,7 +7,9 @@ The paper (Section 5.2.3) enables key partitioning (O3) and runs
 
 for key cardinalities {16, 32, 128} on one worker with 16 task slots.
 Both patterns carry ``id`` equality constraints, so FCEP partitions by
-key and FASP runs Equi Joins (FASP-O3, FASP-O1+O3, FASP-O2+O3).
+key and FASP runs Equi Joins (FASP-O3, FASP-O1+O3, FASP-O2+O3). The
+16 slots are 16 shards of the sharded execution backend, the same
+measured scale-out Figure 6 uses.
 
 A second probe reproduces the paper's fifth observation: with a bounded
 per-worker memory budget, FCEP fails by memory exhaustion while the
@@ -18,16 +20,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.asp.runtime import ShardedBackend
 from repro.asp.time import MS_PER_MINUTE
 from repro.experiments.common import ExperimentRow, Scale
 from repro.mapping.optimizations import TranslationOptions
-from repro.runtime.cluster import ClusterConfig
-from repro.runtime.harness import (
-    run_fasp,
-    run_fasp_on_cluster,
-    run_fcep,
-    run_fcep_on_cluster,
-)
+from repro.runtime.harness import run_fasp, run_fcep
 from repro.sea.ast import Pattern
 from repro.sea.parser import parse_pattern
 from repro.workloads.airquality import AirQualityConfig, aq_streams
@@ -120,45 +117,53 @@ _APPROACHES: tuple[tuple[str, TranslationOptions | None], ...] = (
 
 _ITER_APPROACHES = _APPROACHES + (("FASP-O2+O3", TranslationOptions.o2_o3()),)
 
+#: The partition attribute of the keyed workload (sensor/segment id).
+_KEY_ATTRIBUTE = "id"
+
 
 def fig4_keys(
     scale: Scale | None = None,
     key_counts: Sequence[int] = (16, 32, 128),
     slots: int = 16,
 ) -> list[ExperimentRow]:
+    """Keys-sweep rows for Figure 4 (``parameter="keys=N"``).
+
+    Every cell runs on the sharded backend with ``slots`` shards keyed on
+    ``id`` — the paper's one worker with 16 keyed task slots — and
+    carries its measured throughput (makespan = slowest shard).
+    """
     scale = scale or Scale.default()
-    config = ClusterConfig(num_workers=1, slots_per_worker=slots)
+    backend = ShardedBackend(shards=slots, key_attribute=_KEY_ATTRIBUTE)
     rows: list[ExperimentRow] = []
-    # Warm-up run: the first execution in a process pays one-off costs
-    # (allocator warmup, code object caching) that would otherwise skew
-    # the first measured cell.
+    # Warm-up run: the first execution in a process (and in each shard
+    # worker) pays one-off costs (allocator warmup, code object caching)
+    # that would otherwise skew the first measured cell.
     warm_streams = keyed_workload(key_counts[0], min(scale.events, 4_000), seed=scale.seed)
-    run_fcep(seq7_pattern(), warm_streams)
-    run_fasp(seq7_pattern(), warm_streams, TranslationOptions.o1_o3())
+    run_fcep(seq7_pattern(), warm_streams, key_attribute=_KEY_ATTRIBUTE, backend=backend)
+    run_fasp(seq7_pattern(), warm_streams, TranslationOptions.o1_o3(), backend=backend)
     for keys in key_counts:
         # Volume grows with keys, as in the paper. The x2 floor keeps
-        # per-slot workloads large enough for stable timing.
+        # per-shard workloads large enough for stable timing.
         events = scale.events * max(2, keys // key_counts[0])
         streams = keyed_workload(keys, events, seed=scale.seed)
-        seq7 = seq7_pattern()
-        for label, options in _APPROACHES:
-            if options is None:
-                measurement, _outcome = run_fcep_on_cluster(seq7, streams, config)
-            else:
-                measurement, _outcome = run_fasp_on_cluster(seq7, streams, config, options)
-            rows.append(
-                ExperimentRow.from_measurement("fig4", f"keys={keys}", measurement)
-            )
-        iter4 = iter4_pattern()
-        v_only = {"V": streams["V"]}
-        for label, options in _ITER_APPROACHES:
-            if options is None:
-                measurement, _outcome = run_fcep_on_cluster(iter4, v_only, config)
-            else:
-                measurement, _outcome = run_fasp_on_cluster(iter4, v_only, config, options)
-            rows.append(
-                ExperimentRow.from_measurement("fig4", f"keys={keys}", measurement)
-            )
+        cells = (
+            (seq7_pattern(), streams, _APPROACHES),
+            (iter4_pattern(), {"V": streams["V"]}, _ITER_APPROACHES),
+        )
+        for pattern, pattern_streams, approaches in cells:
+            for _label, options in approaches:
+                if options is None:
+                    measurement, _sink, _result = run_fcep(
+                        pattern, pattern_streams,
+                        key_attribute=_KEY_ATTRIBUTE, backend=backend,
+                    )
+                else:
+                    measurement, _sink, _result = run_fasp(
+                        pattern, pattern_streams, options, backend=backend
+                    )
+                rows.append(
+                    ExperimentRow.from_measurement("fig4", f"keys={keys}", measurement)
+                )
     return rows
 
 

@@ -30,8 +30,10 @@ Decision rules distilled from the paper's evaluation (Sections 4.3,
   per left event), or when the window is large relative to the slide
   (many concurrent sliding windows); sliding windows when the left stream
   is the busiest.
-* Commutative conjunctions additionally reorder by frequency so the
-  sparsest stream drives window creation.
+
+Operand order of commutative conjunctions is not an option: the plan
+optimizer's cost-based ``ReorderCommutativeJoin`` rule puts the sparsest
+stream on the window-driving side and restores the output order.
 """
 
 from __future__ import annotations
@@ -197,14 +199,6 @@ def recommend_options(
                 "frequent, so per-left-event interval windows would be "
                 "created at the highest rate (Section 4.3.1)"
             )
-
-    # -- frequency-based reordering for commutative operators ----------------------------
-    if features.root_kind == "AND" and registry is not None:
-        options = replace(options, reorder_by_frequency=True)
-        reasons.append(
-            "conjunction operands reorder by frequency: the sparsest "
-            "stream drives window creation (Section 5.2.3)"
-        )
 
     if not reasons:
         reasons.append("no optimization opportunity detected; plain FASP mapping")

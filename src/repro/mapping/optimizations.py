@@ -12,7 +12,7 @@
 * **O3 — Equi-Join partitioning**
   (:attr:`TranslationOptions.partition_attribute` or auto-detected
   equi predicates): turns joins into key-partitionable Equi Joins,
-  unlocking parallel execution on the simulated cluster.
+  unlocking parallel execution on the sharded backend.
 
 The options compose (the paper evaluates O1+O3 and O2+O3 in Figures 4–6).
 """
@@ -48,10 +48,6 @@ class TranslationOptions:
     #: Additionally honour explicit WHERE equalities like ``a.id = b.id``
     #: as join keys instead of post-join theta predicates.
     auto_equi_keys: bool = True
-    #: Reorder commutative operands so low-frequency streams drive
-    #: interval-join window creation (Section 5.2.3 discussion). Requires
-    #: a type registry with frequency metadata.
-    reorder_by_frequency: bool = False
     #: Override the pattern's slide (experiments use 1 minute throughout).
     slide_override: int | None = None
     #: Let sliding window joins emit raw duplicates (Section 3.1.4 study).

@@ -75,15 +75,9 @@ from repro.sea.validation import validate_pattern
 
 
 class _PlanBuilder:
-    def __init__(
-        self,
-        pattern: Pattern,
-        options: TranslationOptions,
-        registry: TypeRegistry | None,
-    ):
+    def __init__(self, pattern: Pattern, options: TranslationOptions):
         self.pattern = pattern
         self.options = options
-        self.registry = registry
         self.window_size = pattern.window.size
         self.window_slide = options.slide_override or pattern.window.slide
         single, equi, multi = classify_conjuncts(pattern.where)
@@ -188,27 +182,6 @@ class _PlanBuilder:
             consecutive_condition=consecutive_condition,
         )
 
-    def _maybe_reorder(self, parts: list[PatternNode]) -> list[PatternNode]:
-        """Frequency-based reordering for commutative conjunctions:
-        putting the lowest-frequency operand left makes it drive interval
-        window creation (Section 5.2.3)."""
-        if not self.options.reorder_by_frequency or self.registry is None:
-            return parts
-
-        def period(node: PatternNode) -> int:
-            if isinstance(node, EventTypeRef) and node.event_type in self.registry:
-                info = self.registry.get(node.event_type)
-                return info.mean_period_ms or 0
-            return 0
-
-        reordered = sorted(parts, key=period, reverse=True)
-        if reordered != parts:
-            self.notes.append(
-                "conjunction operands reordered by stream frequency "
-                "(lowest-frequency stream drives window creation)"
-            )
-        return reordered
-
     # -- node dispatch -------------------------------------------------------------
 
     def build(self, node: PatternNode) -> PlanNode:
@@ -223,8 +196,8 @@ class _PlanBuilder:
                 plan = self._join(plan, self.build(part), ordered=True)
             return plan
         if isinstance(node, Conjunction):
-            parts = self._maybe_reorder(list(node.parts))
-            multiway = self._maybe_multiway(tuple(parts), ordered=False)
+            parts = node.parts
+            multiway = self._maybe_multiway(parts, ordered=False)
             if multiway is not None:
                 return multiway
             plan = self.build(parts[0])
@@ -461,7 +434,7 @@ def build_plan(
     """Translate a pattern into a logical ASP plan (Table 1)."""
     options = options or TranslationOptions()
     pattern = validate_pattern(pattern, registry=registry)
-    builder = _PlanBuilder(pattern, options, registry)
+    builder = _PlanBuilder(pattern, options)
     root = builder.build(pattern.root)
     if builder.pending_equi or builder.pending_multi:
         leftover: tuple[Predicate, ...] = tuple(builder.pending_equi) + tuple(

@@ -1,19 +1,7 @@
-"""Execution environment simulation (substrate 3): metrics, the simulated
-multi-worker cluster, and the FCEP-vs-FASP measurement harness."""
+"""Execution environment (substrate 3): metrics, the rate model, and the
+FCEP-vs-FASP measurement harness."""
 
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ClusterRunResult,
-    SlotResult,
-    partition_streams,
-    run_on_cluster,
-)
-from repro.runtime.harness import (
-    run_fasp,
-    run_fasp_on_cluster,
-    run_fcep,
-    run_fcep_on_cluster,
-)
+from repro.runtime.harness import run_fasp, run_fcep
 from repro.runtime.ratesim import PipelineModel, Station, compare_under_load
 from repro.runtime.metrics import (
     ResourceSample,
@@ -26,8 +14,7 @@ from repro.runtime.metrics import (
 )
 
 __all__ = [
-    "ClusterConfig", "ClusterRunResult", "PipelineModel", "ResourceSample", "SlotResult", "Station", "compare_under_load",
-    "ThroughputMeasurement", "cpu_proxy_series", "format_bytes", "format_tps",
-    "partition_streams", "resource_series", "run_fasp", "run_fasp_on_cluster",
-    "run_fcep", "run_fcep_on_cluster", "run_on_cluster", "speedup",
+    "PipelineModel", "ResourceSample", "Station", "ThroughputMeasurement",
+    "compare_under_load", "cpu_proxy_series", "format_bytes", "format_tps",
+    "resource_series", "run_fasp", "run_fcep", "speedup",
 ]

@@ -5,8 +5,10 @@ form: identical source and sink functions for every pattern-query pair,
 the FCEP side as union-of-streams + unary NFA operator, the FASP side as
 the mapped multi-operator query, measured on the same executor.
 
-Every run returns a :class:`ThroughputMeasurement`; cluster variants
-partition the key space as described in :mod:`repro.runtime.cluster`.
+Every run returns a :class:`ThroughputMeasurement`. Scale-out is the
+``backend`` argument: a :class:`~repro.asp.runtime.ShardedBackend`
+splits the keyed plan into per-shard subgraphs, runs them, and reports
+the measured makespan (slowest shard).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.cep.operator import CepOperator
 from repro.cep.pattern_api import from_sea_pattern
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.translator import translate
-from repro.runtime.cluster import ClusterConfig, ClusterRunResult, run_on_cluster
 from repro.runtime.metrics import ThroughputMeasurement
 from repro.sea.ast import Pattern
 
@@ -135,66 +136,3 @@ def run_fasp(
     )
     return measurement, sink, result
 
-
-def run_fcep_on_cluster(
-    pattern: Pattern,
-    streams: Streams,
-    config: ClusterConfig,
-    key_attribute: str = "id",
-) -> tuple[ThroughputMeasurement, ClusterRunResult]:
-    """FCEP with key partitioning over the simulated cluster."""
-
-    def job(slot_streams: Streams, budget: int | None) -> tuple[RunResult, int]:
-        measurement, sink, result = run_fcep(
-            pattern,
-            slot_streams,
-            key_attribute=key_attribute,
-            memory_budget_bytes=budget,
-        )
-        return result, sink.count
-
-    outcome = run_on_cluster(streams, job, config)
-    measurement = _cluster_measurement("FCEP", pattern, outcome)
-    return measurement, outcome
-
-
-def run_fasp_on_cluster(
-    pattern: Pattern,
-    streams: Streams,
-    config: ClusterConfig,
-    options: TranslationOptions | None = None,
-) -> tuple[ThroughputMeasurement, ClusterRunResult]:
-    """Mapped query with key partitioning over the simulated cluster."""
-    options = options or TranslationOptions()
-
-    def job(slot_streams: Streams, budget: int | None) -> tuple[RunResult, int]:
-        _measurement, sink, result = run_fasp(
-            pattern, slot_streams, options, memory_budget_bytes=budget
-        )
-        return result, sink.count
-
-    outcome = run_on_cluster(streams, job, config)
-    measurement = _cluster_measurement(options.label(), pattern, outcome)
-    return measurement, outcome
-
-
-def _cluster_measurement(
-    label: str, pattern: Pattern, outcome: ClusterRunResult
-) -> ThroughputMeasurement:
-    return ThroughputMeasurement(
-        label=label,
-        pattern=pattern.name,
-        events_in=outcome.events_in,
-        matches=outcome.matches,
-        wall_seconds=outcome.makespan_seconds,
-        throughput_tps=outcome.throughput_tps,
-        peak_state_bytes=outcome.peak_state_bytes,
-        work_units=sum(s.result.work_units for s in outcome.slots),
-        failed=outcome.failed,
-        failure=outcome.failure,
-        extras={
-            "workers": outcome.config.num_workers,
-            "slots": outcome.config.total_slots,
-            "skew": outcome.skew(),
-        },
-    )

@@ -246,6 +246,9 @@ class Job:
     cond: threading.Condition = field(default_factory=threading.Condition)
     run_lock: threading.Lock = field(default_factory=threading.Lock)
     flush_requested: bool = False
+    #: Admitted events not yet published to ``queue`` (their WAL line is
+    #: being written); they count against ``queue_limit``.
+    reserved: int = 0
     events_processed: int = 0
     items_out: int = 0
     wall_seconds: float = 0.0
@@ -288,22 +291,24 @@ class Job:
 
     # -- ingestion ---------------------------------------------------------
 
-    def offer(self, event: Event, *, wait: bool, draining: bool) -> dict[str, Any]:
-        """Admit one event into the ingress queue (admission control).
+    def admit(self, *, wait: bool, draining: bool) -> dict[str, Any]:
+        """Reserve queue room for one event (admission control).
 
         Returns ``{"accepted": bool, ...}``; when rejected, carries the
-        stable ``reason`` and a ``retry_after_ms`` hint; ``round_ready``:
-        the queue was empty, so the worker may be asleep.
+        stable ``reason`` and a ``retry_after_ms`` hint. An accepted event
+        holds its slot against ``queue_limit`` until :meth:`publish` puts
+        it on the queue — after its WAL line in durable mode, so no round
+        can read (and cut past) an event the WAL does not have yet.
         """
         with self.cond:
             if self.state != JobState.RUNNING or draining:
                 return {"accepted": False, "reason": f"job-{self.state}"
                         if self.state != JobState.RUNNING else "draining"}
-            if len(self.queue) >= self.config.queue_limit:
+            if len(self.queue) + self.reserved >= self.config.queue_limit:
                 if self.config.admission == "block" and wait:
                     self.blocked.inc()
                     while (
-                        len(self.queue) >= self.config.queue_limit
+                        len(self.queue) + self.reserved >= self.config.queue_limit
                         and self.state == JobState.RUNNING
                     ):
                         self.cond.wait(timeout=0.05)
@@ -317,13 +322,21 @@ class Job:
                         "reason": "queue-full",
                         "retry_after_ms": self.config.retry_after_ms,
                     }
+            self.reserved += 1
+        return {"accepted": True}
+
+    def publish(self, event: Event) -> bool:
+        """Queue an admitted event into its reserved slot. True when the
+        queue was empty, so the worker may be asleep."""
+        with self.cond:
+            self.reserved -= 1
             ready = not self.queue
             if ready:
                 self.pending_since = time.monotonic()
             self.queue.append(event)
             self.accepted.inc()
             self.queue_depth.set(len(self.queue))
-        return {"accepted": True, "round_ready": ready}
+        return ready
 
     def drain_queue(self) -> tuple[float | None, bool]:
         """Move queued events into the log; unblocks waiting producers.
@@ -876,7 +889,6 @@ class JobManager:
     def _route_event(
         self, event: Event, source: str | None, seq: int | None, wait: bool
     ) -> dict[str, Any]:
-        routed = 0
         routed_ids: list[str] = []
         rejections: list[dict[str, Any]] = []
         ready = False
@@ -887,23 +899,29 @@ class JobManager:
         if not targets:
             self.unrouted += 1  # lint: unguarded — a monotonic stat counter
             return {"accepted": 0, "unrouted": True}
+        admitted: list[Job] = []
         for job in targets:
-            outcome = job.offer(event, wait=wait, draining=self.draining)
+            outcome = job.admit(wait=wait, draining=self.draining)
             if outcome["accepted"]:
-                routed += 1
+                admitted.append(job)
                 routed_ids.append(job.job_id)
-                ready = ready or outcome.get("round_ready", False)
             else:
                 rejection = {"job": job.job_id, **outcome}
                 rejection.pop("accepted")
                 rejections.append(rejection)
-        if routed_ids and self.state is not None:
-            # One append covers the whole routing set: the event is
-            # durable for all of its jobs or for none of them.
-            self.state.append_wal(event_to_wire(event, source, seq), routed_ids)
+        try:
+            if routed_ids and self.state is not None:
+                # One append covers the whole routing set: the event is
+                # durable for all of its jobs or for none of them. It
+                # reaches the queues only after, so a round never cuts
+                # past the WAL.
+                self.state.append_wal(event_to_wire(event, source, seq), routed_ids)
+        finally:
+            for job in admitted:
+                ready = job.publish(event) or ready
         if ready:
             self.kick()
-        out: dict[str, Any] = {"accepted": routed}
+        out: dict[str, Any] = {"accepted": len(admitted)}
         if rejections:
             out["rejections"] = rejections
         return out

@@ -147,7 +147,7 @@ def zipf_weights(num_sensors: int, exponent: float = 1.0) -> list[float]:
 
     Real sensor fleets are rarely uniform: a few road segments produce
     most readings. ``exponent=0`` is uniform; larger exponents skew
-    harder. Used by the cluster-skew tests to stress the makespan model.
+    harder. Used by the skew tests to unbalance the sharded backend's shards.
     """
     if num_sensors < 1:
         raise WorkloadError("num_sensors must be >= 1")

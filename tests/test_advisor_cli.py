@@ -71,11 +71,6 @@ class TestAdvisor:
         assert rec.options.iteration_strategy == "aggregate"
         assert any("Kleene" in r for r in rec.reasons)
 
-    def test_conjunction_reorders_with_registry(self):
-        pattern = parse_pattern("PATTERN AND(Q a, PM10 b) WITHIN 15 MINUTES")
-        rec = recommend_options(pattern, registry=TypeRegistry.paper_default())
-        assert rec.options.reorder_by_frequency
-
     def test_registry_frequencies_used_as_fallback(self):
         pattern = parse_pattern(
             "PATTERN SEQ(PM10 a, Q b) WITHIN 15 MINUTES SLIDE 1 MINUTE"

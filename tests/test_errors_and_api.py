@@ -5,7 +5,6 @@ import pytest
 import repro
 from repro.errors import (
     BackpressureError,
-    ClusterError,
     ExecutionError,
     GraphError,
     MemoryExhaustedError,
@@ -23,7 +22,7 @@ class TestErrorHierarchy:
     @pytest.mark.parametrize("exc_type", [
         SchemaError, PatternSyntaxError, PatternValidationError,
         TranslationError, OptimizationError, GraphError, ExecutionError,
-        MemoryExhaustedError, BackpressureError, ClusterError, WorkloadError,
+        MemoryExhaustedError, BackpressureError, WorkloadError,
     ])
     def test_all_derive_from_repro_error(self, exc_type):
         assert issubclass(exc_type, ReproError)
@@ -55,7 +54,7 @@ class TestErrorHierarchy:
         assert "line" not in str(exc)
 
     def test_single_except_catches_everything(self):
-        for exc_type in (SchemaError, TranslationError, ClusterError):
+        for exc_type in (SchemaError, TranslationError, WorkloadError):
             try:
                 raise exc_type("x")
             except ReproError:

@@ -35,7 +35,7 @@ class TestExamples:
     def test_traffic_congestion(self, capsys):
         out = run_example("traffic_congestion", capsys)
         assert "congestion alerts" in out
-        assert "workers=4" in out
+        assert "shards=4" in out
 
     def test_air_quality_monitoring(self, capsys):
         out = run_example("air_quality_monitoring", capsys)

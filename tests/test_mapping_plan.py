@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.asp.datamodel import TypeRegistry
 from repro.asp.operators.window import WindowSpec
 from repro.asp.time import minutes
 from repro.errors import OptimizationError, TranslationError
@@ -19,7 +18,7 @@ from repro.mapping.plan import (
     WindowStrategy,
 )
 from repro.mapping.optimizer import build_plan
-from repro.sea.ast import Pattern, conj, iteration, nseq, ref, seq
+from repro.sea.ast import Pattern, iteration, nseq, ref, seq
 from repro.sea.parser import parse_pattern
 
 W = WindowSpec(size=minutes(15), slide=minutes(1))
@@ -202,15 +201,6 @@ class TestPlanMisc:
     def test_notes_record_options_label(self):
         plan = plan_of("PATTERN SEQ(Q a, V b) WITHIN 15 MINUTES", TranslationOptions.o1())
         assert any("FASP-O1" in n for n in plan.notes)
-
-    def test_reorder_by_frequency_for_conjunction(self):
-        registry = TypeRegistry.paper_default()
-        pattern = Pattern(conj(ref("Q", "a"), ref("PM10", "b")), window=W)
-        options = TranslationOptions(reorder_by_frequency=True)
-        plan = build_plan(pattern, options, registry=registry)
-        # PM10 (4-minute period) should drive window creation: left side.
-        assert plan.root.left.aliases == ("b",)
-        assert any("reordered" in n for n in plan.notes)
 
     def test_unknown_iteration_strategy_rejected(self):
         with pytest.raises(OptimizationError):

@@ -8,9 +8,7 @@ from repro.asp.operators.filter import FilterOperator, TypeFilterOperator
 from repro.asp.operators.keyby import (
     KeyByOperator,
     key_by_attribute,
-    keys_per_partition,
     partition_for,
-    split_by_partition,
     stable_hash,
 )
 from repro.asp.operators.map import (
@@ -138,22 +136,12 @@ class TestKeyPartitioning:
         for key in range(100):
             assert 0 <= partition_for(key, 7) < 7
 
+    def test_consecutive_int_keys_fill_every_partition(self):
+        assert [partition_for(key, 4) for key in range(8)] == [0, 1, 2, 3] * 2
+
     def test_partition_for_invalid(self):
         with pytest.raises(ValueError):
             partition_for(1, 0)
-
-    def test_split_by_partition_routes_all_events(self):
-        events = [Event("Q", ts=i, id=i % 5) for i in range(50)]
-        parts = split_by_partition(events, lambda e: e.id, 3)
-        assert sum(len(p) for p in parts) == 50
-        # same key always lands in the same partition
-        for part in parts:
-            for e in part:
-                assert partition_for(e.id, 3) == parts.index(part)
-
-    def test_keys_per_partition_covers_all(self):
-        assignment = keys_per_partition(list(range(20)), 4)
-        assert sorted(k for part in assignment for k in part) == list(range(20))
 
     def test_key_by_attribute_on_complex_event(self):
         selector = key_by_attribute("id")

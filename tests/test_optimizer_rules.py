@@ -146,6 +146,18 @@ class TestReorderCommutativeJoin:
         assert root.input.left.event_type == "V"
         assert root.input.equi_keys == ((("b", "id"), ("a", "id")),)
 
+    def test_fires_from_registry_frequencies(self):
+        # A cross conjunction with no rates injected: the paper registry's
+        # periods (Q every minute, PM10 every 4 minutes) alone put the
+        # sparser PM10 stream on the window-driving left side.
+        plan = plan_for("PATTERN AND(Q a, PM10 b) WITHIN 15 MINUTES")
+        model = StaticCostModel(TypeRegistry.paper_default())
+        decision = ReorderCommutativeJoin().apply(plan, ctx_for(model))
+        assert decision.fired
+        root = decision.plan.root
+        assert root.aliases == ("a", "b")
+        assert root.input.left.aliases == ("b",)
+
     def test_declines_on_equal_rates(self):
         plan = plan_for("PATTERN AND(Q a, V b) WITHIN 10 MINUTES")
         model = RatesModel({"Q": 1.0, "V": 1.0})

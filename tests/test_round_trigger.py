@@ -279,3 +279,42 @@ def test_the_tree_is_built_on_read_and_says_what_it_said():
     assert sum(op["events_in"] for op in report.values()) == sum(
         metrics["events_in"]["value"] for metrics in folded.values()
     )
+
+
+def test_a_cut_never_runs_past_the_wal(tmp_path):
+    """Durable ingest queues an event only after its WAL line: a round
+    that runs (and cuts) while the line is being written cannot read it,
+    so a kill −9 right after leaves a cut the WAL can replay up to."""
+    events = full_log(CASE)
+    config = ServiceConfig(state_dir=str(tmp_path), checkpoint_interval=None)
+    first = JobManager(config)
+    job_id = first.submit(REQUEST)["id"]
+    job = first.jobs[job_id]
+    for seq, event in enumerate(events[:40], start=1):
+        first.ingest_event(event, source="t", seq=seq)
+
+    class Killed(Exception):
+        pass
+
+    def round_then_die(doc, job_ids):
+        first.run_round(job)  # a round and a cut between admit and WAL line
+        raise Killed  # kill −9 before the line lands
+
+    first.state.append_wal = round_then_die
+    with pytest.raises(Killed):
+        first.ingest_event(events[40], source="t", seq=41)
+    (lane,) = job.lanes
+    in_wal = sum(job_id in ids for _doc, ids in first.state.replay_wal())
+    assert in_wal == 40
+    assert lane.store.latest().offset <= in_wal
+    first.stop()
+
+    second = JobManager(config)
+    second.resume()
+    try:
+        for seq, event in enumerate(events, start=1):
+            second.ingest_event(event, source="t", seq=seq)
+        second.drain()
+        assert served(second, job_id) == reference(events)
+    finally:
+        second.stop()

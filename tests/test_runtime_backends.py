@@ -13,7 +13,7 @@ import pytest
 from repro.asp.datamodel import Event
 from repro.asp.graph import Dataflow, clone_dataflow, extract_shards, linear_pipeline
 from repro.asp.operators.filter import FilterOperator
-from repro.asp.operators.keyby import key_by_attribute
+from repro.asp.operators.keyby import key_by_attribute, partition_for
 from repro.asp.operators.sink import CollectSink, DiscardSink
 from repro.asp.operators.source import ListSource
 from repro.asp.runtime import (
@@ -29,7 +29,7 @@ from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.state import StateRegistry
 from repro.asp.time import WatermarkGenerator, minutes
 from repro.cep.matches import dedup
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, GraphError
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.translator import translate
 from repro.sea.parser import parse_pattern
@@ -361,6 +361,27 @@ class TestExtractShards:
             assert list(iter(sub.source_nodes()[0].source)) == list(
                 iter(sub2.source_nodes()[0].source)
             )
+
+    def test_every_event_is_on_its_keys_partition(self):
+        flow, events = self._keyed_flow()
+        shards = extract_shards(flow, 3, key_by_attribute("id"))
+        for index, sub in enumerate(shards):
+            for event in sub.source_nodes()[0].source:
+                assert partition_for(event.id, 3) == index
+        assert sum(len(list(sub.source_nodes()[0].source)) for sub in shards) == len(
+            events
+        )
+
+    def test_a_constant_key_fills_one_shard(self):
+        flow, events = self._keyed_flow()
+        shards = extract_shards(flow, 4, lambda _event: "fixed")
+        sizes = [len(list(sub.source_nodes()[0].source)) for sub in shards]
+        assert sorted(sizes) == [0, 0, 0, len(events)]
+
+    def test_zero_shards_rejected(self):
+        flow, _events = self._keyed_flow()
+        with pytest.raises(GraphError):
+            extract_shards(flow, 0, key_by_attribute("id"))
 
     def test_shards_get_fresh_operators(self):
         flow, _events = self._keyed_flow()

@@ -312,26 +312,25 @@ class TestSkewedGeneration:
         assert [e.ts for e in a] == sorted(e.ts for e in a)
 
 
-class TestClusterSkew:
-    def test_skewed_keys_raise_makespan_skew(self):
-        """A Zipf workload produces measurable slot imbalance — the
+class TestShardSkew:
+    def test_skewed_keys_unbalance_shards(self):
+        """A Zipf workload produces measurable shard imbalance — the
         mechanism behind the paper's keys-vs-slots observations."""
-        from repro.runtime.cluster import ClusterConfig, run_on_cluster
+        from repro.asp.runtime import ShardedBackend
+        from repro.runtime.harness import run_fcep
+        from repro.sea.parser import parse_pattern
         from repro.workloads.generator import generate_skewed_stream
-        from repro.asp.runtime import RunResult
 
         spec = StreamSpec("Q", num_sensors=16)
         events = generate_skewed_stream(spec, minutes(1000), exponent=1.5, seed=2)
-
-        def job(streams, budget):
-            total = sum(len(v) for v in streams.values())
-            return (
-                RunResult("job", total, 0, wall_seconds=max(total, 1) / 1e6,
-                          peak_state_bytes=0, work_units=total),
-                0,
-            )
-
-        outcome = run_on_cluster(
-            {"Q": events}, job, ClusterConfig(num_workers=1, slots_per_worker=4)
+        pattern = parse_pattern(
+            "PATTERN SEQ(Q a, Q b) WHERE a.value > 1000 AND a.id = b.id "
+            "WITHIN 5 MINUTES"
         )
-        assert outcome.skew() > 1.1
+        _m, _sink, result = run_fcep(
+            pattern, {"Q": events}, key_attribute="id",
+            backend=ShardedBackend(shards=4),
+        )
+        sizes = [n for n in result.metadata["shard_events_in"] if n]
+        assert sum(sizes) == len(events)
+        assert max(sizes) / (sum(sizes) / len(sizes)) > 1.1
