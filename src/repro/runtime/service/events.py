@@ -108,9 +108,10 @@ def event_to_wire(
 def parse_wire_line(line: str | bytes) -> dict[str, Any]:
     """Decode one NDJSON line into a message dict.
 
-    Returns ``{"kind": "event", "event": Event, "source": ..., "seq": ...}``,
-    ``{"kind": "watermark", "ts": int, "source": ...}`` or
-    ``{"kind": "op", "op": str}``.
+    Returns ``{"kind": "event", "event": Event, "source": ..., "seq": ...,
+    "line": str}`` (``line``: the stripped text, one JSON object — what
+    the WAL records), ``{"kind": "watermark", "ts": int, "source": ...}``
+    or ``{"kind": "op", "op": str}``.
     """
     if isinstance(line, bytes):
         try:
@@ -147,6 +148,7 @@ def parse_wire_line(line: str | bytes) -> dict[str, Any]:
         "event": event_from_wire(doc),
         "source": source,
         "seq": seq,
+        "line": text,
     }
 
 

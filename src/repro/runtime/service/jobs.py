@@ -36,9 +36,10 @@ Both decisions are counted in the job's metrics tree.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -246,8 +247,8 @@ class Job:
     cond: threading.Condition = field(default_factory=threading.Condition)
     run_lock: threading.Lock = field(default_factory=threading.Lock)
     flush_requested: bool = False
-    #: Admitted events not yet published to ``queue`` (their WAL line is
-    #: being written); they count against ``queue_limit``.
+    #: Admitted events not yet published to ``queue`` (their ingest run
+    #: is not committed yet); they count against ``queue_limit``.
     reserved: int = 0
     events_processed: int = 0
     items_out: int = 0
@@ -291,50 +292,53 @@ class Job:
 
     # -- ingestion ---------------------------------------------------------
 
-    def admit(self, *, wait: bool, draining: bool) -> dict[str, Any]:
-        """Reserve queue room for one event (admission control).
+    def admit(self, *, draining: bool) -> str | None:
+        """Reserve queue room for one event without waiting (admission
+        control).
 
-        Returns ``{"accepted": bool, ...}``; when rejected, carries the
-        stable ``reason`` and a ``retry_after_ms`` hint. An accepted event
-        holds its slot against ``queue_limit`` until :meth:`publish` puts
-        it on the queue — after its WAL line in durable mode, so no round
+        Returns None when reserved, else the stable reason: the job's
+        state, ``draining`` or ``queue-full`` (which the caller answers
+        by rejecting or by :meth:`await_room`). A reserved slot counts
+        against ``queue_limit`` until :meth:`publish` puts its event on
+        the queue — after its WAL record in durable mode, so no round
         can read (and cut past) an event the WAL does not have yet.
         """
         with self.cond:
-            if self.state != JobState.RUNNING or draining:
-                return {"accepted": False, "reason": f"job-{self.state}"
-                        if self.state != JobState.RUNNING else "draining"}
+            if self.state != JobState.RUNNING:
+                return f"job-{self.state}"
+            if draining:
+                return "draining"
             if len(self.queue) + self.reserved >= self.config.queue_limit:
-                if self.config.admission == "block" and wait:
-                    self.blocked.inc()
-                    while (
-                        len(self.queue) + self.reserved >= self.config.queue_limit
-                        and self.state == JobState.RUNNING
-                    ):
-                        self.cond.wait(timeout=0.05)
-                    if self.state != JobState.RUNNING:
-                        self.rejected.inc()
-                        return {"accepted": False, "reason": f"job-{self.state}"}
-                else:
-                    self.rejected.inc()
-                    return {
-                        "accepted": False,
-                        "reason": "queue-full",
-                        "retry_after_ms": self.config.retry_after_ms,
-                    }
+                return "queue-full"
             self.reserved += 1
-        return {"accepted": True}
+        return None
 
-    def publish(self, event: Event) -> bool:
-        """Queue an admitted event into its reserved slot. True when the
+    def await_room(self) -> str | None:
+        """``block`` admission: wait until one slot is free and reserve
+        it. None when reserved, else the job's state once it stopped."""
+        with self.cond:
+            self.blocked.inc()
+            while (
+                len(self.queue) + self.reserved >= self.config.queue_limit
+                and self.state == JobState.RUNNING
+            ):
+                self.cond.wait(timeout=0.05)
+            if self.state != JobState.RUNNING:
+                self.rejected.inc()
+                return f"job-{self.state}"
+            self.reserved += 1
+        return None
+
+    def publish(self, events: list[Event]) -> bool:
+        """Queue admitted events into their reserved slots. True when the
         queue was empty, so the worker may be asleep."""
         with self.cond:
-            self.reserved -= 1
+            self.reserved -= len(events)
             ready = not self.queue
             if ready:
                 self.pending_since = time.monotonic()
-            self.queue.append(event)
-            self.accepted.inc()
+            self.queue.extend(events)
+            self.accepted.inc(len(events))
             self.queue_depth.set(len(self.queue))
         return ready
 
@@ -531,7 +535,7 @@ def _select_backend(
 class JobManager:
     """Owns every live job plus the shared ingestion bookkeeping.
 
-    Thread model: server threads call :meth:`submit`/:meth:`ingest`/
+    Thread model: server threads call :meth:`submit`/:meth:`ingest_events`/
     :meth:`cancel`/read endpoints; one background worker thread runs the
     processing rounds, one per job with queued input per pass, and sleeps
     only when no job has any. ``drain`` runs final rounds synchronously in
@@ -864,67 +868,120 @@ class JobManager:
         event: Event,
         source: str | None = None,
         seq: int | None = None,
-        *,
-        wait: bool = True,
     ) -> dict[str, Any]:
-        """Route one event to every running job that scans its type.
-
-        With a durable state root, admission, routing and the WAL append
-        run under one ingestion lock: the WAL's line order *is* every
-        job's log order (which replay after a restart depends on), and
-        the dedup horizon never advances past the last durable append —
-        a tracker snapshot taken between an admit and its WAL line could
-        otherwise drop a producer's re-send of an event the restart
-        lost.
-        """
+        """:meth:`ingest_events` of one in-process event; its WAL record
+        is rendered from the event (a producer's line is recorded as
+        sent)."""
+        line = None
         if self.state is not None:
-            with self._ingest_lock:
-                if not self.tracker.admit(source, seq):
-                    return {"accepted": 0, "duplicate": True}
-                return self._route_event(event, source, seq, wait)
-        if not self.tracker.admit(source, seq):
-            return {"accepted": 0, "duplicate": True}
-        return self._route_event(event, source, seq, wait)
+            line = json.dumps(event_to_wire(event, source, seq), sort_keys=True)
+        return self.ingest_events([(event, source, seq, line)])[0]
 
-    def _route_event(
-        self, event: Event, source: str | None, seq: int | None, wait: bool
-    ) -> dict[str, Any]:
-        routed_ids: list[str] = []
-        rejections: list[dict[str, Any]] = []
-        ready = False
-        targets = [
-            job for job in list(self.jobs.values())
-            if event.event_type in job.event_types
-        ]
-        if not targets:
-            self.unrouted += 1  # lint: unguarded — a monotonic stat counter
-            return {"accepted": 0, "unrouted": True}
-        admitted: list[Job] = []
-        for job in targets:
-            outcome = job.admit(wait=wait, draining=self.draining)
-            if outcome["accepted"]:
-                admitted.append(job)
-                routed_ids.append(job.job_id)
-            else:
-                rejection = {"job": job.job_id, **outcome}
-                rejection.pop("accepted")
-                rejections.append(rejection)
+    def ingest_events(
+        self,
+        items: list[tuple[Event, str | None, int | None, str | None]],
+    ) -> list[dict[str, Any]]:
+        """Route a run of ``(event, source, seq, line)`` to every running
+        job that scans each event's type, as one group commit; returns
+        one outcome per item, in order.
+
+        ``line`` is the event's wire line (one JSON object, no newline;
+        only read in durable mode). Dedup, routing and admission decide
+        per event exactly as one event at a time would. Then every
+        accepted event's WAL record goes down in one append, and each
+        job's events reach its queue in one step, after that append.
+        With a durable state root the whole run holds the ingestion
+        lock: the WAL's record order *is* every job's log order (which
+        replay after a restart depends on), and the dedup horizon never
+        advances past the durable tail — a tracker snapshot taken
+        between an admit and its WAL record could otherwise drop a
+        producer's re-send of an event the restart lost.
+        """
+        if self.state is None:
+            return self._ingest(items)
+        with self._ingest_lock:
+            return self._ingest(items)
+
+    def _ingest(
+        self, items: list[tuple[Event, str | None, int | None, str | None]]
+    ) -> list[dict[str, Any]]:
+        outcomes: list[dict[str, Any]] = []
+        targets_of: dict[str, list[Job]] = {}
+        jobs = list(self.jobs.values())
+        records: list[tuple[str, list[str]]] = []
+        staged: dict[str, list[Event]] = {job.job_id: [] for job in jobs}
+        refused: Counter[tuple[str, str]] = Counter()  # (job id, what) -> events
+
+        def commit() -> None:
+            # One append covers the run's routing sets: an event is
+            # durable for all of its jobs or for none of them. The events
+            # reach the queues only after, so a round never cuts past
+            # the WAL.
+            try:
+                if records:
+                    self.state.append_wal(records)
+            finally:
+                records.clear()
+                ready = False
+                for job in jobs:
+                    events = staged[job.job_id]
+                    if events:
+                        ready = job.publish(events) or ready
+                        events.clear()
+                if ready:
+                    self.kick()
+
         try:
-            if routed_ids and self.state is not None:
-                # One append covers the whole routing set: the event is
-                # durable for all of its jobs or for none of them. It
-                # reaches the queues only after, so a round never cuts
-                # past the WAL.
-                self.state.append_wal(event_to_wire(event, source, seq), routed_ids)
+            for event, source, seq, line in items:
+                if not self.tracker.admit(source, seq):
+                    outcomes.append({"accepted": 0, "duplicate": True})
+                    continue
+                targets = targets_of.get(event.event_type)
+                if targets is None:
+                    targets = targets_of[event.event_type] = [
+                        job for job in jobs if event.event_type in job.event_types
+                    ]
+                if not targets:
+                    self.unrouted += 1  # lint: unguarded — a monotonic stat counter
+                    outcomes.append({"accepted": 0, "unrouted": True})
+                    continue
+                outcome: dict[str, Any] = {"accepted": 0}
+                outcomes.append(outcome)
+                routed_ids: list[str] = []
+                for job in targets:
+                    reason = job.admit(draining=self.draining)
+                    if reason == "queue-full" and staged[job.job_id]:
+                        # The run's own unpublished events fill the queue:
+                        # publish them, as one event at a time would have,
+                        # so the worker can free room, and ask again.
+                        commit()
+                        reason = job.admit(draining=self.draining)
+                    if reason == "queue-full" and job.config.admission == "block":
+                        # Wait holding no reservation: two runs must not
+                        # each wait on room the other's events hold.
+                        commit()
+                        refused[job.job_id, "blocked"] += 1
+                        reason = job.await_room()
+                    if reason is None:
+                        routed_ids.append(job.job_id)
+                        staged[job.job_id].append(event)
+                        continue
+                    refused[job.job_id, f"rejected ({reason})"] += 1
+                    rejection = {"job": job.job_id, "reason": reason}
+                    if reason == "queue-full":
+                        job.rejected.inc()
+                        rejection["retry_after_ms"] = job.config.retry_after_ms
+                    outcome.setdefault("rejections", []).append(rejection)
+                if routed_ids:
+                    outcome["accepted"] = len(routed_ids)
+                    if self.state is not None:
+                        records.append((line, routed_ids))
         finally:
-            for job in admitted:
-                ready = job.publish(event) or ready
-        if ready:
-            self.kick()
-        out: dict[str, Any] = {"accepted": len(admitted)}
-        if rejections:
-            out["rejections"] = rejections
-        return out
+            commit()
+        for (job_id, what), count in refused.items():
+            log.debug("%s: %d of an ingest run's %d events %s", job_id, count,
+                      len(items), what)
+        return outcomes
 
     def heartbeat(self, source: str | None, ts: int) -> None:
         """A producer watermark: record it and ask every job for a cut.

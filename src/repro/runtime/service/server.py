@@ -249,8 +249,10 @@ class ReproService:
             return 200, info
         if path == "/ingest" and method == "POST":
             summary = _new_summary()
+            # Lines end at "\n" only, as on TCP: a bare "\r" is JSON
+            # whitespace inside a line, not a line break.
             await loop.run_in_executor(
-                None, self._apply_lines, body.splitlines(), 1, summary
+                None, self._apply_lines, body.split(b"\n"), 1, summary
             )
             status = 400 if summary["errors"] else 200
             return status, summary
@@ -310,21 +312,18 @@ class ReproService:
             raise ServiceError("bad-request", "body must be a JSON object")
         return doc
 
-    def _apply_message(self, message: dict[str, Any], summary: dict[str, Any]) -> None:
-        if message["kind"] == "watermark":
-            self.manager.heartbeat(message["source"], message["ts"])
-            summary["watermarks"] += 1
+    def _ingest(self, run: list[tuple], summary: dict[str, Any]) -> None:
+        """Ingest a run of event lines as one group commit."""
+        if not run:
             return
-        outcome = self.manager.ingest_event(
-            message["event"], message["source"], message["seq"]
-        )
-        if outcome.get("duplicate"):
-            summary["duplicates"] += 1
-            return
-        summary["accepted"] += outcome.get("accepted", 0)
-        for rejection in outcome.get("rejections", ()):
-            summary["rejected"] += 1
-            summary["rejections"].append(rejection)
+        for outcome in self.manager.ingest_events(run):
+            if outcome.get("duplicate"):
+                summary["duplicates"] += 1
+                continue
+            summary["accepted"] += outcome["accepted"]
+            for rejection in outcome.get("rejections", ()):
+                summary["rejected"] += 1
+                summary["rejections"].append(rejection)
 
     def _apply_lines(
         self, lines: list[bytes], first: int, summary: dict[str, Any]
@@ -332,11 +331,17 @@ class ReproService:
         """Apply consecutive lines of one ingest session (a TCP connection
         or a ``POST /ingest`` body) to ``summary``; runs in the executor.
 
+        Consecutive event lines are ingested as one run. A heartbeat, a
+        ``sync`` and a ``bye`` end the run first: a tracker snapshot
+        never runs ahead of the WAL, and a ``sync`` answer means every
+        line before it is durable.
+
         Returns the reply documents a TCP producer is owed, in order (an
         ``error`` per malformed line, a ``sync`` summary per barrier), and
         whether an ``{"op": "bye"}`` ended the session.
         """
         replies: list[dict[str, Any]] = []
+        run: list[tuple] = []
         for number, raw in enumerate(lines, start=first):
             if not raw.strip():
                 continue
@@ -347,8 +352,16 @@ class ReproService:
                 summary["errors"].append(error)
                 replies.append({"error": error})
                 continue
-            if message["kind"] != "op":
-                self._apply_message(message, summary)
+            if message["kind"] == "event":
+                run.append(
+                    (message["event"], message["source"], message["seq"], message["line"])
+                )
+                continue
+            self._ingest(run, summary)
+            run = []
+            if message["kind"] == "watermark":
+                self.manager.heartbeat(message["source"], message["ts"])
+                summary["watermarks"] += 1
             elif message["op"] == "sync":
                 # Cap rejection detail so the barrier stays small.
                 doc = dict(summary)
@@ -357,6 +370,7 @@ class ReproService:
                 replies.append({"sync": doc})
             else:
                 return replies, True  # bye
+        self._ingest(run, summary)
         return replies, False
 
     # -- TCP ingest --------------------------------------------------------

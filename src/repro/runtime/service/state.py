@@ -19,18 +19,23 @@ the service's ``--state-dir``::
 to several jobs; logging it per job would open a window where a kill −9
 lands between two appends and the rebuilt dedup horizon silently drops
 the producer's re-send for the job that lost it. Each WAL line therefore
-records the wire document *and the exact routing set* in one append::
+records the producer's event line, verbatim, *and the exact routing set*::
 
-    {"event": {...wire doc...}, "jobs": ["job-1", "job-3"]}
+    {"event": <the producer's JSON line>, "jobs": ["job-1", "job-3"]}
 
-An event is durable for all of its jobs or none of them; a re-send after
-restart is deduplicated exactly when every routed job already has it.
-Replaying the WAL through the normal routing order rebuilds every job's
+The line was already parsed as a JSON object, so embedding its text is a
+valid record and replay decodes it to the same event. An event is
+durable for all of its jobs or none of them; a re-send after restart is
+deduplicated exactly when every routed job already has it. Replaying the
+WAL through the normal routing order rebuilds every job's
 arrival-ordered log byte-identically, so per-job (and per-shard)
 checkpoint offsets stay valid across the restart.
 
-Writes are flushed per line but not fsynced: the resume guarantee
-targets process death (SIGKILL), where the page cache survives.
+**Group commit.** The records of one ingest read go down in one
+``write`` and one ``flush``. Writes are not fsynced: the resume
+guarantee targets process death (SIGKILL), where the page cache
+survives. A kill in the middle of a write leaves a torn last record;
+replay stops there, and nothing after it was acknowledged as durable.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterator, Sequence
+
+from repro.asp.runtime.fault.store import log
 
 _MANIFEST = "job.json"
 _PROGRESS = "state.json"
@@ -108,34 +115,73 @@ class ServiceState:
     def wal_path(self) -> Path:
         return self.root / _WAL
 
-    def append_wal(self, doc: dict[str, Any], job_ids: list[str]) -> None:
-        """One durable append covering the event's whole routing set."""
-        line = json.dumps({"event": doc, "jobs": job_ids}, sort_keys=True)
+    def append_wal(self, records: Sequence[tuple[str, list[str]]]) -> None:
+        """One durable append of ``(event line, routing set)`` records.
+
+        Each line is one JSON object without a newline (an ingested
+        producer line, stripped); it is embedded as is.
+        """
+        parts = [
+            '{"event": ' + line + ', "jobs": ' + json.dumps(job_ids) + "}\n"
+            for line, job_ids in records
+        ]
         with self._wal_lock:
             if self._wal_handle is None:
-                self._wal_handle = self.wal_path.open("a", encoding="utf-8")
-            self._wal_handle.write(line + "\n")
+                self._cut_torn_tail()
+                self._wal_handle = self.wal_path.open(
+                    "a", encoding="utf-8", newline="\n"
+                )
+            self._wal_handle.write("".join(parts))
             self._wal_handle.flush()
+
+    def _cut_torn_tail(self) -> None:
+        """Drop a torn last record before the first append: one written
+        behind it would share its line and be lost to the next replay."""
+        if not self.wal_path.exists():
+            return
+        with self.wal_path.open("rb+") as handle:
+            end = keep = handle.seek(0, os.SEEK_END)
+            while keep > 0:
+                start = max(0, keep - (1 << 16))
+                handle.seek(start)
+                newline = handle.read(keep - start).rfind(b"\n")
+                if newline >= 0:
+                    keep = start + newline + 1
+                    break
+                keep = start
+            if keep < end:
+                log.debug("%s: cut a torn WAL tail of %d bytes", self.wal_path, end - keep)
+                handle.truncate(keep)
 
     def replay_wal(self) -> Iterator[tuple[dict[str, Any], list[str]]]:
         """Yield ``(wire doc, routed job ids)`` in arrival order.
 
-        A truncated trailing line (the append a kill −9 interrupted) ends
-        the replay — by construction nothing after it was acknowledged as
-        durable.
+        A torn trailing record (the append a kill −9 interrupted) ends the
+        replay — by construction nothing after it was acknowledged as
+        durable. A record is torn when it does not end in ``\\n``, which is
+        exactly what :meth:`_cut_torn_tail` cuts before the next append;
+        a record that does not decode (bad JSON, or bad UTF-8) or is not
+        an event record ends the replay too. Records end at ``\\n`` only:
+        a verbatim producer line may hold a bare ``\\r`` as JSON whitespace.
         """
         if not self.wal_path.exists():
             return
-        with self.wal_path.open("r", encoding="utf-8") as handle:
-            for raw in handle:
-                text = raw.strip()
-                if not text:
+        with self.wal_path.open("rb") as handle:
+            for number, raw in enumerate(handle, start=1):
+                if not raw.strip():
                     continue
-                try:
-                    doc = json.loads(text)
-                except json.JSONDecodeError:
-                    break
-                if not isinstance(doc, dict) or "event" not in doc:
+                doc = None
+                if raw.endswith(b"\n"):
+                    try:
+                        doc = json.loads(raw)
+                    except ValueError:  # bad JSON or bad UTF-8
+                        pass
+                if not isinstance(doc, dict) or not isinstance(doc.get("event"), dict):
+                    dropped = len(raw) + sum(len(rest) for rest in handle)
+                    log.debug(
+                        "%s: dropped a torn WAL tail at line %d, %d bytes",
+                        self.wal_path, number, dropped,
+                    )
                     break
                 yield doc["event"], [str(j) for j in doc.get("jobs", [])]
 

@@ -296,7 +296,7 @@ def test_a_cut_never_runs_past_the_wal(tmp_path):
     class Killed(Exception):
         pass
 
-    def round_then_die(doc, job_ids):
+    def round_then_die(records):
         first.run_round(job)  # a round and a cut between admit and WAL line
         raise Killed  # kill −9 before the line lands
 

@@ -387,8 +387,8 @@ class TestDurableResume:
 
     def test_wal_tolerates_a_truncated_tail(self, tmp_path):
         state = ServiceState(tmp_path)
-        state.append_wal({"type": "Q", "ts": 1}, ["job-1"])
-        state.append_wal({"type": "Q", "ts": 2}, ["job-1"])
+        state.append_wal([('{"type": "Q", "ts": 1}', ["job-1"])])
+        state.append_wal([('{"type": "Q", "ts": 2}', ["job-1"])])
         state.close()
         with state.wal_path.open("a", encoding="utf-8") as handle:
             handle.write('{"event": {"type": "Q", "ts": 3}, "jo')  # torn write

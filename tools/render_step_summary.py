@@ -101,6 +101,10 @@ def render_serve(report: dict) -> list[str]:
         "",
     ]
     flags = [k for k in ("group", "sharded") if mode.get(k)]
+    if mode.get("admission"):
+        flags.append(f"{mode['admission']} admission")
+    if mode.get("queue_limit"):
+        flags.append(f"queue limit {mode['queue_limit']}")
     if flags:
         lines += [f"Mode: {', '.join(flags)}.", ""]
     if mode.get("kill_after") is not None:

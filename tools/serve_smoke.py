@@ -36,6 +36,8 @@ Usage::
         --report serve-smoke-report.json --log serve-smoke.log
     PYTHONPATH=src python tools/serve_smoke.py --events 2000 \
         --group --sharded --kill-after 900 --report serve-restart.json
+    PYTHONPATH=src python tools/serve_smoke.py --events 2000 \
+        --kill-after 900 --admission block --queue-limit 64
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def wait_for_ready(path: Path, proc: subprocess.Popen, timeout: float) -> dict:
 
 
 def start_server(
-    tmp: str, log_file, state_dir: str | None, ready_name: str
+    tmp: str, log_file, state_dir: str | None, ready_name: str, admission: list[str]
 ) -> tuple[subprocess.Popen, Path]:
     ready_file = Path(tmp) / ready_name
     cmd = [
@@ -137,6 +139,7 @@ def start_server(
         "--tcp-port", "0",
         "--ready-file", str(ready_file),
         "--checkpoint-interval", "100",
+        *admission,
     ]
     if state_dir is not None:
         cmd += ["--state-dir", state_dir]
@@ -172,6 +175,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--state-dir", metavar="DIR",
                         help="durable state root (default: a temp dir; "
                              "required implicitly by --kill-after)")
+    parser.add_argument("--admission", choices=("reject", "block"),
+                        help="passed to `repro serve` (its default: reject)")
+    parser.add_argument("--queue-limit", type=int, metavar="N",
+                        help="passed to `repro serve` (its default: 10000)")
     parser.add_argument("--report", metavar="PATH", help="write the JSON summary here")
     parser.add_argument(
         "--log", metavar="PATH", default="serve-smoke.log", help="server stdout/stderr capture"
@@ -187,14 +194,21 @@ def main(argv: list[str] | None = None) -> int:
             "group": args.group,
             "sharded": args.sharded,
             "kill_after": args.kill_after,
+            "admission": args.admission,
+            "queue_limit": args.queue_limit,
         },
     }
+    admission: list[str] = []
+    if args.admission is not None:
+        admission += ["--admission", args.admission]
+    if args.queue_limit is not None:
+        admission += ["--queue-limit", str(args.queue_limit)]
     failures: list[str] = []
     log_file = open(args.log, "w")
     with tempfile.TemporaryDirectory() as tmp:
         durable = args.kill_after is not None or args.state_dir is not None
         state_dir = args.state_dir or (str(Path(tmp) / "state") if durable else None)
-        proc, ready_file = start_server(tmp, log_file, state_dir, "ready.json")
+        proc, ready_file = start_server(tmp, log_file, state_dir, "ready.json", admission)
         try:
             ports = wait_for_ready(ready_file, proc, args.timeout)
             client = ServiceClient(
@@ -277,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
                       "restarting against the same --state-dir")
                 report["killed_after"] = len(prefix)
                 proc, ready_file = start_server(
-                    tmp, log_file, state_dir, "ready-restart.json"
+                    tmp, log_file, state_dir, "ready-restart.json", admission
                 )
                 ports = wait_for_ready(ready_file, proc, args.timeout)
                 client = ServiceClient(
