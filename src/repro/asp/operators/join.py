@@ -40,13 +40,13 @@ calibrated on it (``bench_optimizer``'s never-loses parity and its
 
 from __future__ import annotations
 
+import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
-from types import CodeType
 from typing import Any, Callable, Iterable, Literal, Sequence
 
+from repro.asp.codegen import bind, code_cache
 from repro.asp.datamodel import ComplexEvent
 from repro.asp.operators.base import Item, StatefulOperator
 from repro.asp.operators.window import (
@@ -60,6 +60,8 @@ from repro.asp.operators.window import (
     group_by_key,
 )
 from repro.asp.time import Watermark
+
+log = logging.getLogger("repro.serve")
 
 ThetaFn = Callable[[Item, Item], bool]
 
@@ -274,22 +276,14 @@ def probe_source(
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=512)
-def _probe_code(source: str) -> CodeType:
-    return compile(source, "<interval-join probe>", "exec")
+_probe_code = code_cache("<interval-join probe>")
 
 
 def compile_probe(source: str, namespace: dict[str, object]) -> Callable[..., None]:
-    """The one place probe source becomes a function.
-
-    Code objects are cached by source text — joins of one shape share
-    one, whatever their bounds, constants and callables, which live in
-    ``namespace``. The function keeps its ``source`` for debuggers.
-    """
-    exec(_probe_code(source), namespace)  # noqa: S102 - generated from plan facts
-    probe: Any = namespace["_probe"]
-    probe.source = source
-    return probe
+    """Probe source as a function: joins of one shape share one code
+    object, whatever their bounds, constants and callables, which live
+    in ``namespace``."""
+    return bind(_probe_code, source, "_probe", namespace)
 
 
 class IntervalJoin(StatefulOperator):
@@ -473,6 +467,9 @@ class IntervalJoin(StatefulOperator):
             "cond": plan.condition,
         }
         namespace.update((f"_k{i}", value) for i, value in enumerate(plan.constants))
+        if plan.conjuncts is None and self.theta is not None:
+            log.debug("%s probe on port %d calls theta() per pair: falls back for %s",
+                      self.name, port, plan.fallback or "an opaque theta")
         source = probe_source(plan, port, self.emit_ts, self.theta is not None)
         probe = self._probes[port] = compile_probe(source, namespace)
         return probe

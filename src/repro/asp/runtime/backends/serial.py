@@ -23,7 +23,6 @@ where the job's previous run stopped.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.asp.graph import Dataflow
@@ -49,8 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1`` — the batched
 #: equivalent of the per-event ``events_in & MASK`` stride sample.
 _SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
-
-_event_ts = attrgetter("ts")
 
 
 class SerialJob:
@@ -272,33 +269,6 @@ class SerialJob:
             channel.frame_items(1)
             self._push(channel.target_id, event, channel.port, source_node_id)
 
-    def _prepare_arrays(self):
-        """The scheduler's ``(node_id, source, events, ts)`` entries and
-        how many merged events precede their first rows, when every
-        source is an in-memory, time-sorted sequence — the precondition
-        of the scheduler's array merges — else ``None``. A single source
-        is the merged stream itself, so its entry covers the unread
-        events only.
-        """
-        sources = self.flow.source_nodes()
-        arrays_from = self.events_in if len(sources) == 1 else 0
-        arrays = []
-        for node in sources:
-            events = node.source.materialized()
-            if events is None:
-                return None
-            if arrays_from:
-                events = events[arrays_from:]
-            if not isinstance(events, list):
-                events = list(events)
-            ts = list(map(_event_ts, events))
-            # C-speed sortedness check: timsort is O(n) on sorted input,
-            # far cheaper than a per-pair Python generator scan.
-            if ts != sorted(ts):
-                return None
-            arrays.append((node.node_id, node.source, events, ts))
-        return (arrays, arrays_from) if arrays else None
-
     def _inject_batch(self, source_node_id: int, events) -> None:
         for channel in self.channels[source_node_id]:
             if self._dropped and (source_node_id, channel.target_id) in self._dropped:
@@ -440,18 +410,6 @@ class SerialJob:
         cut_intervals = [instr.sample_every]
         if coordinator is not None and coordinator.interval:
             cut_intervals.append(coordinator.interval)
-        # Whole-window regrouping (per-source delivery within a watermark
-        # window) is a plan property: every operator must declare its
-        # output multiset invariant under same-window reordering.
-        regroup = all(
-            node.payload.reorder_safe
-            for node in self.flow.nodes.values()
-            if not node.is_source
-        )
-        # When every source is materialized and time-sorted the
-        # scheduler merges by the ts arrays and cuts batches as slices;
-        # otherwise it merges per event.
-        arrays, arrays_from = self._prepare_arrays() or (None, 0)
         for node_id, events, watermark, last_index in merge_batches(
             self.flow,
             self.watermarks,
@@ -459,9 +417,6 @@ class SerialJob:
             start_offset=self.events_in,
             cut_indices=cut_indices,
             cut_intervals=cut_intervals,
-            regroup=regroup,
-            arrays=arrays,
-            arrays_from=arrays_from,
         ):
             first_index = last_index - len(events) + 1
             if injector is not None:

@@ -12,13 +12,32 @@ event-time redefinition, paper Section 4.2.2).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import islice, repeat
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from repro.asp.datamodel import Event
 from repro.asp.graph import Dataflow, Node
 from repro.asp.time import Watermark, WatermarkGenerator
+
+_event_ts = attrgetter("ts")
+
+
+def _single_unread(flow: Dataflow, offset: int) -> tuple[Node, Sequence[Event]] | None:
+    """The flow's one source and its events after ``offset``, when it
+    has a single in-memory source, else ``None``.
+
+    One in-memory source *is* the merged stream, so a run over it starts
+    at its offset: what a run costs follows its unread events, not the
+    length of the log.
+    """
+    sources = flow.source_nodes()
+    if len(sources) == 1:
+        events = sources[0].source.materialized()
+        if events is not None:
+            return sources[0], events[offset:]
+    return None
 
 
 def merge_sources(flow: Dataflow, offset: int = 0) -> Iterator[tuple[int, Event]]:
@@ -30,40 +49,48 @@ def merge_sources(flow: Dataflow, offset: int = 0) -> Iterator[tuple[int, Event]
     deterministic.
 
     ``offset`` drops the first ``offset`` pairs (a checkpoint already
-    consumed them). Over a single in-memory source the merged stream *is*
-    that source's sequence, so the stream starts at the offset — what a
-    run costs follows its unread events, not the length of the log.
-    Anything else is merged from the start and the prefix discarded.
+    consumed them): a single in-memory source starts there, anything
+    else is merged from the start and the prefix discarded.
     """
-    sources = flow.source_nodes()
-    if len(sources) == 1:
-        source = sources[0].source
-        events = source.materialized()
-        if events is not None:
-            unread = events[offset:]
-            source.emitted += len(unread)
-            return zip(repeat(sources[0].node_id), unread)
-    return islice(_heap_merge(sources), offset, None)
+    single = _single_unread(flow, offset)
+    if single is not None:
+        node, unread = single
+        node.source.emitted += len(unread)
+        return zip(repeat(node.node_id), unread)
+    streams = [zip(repeat(node.node_id), node.source) for node in flow.source_nodes()]
+    # heapq.merge breaks timestamp ties by iterable (registration) order.
+    return islice(heapq.merge(*streams, key=lambda pair: pair[1].ts), offset, None)
 
 
-def _heap_merge(sources: Sequence[Node]) -> Iterator[tuple[int, Event]]:
-    iterators: list[tuple[int, Iterator[Event]]] = [
-        (node.node_id, iter(node.source)) for node in sources
-    ]
-    heap: list[tuple[int, int, int, Event]] = []
-    for order, (node_id, it) in enumerate(iterators):
-        first = next(it, None)
-        if first is not None:
-            heap.append((first.ts, order, node_id, first))
-    heapq.heapify(heap)
-    its = {node_id: it for node_id, it in iterators}
-    orders = {node_id: order for order, (node_id, _) in enumerate(iterators)}
-    while heap:
-        ts, order, node_id, event = heapq.heappop(heap)
-        yield node_id, event
-        nxt = next(its[node_id], None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt.ts, orders[node_id], node_id, nxt))
+def source_arrays(flow: Dataflow, offset: int = 0) -> tuple[list[tuple], int] | None:
+    """The window merge's input: one ``(node_id, source, events, ts)``
+    entry per source (its event list and that list's timestamps), and
+    how many merged events precede their first rows.
+
+    ``None`` unless every source is an in-memory, time-sorted sequence
+    (see :meth:`~repro.asp.operators.source.Source.materialized`). A
+    single source's entry covers its events after ``offset`` (and the
+    count is ``offset``); several sources' entries are whole (count 0).
+    """
+    single = _single_unread(flow, offset)
+    if single is not None:
+        entries, start = [single], offset
+    else:
+        entries = [(node, node.source.materialized()) for node in flow.source_nodes()]
+        start = 0
+    arrays = []
+    for node, events in entries:
+        if events is None:
+            return None
+        if not isinstance(events, list):
+            events = list(events)
+        ts = list(map(_event_ts, events))
+        # C-speed sortedness check: timsort is O(n) on sorted input,
+        # far cheaper than a per-pair Python generator scan.
+        if ts != sorted(ts):
+            return None
+        arrays.append((node.node_id, node.source, events, ts))
+    return (arrays, start) if arrays else None
 
 
 def merge_batches(
@@ -74,51 +101,38 @@ def merge_batches(
     start_offset: int = 0,
     cut_indices: Sequence[int] = (),
     cut_intervals: Sequence[int] = (),
-    regroup: bool = False,
-    arrays: "list[tuple] | None",
-    arrays_from: int = 0,
 ) -> Iterator[tuple[int, list[Event], Watermark | None, int]]:
     """Group the merged source stream into watermark-aligned micro-batches.
 
     Each yielded ``(node_id, events, watermark, last_index)`` batch is a
-    maximal run of *consecutive same-source events* of the merged stream —
-    batching therefore never reorders the serial arrival sequence, which
-    is what keeps eagerly-emitting operators (interval joins, the NSEQ
-    UDF) byte-equivalent to per-event execution.
+    run of same-source events that ends at or before the next watermark
+    emission. A due watermark rides on the batch whose last event
+    triggers it, so event time advances after exactly the same event as
+    in the per-event loop (:func:`merge_sources` plus ``observe``), and
+    every event reaches its operators before the watermark that covers
+    it. The flow alone picks one of two merges:
 
-    With ``regroup=True`` (the caller proved every operator in the plan
-    ``reorder_safe``) the same-source-run constraint is relaxed *within
-    one watermark interval*: all of a window's events are delivered
-    grouped per source, in source registration order, with the
-    watermark-triggering source last. Event time still advances after
-    exactly the same event, every event still reaches its operators
-    before the watermark that covers it, and order-insensitive plans
-    produce the identical output multiset — but interleaved sources now
-    form large batches instead of degenerating to per-event runs.
+    * **per event**, when a source streams or is not time-sorted, and for
+      a plan over several sources with an order-sensitive operator:
+      batches are maximal runs of consecutive same-source events of the
+      merged stream, so batching never reorders the serial arrival
+      sequence — what keeps eagerly-emitting operators (interval joins,
+      the NSEQ UDF) byte-equivalent to per-event execution;
+    * **by watermark window** (:func:`_merge_windows`), for every other
+      plan: each window's events are delivered grouped per source, in
+      source registration order, the triggering source last. Over one
+      source that changes nothing, so every single-source plan takes it.
+      Over several it is taken when every operator is ``reorder_safe``
+      (its output multiset is invariant under same-window reordering):
+      interleaved sources then form large batches instead of
+      degenerating to per-event runs.
 
     Runs are additionally capped at ``batch_size``, at multiples of every
     ``cut_intervals`` entry (checkpoint and sampling cadences must observe
     exactly the event indices the serial reference observes), and at the
-    explicit 1-based ``cut_indices`` (pending fault offsets). Timestamps
-    are observed in stream order; when a watermark is due the batch closes
-    immediately and carries the watermark, so event time advances after
-    exactly the same event as in the serial loop. Events with index <=
-    ``start_offset`` are skipped without being observed (checkpoint
-    replay: the restored generator already saw them).
-
-    ``arrays`` holds one ``(node_id, source, events, ts)`` entry per
-    source — its event list and that list's timestamps — when every
-    source is an in-memory, time-sorted sequence (see
-    :meth:`~repro.asp.operators.source.Source.materialized`). Runs are
-    then found with a galloping bisect merge, watermark emission points
-    are located by bisect — per-batch instead of per-event scheduling
-    cost — and each batch is the slice ``events[i:stop]``.
-    ``arrays_from`` says how many merged events precede the arrays' first
-    rows: 0 for whole sources (the prefix up to ``start_offset`` is then
-    skipped), ``start_offset`` when a single source's entry covers its
-    unread suffix alone. With ``None``, and for the short interleaved
-    runs of multi-source strict plans, a generic per-event merge
-    produces the identical batches.
+    explicit 1-based ``cut_indices`` (pending fault offsets). Events with
+    index <= ``start_offset`` are skipped without being observed
+    (checkpoint replay: the restored generator already saw them).
     """
     cuts = sorted({c for c in cut_indices if c > start_offset})
     intervals = [iv for iv in cut_intervals if iv and iv > 0]
@@ -135,23 +149,13 @@ def merge_batches(
             limit = cuts[pos]
         return limit
 
-    if arrays is not None:
-        if regroup:
-            yield from _merge_windows(
-                arrays, watermarks, limit_for, start_offset, arrays_from
-            )
+    if len(flow.source_nodes()) == 1 or all(
+        node.payload.reorder_safe for node in flow.nodes.values() if not node.is_source
+    ):
+        prepared = source_arrays(flow, start_offset)
+        if prepared is not None:
+            yield from _merge_windows(*prepared, watermarks, limit_for, start_offset)
             return
-        if len(arrays) == 1:
-            yield from _merge_batches_fast(
-                arrays, watermarks, limit_for, start_offset, arrays_from
-            )
-            return
-        # Multi-source strict mode: same-source runs degenerate to the
-        # interleaving granularity (~2 events on the sensor workloads),
-        # so the per-run gallop (k-way min + bisects) costs more than
-        # the per-event heap below. Order-sensitive plans over multiple
-        # sources therefore merge generically; the gallop serves
-        # single-source strict plans and regrouped windows.
 
     batch: list[Event] = []
     batch_node = -1
@@ -177,109 +181,36 @@ def merge_batches(
         yield batch_node, batch, None, last_index
 
 
-def _merge_batches_fast(arrays, watermarks, limit_for, start_offset, arrays_from):
-    """Galloping merge over sorted source arrays (see merge_batches).
-
-    Reproduces exactly the generic path's batches: the same (ts, source
-    registration order) total order, the same watermark emission points
-    (``observe`` is emulated with the generator's own state, which is
-    written back before every yield so checkpoints taken at batch
-    boundaries snapshot identical progress).
-    """
-    generator = watermarks.generator
-    ooo = generator.max_out_of_orderness
-    interval = generator.emit_interval
-    state = generator.snapshot_state()
-    max_ts = state["max_ts"]
-    last_emitted = state["last_emitted"]
-
-    k = len(arrays)
-    pos = [0] * k
-    sizes = [len(entry[3]) for entry in arrays]
-    active = [i for i in range(k) if sizes[i]]
-    index = arrays_from  # global 1-based index of the last consumed event
-    while active:
-        if len(active) == 1:
-            best = active[0]
-            end = sizes[best]
-            node_id, source, events, ts = arrays[best]
-            start = pos[best]
-        else:
-            best = min(active, key=lambda i: (arrays[i][3][pos[i]], i))
-            node_id, source, events, ts = arrays[best]
-            start = pos[best]
-            end = sizes[best]
-            for other in active:
-                if other == best:
-                    continue
-                head = arrays[other][3][pos[other]]
-                if other < best:
-                    # The other source wins timestamp ties.
-                    end = min(end, bisect_left(ts, head, start, end))
-                else:
-                    end = min(end, bisect_right(ts, head, start, end))
-        i = start
-        if index < start_offset:
-            skip = min(end - i, start_offset - index)
-            i += skip
-            index += skip
-        while i < end:
-            first_index = index + 1
-            limit = limit_for(first_index)
-            stop = min(end, i + (limit - first_index + 1))
-            threshold = last_emitted + interval + ooo
-            watermark = None
-            if max_ts >= threshold:
-                # Emission already due (possible only after an external
-                # state restore): the very next event triggers it.
-                stop = i + 1
-                if ts[i] > max_ts:
-                    max_ts = ts[i]
-                watermark = Watermark(max_ts - ooo)
-            else:
-                due = bisect_left(ts, threshold, i, stop)
-                if due < stop:
-                    stop = due + 1
-                    max_ts = ts[due]
-                    watermark = Watermark(max_ts - ooo)
-                elif ts[stop - 1] > max_ts:
-                    max_ts = ts[stop - 1]
-            if watermark is not None:
-                last_emitted = watermark.value
-            batch = events[i:stop]
-            index += stop - i
-            source.emitted += stop - i
-            generator.restore_state(
-                {"max_ts": max_ts, "last_emitted": last_emitted}
-            )
-            yield node_id, batch, watermark, index
-            i = stop
-        pos[best] = end
-        if end == sizes[best]:
-            active.remove(best)
-
-
-def _merge_windows(arrays, watermarks, limit_for, start_offset, arrays_from):
-    """Watermark-window regrouped merge (see merge_batches, regroup=True).
+def _merge_windows(arrays, start, watermarks, limit_for, start_offset):
+    """The watermark-window merge over sorted source arrays (see
+    :func:`merge_batches`); ``start`` merged events precede the arrays.
 
     Each iteration locates the next watermark-triggering event — the
     first event in merged ``(ts, source order)`` order whose timestamp
     reaches the emission threshold — and delivers the whole window
     leading up to it grouped per source, trigger source last, the
-    watermark on the window's final batch. Delivery order is fully
-    deterministic, so replay from ``start_offset`` (in *delivery* index
-    space) skips exactly the events a crashed attempt already processed.
-    When a prefix has to be skipped, the watermark schedule is simulated
-    from the generator's fresh state: restarted attempts restore a
-    mid-stream generator snapshot, but the window structure must match
-    the original attempt's from event one. Arrays that begin at the
-    offset have no prefix to simulate and continue from the generator.
+    watermark on the window's final batch. When the generator already
+    has an emission due (only a restored one can: resumed, say, with a
+    smaller out-of-orderness), the window is the first event alone and
+    its watermark is ``max(max_ts, ts) - ooo``, as ``observe`` says.
+    Each batch is a slice ``events[i:stop]``, and the generator's state
+    is written back before every yield, so checkpoints taken at batch
+    boundaries snapshot the per-event loop's progress.
+
+    Delivery order is fully deterministic, so replay from
+    ``start_offset`` (in *delivery* index space) skips exactly the
+    events a crashed attempt already processed. When a prefix has to be
+    skipped, the watermark schedule is simulated from the generator's
+    fresh state: restarted attempts restore a mid-stream generator
+    snapshot, but the window structure must match the original attempt's
+    from event one. Arrays that begin at the offset have no prefix to
+    simulate and continue from the generator.
     """
     generator = watermarks.generator
     ooo = generator.max_out_of_orderness
     interval = generator.emit_interval
     sync = generator.restore_state
-    if arrays_from == start_offset:
+    if start == start_offset:
         state = generator.snapshot_state()
         max_ts, last_emitted = state["max_ts"], state["last_emitted"]
     else:
@@ -290,9 +221,11 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset, arrays_from):
     k = len(arrays)
     pos = [0] * k
     sizes = [len(entry[3]) for entry in arrays]
-    index = arrays_from  # global 1-based delivery index of the last consumed event
+    index = start  # global 1-based delivery index of the last consumed event
     while True:
         threshold = last_emitted + interval + ooo
+        if max_ts >= threshold:
+            threshold = float("-inf")  # due now: the next event triggers it
         cuts = [
             bisect_left(arrays[i][3], threshold, pos[i], sizes[i])
             for i in range(k)
@@ -313,7 +246,7 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset, arrays_from):
             slices.append((trigger_src, cuts[trigger_src] + 1))
         if not slices:
             return
-        wm_value = trigger_ts - ooo if trigger_src >= 0 else None
+        wm_value = max(trigger_ts, max_ts) - ooo if trigger_src >= 0 else None
         for slice_pos, (i, hi) in enumerate(slices):
             node_id, source, events, ts = arrays[i]
             lo = pos[i]

@@ -43,7 +43,7 @@ API (submit/cancel/status/metrics/checkpoints), NDJSON event ingestion
 over TCP and HTTP, checkpoint-backed jobs, graceful drain on SIGTERM::
 
     python -m repro serve --http-port 8181 --tcp-port 8182 \
-        --checkpoint-dir /tmp/repro-checkpoints
+        --state-dir /tmp/repro-state
 """
 
 from __future__ import annotations
@@ -563,7 +563,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         max_out_of_orderness=args.max_out_of_orderness,
         optimize=args.optimize,
-        checkpoint_dir=args.checkpoint_dir,
         state_dir=args.state_dir,
         job_backend=args.job_backend,
         job_shards=args.job_shards,
@@ -778,13 +777,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="hint returned with rejected events")
     serve.add_argument("--checkpoint-interval", type=int, default=500,
                        help="snapshot cadence inside rounds (events)")
-    serve.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="durable per-job checkpoints under DIR "
-                            "(default: in-memory)")
-    serve.add_argument("--state-dir", metavar="DIR",
-                       help="full durable state root (checkpoints + job "
-                            "manifests + ingestion WAL): a restart against "
-                            "the same DIR resumes every non-terminal job")
+    serve.add_argument("--state-dir", "--checkpoint-dir", metavar="DIR",
+                       dest="state_dir",
+                       help="durable state root (ingestion WAL + job "
+                            "manifests + per-job checkpoints; default: "
+                            "in-memory): a restart against the same DIR "
+                            "resumes every non-terminal job")
     serve.add_argument("--job-backend", choices=("auto", "serial", "sharded"),
                        default="auto",
                        help="round execution backend; 'auto' shards exactly "

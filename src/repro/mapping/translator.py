@@ -17,6 +17,7 @@ methodology).
 
 from __future__ import annotations
 
+import logging
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Literal, Mapping, Sequence
 
@@ -60,6 +61,8 @@ from repro.sea.predicates import (
 if TYPE_CHECKING:  # pragma: no cover - the analysis package sits above mapping
     from repro.analysis.diagnostics import AnalysisReport
     from repro.analysis.sharing import SharingReport
+
+log = logging.getLogger("repro.serve")
 
 
 def _binding_of(aliases: tuple[str, ...], events: tuple[Event, ...]) -> dict[str, Event]:
@@ -363,6 +366,9 @@ class _Compiler:
         # path keeps the tree-walking evaluator). ``None`` when a
         # conjunct is outside the closed predicate AST.
         check.keep = compile_mask(filters)  # type: ignore[attr-defined]
+        if check.keep is None:  # type: ignore[attr-defined]
+            log.debug("filter[%s] runs its closure per event: a conjunct has "
+                      "no source form", alias)
         return handle.filter(check, name=f"filter[{alias}]")
 
     def _compile_join(self, node: WindowJoin) -> StreamHandle:

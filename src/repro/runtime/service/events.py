@@ -155,12 +155,13 @@ def parse_wire_line(line: str | bytes) -> dict[str, Any]:
 class SourceTracker:
     """Per-source sequence numbers and watermark heartbeats.
 
-    ``admit`` is the idempotence gate: a sequence number at or below the
-    last seen one for its source is a *duplicate* (the producer
-    retransmitted after a timeout) and must not be ingested twice; a
-    jump beyond ``last + 1`` is counted as a *gap* but still admitted —
-    the engine's watermarking, not the transport, owns completeness.
-    Events without ``source``/``seq`` are always admitted.
+    The dedup horizon is a high-water mark per source. ``check`` is the
+    idempotence gate: a sequence number at or below the horizon is a
+    *duplicate* (the producer retransmitted after a timeout) and must
+    not be ingested twice. ``advance`` moves the horizon once the event
+    is taken; a jump beyond ``last + 1`` is counted as a *gap* but still
+    taken — the engine's watermarking, not the transport, owns
+    completeness. Events without ``source``/``seq`` always pass.
     """
 
     def __init__(self) -> None:
@@ -170,20 +171,26 @@ class SourceTracker:
         self.gaps = 0
         self.events = 0
 
-    def admit(self, source: str | None, seq: int | None) -> bool:
-        """True when the event is new; False for a replayed duplicate."""
+    def check(self, source: str | None, seq: int | None) -> bool:
+        """True when the event is new; False for a replayed duplicate.
+        The horizon does not move: :meth:`advance` moves it."""
         self.events += 1
         if source is None or seq is None:
             return True
         last = self.last_seq.get(source)
-        if last is not None:
-            if seq <= last:
-                self.duplicates += 1
-                return False
-            if seq > last + 1:
-                self.gaps += 1
-        self.last_seq[source] = seq
+        if last is not None and seq <= last:
+            self.duplicates += 1
+            return False
         return True
+
+    def advance(self, source: str | None, seq: int | None) -> None:
+        """Move the horizon to a checked event that was taken."""
+        if source is None or seq is None:
+            return
+        last = self.last_seq.get(source)
+        if last is not None and seq > last + 1:
+            self.gaps += 1
+        self.last_seq[source] = seq
 
     def record(self, source: str | None, seq: int | None) -> None:
         """Forced replay update: advance ``last_seq`` with no dup/gap

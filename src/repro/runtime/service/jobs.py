@@ -152,12 +152,9 @@ class ServiceConfig:
     max_out_of_orderness: int = 0
     #: Optimizer mode applied at submit ("off"/"static"/"profile").
     optimize: str = "off"
-    #: Directory for durable checkpoints (per-job subdirectories); None
-    #: keeps checkpoints in memory. Alias of ``state_dir`` kept for
-    #: compatibility — ``state_dir`` is the full durable root (WAL + job
-    #: manifests + checkpoints) and wins when both are set.
-    checkpoint_dir: str | None = None
-    #: Durable state root enabling kill −9 → restart → resume.
+    #: Durable state root (WAL, job manifests, per-job checkpoint
+    #: subdirectories) enabling kill −9 → restart → resume; None keeps
+    #: everything in memory.
     state_dir: str | None = None
     #: Default execution backend for submitted jobs.
     job_backend: str = "auto"
@@ -207,11 +204,6 @@ class ServiceConfig:
             return replace(self, **overrides)
         except (TypeError, ValueError) as exc:
             raise ServiceError("bad-request", f"invalid job override: {exc}") from exc
-
-    @property
-    def durable_dir(self) -> str | None:
-        """The effective durable root (``state_dir`` over the alias)."""
-        return self.state_dir or self.checkpoint_dir
 
 
 @dataclass
@@ -556,7 +548,7 @@ class JobManager:
         self._kicked = False  # set by kick(), cleared before each worker pass
         self._stop = threading.Event()
         self._worker: threading.Thread | None = None
-        durable = self.config.durable_dir
+        durable = self.config.state_dir
         self.state: ServiceState | None = ServiceState(durable) if durable else None
         self._base_store = (
             DirectoryCheckpointStore(durable) if durable else InMemoryCheckpointStore()
@@ -933,7 +925,7 @@ class JobManager:
 
         try:
             for event, source, seq, line in items:
-                if not self.tracker.admit(source, seq):
+                if not self.tracker.check(source, seq):
                     outcomes.append({"accepted": 0, "duplicate": True})
                     continue
                 targets = targets_of.get(event.event_type)
@@ -942,6 +934,7 @@ class JobManager:
                         job for job in jobs if event.event_type in job.event_types
                     ]
                 if not targets:
+                    self.tracker.advance(source, seq)
                     self.unrouted += 1  # lint: unguarded — a monotonic stat counter
                     outcomes.append({"accepted": 0, "unrouted": True})
                     continue
@@ -973,6 +966,9 @@ class JobManager:
                         rejection["retry_after_ms"] = job.config.retry_after_ms
                     outcome.setdefault("rejections", []).append(rejection)
                 if routed_ids:
+                    # Only a taken event moves the horizon: a rejected
+                    # one's retry must not read as a duplicate.
+                    self.tracker.advance(source, seq)
                     outcome["accepted"] = len(routed_ids)
                     if self.state is not None:
                         records.append((line, routed_ids))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.asp.codegen import bind, code_cache
 from repro.asp.datamodel import Event
 from repro.errors import PatternValidationError
 
@@ -369,6 +370,9 @@ def row_filter_source(predicates: Iterable[Predicate]) -> tuple[str, list[Any]] 
     return f"def keep(events):\n    return [_e for _e in events if {body}]", consts
 
 
+_filter_code = code_cache("<row filter>")
+
+
 def compile_mask(predicates: Iterable[Predicate]) -> Callable[[Iterable[Event]], list[Event]] | None:
     """Compile pushdown conjuncts into the one generated row filter.
 
@@ -376,15 +380,14 @@ def compile_mask(predicates: Iterable[Predicate]) -> Callable[[Iterable[Event]],
     conjunction over a batch in one comprehension, or ``None`` for a
     predicate node without a source form (an opaque UDF predicate; the
     filter operator then runs its callable per item). Agrees with
-    ``evaluate`` event for event, raised errors included.
+    ``evaluate`` event for event, raised errors included. Scans of one
+    shape share one code object; the constants are bound per scan.
     """
     rendered = row_filter_source(predicates)
     if rendered is None:
         return None
     source, consts = rendered
-    namespace: dict[str, Any] = {f"_k{j}": v for j, v in enumerate(consts)}
-    exec(source, namespace)  # noqa: S102 - generated from a closed AST
-    return namespace["keep"]
+    return bind(_filter_code, source, "keep", {f"_k{j}": v for j, v in enumerate(consts)})
 
 
 # -- convenience constructors used by tests and examples ---------------------

@@ -26,7 +26,14 @@ from repro.asp.runtime.fault.chaos import (
     _streams_for,
     canonical_match_bytes,
 )
+from repro.asp.runtime.scheduler import (
+    WatermarkService,
+    merge_batches,
+    merge_sources,
+    source_arrays,
+)
 from repro.asp.stream import StreamEnvironment
+from repro.asp.time import WatermarkGenerator
 from repro.mapping.advisor import recommend_options
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.translator import translate
@@ -171,7 +178,7 @@ def test_streaming_source_falls_back_to_row_batches():
 
     _, ref, ref_bytes = run(1)
     job, res, out_bytes = run(256)
-    assert job._prepare_arrays() is None
+    assert source_arrays(job.flow) is None
     assert not res.failed, res.failure
     assert out_bytes == ref_bytes
     assert (res.events_in, res.items_out) == (ref.events_in, ref.items_out)
@@ -179,9 +186,7 @@ def test_streaming_source_falls_back_to_row_batches():
 
     # The same streams as lists do get the array merge.
     listed = _fresh_query(pattern, streams, options)
-    assert SerialJob(
-        listed.env.flow, ExecutionSettings(batch_size=256)
-    )._prepare_arrays()
+    assert source_arrays(listed.env.flow)
 
 
 def _fanout_env(events, n_consumers):
@@ -378,3 +383,115 @@ def test_random_patterns_batched_equals_reference(
         batched_result.metadata["channels"]["item_frames"]
         == ref_result.metadata["channels"]["item_frames"]
     )
+
+
+# -- the scheduler contract ------------------------------------------------------
+
+
+@st.composite
+def _schedules(draw):
+    """1-3 sorted sources, a plan that is strict or reorder-safe, batch
+    and cut cadences, a run offset and a restored generator: either what
+    observing a history gives (possibly ahead of the sources: a
+    disordered prefix), or one with an emission already due (a state dir
+    resumed with a smaller out-of-orderness)."""
+    k = draw(st.integers(1, 3))
+    streams = [
+        sorted(draw(st.lists(st.integers(0, 60), max_size=30))) for _ in range(k)
+    ]
+    strict = draw(st.booleans())
+    offset = 0
+    if k == 1 or strict:
+        offset = draw(st.integers(0, sum(map(len, streams))))
+    ooo = draw(st.integers(0, 6))
+    interval = draw(st.integers(1, 12))
+    history = draw(st.lists(st.integers(0, 80), max_size=4))
+    due = draw(st.integers(0, 5)) if draw(st.booleans()) else None
+    return dict(
+        streams=streams,
+        strict=strict,
+        offset=offset,
+        ooo=ooo,
+        interval=interval,
+        history=history,
+        due=due,
+        batch_size=draw(st.integers(2, 256)),
+        cut_indices=draw(st.lists(st.integers(1, 90), max_size=3)),
+        cut_intervals=draw(st.sampled_from([(), (4,), (3, 10)])),
+    )
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(case=_schedules())
+def test_merge_batches_delivers_what_the_per_event_loop_observes(case):
+    """``merge_batches`` against ``merge_sources`` + ``observe``: the same
+    sequence over one source or for a strict plan, the same multiset per
+    watermark window for a regrouped one; every watermark after the same
+    event with the same value; the same final generator state; and every
+    batch inside its size and cut bounds."""
+    env = StreamEnvironment("contract")
+    uid, arrivals = 0, []  # (ts, source order, event id)
+    for n, stamps in enumerate(case["streams"]):
+        events = []
+        for ts in stamps:
+            events.append(Event(f"S{n}", ts=ts, id=uid))
+            uid += 1
+        sink = CollectSink()
+        if case["strict"]:
+            sink.reorder_safe = False
+        env.from_events(events, event_type=f"S{n}").sink(sink)
+        arrivals += [(e.ts, n, e.id) for e in events]
+    flow, offset, ooo = env.flow, case["offset"], case["ooo"]
+    node_ids = [node.node_id for node in flow.source_nodes()]
+
+    reference = WatermarkGenerator(ooo, case["interval"])
+    for ts in case["history"]:
+        reference.observe(ts)
+    ref_events = []
+    for node_id, event in merge_sources(flow):
+        if len(ref_events) < offset:
+            reference.observe(event.ts)
+        ref_events.append((node_id, event.id))
+    assert ref_events == [(node_ids[n], uid) for _ts, n, uid in sorted(arrivals)]
+    state = reference.snapshot_state()
+    if case["due"] is not None and (case["history"] or offset):
+        state["last_emitted"] = state["max_ts"] - ooo - case["interval"] - case["due"]
+    reference.restore_state(state)
+    ref_marks = {}
+    for index, (_node_id, event) in enumerate(merge_sources(flow, offset), offset + 1):
+        watermark = reference.observe(event.ts)
+        if watermark is not None:
+            ref_marks[index] = watermark.value
+
+    service = WatermarkService(flow, max_out_of_orderness=ooo, emit_interval=case["interval"])
+    service.restore(state)
+    delivered, marks = [], {}
+    last = offset
+    for node_id, events, watermark, last_index in merge_batches(
+        flow,
+        service,
+        batch_size=case["batch_size"],
+        start_offset=offset,
+        cut_indices=case["cut_indices"],
+        cut_intervals=case["cut_intervals"],
+    ):
+        first = last_index - len(events) + 1
+        assert events and first == last + 1 and len(events) <= case["batch_size"]
+        for cut in case["cut_indices"]:
+            assert not first <= cut < last_index, (cut, first, last_index)
+        for every in case["cut_intervals"]:
+            assert (first - 1) // every == (last_index - 1) // every, (every, first)
+        delivered += [(node_id, event.id) for event in events]
+        if watermark is not None:
+            marks[last_index] = watermark.value
+        last = last_index
+
+    expected = ref_events[offset:]
+    assert marks == ref_marks
+    assert service.snapshot() == reference.snapshot_state()
+    if len(case["streams"]) == 1 or case["strict"]:
+        assert delivered == expected
+    else:
+        bounds = [0, *(mark - offset for mark in sorted(marks)), len(expected)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert sorted(delivered[lo:hi]) == sorted(expected[lo:hi]), (lo, hi)

@@ -411,3 +411,27 @@ def test_http_and_tcp_split_a_body_into_the_same_lines(tmp_path):
     replayed = [event_from_wire(doc) for doc, _ids in manager.state.replay_wal()]
     assert wire(replayed) == wire(routed)
     manager.stop()
+
+
+def test_a_rejected_events_retry_is_admitted_once(tmp_path):
+    """Only a taken event moves its source's dedup horizon: a seq that
+    ``reject`` refused, re-sent after a round as ``retry_after_ms``
+    says, is admitted rather than dropped as a duplicate, and the WAL
+    holds it once."""
+    manager = JobManager(
+        ServiceConfig(state_dir=str(tmp_path), queue_limit=1, admission="reject")
+    )
+    try:
+        job = manager.jobs[manager.submit(JOBS[1])["id"]]
+        first, second = [e for e in POOL if e.event_type in job.event_types][:2]
+        assert manager.ingest_event(first, SOURCE, 1) == {"accepted": 1}
+        refused = manager.ingest_event(second, SOURCE, 2)
+        assert refused["accepted"] == 0
+        assert [r["reason"] for r in refused["rejections"]] == ["queue-full"]
+        manager.run_round(job)
+        assert manager.ingest_event(second, SOURCE, 2) == {"accepted": 1}
+        assert manager.ingest_event(second, SOURCE, 2)["duplicate"]
+        assert [doc["seq"] for doc, _ids in manager.state.replay_wal()] == [1, 2]
+        assert manager.tracker.last_seq == {SOURCE: 2}
+    finally:
+        manager.stop()

@@ -11,6 +11,7 @@ and the errors a bad event raises.
 
 import copy
 import dataclasses
+import logging
 import random
 
 import pytest
@@ -447,6 +448,23 @@ def test_conjunct_without_inline_form_keeps_calling_theta(conjunct, reason):
         and values[k] < 50
     )
     assert len(results[0][0][-1]) == want > 0
+
+
+def test_a_fallback_to_the_closure_is_logged_once_per_scan_and_probe(caplog):
+    """A scan filter without a source form and a probe that calls
+    ``theta()`` per pair each leave one DEBUG record on ``repro.serve``."""
+    caplog.set_level(logging.DEBUG, logger="repro.serve")
+    node = WindowJoin(
+        StreamScan("Q", "q", (ValueBelow("q", 50),)), StreamScan("V", "v"),
+        JoinKind.THETA, WindowStrategy.INTERVAL, True, 6 * MIN, MIN,
+        extra_theta=(ValueBelow("v", 50),),
+    )
+    env, sink = lower_join(node, by_type(make_stream(13, n=90)))
+    assert not env.execute(watermark_interval=MIN, batch_size=64).failed
+    assert sink.items
+    messages = [r.getMessage() for r in caplog.records if r.name == "repro.serve"]
+    assert sum("filter[q] runs its closure" in m for m in messages) == 1
+    assert sum("calls theta() per pair" in m for m in messages) == 2  # one per port
 
 
 # -- compiled probes are not operator state ------------------------------------

@@ -32,6 +32,7 @@ from repro.runtime.service import (
     merge_streams_for_wire,
     parse_wire_line,
 )
+from tests.test_service_scale import take
 
 
 def offset_streams(events=1200, sensors=6, seed=11):
@@ -120,11 +121,11 @@ class TestWireCodec:
 
     def test_source_tracker_dedups_and_counts_gaps(self):
         tracker = SourceTracker()
-        assert tracker.admit("a", 1) and tracker.admit("a", 2)
-        assert not tracker.admit("a", 2)  # retransmit
-        assert not tracker.admit("a", 1)
-        assert tracker.admit("a", 5)  # gap, still admitted
-        assert tracker.admit(None, None)  # untracked producers always pass
+        assert take(tracker, "a", 1) and take(tracker, "a", 2)
+        assert not take(tracker, "a", 2)  # retransmit
+        assert not take(tracker, "a", 1)
+        assert take(tracker, "a", 5)  # gap, still admitted
+        assert take(tracker, None, None)  # untracked producers always pass
         assert tracker.duplicates == 2 and tracker.gaps == 1
         tracker.heartbeat("a", 100)
         tracker.heartbeat("a", 50)  # regressions ignored
@@ -334,7 +335,7 @@ class TestRoundsEquivalence:
     def test_durable_store_uses_per_job_subdirectories(self, tmp_path):
         streams = offset_streams(events=600, seed=9)
         manager = JobManager(
-            ServiceConfig(checkpoint_dir=str(tmp_path))
+            ServiceConfig(state_dir=str(tmp_path))
         )
         a = manager.submit({"name": "a", "query": "traffic-congestion"})
         b = manager.submit({"name": "b", "query": "street-lighting-demand"})

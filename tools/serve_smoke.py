@@ -8,7 +8,10 @@ drives it exactly like a tenant would:
 1. submit the catalog queries over the HTTP control API — as separate
    jobs, or (``--group``) as one shared-scan tenant group, on the
    server's default engine (the batch engine), plus one job whose
-   rounds run the per-event oracle (``"batch_size": 1``);
+   rounds run the per-event oracle (``"batch_size": 1``), and one
+   serial job of an order-sensitive query (the NSEQ
+   ``congestion-cleared``, whose plan is not ``reorder_safe``: its
+   batches must keep the arrival order);
    ``--sharded`` additionally submits an
    O3-partitioned inline pattern whose rounds run on the sharded
    backend;
@@ -81,6 +84,8 @@ SHARDED_PATTERN = "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES"
 #: byte for byte, end to end through the service.
 PER_EVENT_NAME = "tc-per-event"
 PER_EVENT_QUERY = "traffic-congestion"
+#: Always-submitted serial job of an order-sensitive catalog query.
+ORDERED_QUERY = "congestion-cleared"
 
 
 def build_streams(events: int, seed: int) -> dict[str, list]:
@@ -116,6 +121,14 @@ def batch_reference(query_name: str, streams: dict[str, list]) -> bytes:
         query_name = PER_EVENT_QUERY
     pattern = CATALOG[query_name]()
     return _batch_bytes(pattern, recommend_options(pattern).options, streams)
+
+
+def reorder_safe(query_name: str) -> bool:
+    """Whether every operator of the query's plan is ``reorder_safe``."""
+    pattern = CATALOG[query_name]()
+    sources = {t: ListSource([], event_type=t) for t in pattern.distinct_event_types()}
+    query = translate(pattern, sources, recommend_options(pattern).options)
+    return all(node.operator.reorder_safe for node in query.env.flow.operator_nodes())
 
 
 def wait_for_ready(path: Path, proc: subprocess.Popen, timeout: float) -> dict:
@@ -251,6 +264,13 @@ def main(argv: list[str] | None = None) -> int:
             })
             jobs[PER_EVENT_NAME] = info["id"]
             print(f"submitted {PER_EVENT_NAME} -> {info['id']} (per-event rounds)")
+            info = client.submit(
+                {"name": ORDERED_QUERY, "query": ORDERED_QUERY, "backend": "serial"}
+            )
+            jobs[ORDERED_QUERY] = info["id"]
+            print(f"submitted {ORDERED_QUERY} -> {info['id']} (order-sensitive)")
+            if info["backend"] != "serial" or reorder_safe(ORDERED_QUERY):
+                failures.append(f"{ORDERED_QUERY}: expected an order-sensitive serial job")
             if args.sharded:
                 info = client.submit({
                     "name": SHARDED_NAME,

@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         config = ServiceConfig(
-            checkpoint_dir=str(Path(tmp) / "checkpoints"),
+            state_dir=str(Path(tmp) / "state"),
             checkpoint_interval=500,
         )
         handle = start_in_thread(config)
