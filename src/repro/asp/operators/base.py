@@ -2,12 +2,10 @@
 
 Every physical operator consumes *items* (``Event`` or ``ComplexEvent``)
 on one or more input ports and produces items on its single output. The
-executor drives operators with four calls:
+executor drives operators with three calls:
 
-* :meth:`Operator.process` — one item arrived on ``port`` (the per-event
-  reference);
 * :meth:`Operator.process_batch` — a list of items arrived back to back
-  on ``port`` (the batch engine; defaults to a loop over ``process``);
+  on ``port`` (a batch of one is a batch);
 * :meth:`Operator.on_watermark` — event time advanced; stateful operators
   finalize complete windows here;
 * :meth:`Operator.on_close` — the stream ended; flush remaining state.
@@ -55,7 +53,7 @@ def item_size_bytes(item: Item) -> int:
 class Operator:
     """Base class for all physical operators.
 
-    Subclasses override :meth:`process` (mandatory) and, when stateful,
+    Subclasses override :meth:`process_batch` (mandatory) and, when stateful,
     :meth:`on_watermark` / :meth:`on_close`. ``arity`` declares the number
     of input ports (1 for unary operators, 2 for joins).
     """
@@ -105,28 +103,16 @@ class Operator:
 
     # -- data path -------------------------------------------------------
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        """Handle one input item; return (possibly empty) output items."""
-        raise NotImplementedError
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
-        """Handle a micro-batch of items that arrived back to back on
-        ``port``; return the concatenated outputs in arrival order.
+        """Handle a run of items that arrived back to back on ``port``;
+        return the concatenated outputs in arrival order.
 
-        The batched execution path delivers maximal same-source runs of
-        the merged stream here, so the default — loop over
-        :meth:`process` — is always semantically correct. Operators
-        override it when they can amortize per-item costs over the run
-        (predicate loops without generator framing, bulk buffer inserts
-        with one ledger adjustment). Overrides may return the input
-        sequence unchanged for pass-through semantics; callers never
-        mutate the returned list.
+        The executor delivers same-source runs of the merged stream here,
+        from one item up to the job's ``batch_size``. An override may
+        return the input list unchanged for pass-through semantics;
+        callers never mutate the returned list.
         """
-        out: list[Item] = []
-        process = self.process
-        for item in items:
-            out.extend(process(item, port))
-        return out
+        raise NotImplementedError
 
     def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
         """Event time advanced past ``watermark.value``; emit results of

@@ -85,18 +85,6 @@ class DedupOperator(StatefulOperator):
             return item.ordered_dedup_key() if self.unordered else item.dedup_key()
         return (item.event_type, item.ts, item.id, item.value)
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        handle = self._ensure_handle()
-        key = self._key_of(item)
-        if key in self._seen:
-            self.duplicates_dropped += 1
-            self._seen[key] = max(self._seen[key], item.ts)
-            return ()
-        self._seen[key] = item.ts
-        handle.adjust(_KEY_BYTES, +1)
-        return (item,)
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         """First-seen-wins over the whole run; one ledger adjustment."""
         self.work_units += len(items)

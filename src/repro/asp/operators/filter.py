@@ -7,7 +7,7 @@ layer compiles its declarative predicate trees down to such callables.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.asp.operators.base import Item, Operator
 
@@ -21,34 +21,17 @@ class FilterOperator(Operator):
         self.predicate = predicate
         # The SEA translator attaches the generated row filter of its
         # tree-walking predicate as ``predicate.keep`` (``keep(items) ->
-        # survivors``, :func:`repro.sea.predicates.compile_mask`); the
-        # batch path runs that. Per-event ``process`` keeps the original
-        # callable — it is the reference semantics the generated form is
-        # validated against (the equivalence suite runs both).
-        self.keep = getattr(predicate, "keep", None)
+        # survivors``, :func:`repro.sea.predicates.compile_mask`); any
+        # other predicate runs as one comprehension per batch.
+        self.keep = getattr(predicate, "keep", None) or (
+            lambda items: [item for item in items if predicate(item)]
+        )
         self.passed = 0
         self.dropped = 0
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        if self.predicate(item):
-            self.passed += 1
-            return (item,)
-        self.dropped += 1
-        return ()
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
-        # One comprehension per run: no per-item tuple framing, counters
-        # updated once per batch.
-        keep = self.keep
-        if keep is not None:
-            out = keep(items)
-        else:
-            predicate = self.predicate
-            out = [item for item in items if predicate(item)]
-        return self._tally(len(items), out)
-
-    def _tally(self, n: int, out: list[Item]) -> list[Item]:
+        out = self.keep(items)
+        n = len(items)
         self.work_units += n
         self.passed += len(out)
         self.dropped += n - len(out)
@@ -76,10 +59,6 @@ class TypeFilterOperator(FilterOperator):
             lambda item: getattr(item, "event_type", None) == event_type,
             name or f"type-filter[{event_type}]",
         )
-
-    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
-        wanted = self.event_type
-        return self._tally(
-            len(items),
-            [item for item in items if getattr(item, "event_type", None) == wanted],
-        )
+        self.keep = lambda items: [
+            item for item in items if getattr(item, "event_type", None) == event_type
+        ]

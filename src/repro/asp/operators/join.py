@@ -61,7 +61,7 @@ from repro.asp.operators.window import (
 )
 from repro.asp.time import Watermark
 
-log = logging.getLogger("repro.serve")
+log = logging.getLogger(__name__)
 
 ThetaFn = Callable[[Item, Item], bool]
 
@@ -228,14 +228,15 @@ def probe_source(
 
     ``_probe(item, candidates, append)`` tests the arriving ``item``
     (left on port 0, right on port 1) against the opposite buffer's
-    candidate slice and appends every match: per pair exactly what
-    :meth:`IntervalJoin._test_and_emit` does — the total-span rule, then
-    order, consecutive condition and residual conjuncts in ``theta``'s
-    order, then :func:`compose` — with everything the plan fixes (shapes,
-    which tests exist, the emit timestamp) decided here instead of per
-    pair. Swapping the span rule and the order test is invisible (both
-    are integer comparisons) and lets an ordered pair use
-    ``ts_b = l_b, ts_e = r_e``, which order implies.
+    candidate slice and appends every match. Per pair: the total-span
+    rule (every constituent pair within ``upper``, since composed items
+    span an interval), then order, consecutive condition and residual
+    conjuncts in ``theta``'s order, then :func:`compose` — with
+    everything the plan fixes (shapes, which tests exist, the emit
+    timestamp) decided here instead of per pair. Swapping the span rule
+    and the order test is invisible (both are integer comparisons) and
+    lets an ordered pair use ``ts_b = l_b, ts_e = r_e``, which order
+    implies.
     """
     arriving, candidate = ("l", "r") if port == 0 else ("r", "l")
     shape = {"l": plan.left_shape, "r": plan.right_shape}
@@ -377,42 +378,19 @@ class IntervalJoin(StatefulOperator):
         # Buffers evict at wm - upper (left) / wm + lower (right).
         return max(self.bounds.upper, -self.bounds.lower)
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self._ensure_buffers()
-        self.work_units += 1
-        out: list[Item] = []
-        if port == 0:
-            key = self.left_key(item)
-            self._left.add(key, item)
-            # Window of this left event: rights in (ts+lower, ts+upper).
-            win = self.bounds.window_for(item.ts)
-            for r_item in self._right.slice(key, win.begin, win.end):
-                self._test_and_emit(item, r_item, out)
-        elif port == 1:
-            key = self.right_key(item)
-            self._right.add(key, item)
-            # Lefts whose window contains this right event:
-            # l.ts + lower < ts < l.ts + upper  =>  ts - upper < l.ts < ts - lower
-            begin = item.ts - self.bounds.upper + 1
-            end = item.ts - self.bounds.lower
-            for l_item in self._left.slice(key, begin, end):
-                self._test_and_emit(l_item, item, out)
-        else:
-            raise ValueError(f"join received item on invalid port {port}")
-        return out
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         """Bulk-buffer the run, then probe the *opposite* buffer per item.
 
         A run arrives on one port only, and probes read the opposite
         side's buffer — which this batch does not touch — so inserting the
         whole run before probing emits exactly the pairs, in exactly the
-        order, of per-item processing. Every pair is still emitted once:
-        whichever side is processed later finds the earlier one buffered.
+        order, of the same items in batches of one. Every pair is still
+        emitted once: whichever side is processed later finds the earlier
+        one buffered.
 
         The pair loop is this join's generated probe (:func:`probe_source`);
-        counters advance per candidate slice and end equal to the
-        per-event path's.
+        counters advance per candidate slice, so they do not depend on how
+        the stream is cut into batches.
         """
         if not items:
             return []
@@ -473,25 +451,6 @@ class IntervalJoin(StatefulOperator):
         source = probe_source(plan, port, self.emit_ts, self.theta is not None)
         probe = self._probes[port] = compile_probe(source, namespace)
         return probe
-
-    def _test_and_emit(self, l_item: Item, r_item: Item, out: list[Item]) -> None:
-        self.pairs_tested += 1
-        self.work_units += 1
-        # The pattern's window requires EVERY constituent pair within W
-        # (= bounds.upper). The arrival-time bounds check above only
-        # relates the buffered anchor timestamps; composed items span an
-        # interval, so enforce the total span explicitly (matters for
-        # unordered/conjunction chains where the anchor is the minimum).
-        l_min = l_item.ts_b if isinstance(l_item, ComplexEvent) else l_item.ts
-        l_max = l_item.ts_e if isinstance(l_item, ComplexEvent) else l_item.ts
-        r_min = r_item.ts_b if isinstance(r_item, ComplexEvent) else r_item.ts
-        r_max = r_item.ts_e if isinstance(r_item, ComplexEvent) else r_item.ts
-        if max(l_max, r_max) - min(l_min, r_min) >= self.bounds.upper:
-            return
-        if self.theta is not None and not self.theta(l_item, r_item):
-            return
-        self.pairs_emitted += 1
-        out.append(compose(l_item, r_item, self.emit_ts))
 
     def on_watermark(self, watermark: Watermark) -> Iterable[Item]:
         self._ensure_buffers()

@@ -11,7 +11,7 @@ subgraph per shard.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.asp.datamodel import Event
 from repro.asp.operators.base import Item, Operator
@@ -71,13 +71,7 @@ class KeyByOperator(Operator):
         self.selector = selector
         self.seen_keys: set[Hashable] = set()
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        self.seen_keys.add(self.selector(item))
-        return (item,)
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         self.work_units += len(items)
-        selector = self.selector
-        self.seen_keys.update(selector(item) for item in items)
-        return list(items)
+        self.seen_keys.update(map(self.selector, items))
+        return items

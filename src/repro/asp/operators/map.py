@@ -23,10 +23,6 @@ class MapOperator(Operator):
         super().__init__(name or "map")
         self.fn = fn
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        return (self.fn(item),)
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         self.work_units += len(items)
         fn = self.fn
@@ -42,10 +38,6 @@ class FlatMapOperator(Operator):
     def __init__(self, fn: Callable[[Item], Iterable[Item]], name: str | None = None):
         super().__init__(name or "flatmap")
         self.fn = fn
-
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        return self.fn(item)
 
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         self.work_units += len(items)
@@ -79,10 +71,13 @@ class SchemaAlignOperator(Operator):
         self.renames = dict(renames or {})
         self.defaults = dict(defaults or {})
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
+    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
+        self.work_units += len(items)
+        return [self._align(item) for item in items]
+
+    def _align(self, item: Item) -> Item:
         if not isinstance(item, Event):
-            return (item,)
+            return item
         updates: dict[str, Any] = {}
         for src, dst in self.renames.items():
             if item.has_attribute(src):
@@ -92,9 +87,7 @@ class SchemaAlignOperator(Operator):
                 updates[attr] = default
         if self.target_type is not None:
             updates["event_type"] = self.target_type
-        if not updates:
-            return (item,)
-        return (item.with_attrs(**updates),)
+        return item.with_attrs(**updates) if updates else item
 
 
 class KeyAssignOperator(Operator):
@@ -116,9 +109,14 @@ class KeyAssignOperator(Operator):
         super().__init__(name or ("key-assign[uniform]" if key_fn is None else "key-assign"))
         self.key_fn = key_fn
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        if not isinstance(item, Event):
-            return (item,)
-        key = self.CARTESIAN_KEY if self.key_fn is None else self.key_fn(item)
-        return (item.with_attrs(partition_key=key),)
+    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
+        self.work_units += len(items)
+        key_fn = self.key_fn
+        return [
+            item.with_attrs(
+                partition_key=self.CARTESIAN_KEY if key_fn is None else key_fn(item)
+            )
+            if isinstance(item, Event)
+            else item
+            for item in items
+        ]

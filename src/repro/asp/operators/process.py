@@ -19,7 +19,7 @@ query avoid FlinkCEP's retrospective negation handling (Section 5.2.1).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.asp.datamodel import Event
 from repro.asp.operators.base import Item, StatefulOperator, item_size_bytes
@@ -105,19 +105,20 @@ class NextOccurrenceUdf(StatefulOperator):
         # Pending T1 events resolve (emit or drop) after one window span.
         return self.window_size
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        if not isinstance(item, Event):
-            return ()
+    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
+        self.work_units += len(items)
         handle = self._ensure_handle()
-        if item.event_type == self.positive_type:
-            self._pending.append(item)
-            handle.adjust(item_size_bytes(item), +1)
-            return ()
-        if item.event_type == self.negated_type:
-            return self._resolve_with_blocker(item)
-        # Other types may share the physical stream; ignore them.
-        return ()
+        out: list[Item] = []
+        for item in items:
+            if not isinstance(item, Event):
+                continue
+            if item.event_type == self.positive_type:
+                self._pending.append(item)
+                handle.adjust(item_size_bytes(item), +1)
+            elif item.event_type == self.negated_type:
+                out += self._resolve_with_blocker(item)
+            # Other types may share the physical stream; ignore them.
+        return out
 
     def _resolve_with_blocker(self, blocker: Event) -> list[Event]:
         out: list[Event] = []

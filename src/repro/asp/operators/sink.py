@@ -9,7 +9,7 @@ event (creation) time contributing to it (Section 5.1.3).
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Iterable, List, Sequence
+from typing import Any, Callable, List, Sequence
 
 from repro.asp.datamodel import ComplexEvent
 from repro.asp.operators.base import Item, Operator
@@ -28,11 +28,6 @@ class Sink(Operator):
     def __init__(self, name: str | None = None):
         super().__init__(name or "sink")
         self.count = 0
-
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.count += 1
-        self.accept(item)
-        return ()
 
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         self.count += len(items)

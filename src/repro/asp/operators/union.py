@@ -12,7 +12,7 @@ the executor's responsibility (it merges source streams by timestamp).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.asp.operators.base import Item, Operator
 
@@ -30,17 +30,10 @@ class UnionOperator(Operator):
         self.arity = arity
         self.counts = [0] * arity
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self.work_units += 1
-        if not 0 <= port < self.arity:
-            raise ValueError(f"union received item on invalid port {port}")
-        self.counts[port] += 1
-        return (item,)
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         if not 0 <= port < self.arity:
             raise ValueError(f"union received item on invalid port {port}")
         n = len(items)
         self.work_units += n
         self.counts[port] += n
-        return list(items)
+        return items

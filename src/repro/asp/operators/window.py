@@ -203,9 +203,6 @@ class _SideBuffer:
             return self.entry_bytes * count
         return sum(entry.size_bytes for entry in islice(entries, count))
 
-    def add(self, key: Any, item: Item) -> None:
-        self.extend(key, (item,))
-
     def extend(self, key: Any, run: Sequence[Item]) -> None:
         """Insert a run of items with one ledger adjustment.
 
@@ -415,18 +412,12 @@ class SlidingWindowOperator(StatefulOperator):
         ):
             self._next_window_index = first_index
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        self._buffer(port).add(self._key_fns[port](item), item)
-        self.work_units += 1
-        self._open_windows_from(item.ts)
-        return ()
-
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         """Bulk-buffer a run: grouped extends, one cursor update.
 
         Emission happens exclusively in :meth:`on_watermark`, and batches
         never span a watermark, so buffering a whole run at once is
-        byte-equivalent to per-item processing.
+        byte-equivalent to buffering its items one by one.
         """
         if not items:
             return []

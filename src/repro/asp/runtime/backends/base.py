@@ -23,8 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.asp.graph import Dataflow
 
 
-#: Default engine of ``repro run``, ``repro serve`` and ``ServiceConfig``.
-#: ``ExecutionSettings`` defaults to 1: a bare library call is the oracle.
+#: Default batch size of ``repro run``, ``repro serve`` and
+#: ``ServiceConfig``. ``ExecutionSettings`` defaults to 1, the batch size
+#: every figure driver runs at.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -46,12 +47,16 @@ class ExecutionSettings:
     fault_plan: Any = None
     #: How many times a crashed run is restarted from its checkpoint.
     max_restarts: int = 3
-    #: The one engine selector. 1 = the per-event reference path every
-    #: equivalence suite compares against; > 1 = the batch engine
-    #: (micro-batches that never cross watermark emissions, checkpoint
-    #: cuts or source switches, stateless chains fused, scan filters
-    #: run as one generated comprehension), byte-identical by test.
+    #: Most source events per micro-batch (>= 1). Batches never cross
+    #: watermark emissions, checkpoint cuts or source switches; a batch
+    #: of one is a batch. Every size gives the same output and counters
+    #: (the equivalence suites hold sizes 1, 256 and drawn ones to each
+    #: other and to the oracle); larger batches amortize per-hop costs.
     batch_size: int = 1
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ExecutionError(f"batch size must be >= 1, got {self.batch_size}")
 
     def without_hooks(self) -> "ExecutionSettings":
         """A copy safe to ship to another process (callables stripped;

@@ -1,9 +1,10 @@
 """Serial backend: the depth-first push semantics, kept as reference.
 
 Drives a :class:`~repro.asp.graph.Dataflow` on the calling thread:
-source events are merged by event time across all sources, pushed
-through the operator DAG depth-first over the job's channels, and
-interleaved with watermarks from the scheduler's watermark service.
+source events are merged by event time across all sources, cut into
+micro-batches, pushed through the operator DAG depth-first over the
+job's channels, and interleaved with watermarks from the scheduler's
+watermark service.
 
 Watermarks are propagated in topological order so that an upstream join
 fires its complete windows *before* a downstream join finalizes the same
@@ -11,7 +12,7 @@ watermark — this is what makes nested SEQ(n) pipelines correct. The
 sharded backend runs one serial job per shard, so this module is the
 correctness reference for every backend.
 
-Fault tolerance hooks: between two source events the push graph is fully
+Fault tolerance hooks: between two batches the push graph is fully
 drained, so that point is a consistent cut — the
 :class:`~repro.asp.runtime.fault.checkpoint.CheckpointCoordinator`
 snapshots there, and a :class:`~repro.asp.runtime.fault.injection
@@ -23,6 +24,7 @@ where the job's previous run stopped.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.asp.graph import Dataflow
@@ -34,7 +36,7 @@ from repro.asp.runtime.fusion import build_fused_segments
 from repro.asp.runtime.instrumentation import Instrumentation
 from repro.asp.runtime.observability import LATENCY_SAMPLE_MASK
 from repro.asp.runtime.result import RunResult
-from repro.asp.runtime.scheduler import WatermarkService, merge_batches, merge_sources
+from repro.asp.runtime.scheduler import WatermarkService, merge_batches
 from repro.asp.state import StateRegistry
 from repro.asp.time import Watermark
 from repro.errors import ExecutionError, InjectedFaultError
@@ -45,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.fault.recovery import CrashHandler, Lane
 
 #: ``events_in >> _SAMPLE_SHIFT`` changes exactly when the counter
-#: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1`` — the batched
-#: equivalent of the per-event ``events_in & MASK`` stride sample.
+#: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1``: the latency
+#: histogram's stride sample, whatever the batch size.
 _SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
 
 
@@ -55,11 +57,10 @@ class SerialJob:
 
     Construction validates the flow, binds operator state to the job's
     registry and wires the event clock; :meth:`run` is then a pure drive
-    loop with two shapes: the per-event reference (``batch_size == 1``)
-    and the batch engine (``batch_size > 1``). A job whose run withheld
-    the terminal watermark can run again: it continues the same logical
-    stream with whatever its sources have gained since, and measures
-    that run alone.
+    loop over micro-batches of up to ``batch_size`` events (a batch of
+    one is a batch). A job whose run withheld the terminal watermark can
+    run again: it continues the same logical stream with whatever its
+    sources have gained since, and measures that run alone.
     """
 
     def __init__(
@@ -103,13 +104,9 @@ class SerialJob:
         self._dropped: set[tuple[int, int]] = (
             injector.dropped_edges(flow) if injector is not None else set()
         )
-        #: ``batch_size`` alone selects the engine: 1 is the per-event
-        #: reference, anything larger the batch engine.
-        self._batched = settings.batch_size > 1
         #: Operators that inherit the base no-op ``on_watermark``. The
-        #: batched broadcast skips calling them (watermark frames and the
-        #: call counter are still accounted, so channel totals and
-        #: reports match the reference path exactly).
+        #: broadcast skips calling them (watermark frames and the call
+        #: counter are still accounted).
         self._wm_transparent: set[int] = {
             node.node_id
             for node in flow.operator_nodes()
@@ -119,18 +116,30 @@ class SerialJob:
         #: flow graph itself is never rewritten). Operators with injected
         #: slow delays and severed interior channels never fuse — their
         #: effects are applied on the unfused path.
-        self._segments = (
-            build_fused_segments(
-                flow,
-                self.instrumentation.op_metrics,
-                self.channels,
-                self.clock,
-                exclude_nodes=frozenset(self._node_delays),
-                exclude_edges=frozenset(self._dropped),
-            )
-            if self._batched
-            else {}
+        self._segments = build_fused_segments(
+            flow,
+            self.instrumentation.op_metrics,
+            self.channels,
+            self.clock,
+            exclude_nodes=frozenset(self._node_delays),
+            exclude_edges=frozenset(self._dropped),
         )
+        #: node id -> what one hop into it needs: ``(process_batch,
+        #: metrics, out channels, fused segment or None)``. A fused head's
+        #: entry runs its whole chain and leaves by the tail's channels.
+        self._hops: dict[int, tuple] = {
+            node.node_id: (
+                node.operator.process_batch,
+                self.instrumentation.op_metrics[node.node_id],
+                self.channels[node.node_id],
+                None,
+            )
+            for node in flow.operator_nodes()
+        }
+        for head_id, segment in self._segments.items():
+            self._hops[head_id] = (
+                segment.process_batch, None, self.channels[segment.tail_id], segment
+            )
         #: Merged-stream index of the last source event consumed; a run
         #: starts after it.
         self.events_in = 0
@@ -138,143 +147,64 @@ class SerialJob:
 
     # -- data propagation --------------------------------------------------
 
-    def _push(self, node_id: int, item, port: int, from_id: int) -> None:
-        """Deliver ``item`` to operator ``node_id`` and walk downstream.
-
-        Linear one-in/one-out segments (filter -> map -> ... chains) are
-        walked iteratively instead of recursively — the executor-level
-        analog of operator chaining in an ASPS, removing per-hop call
-        overhead without changing delivery order or per-stage accounting.
-        Fan-out and multi-output steps fall back to recursion.
-        """
-        if self._dropped and (from_id, node_id) in self._dropped:
-            return
-        nodes = self.flow.nodes
-        op_metrics = self.instrumentation.op_metrics
-        channels = self.channels
-        clock = self.clock
-        delays = self._node_delays
-        while True:
-            node = nodes[node_id]
-            start = clock.now()
-            outputs = node.operator.process(item, port)
-            if delays:
-                delay = delays.get(node_id)
-                if delay:
-                    # Simulated stall: advances the shared clock, so the
-                    # slowdown shows in samples/latencies without sleeping.
-                    clock.advance(delay)
-            elapsed = clock.now() - start
-            metrics = op_metrics[node_id]
-            metrics.busy += elapsed
-            metrics.events_in += 1
-            if not metrics.events_in & LATENCY_SAMPLE_MASK:
-                metrics.latency.observe(elapsed)
-            if not outputs:
-                return
-            metrics.events_out += len(outputs)
-            outs = channels[node_id]
-            if not outs:
-                self.items_out += len(outputs)
-                return
-            if len(outputs) == 1 and len(outs) == 1:
-                channel = outs[0]
-                if self._dropped and (node_id, channel.target_id) in self._dropped:
-                    return
-                channel.frame_items(1)
-                item = outputs[0]
-                from_id, node_id, port = node_id, channel.target_id, channel.port
-                continue
-            for channel in outs:
-                # Severed channels carry nothing — and frames follow the
-                # items actually delivered, one frame per item, matching
-                # the linear branch above (counting one burst of
-                # ``len(outputs)`` per channel here would overstate what
-                # each recursive single-item delivery pushes).
-                if self._dropped and (node_id, channel.target_id) in self._dropped:
-                    continue
-                for out in outputs:
-                    channel.frame_items(1)
-                    self._push(channel.target_id, out, channel.port, node_id)
-            return
-
-    def _push_batch(self, node_id: int, items, port: int, from_id: int) -> None:
+    def _push_batch(self, node_id: int, items, port: int) -> None:
         """Deliver a micro-batch to ``node_id`` and walk downstream.
 
-        The batched counterpart of :meth:`_push`: one ``process_batch``
-        dispatch, one metrics update and one channel frame per batch per
-        hop. Fused segments collapse whole stateless chains into a single
-        timed call. The latency histogram keeps its per-event stride —
-        a batch contributes its mean per-item latency whenever the
-        ``events_in`` counter crosses a sample-stride boundary.
+        One ``process_batch`` dispatch, one metrics update and one
+        channel frame per batch per hop; linear segments are walked
+        iteratively, fan-out recurses. Fused segments collapse whole
+        stateless chains into a single timed call. The latency histogram
+        keeps its per-event stride — a batch contributes its mean
+        per-item latency whenever the ``events_in`` counter crosses a
+        sample-stride boundary. Callers skip severed channels.
         """
-        if self._dropped and (from_id, node_id) in self._dropped:
-            return
-        nodes = self.flow.nodes
-        op_metrics = self.instrumentation.op_metrics
-        channels = self.channels
-        clock = self.clock
+        hops = self._hops
         delays = self._node_delays
-        segments = self._segments
+        # Only an injected delay advances the clock, so without one a hop
+        # is timed on the raw counter (the clock's offset cancels out).
+        now = self.clock.now if delays else perf_counter
+        dropped = self._dropped
         while True:
-            segment = segments.get(node_id) if port == 0 else None
+            process, metrics, outs, segment = hops[node_id]
+            start = now()
+            outputs = process(items, port)
             if segment is not None:
-                start = clock.now()
-                outputs = segment.process_batch(items)
-                segment.busy += clock.now() - start
+                segment.busy += now() - start
                 node_id = segment.tail_id
                 if not outputs:
                     return
             else:
-                node = nodes[node_id]
-                start = clock.now()
-                outputs = node.operator.process_batch(items, port)
                 if delays:
                     delay = delays.get(node_id)
                     if delay:
-                        clock.advance(delay * len(items))
-                elapsed = clock.now() - start
-                metrics = op_metrics[node_id]
+                        self.clock.advance(delay * len(items))
+                elapsed = now() - start
                 metrics.busy += elapsed
                 before = metrics.events_in
-                metrics.events_in = before + len(items)
-                if before >> _SAMPLE_SHIFT != metrics.events_in >> _SAMPLE_SHIFT:
+                metrics.events_in = after = before + len(items)
+                if before >> _SAMPLE_SHIFT != after >> _SAMPLE_SHIFT:
                     metrics.latency.observe(elapsed / len(items))
                 if not outputs:
                     return
                 metrics.events_out += len(outputs)
-            outs = channels[node_id]
             if not outs:
                 self.items_out += len(outputs)
                 return
             if len(outs) == 1:
                 channel = outs[0]
-                if self._dropped and (node_id, channel.target_id) in self._dropped:
+                node_id = channel.target_id
+                if dropped and (channel.source_id, node_id) in dropped:
                     return
                 channel.frame_items(len(outputs))
                 items = outputs
-                from_id, node_id, port = node_id, channel.target_id, channel.port
+                port = channel.port
                 continue
             for channel in outs:
-                if self._dropped and (node_id, channel.target_id) in self._dropped:
+                if dropped and (channel.source_id, channel.target_id) in dropped:
                     continue
                 channel.frame_items(len(outputs))
-                self._push_batch(channel.target_id, outputs, channel.port, node_id)
+                self._push_batch(channel.target_id, outputs, channel.port)
             return
-
-    def _inject(self, source_node_id: int, event) -> None:
-        for channel in self.channels[source_node_id]:
-            if self._dropped and (source_node_id, channel.target_id) in self._dropped:
-                continue
-            channel.frame_items(1)
-            self._push(channel.target_id, event, channel.port, source_node_id)
-
-    def _inject_batch(self, source_node_id: int, events) -> None:
-        for channel in self.channels[source_node_id]:
-            if self._dropped and (source_node_id, channel.target_id) in self._dropped:
-                continue
-            channel.frame_items(len(events))
-            self._push_batch(channel.target_id, events, channel.port, source_node_id)
 
     def _broadcast_watermark(self, watermark: Watermark) -> None:
         """Advance event time on all operators in topological order.
@@ -285,16 +215,15 @@ class SerialJob:
         """
         op_metrics = self.instrumentation.op_metrics
         clock = self.clock
-        batched = self._batched
         transparent = self._wm_transparent
         for node in self.watermarks.topo:
             if node.is_source:
                 for channel in self.channels[node.node_id]:
                     channel.frame_watermark()
                 continue
-            if batched and node.node_id in transparent:
-                # Base-class no-op: skip the localize + call, keep the
-                # frames and the call counter byte-identical.
+            if node.node_id in transparent:
+                # Base-class no-op: skip the localize + call, still count
+                # the frames and the call.
                 op_metrics[node.node_id].watermark_calls += 1
                 for channel in self.channels[node.node_id]:
                     channel.frame_watermark()
@@ -315,21 +244,11 @@ class SerialJob:
             if not outs:
                 self.items_out += len(outputs)
                 continue
-            if self._batched:
-                for channel in outs:
-                    if self._dropped and (node.node_id, channel.target_id) in self._dropped:
-                        continue
-                    channel.frame_items(len(outputs))
-                    self._push_batch(
-                        channel.target_id, outputs, channel.port, node.node_id
-                    )
-                continue
-            for out in outputs:
-                for channel in outs:
-                    if self._dropped and (node.node_id, channel.target_id) in self._dropped:
-                        continue
-                    channel.frame_items(1)
-                    self._push(channel.target_id, out, channel.port, node.node_id)
+            for channel in outs:
+                if self._dropped and (node.node_id, channel.target_id) in self._dropped:
+                    continue
+                channel.frame_items(len(outputs))
+                self._push_batch(channel.target_id, outputs, channel.port)
 
     # -- run loop ----------------------------------------------------------
 
@@ -350,10 +269,7 @@ class SerialJob:
         failed = False
         failure: str | None = None
         try:
-            if self._batched:
-                self._drive_batched()
-            else:
-                self._drive_serial()
+            self._drive_batched()
             if terminal_watermark:
                 self._broadcast_watermark(Watermark.terminal())
             # Records the closing sample too, so short runs (fewer events
@@ -369,35 +285,16 @@ class SerialJob:
         wall = self.clock.now() - started
         return self._build_result(wall, failed, failure)
 
-    def _drive_serial(self) -> None:
-        """The per-event reference drive loop."""
-        instr = self.instrumentation
-        injector = self.injector
-        coordinator = self.coordinator
-        offset = self.events_in
-        for index, (node_id, event) in enumerate(
-            merge_sources(self.flow, offset), start=offset + 1
-        ):
-            self.events_in = index
-            if injector is not None:
-                injector.before_event(index)
-            self._inject(node_id, event)
-            watermark = self.watermarks.observe(event.ts)
-            if watermark is not None:
-                self._broadcast_watermark(watermark)
-            instr.after_event(index, watermark is not None)
-            if coordinator is not None and coordinator.due(index):
-                coordinator.take(self)
-
     def _drive_batched(self) -> None:
-        """The micro-batch drive loop — equivalent by construction.
+        """The drive loop.
 
         Batches are same-source runs that never span a watermark
         emission; additional cuts force batch boundaries at exactly the
-        indices where serial execution acts between events: sampling and
+        indices where the job acts between events: sampling and
         checkpoint cadence multiples, and pending crash offsets (a crash
         at event K fires with the batch that *starts* at K, before any of
-        its events flow — the same consistent cut as the serial loop).
+        its events flow — a consistent cut). How the stream is cut into
+        batches changes no output and no counter.
         """
         instr = self.instrumentation
         injector = self.injector
@@ -410,6 +307,9 @@ class SerialJob:
         cut_intervals = [instr.sample_every]
         if coordinator is not None and coordinator.interval:
             cut_intervals.append(coordinator.interval)
+        channels = self.channels
+        dropped = self._dropped
+        push = self._push_batch
         for node_id, events, watermark, last_index in merge_batches(
             self.flow,
             self.watermarks,
@@ -418,12 +318,15 @@ class SerialJob:
             cut_indices=cut_indices,
             cut_intervals=cut_intervals,
         ):
-            first_index = last_index - len(events) + 1
             if injector is not None:
-                self.events_in = first_index
+                self.events_in = first_index = last_index - len(events) + 1
                 injector.before_batch(first_index, last_index)
             self.events_in = last_index
-            self._inject_batch(node_id, events)
+            for channel in channels[node_id]:
+                if dropped and (node_id, channel.target_id) in dropped:
+                    continue
+                channel.frame_items(len(events))
+                push(channel.target_id, events, channel.port)
             if watermark is not None:
                 self._broadcast_watermark(watermark)
             instr.after_event(last_index, watermark is not None)

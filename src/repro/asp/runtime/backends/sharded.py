@@ -46,6 +46,7 @@ observe a sharded run exactly like a serial one.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import threading
@@ -66,9 +67,11 @@ from repro.asp.runtime.fault.recovery import (
     execute_round,
     run_lane,
 )
-from repro.asp.runtime.fault.store import log, pickle_payload
+from repro.asp.runtime.fault.store import pickle_payload
 from repro.asp.runtime.result import RunResult, merge_shard_results
 from repro.errors import ExecutionError, ShardabilityError
+
+log = logging.getLogger(__name__)
 
 try:  # cloudpickle ships lambdas; the inline mode works without it.
     import cloudpickle

@@ -83,11 +83,11 @@ def run_chaos_suite(
     ``report["ok"]`` is True only when every query passed serial-crash
     exactness and (where shardable) sharded-crash exactness.
 
-    ``batch_size > 1`` switches the *crashed* executions onto the batch
-    engine while the clean reference stays per-event, so the
-    byte-identity check then covers recovery *and* the batch engine in
-    one gate (batch cuts must land on the same consistent cuts as the
-    reference's between-event checkpoints).
+    ``batch_size`` sets the batch size of the *crashed* executions while
+    the clean reference runs batches of one, so with ``batch_size > 1``
+    the byte-identity check covers recovery *and* batch-size invariance
+    in one gate (batch cuts must land on the same consistent cuts as the
+    reference's checkpoints between single events).
     """
     from repro.mapping.advisor import recommend_options
     from repro.patterns import CATALOG

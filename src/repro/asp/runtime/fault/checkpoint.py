@@ -25,6 +25,7 @@ histogram (p95) accumulate across recovery attempts and surface in
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING, Any
 
 from repro.asp.graph import Dataflow
@@ -33,12 +34,13 @@ from repro.asp.runtime.clock import RuntimeClock
 from repro.asp.runtime.fault.store import (
     Checkpoint,
     CheckpointStore,
-    log,
     pickle_payload,
     unpickle_payload,
 )
 from repro.asp.runtime.observability import Histogram
 from repro.errors import ExecutionError
+
+log = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.backends.serial import SerialJob

@@ -102,24 +102,11 @@ class FaultInjector:
 
     # -- crash ------------------------------------------------------------
 
-    def before_event(self, events_in: int) -> None:
-        """Crash when a not-yet-fired crash spec matches this offset."""
-        for idx, spec in enumerate(self.plan.faults):
-            if spec.kind != "crash" or idx in self._fired:
-                continue
-            if spec.at_event == events_in:
-                self._fired.add(idx)
-                self.crashes_fired += 1
-                raise InjectedFaultError(
-                    f"injected crash before event {events_in}", at_event=events_in
-                )
-
     def pending_crash_offsets(self) -> list[int]:
         """1-based offsets of crash specs that have not fired yet.
 
-        The batched drive loop forces batch boundaries just before these
-        offsets so a crash fires at exactly the consistent cut the serial
-        reference would crash at.
+        The drive loop forces batch boundaries just before these offsets,
+        so a crash fires before its event, at a consistent cut.
         """
         return [
             spec.at_event

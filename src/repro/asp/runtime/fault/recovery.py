@@ -35,6 +35,7 @@ deterministic, and its journal records replace what the lost rounds wrote.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -43,10 +44,12 @@ from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.checkpoint import CheckpointCoordinator, restore_job_state
 from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
-from repro.asp.runtime.fault.store import CheckpointStore, InMemoryCheckpointStore, log
+from repro.asp.runtime.fault.store import CheckpointStore, InMemoryCheckpointStore
 from repro.asp.runtime.observability.registry import merge_metric_trees
 from repro.asp.runtime.result import RunResult
 from repro.errors import InjectedFaultError
+
+log = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.backends.serial import SerialBackend

@@ -29,7 +29,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 #: The logger of the serve path's lane decisions (no handler installed).
-log = logging.getLogger("repro.serve")
+log = logging.getLogger(__name__)
 
 
 class Checkpoint:

@@ -91,8 +91,9 @@ class FusedSegment:
 
     # -- data path --------------------------------------------------------
 
-    def process_batch(self, items: Sequence[Item]) -> list[Item]:
-        """Run one micro-batch through every stage of the chain."""
+    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
+        """Run one micro-batch through every stage of the chain (the
+        head is unary: ``port`` is always 0)."""
         self._batches += 1
         if not self._batches & LATENCY_SAMPLE_MASK:
             return self._process_sampled(items)

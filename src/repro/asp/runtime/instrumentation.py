@@ -99,8 +99,9 @@ class Instrumentation:
     # -- budget + sampling (the one check site) --------------------------
 
     def after_event(self, events_in: int, watermark_emitted: bool) -> None:
-        """The per-event checkpoint: one budget check even when the
-        watermark cadence and the sampling cadence coincide."""
+        """The check after each batch (``events_in`` is its last index):
+        one budget check even when the watermark cadence and the
+        sampling cadence coincide."""
         sample_due = events_in % self.sample_every == 0
         if watermark_emitted or sample_due:
             self._check_budget()

@@ -110,14 +110,18 @@ def merge_batches(
     triggers it, so event time advances after exactly the same event as
     in the per-event loop (:func:`merge_sources` plus ``observe``), and
     every event reaches its operators before the watermark that covers
-    it. The flow alone picks one of two merges:
+    it. ``batch_size`` and the flow pick one of three merges:
 
+    * **one event per batch** at ``batch_size == 1``: the merged stream
+      in arrival order. There is no run to grow and no cut to place, and
+      regrouping by window could reorder events without making a batch
+      bigger;
     * **per event**, when a source streams or is not time-sorted, and for
       a plan over several sources with an order-sensitive operator:
       batches are maximal runs of consecutive same-source events of the
-      merged stream, so batching never reorders the serial arrival
-      sequence — what keeps eagerly-emitting operators (interval joins,
-      the NSEQ UDF) byte-equivalent to per-event execution;
+      merged stream, so batching never reorders the arrival sequence —
+      what keeps eagerly-emitting operators (interval joins, the NSEQ
+      UDF) byte-equivalent to batches of one;
     * **by watermark window** (:func:`_merge_windows`), for every other
       plan: each window's events are delivered grouped per source, in
       source registration order, the triggering source last. Over one
@@ -129,11 +133,19 @@ def merge_batches(
 
     Runs are additionally capped at ``batch_size``, at multiples of every
     ``cut_intervals`` entry (checkpoint and sampling cadences must observe
-    exactly the event indices the serial reference observes), and at the
+    exactly the event indices batches of one observe), and at the
     explicit 1-based ``cut_indices`` (pending fault offsets). Events with
     index <= ``start_offset`` are skipped without being observed
     (checkpoint replay: the restored generator already saw them).
     """
+    observe = watermarks.generator.observe
+    if batch_size == 1:
+        for index, (node_id, event) in enumerate(
+            merge_sources(flow, start_offset), start=start_offset + 1
+        ):
+            yield node_id, [event], observe(event.ts), index
+        return
+
     cuts = sorted({c for c in cut_indices if c > start_offset})
     intervals = [iv for iv in cut_intervals if iv and iv > 0]
 
@@ -161,7 +173,6 @@ def merge_batches(
     batch_node = -1
     limit = 0
     last_index = start_offset
-    observe = watermarks.observe
     for index, (node_id, event) in enumerate(
         merge_sources(flow, start_offset), start=start_offset + 1
     ):
@@ -195,7 +206,7 @@ def _merge_windows(arrays, start, watermarks, limit_for, start_offset):
     its watermark is ``max(max_ts, ts) - ooo``, as ``observe`` says.
     Each batch is a slice ``events[i:stop]``, and the generator's state
     is written back before every yield, so checkpoints taken at batch
-    boundaries snapshot the per-event loop's progress.
+    boundaries snapshot what observing event by event would have left.
 
     Delivery order is fully deterministic, so replay from
     ``start_offset`` (in *delivery* index space) skips exactly the
@@ -316,10 +327,6 @@ class WatermarkService:
         # broadcast (most operators share a handful of delay values).
         self._memo_value: int | None = None
         self._memo: dict[int, Watermark] = {}
-
-    def observe(self, ts: int) -> Watermark | None:
-        """Record an event timestamp; return a watermark when one is due."""
-        return self.generator.observe(ts)
 
     def snapshot(self) -> dict[str, int]:
         """Checkpointable watermark progress (delegates to the generator)."""

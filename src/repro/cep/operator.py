@@ -11,7 +11,7 @@ cross-system differences" methodology (Section 5.1.1).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.asp.datamodel import Event
 from repro.asp.operators.base import Item, StatefulOperator
@@ -90,14 +90,17 @@ class CepOperator(StatefulOperator):
             self._nfas[key] = nfa
         return nfa
 
-    def process(self, item: Item, port: int = 0) -> Iterable[Item]:
-        if not isinstance(item, Event):
-            return ()
-        key = self.key_fn(item) if self.key_fn is not None else _GLOBAL
-        nfa = self._nfa_for(key)
-        out = nfa.process(item)
-        self.work_units += 1 + nfa.live_partial_matches() // max(1, len(self._nfas))
-        self.matches += len(out)
+    def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
+        out: list[Item] = []
+        key_fn = self.key_fn
+        for item in items:
+            if not isinstance(item, Event):
+                continue
+            nfa = self._nfa_for(_GLOBAL if key_fn is None else key_fn(item))
+            matches = nfa.process(item)
+            self.work_units += 1 + nfa.live_partial_matches() // max(1, len(self._nfas))
+            self.matches += len(matches)
+            out += matches
         return out
 
     def on_watermark(self, watermark: Watermark) -> Iterable[Item]:

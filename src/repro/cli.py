@@ -683,8 +683,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-restarts", type=int, default=3,
                      help="restarts allowed before the run fails (default 3)")
     run.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",
-                     help="micro-batch size of the FASP batch engine (default "
-                          f"{DEFAULT_BATCH_SIZE}; 1 = per-event reference path)")
+                     help="most events per micro-batch, >= 1 (default "
+                          f"{DEFAULT_BATCH_SIZE}; 1 = batches of one)")
     run.set_defaults(func=cmd_run)
 
     metrics = sub.add_parser("metrics",
@@ -750,10 +750,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--patterns", nargs="*", metavar="NAME",
                        help="restrict to these catalog patterns")
     chaos.add_argument("--batch-size", type=int, default=1, metavar="N",
-                       help="run the crashed executions on the batch engine "
-                            "(default 1 = per-event reference path); "
-                            "the clean reference stays per-event, so the "
-                            "byte-identity gate covers batching + recovery")
+                       help="most events per micro-batch of the crashed "
+                            "executions, >= 1 (default 1); the clean reference "
+                            "runs batches of one, so the byte-identity gate "
+                            "covers batch size + recovery")
     chaos.add_argument("--report", metavar="PATH",
                        help="write the structured chaos report as JSON")
     chaos.set_defaults(func=cmd_chaos)
@@ -796,8 +796,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-restarts", type=int, default=3,
                        help="per-job restart budget")
     serve.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",
-                       help="micro-batch size of processing rounds (default "
-                            f"{DEFAULT_BATCH_SIZE}; 1 = the per-event oracle; "
+                       help="most events per micro-batch of processing rounds "
+                            f"(default {DEFAULT_BATCH_SIZE}; 1 = batches of one; "
                             "per-job override: submit with \"batch_size\": N)")
     serve.add_argument("--max-out-of-orderness", type=int, default=0,
                        help="allowed event-time disorder of ingestion (ms)")

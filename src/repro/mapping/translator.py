@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - the analysis package sits above mapping
     from repro.analysis.diagnostics import AnalysisReport
     from repro.analysis.sharing import SharingReport
 
-log = logging.getLogger("repro.serve")
+log = logging.getLogger(__name__)
 
 
 def _binding_of(aliases: tuple[str, ...], events: tuple[Event, ...]) -> dict[str, Event]:
@@ -361,10 +361,10 @@ class _Compiler:
                     return False
             return True
 
-        # Generated row filter of the same conjunction; the batch
-        # engine's filter hot path picks it up (the per-event reference
-        # path keeps the tree-walking evaluator). ``None`` when a
-        # conjunct is outside the closed predicate AST.
+        # Generated row filter of the same conjunction; the filter
+        # operator runs it on every batch (``check`` stays the
+        # reference it is tested against). ``None`` when a conjunct is
+        # outside the closed predicate AST.
         check.keep = compile_mask(filters)  # type: ignore[attr-defined]
         if check.keep is None:  # type: ignore[attr-defined]
             log.debug("filter[%s] runs its closure per event: a conjunct has "

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import threading
 import time
 from collections import Counter, deque
@@ -61,7 +62,7 @@ from repro.asp.runtime import (
 from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
 from repro.asp.runtime.fault.injection import FaultPlan
-from repro.asp.runtime.fault.store import log, unpickle_payload
+from repro.asp.runtime.fault.store import unpickle_payload
 from repro.asp.runtime.observability import (
     MetricsRegistry,
     OperatorRecord,
@@ -84,6 +85,8 @@ from repro.runtime.service.events import (
 )
 from repro.runtime.service.state import ServiceState
 from repro.sea.parser import parse_pattern
+
+log = logging.getLogger(__name__)
 
 #: Admission policies for a full ingress queue.
 AdmissionPolicy = ("reject", "block")
@@ -146,7 +149,7 @@ class ServiceConfig:
     checkpoint_interval: int | None = 500
     #: Restart budget per job across its whole lifetime.
     max_restarts: int = 3
-    #: Engine of the rounds: 1 = per-event reference, > 1 = batch engine.
+    #: Most events per micro-batch of a round (1 = batches of one).
     batch_size: int = DEFAULT_BATCH_SIZE
     #: Allowed event-time disorder of the ingestion stream (ms).
     max_out_of_orderness: int = 0

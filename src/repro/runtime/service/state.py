@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import os
 import threading
 from pathlib import Path
 from typing import IO, Any, Iterator, Sequence
 
-from repro.asp.runtime.fault.store import log
+log = logging.getLogger(__name__)
 
 _MANIFEST = "job.json"
 _PROGRESS = "state.json"

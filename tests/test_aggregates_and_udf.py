@@ -21,7 +21,7 @@ def feed(op, events, final=True):
     op.setup(StateRegistry())
     out = []
     for e in events:
-        out.extend(op.process(e))
+        out.extend(op.process_batch([e]))
         out.extend(op.on_watermark(Watermark(e.ts - MIN)))
     if final:
         out.extend(op.on_watermark(Watermark.terminal()))
@@ -120,15 +120,15 @@ class TestNextOccurrenceUdf:
     def test_blocker_resolves_pending_with_its_ts(self):
         op = NextOccurrenceUdf("Q", "W", window_size=5 * MIN)
         op.setup(StateRegistry())
-        assert not list(op.process(Event("Q", ts=MIN)))
-        out = list(op.process(Event("W", ts=3 * MIN)))
+        assert not op.process_batch([Event("Q", ts=MIN)])
+        out = op.process_batch([Event("W", ts=3 * MIN)])
         assert len(out) == 1
         assert out[0][AUX_TS_ATTRIBUTE] == 3 * MIN
 
     def test_timeout_resolves_with_sentinel(self):
         op = NextOccurrenceUdf("Q", "W", window_size=5 * MIN)
         op.setup(StateRegistry())
-        op.process(Event("Q", ts=MIN))
+        op.process_batch([Event("Q", ts=MIN)])
         out = list(op.on_watermark(Watermark(MIN + 5 * MIN)))
         assert len(out) == 1
         assert out[0][AUX_TS_ATTRIBUTE] == MIN + 5 * MIN
@@ -136,39 +136,39 @@ class TestNextOccurrenceUdf:
     def test_watermark_before_deadline_keeps_pending(self):
         op = NextOccurrenceUdf("Q", "W", window_size=5 * MIN)
         op.setup(StateRegistry())
-        op.process(Event("Q", ts=MIN))
+        op.process_batch([Event("Q", ts=MIN)])
         assert not list(op.on_watermark(Watermark(3 * MIN)))
 
     def test_blocker_outside_window_does_not_resolve_early(self):
         op = NextOccurrenceUdf("Q", "W", window_size=2 * MIN)
         op.setup(StateRegistry())
-        op.process(Event("Q", ts=MIN))
-        out = list(op.process(Event("W", ts=10 * MIN)))
+        op.process_batch([Event("Q", ts=MIN)])
+        out = op.process_batch([Event("W", ts=10 * MIN)])
         # blocker past the deadline resolves by timeout semantics instead
         assert out and out[0][AUX_TS_ATTRIBUTE] == MIN + 2 * MIN
 
     def test_first_blocker_wins(self):
         op = NextOccurrenceUdf("Q", "W", window_size=10 * MIN)
         op.setup(StateRegistry())
-        op.process(Event("Q", ts=MIN))
-        out1 = list(op.process(Event("W", ts=2 * MIN)))
-        out2 = list(op.process(Event("W", ts=3 * MIN)))
+        op.process_batch([Event("Q", ts=MIN)])
+        out1 = op.process_batch([Event("W", ts=2 * MIN)])
+        out2 = op.process_batch([Event("W", ts=3 * MIN)])
         assert out1[0][AUX_TS_ATTRIBUTE] == 2 * MIN
         assert out2 == []  # already resolved
 
     def test_keyed_variant_only_blocks_same_id(self):
         op = NextOccurrenceUdf("Q", "W", window_size=5 * MIN, keyed=True)
         op.setup(StateRegistry())
-        op.process(Event("Q", ts=MIN, id=1))
-        assert not list(op.process(Event("W", ts=2 * MIN, id=2)))
-        out = list(op.process(Event("W", ts=3 * MIN, id=1)))
+        op.process_batch([Event("Q", ts=MIN, id=1)])
+        assert not op.process_batch([Event("W", ts=2 * MIN, id=2)])
+        out = op.process_batch([Event("W", ts=3 * MIN, id=1)])
         assert out and out[0][AUX_TS_ATTRIBUTE] == 3 * MIN
 
     def test_other_types_ignored(self):
         op = NextOccurrenceUdf("Q", "W", window_size=5 * MIN)
         op.setup(StateRegistry())
-        op.process(Event("Q", ts=MIN))
-        assert not list(op.process(Event("V", ts=2 * MIN)))
+        op.process_batch([Event("Q", ts=MIN)])
+        assert not op.process_batch([Event("V", ts=2 * MIN)])
 
     def test_watermark_delay_is_window(self):
         assert NextOccurrenceUdf("Q", "W", window_size=7).watermark_delay() == 7
@@ -182,6 +182,6 @@ class TestNextOccurrenceUdf:
         registry = StateRegistry()
         op.setup(registry)
         for i in range(10):
-            op.process(Event("Q", ts=i * MIN))
+            op.process_batch([Event("Q", ts=i * MIN)])
         op.on_watermark(Watermark.terminal())
         assert registry.total_items() == 0

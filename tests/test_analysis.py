@@ -352,8 +352,8 @@ class TestTimeCodes:
             def watermark_delay(self):
                 return minutes(2)
 
-            def process(self, item, port=0):
-                return (item,)
+            def process_batch(self, items, port=0):
+                return items
 
         flow = Dataflow(name="asym")
         fast = flow.add_source(ListSource([], name="fast", event_type="Q"))
@@ -374,8 +374,8 @@ class TestTimeCodes:
 class TestStateCodes:
     def test_ra301_stateful_without_horizon(self):
         class Hoarder(StatefulOperator):
-            def process(self, item, port=0):
-                return ()
+            def process_batch(self, items, port=0):
+                return []
 
         flow = linear_pipeline(
             ListSource([], name="s", event_type="Q"), [Hoarder(name="hoarder")]
@@ -603,8 +603,8 @@ class TestRecoverabilityCodes:
         from repro.analysis.recovery import flow_recovery_diagnostics
 
         class Amnesiac(StatefulOperator):
-            def process(self, item, port=0):
-                return ()
+            def process_batch(self, items, port=0):
+                return []
 
         flow = linear_pipeline(
             ListSource([], name="s", event_type="Q"), [Amnesiac(name="amnesiac")]
@@ -619,8 +619,8 @@ class TestRecoverabilityCodes:
         from repro.analysis.recovery import flow_recovery_diagnostics
 
         class HalfWay(StatefulOperator):
-            def process(self, item, port=0):
-                return ()
+            def process_batch(self, items, port=0):
+                return []
 
             def snapshot_state(self):
                 return {"work_units": self.work_units}

@@ -1,15 +1,15 @@
-"""Batch engine equivalence.
+"""Batch-size invariance.
 
-The batch engine (``batch_size > 1``: watermark-aligned micro-batches,
-fused stateless chains, generated row filters) is a
-pure execution-strategy change: for every catalog query it must emit the
-exact same match multiset as the per-event reference path
-(``batch_size == 1``), with identical ``events_in``/``items_out``,
-join-level ``pairs_emitted``, channel frame totals and peak state.
-Fused segments must preserve exact per-stage metrics, checkpoint/recovery
-and sharded runs must stay byte-identical, and a streaming source — where
-the engine falls back from the array merge to the per-event merge — must
-not change any of it.
+How the merged stream is cut into batches (watermark-aligned
+micro-batches of up to ``batch_size`` events, fused stateless chains,
+generated row filters) is a pure execution-strategy choice: for every
+catalog query a large batch size must emit the exact same match multiset
+as batches of one (``batch_size == 1``), with identical
+``events_in``/``items_out``, join-level ``pairs_emitted``, channel frame
+totals and peak state. Fused segments must keep exact per-stage counts,
+checkpoint/recovery and sharded runs must stay byte-identical, and a
+streaming source — where the engine falls back from the array merge to
+the per-event merge — must not change any of it.
 """
 
 import functools
@@ -44,7 +44,7 @@ SCALE_EVENTS = 900
 SCALE_SENSORS = 3
 SEED = 11
 
-#: Batch sizes exercised against the per-event reference: tiny odd
+#: Batch sizes exercised against batches of one: tiny odd
 #: batches (boundary churn), a mid size,
 #: the production size, and batches larger than the whole stream.
 BATCH_SIZES = [7, 64, 256, 1024]
@@ -128,7 +128,7 @@ def test_batched_channel_totals_match_serial():
 
 def test_batched_state_accounting_matches_reference():
     """Bulk ledger adjustments must report the exact same peak state
-    footprint as per-event accounting — the RA803 budget check and the
+    footprint as batches of one — the RA803 budget check and the
     peak-state gauges stay truthful."""
     run = _catalog_runs("traffic-congestion")
     ref, _, _ = run()
@@ -269,18 +269,22 @@ def _chain_env(values, batch_size):
     values=st.lists(
         st.floats(min_value=-100, max_value=100, allow_nan=False), max_size=120
     ),
-    batch_size=st.sampled_from([3, 17, 256]),
+    batch_size=st.sampled_from([1, 3, 17, 256]),
 )
-def test_fused_stage_metrics_equal_unfused(values, batch_size):
-    """Fusing a filter->map->filter chain never changes per-stage counts."""
-    fused_result, fused_sink = _chain_env(values, batch_size)
-    plain_result, plain_sink = _chain_env(values, 1)
-    assert [e.value for e in fused_sink.items] == [
-        e.value for e in plain_sink.items
-    ]
-    assert _stage_counts(fused_result) == _stage_counts(plain_result)
-    assert fused_result.metadata["fused_segments"] == ["nonneg+double+cap"]
-    assert plain_result.metadata["fused_segments"] == []
+def test_fused_stage_counts_follow_the_input(values, batch_size):
+    """A fused filter->map->filter chain keeps exact per-stage counts,
+    the ones the input dictates, at every batch size."""
+    result, sink = _chain_env(values, batch_size)
+    kept = [2.0 * v for v in values if v >= 0]
+    capped = [v for v in kept if v < 120]
+    assert [e.value for e in sink.items] == capped
+    assert _stage_counts(result) == {
+        "nonneg#1": (len(values), len(kept)),
+        "double#2": (len(kept), len(kept)),
+        "cap#3": (len(kept), len(capped)),
+        "collect-sink#4": (len(capped), 0),
+    }
+    assert result.metadata["fused_segments"] == ["nonneg+double+cap"]
 
 
 def test_fused_segment_composition_and_busy_attribution():
@@ -349,7 +353,7 @@ def test_random_patterns_batched_equals_reference(
     kind, threshold, window_minutes, batch_size, seed
 ):
     """Random patterns x batch sizes: identical matches and identical
-    channel frame totals against the per-event drive."""
+    channel frame totals against batches of one."""
     if kind == "seq":
         text = (
             f"PATTERN SEQ(Q a, V b) WHERE a.value > {threshold} "
@@ -415,7 +419,7 @@ def _schedules(draw):
         interval=interval,
         history=history,
         due=due,
-        batch_size=draw(st.integers(2, 256)),
+        batch_size=draw(st.integers(1, 256)),
         cut_indices=draw(st.lists(st.integers(1, 90), max_size=3)),
         cut_intervals=draw(st.sampled_from([(), (4,), (3, 10)])),
     )
@@ -425,8 +429,8 @@ def _schedules(draw):
 @given(case=_schedules())
 def test_merge_batches_delivers_what_the_per_event_loop_observes(case):
     """``merge_batches`` against ``merge_sources`` + ``observe``: the same
-    sequence over one source or for a strict plan, the same multiset per
-    watermark window for a regrouped one; every watermark after the same
+    sequence over one source, for a strict plan or in batches of one, the
+    same multiset per watermark window for a regrouped one; every watermark after the same
     event with the same value; the same final generator state; and every
     batch inside its size and cut bounds."""
     env = StreamEnvironment("contract")
@@ -489,7 +493,7 @@ def test_merge_batches_delivers_what_the_per_event_loop_observes(case):
     expected = ref_events[offset:]
     assert marks == ref_marks
     assert service.snapshot() == reference.snapshot_state()
-    if len(case["streams"]) == 1 or case["strict"]:
+    if len(case["streams"]) == 1 or case["strict"] or case["batch_size"] == 1:
         assert delivered == expected
     else:
         bounds = [0, *(mark - offset for mark in sorted(marks)), len(expected)]

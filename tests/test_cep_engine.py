@@ -241,7 +241,7 @@ class TestCepOperator:
         op.setup(StateRegistry())
         out = []
         for event in [ev("Q", 0), ev("V", 1)]:
-            out.extend(op.process(event))
+            out.extend(op.process_batch([event]))
         assert len(out) == 1
         assert op.matches == 1
 
@@ -251,15 +251,15 @@ class TestCepOperator:
         op.setup(StateRegistry())
         out = []
         for event in [ev("Q", 0, id=1), ev("V", 1, id=2), ev("V", 2, id=1)]:
-            out.extend(op.process(event))
+            out.extend(op.process_batch([event]))
         assert len(out) == 1  # only the same-key pair
 
     def test_watermark_prunes_all_nfas(self):
         sea = parse_pattern("PATTERN SEQ(Q a, V b) WITHIN 2 MINUTES")
         op = CepOperator(from_sea_pattern(sea), key_fn=lambda e: e.id)
         op.setup(StateRegistry())
-        op.process(ev("Q", 0, id=1))
-        op.process(ev("Q", 0, id=2))
+        op.process_batch([ev("Q", 0, id=1)])
+        op.process_batch([ev("Q", 0, id=2)])
         assert op.live_partial_matches() == 2
         op.on_watermark(Watermark(5 * MIN))
         assert op.live_partial_matches() == 0

@@ -84,9 +84,8 @@ class TestCliOptions:
 
 
 class TestEngineSelection:
-    """``--batch-size`` is the only engine selector: 1 drives the
-    per-event reference loop, anything larger the batch engine (which
-    always fuses stateless chains)."""
+    """``--batch-size`` only sets how many events a batch may hold: every
+    size runs the one drive loop, with stateless chains fused."""
 
     PATTERN = (
         "PATTERN OR(Q a, V b) WHERE a.value > 40 AND b.value > 40 "
@@ -97,14 +96,13 @@ class TestEngineSelection:
         from repro.asp.runtime.backends.serial import SerialJob
 
         drives, results = [], []
-        for name in ("_drive_serial", "_drive_batched"):
-            original = getattr(SerialJob, name)
+        original = SerialJob._drive_batched
 
-            def spy(job, _original=original, _name=name):
-                drives.append(_name)
-                return _original(job)
+        def spy(job):
+            drives.append("_drive_batched")
+            return original(job)
 
-            monkeypatch.setattr(SerialJob, name, spy)
+        monkeypatch.setattr(SerialJob, "_drive_batched", spy)
         original_run = SerialJob.run
 
         def run(job, *args, **kwargs):
@@ -120,15 +118,29 @@ class TestEngineSelection:
         assert rc == 0
         return drives, results[0]
 
-    def test_batch_size_one_is_the_reference_path(self, data_dir, monkeypatch):
-        drives, result = self._run(data_dir, monkeypatch, 1)
-        assert drives == ["_drive_serial"]
-        assert result.metadata["fused_segments"] == []
-
-    def test_batch_size_256_is_the_fused_batch_engine(self, data_dir, monkeypatch):
-        drives, result = self._run(data_dir, monkeypatch, 256)
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_every_batch_size_runs_the_one_fused_driver(
+        self, data_dir, monkeypatch, batch_size
+    ):
+        drives, result = self._run(data_dir, monkeypatch, batch_size)
         assert drives == ["_drive_batched"]
+        assert result.metadata["batch_size"] == batch_size
         assert result.metadata["fused_segments"]
+
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_non_positive_batch_size_is_a_usage_error(
+        self, data_dir, monkeypatch, capsys, batch_size
+    ):
+        from repro.asp.runtime.backends.serial import SerialJob
+
+        monkeypatch.setattr(SerialJob, "run", lambda job, *a, **k: pytest.fail("ran"))
+        rc = main([
+            "run", "-p", self.PATTERN, "--batch-size", batch_size,
+            "--stream", f"Q={data_dir}/Q.csv",
+            "--stream", f"V={data_dir}/V.csv",
+        ])
+        assert rc == 2
+        assert f"error: batch size must be >= 1, got {batch_size}" in capsys.readouterr().err
 
     def test_retired_engine_flags_are_rejected(self, capsys):
         for flag in ("--no-fusion", "--columnar"):

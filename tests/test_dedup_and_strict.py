@@ -22,37 +22,37 @@ class TestDedupOperator:
         op = DedupOperator(window_size=5 * MIN)
         op.setup(StateRegistry())
         ce = ComplexEvent((Event("Q", ts=0), Event("V", ts=MIN)))
-        assert list(op.process(ce)) == [ce]
-        assert list(op.process(ce)) == []
+        assert op.process_batch([ce]) == [ce]
+        assert op.process_batch([ce]) == []
         assert op.duplicates_dropped == 1
 
     def test_unordered_mode_collapses_permutations(self):
         op = DedupOperator(window_size=5 * MIN, unordered=True)
         op.setup(StateRegistry())
         q, v = Event("Q", ts=0), Event("V", ts=MIN)
-        assert list(op.process(ComplexEvent((q, v))))
-        assert not list(op.process(ComplexEvent((v, q))))
+        assert op.process_batch([ComplexEvent((q, v))])
+        assert not op.process_batch([ComplexEvent((v, q))])
 
     def test_ordered_mode_keeps_permutations(self):
         op = DedupOperator(window_size=5 * MIN)
         op.setup(StateRegistry())
         q, v = Event("Q", ts=0), Event("V", ts=MIN)
-        assert list(op.process(ComplexEvent((q, v))))
-        assert list(op.process(ComplexEvent((v, q))))
+        assert op.process_batch([ComplexEvent((q, v))])
+        assert op.process_batch([ComplexEvent((v, q))])
 
     def test_raw_events_deduplicated_too(self):
         op = DedupOperator(window_size=5 * MIN)
         op.setup(StateRegistry())
         e = Event("Q", ts=0, id=1, value=2.0)
-        assert list(op.process(e))
-        assert not list(op.process(Event("Q", ts=0, id=1, value=2.0)))
+        assert op.process_batch([e])
+        assert not op.process_batch([Event("Q", ts=0, id=1, value=2.0)])
 
     def test_watermark_evicts_old_keys(self):
         op = DedupOperator(window_size=2 * MIN)
         registry = StateRegistry()
         op.setup(registry)
         for i in range(20):
-            op.process(Event("Q", ts=i * MIN, value=float(i)))
+            op.process_batch([Event("Q", ts=i * MIN, value=float(i))])
             op.on_watermark(Watermark(i * MIN))
         assert registry.total_items() <= 4
 
@@ -62,9 +62,9 @@ class TestDedupOperator:
         op = DedupOperator(window_size=MIN)
         op.setup(StateRegistry())
         e = Event("Q", ts=0)
-        assert list(op.process(e))
+        assert op.process_batch([e])
         op.on_watermark(Watermark(10 * MIN))
-        assert list(op.process(Event("Q", ts=0)))
+        assert op.process_batch([Event("Q", ts=0)])
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

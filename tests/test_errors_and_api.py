@@ -53,6 +53,22 @@ class TestErrorHierarchy:
         exc = PatternSyntaxError("bad token")
         assert "line" not in str(exc)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_non_positive_batch_size_is_rejected_before_running(self, batch_size):
+        from repro.asp.operators.source import ListSource
+        from repro.asp.runtime import ExecutionSettings
+        from repro.mapping.translator import translate
+        from repro.sea.parser import parse_pattern
+
+        with pytest.raises(ExecutionError, match="batch size must be >= 1"):
+            ExecutionSettings(batch_size=batch_size)
+        source = ListSource([], event_type="Q")
+        query = translate(parse_pattern("PATTERN SEQ(Q a, Q b) WITHIN 5 MINUTES"),
+                          {"Q": source})
+        with pytest.raises(ExecutionError, match=f"got {batch_size}"):
+            query.execute(batch_size=batch_size)
+        assert source.emitted == 0
+
     def test_single_except_catches_everything(self):
         for exc_type in (SchemaError, TranslationError, WorkloadError):
             try:
@@ -104,10 +120,10 @@ class TestPublicApi:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
-    def test_operator_protocol_has_two_data_entry_points(self):
-        """An operator takes an item (``process``, the per-event oracle)
-        or a list of items (``process_batch``) — nothing else, and the
-        data model has no batch container for a third to take."""
+    def test_operator_protocol_has_one_data_entry_point(self):
+        """An operator takes a list of items (``process_batch``; a batch
+        of one is a batch) — nothing else, and the data model has no
+        batch container for a second entry point to take."""
         import importlib
         import inspect
         import pkgutil
@@ -128,7 +144,7 @@ class TestPublicApi:
             for cls in vars(module).values()
             if inspect.isclass(cls) and cls.__module__ == module.__name__
             for name in vars(cls)
-            if name.startswith("process_") and name != "process_batch"
+            if name.startswith("process") and name != "process_batch"
         )
         assert extra == []
         classes = {

@@ -53,9 +53,11 @@ class TestFig3Drivers:
     def test_fig3b_selectivity_sweep(self):
         rows = fig3b_selectivity(TINY, selectivities_pct=(0.1, 10.0))
         assert len({r.parameter for r in rows}) == 2
-        # FCEP degrades as selectivity rises
+        # FCEP degrades as selectivity rises because the NFA holds more
+        # partial matches: its peak state grows (deterministic counter,
+        # not wall-clock throughput).
         fcep = [r for r in rows if r.approach == "FCEP"]
-        assert fcep[0].throughput_tps > fcep[-1].throughput_tps
+        assert [r.peak_state_bytes for r in fcep] == [448, 2016]
 
     def test_fig3c_window_sweep(self):
         rows = fig3c_window_size(TINY, window_minutes=(10, 40))

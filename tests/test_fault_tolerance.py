@@ -240,9 +240,9 @@ class TestFaultPlans:
     def test_crash_fires_exactly_once(self):
         injector = FaultInjector(FaultPlan((FaultSpec("crash", at_event=5),)))
         with pytest.raises(InjectedFaultError) as exc_info:
-            injector.before_event(5)
+            injector.before_batch(5, 5)
         assert exc_info.value.at_event == 5
-        injector.before_event(5)  # replay past the same offset: no re-fire
+        injector.before_batch(5, 5)  # replay past the same offset: no re-fire
         assert injector.crashes_fired == 1
 
 

@@ -176,7 +176,7 @@ def test_block_admission_commits_a_read_before_it_waits(tmp_path, caplog):
             service._apply_lines(lines[start:start + 250], start + 1, summary)
 
     try:
-        with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
             sender = threading.Thread(target=send, daemon=True)
             sender.start()
             sender.join(timeout=60)
@@ -250,7 +250,7 @@ def test_a_rejected_run_is_logged_once_per_job(caplog):
     service = ReproService(manager)
     lines = [event_line(event, seq) for seq, event in enumerate(POOL[:40], start=1)]
     summary = _new_summary()
-    with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+    with caplog.at_level(logging.DEBUG, logger="repro"):
         service._apply_lines(lines, 1, summary)
     assert summary["accepted"] == 3 and summary["rejected"] > 0
     (record,) = [r for r in caplog.records if "rejected" in r.message]
@@ -309,7 +309,7 @@ def test_a_tear_inside_one_reads_append_ends_the_replay_there(tmp_path, caplog, 
     assert kept > durable  # the tear is inside the second read's records
 
     second = JobManager(config)
-    with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+    with caplog.at_level(logging.DEBUG, logger="repro"):
         second.resume()
     try:
         assert second.resumed["wal_events"] == kept

@@ -1,12 +1,13 @@
-"""The interval join's generated probe against the per-event path.
+"""The interval join's generated probe at every batch size.
 
 ``IntervalJoin.process_batch`` runs a probe function generated from the
 plan (shapes, order, residual conjuncts and composition inlined;
-``repro.asp.operators.join.probe_source``); ``IntervalJoin.process`` keeps
-the interpreted ``_test_and_emit``. Both must agree on everything
-observable: each join's emission *list* (order included), its counters,
-every slot of every emitted match, the match set of ``sea.semantics``
-and the errors a bad event raises.
+``repro.asp.operators.join.probe_source``). How the stream is cut into
+batches must change nothing observable: each join's emission *list*
+(order included), its counters and every slot of every emitted match
+agree at batch sizes 1, 7, 64 and 256; the match set is the one
+``sea.semantics`` gives, and a bad event raises what the ``theta``
+closure raises.
 """
 
 import copy
@@ -84,20 +85,19 @@ def record(join):
     """Log what ``join`` emits, slot by slot at emission time, and hold
     every emission against the generic constructor."""
     log = []
-    for name in ("process", "process_batch"):
-        inner = getattr(join, name)
+    inner = join.process_batch
 
-        def wrapped(*args, _inner=inner, **kwargs):
-            out = list(_inner(*args, **kwargs))
-            for ce in out:
-                generic = ComplexEvent(ce.events)
-                generic.ts = generic.ts_b if join.emit_ts == "min" else generic.ts_e
-                assert type(ce) is ComplexEvent
-                assert slots(ce) == slots(generic)
-                log.append(slots(ce))
-            return out
+    def wrapped(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        for ce in out:
+            generic = ComplexEvent(ce.events)
+            generic.ts = generic.ts_b if join.emit_ts == "min" else generic.ts_e
+            assert type(ce) is ComplexEvent
+            assert slots(ce) == slots(generic)
+            log.append(slots(ce))
+        return out
 
-        setattr(join, name, wrapped)
+    join.process_batch = wrapped
     return log
 
 
@@ -123,8 +123,8 @@ def run(pattern, streams, options, batch_size, **translate_kwargs):
     return query, logs, counters
 
 
-def assert_engines_agree(pattern, streams, options, **translate_kwargs):
-    """Per-event reference vs the generated probe at every batch size."""
+def assert_batch_sizes_agree(pattern, streams, options, **translate_kwargs):
+    """Batches of one against every other batch size, and the oracle."""
     reference, ref_logs, ref_counters = run(
         pattern, streams, options, 1, **translate_kwargs
     )
@@ -160,7 +160,7 @@ def catalog_cells():
 
 @pytest.mark.parametrize("pattern, options", catalog_cells())
 def test_catalog_pattern(pattern, options):
-    assert_engines_agree(pattern, _streams_for(pattern, 700, 3, 11), options)
+    assert_batch_sizes_agree(pattern, _streams_for(pattern, 700, 3, 11), options)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +175,7 @@ def test_catalog_pattern(pattern, options):
 )
 def test_batch_join_plans(pattern, options):
     streams = _streams_for(pattern, 900, 3, 11)
-    assert_engines_agree(pattern, streams, interval(options))
+    assert_batch_sizes_agree(pattern, streams, interval(options))
 
 
 # -- every shape pair, by construction and by generation -----------------------
@@ -199,7 +199,7 @@ SHAPED = {
 @pytest.mark.parametrize("shapes", sorted(SHAPED))
 def test_shape_pair(shapes):
     pattern = parse_pattern(SHAPED[shapes])
-    reference = assert_engines_agree(
+    reference = assert_batch_sizes_agree(
         pattern, by_type(make_stream(5)), TranslationOptions.o1()
     )
     root = reference.plan.root
@@ -213,7 +213,7 @@ def test_permuted_reorder_feeds_a_complex_shape():
     pattern = parse_pattern(
         "PATTERN SEQ(AND(Q a, V b), W c) WHERE a.value < c.value WITHIN 6 MINUTES"
     )
-    reference = assert_engines_agree(
+    reference = assert_batch_sizes_agree(
         pattern,
         by_type(make_stream(8)),
         TranslationOptions.o1(),
@@ -290,7 +290,7 @@ def test_random_chains(text, seed, optimize):
     kwargs = (
         {"cost_model": RatesModel({"Q": 10.0, "V": 1.0, "W": 0.1})} if optimize else {}
     )
-    assert_engines_agree(
+    assert_batch_sizes_agree(
         pattern, by_type(make_stream(seed, n=36)), TranslationOptions.o1(), **kwargs
     )
 
@@ -302,12 +302,8 @@ def feed(join, lefts, rights, batch_size):
     """Drive a bare operator: rights buffered first, then lefts probe."""
     out = []
     for port, items in ((1, rights), (0, lefts)):
-        if batch_size == 1:
-            for item in items:
-                out.extend(join.process(item, port))
-        else:
-            for i in range(0, len(items), batch_size):
-                out.extend(join.process_batch(items[i : i + batch_size], port))
+        for i in range(0, len(items), batch_size):
+            out.extend(join.process_batch(items[i : i + batch_size], port))
     return [slots(ce) for ce in out], (join.pairs_tested, join.pairs_emitted, join.work_units)
 
 
@@ -342,7 +338,8 @@ def test_handwritten_theta_runs_the_template_with_runtime_shapes():
 
 def test_missing_non_core_attribute_raises_the_same_schema_error():
     """NSEQ's guard reads ``a_ts``, an ``attrs`` entry: inlined as
-    ``l['a_ts']``, so an event without it fails as the closure does."""
+    ``l['a_ts']``, so an event without it fails as the ``theta`` closure
+    does."""
     pattern = parse_pattern("PATTERN SEQ(Q a, !W x, V b) WITHIN 6 MINUTES")
     sources = {t: ListSource([], event_type=t) for t in TYPES}
     join = interval_joins(
@@ -351,15 +348,14 @@ def test_missing_non_core_attribute_raises_the_same_schema_error():
     assert "l['a_ts'] >= r.ts" in join.theta.probe_plan.conjuncts
     bare_q, late_v = Event("Q", ts=0, id=1), Event("V", ts=MIN, id=1)
     errors = []
-    for batched in (False, True):
+    for generated in (False, True):
         fresh = copy.deepcopy(join)
         with pytest.raises(SchemaError) as err:
-            if batched:
+            if generated:
                 fresh.process_batch([bare_q], 0)
                 fresh.process_batch([late_v], 1)
             else:
-                list(fresh.process(bare_q, 0))
-                list(fresh.process(late_v, 1))
+                fresh.theta(bare_q, late_v)
         errors.append(str(err.value))
     assert errors[0] == errors[1] and "a_ts" in errors[0]
 
@@ -404,7 +400,7 @@ def lower_join(join_node, streams):
 def test_conjunct_without_inline_form_keeps_calling_theta(conjunct, reason):
     """A repeated-alias ITER-style self-join chain: the closure binds the
     *last* ``v``, which no positional expression says — so the probe
-    calls the closure, and still emits what the per-event path emits."""
+    calls the closure, and emits the brute-force count at every batch size."""
 
     def chain():
         inner = WindowJoin(
@@ -432,9 +428,8 @@ def test_conjunct_without_inline_form_keeps_calling_theta(conjunct, reason):
         results.append(
             (logs, [(j.pairs_tested, j.pairs_emitted, j.work_units) for j in joins])
         )
-        if batch_size > 1:
-            outer = [j for j in joins if j.theta.probe_plan.conjuncts is None]
-            assert len(outer) == 1 and "theta(l, r)" in outer[0]._probes[1].source
+        outer = [j for j in joins if j.theta.probe_plan.conjuncts is None]
+        assert len(outer) == 1 and "theta(l, r)" in outer[0]._probes[1].source
     assert all(r == results[0] for r in results[1:])
     values = [e.value for e in streams["V"]]
     stamps = [e.ts for e in streams["V"]]
@@ -452,8 +447,8 @@ def test_conjunct_without_inline_form_keeps_calling_theta(conjunct, reason):
 
 def test_a_fallback_to_the_closure_is_logged_once_per_scan_and_probe(caplog):
     """A scan filter without a source form and a probe that calls
-    ``theta()`` per pair each leave one DEBUG record on ``repro.serve``."""
-    caplog.set_level(logging.DEBUG, logger="repro.serve")
+    ``theta()`` per pair each leave one DEBUG record on their module's logger."""
+    caplog.set_level(logging.DEBUG, logger="repro")
     node = WindowJoin(
         StreamScan("Q", "q", (ValueBelow("q", 50),)), StreamScan("V", "v"),
         JoinKind.THETA, WindowStrategy.INTERVAL, True, 6 * MIN, MIN,
@@ -462,7 +457,7 @@ def test_a_fallback_to_the_closure_is_logged_once_per_scan_and_probe(caplog):
     env, sink = lower_join(node, by_type(make_stream(13, n=90)))
     assert not env.execute(watermark_interval=MIN, batch_size=64).failed
     assert sink.items
-    messages = [r.getMessage() for r in caplog.records if r.name == "repro.serve"]
+    messages = [r.getMessage() for r in caplog.records if r.name.startswith("repro.")]
     assert sum("filter[q] runs its closure" in m for m in messages) == 1
     assert sum("calls theta() per pair" in m for m in messages) == 2  # one per port
 
@@ -477,9 +472,9 @@ def test_probes_are_dropped_on_copy_and_pickle_and_rebuilt_on_first_use():
     query, _logs, _counters = run(pattern, streams, TranslationOptions.o1(), 64)
     (join,) = interval_joins(query.env.flow)
     assert all(probe is not None for probe in join._probes)
-    # (``record`` wrapped the instance's entry points with closures over
-    # the original; drop them so the copies are plain operators.)
-    del join.process, join.process_batch
+    # (``record`` wrapped the instance's entry point with a closure over
+    # the original; drop it so the copies are plain operators.)
+    del join.process_batch
     snapshot = join.snapshot_state()
     late = max(e.ts for evs in streams.values() for e in evs)
     batch = [Event("V", ts=late + i, id=1 + i % 3, value=1.0) for i in range(1, 9)]

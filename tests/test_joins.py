@@ -32,7 +32,7 @@ def drive_join(join, left, right, watermark_step=MIN):
         if last_wm is None or wm_due - last_wm >= watermark_step:
             out.extend(join.on_watermark(Watermark(wm_due)))
             last_wm = wm_due
-        out.extend(join.process(event, port=port))
+        out.extend(join.process_batch([event], port=port))
     out.extend(join.on_watermark(Watermark.terminal()))
     return out
 
@@ -118,7 +118,7 @@ class TestSlidingWindowJoin:
         join = SlidingWindowJoin(WindowSpec(MIN, MIN))
         join.setup(StateRegistry())
         with pytest.raises(ValueError):
-            join.process(Event("Q", ts=1), port=2)
+            join.process_batch([Event("Q", ts=1)], port=2)
 
     def test_watermark_delay_equals_window_size(self):
         join = SlidingWindowJoin(WindowSpec(5 * MIN, MIN))
@@ -158,15 +158,15 @@ class TestIntervalJoin:
     def test_eager_emission_on_arrival(self):
         join = IntervalJoin(IntervalBounds.sequence(5 * MIN))
         join.setup(StateRegistry())
-        assert not list(join.process(Event("Q", ts=MIN), port=0))
-        out = list(join.process(Event("V", ts=2 * MIN), port=1))
+        assert not join.process_batch([Event("Q", ts=MIN)], port=0)
+        out = join.process_batch([Event("V", ts=2 * MIN)], port=1)
         assert len(out) == 1
 
     def test_late_left_joins_buffered_right(self):
         join = IntervalJoin(IntervalBounds.conjunction(5 * MIN))
         join.setup(StateRegistry())
-        join.process(Event("V", ts=2 * MIN), port=1)
-        out = list(join.process(Event("Q", ts=3 * MIN), port=0))
+        join.process_batch([Event("V", ts=2 * MIN)], port=1)
+        out = join.process_batch([Event("Q", ts=3 * MIN)], port=0)
         assert len(out) == 1
 
     def test_keyed_interval_join(self):
@@ -176,16 +176,16 @@ class TestIntervalJoin:
             right_key=lambda e: e.id,
         )
         join.setup(StateRegistry())
-        join.process(Event("Q", ts=MIN, id=1), port=0)
-        assert not list(join.process(Event("V", ts=2 * MIN, id=2), port=1))
-        assert list(join.process(Event("V", ts=2 * MIN, id=1), port=1))
+        join.process_batch([Event("Q", ts=MIN, id=1)], port=0)
+        assert not join.process_batch([Event("V", ts=2 * MIN, id=2)], port=1)
+        assert join.process_batch([Event("V", ts=2 * MIN, id=1)], port=1)
 
     def test_eviction_by_watermark(self):
         join = IntervalJoin(IntervalBounds.sequence(2 * MIN))
         registry = StateRegistry()
         join.setup(registry)
         for i in range(50):
-            join.process(Event("Q", ts=i * MIN), port=0)
+            join.process_batch([Event("Q", ts=i * MIN)], port=0)
             join.on_watermark(Watermark(i * MIN))
         assert registry.total_items() <= 4
 

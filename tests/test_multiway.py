@@ -51,9 +51,9 @@ class TestOperator:
     def test_three_way_ordered(self):
         join = MultiWayWindowJoin(3, WindowSpec(5 * MIN, MIN), ordered=True)
         join.setup(StateRegistry())
-        join.process(Event("A", ts=0), port=0)
-        join.process(Event("B", ts=MIN), port=1)
-        join.process(Event("C", ts=2 * MIN), port=2)
+        join.process_batch([Event("A", ts=0)], port=0)
+        join.process_batch([Event("B", ts=MIN)], port=1)
+        join.process_batch([Event("C", ts=2 * MIN)], port=2)
         out = list(join.on_watermark(Watermark.terminal()))
         assert len(out) == 1
         assert [e.event_type for e in out[0].events] == ["A", "B", "C"]
@@ -61,16 +61,16 @@ class TestOperator:
     def test_order_violation_rejected(self):
         join = MultiWayWindowJoin(3, WindowSpec(5 * MIN, MIN), ordered=True)
         join.setup(StateRegistry())
-        join.process(Event("A", ts=2 * MIN), port=0)
-        join.process(Event("B", ts=MIN), port=1)
-        join.process(Event("C", ts=3 * MIN), port=2)
+        join.process_batch([Event("A", ts=2 * MIN)], port=0)
+        join.process_batch([Event("B", ts=MIN)], port=1)
+        join.process_batch([Event("C", ts=3 * MIN)], port=2)
         assert list(join.on_watermark(Watermark.terminal())) == []
 
     def test_unordered_cross_product(self):
         join = MultiWayWindowJoin(2, WindowSpec(5 * MIN, MIN), ordered=False)
         join.setup(StateRegistry())
-        join.process(Event("A", ts=2 * MIN), port=0)
-        join.process(Event("B", ts=MIN), port=1)
+        join.process_batch([Event("A", ts=2 * MIN)], port=0)
+        join.process_batch([Event("B", ts=MIN)], port=1)
         assert len(list(join.on_watermark(Watermark.terminal()))) == 1
 
     def test_keyed_join(self):
@@ -78,9 +78,9 @@ class TestOperator:
             2, WindowSpec(5 * MIN, MIN), ordered=True, key_fn=lambda e: e.id
         )
         join.setup(StateRegistry())
-        join.process(Event("A", ts=0, id=1), port=0)
-        join.process(Event("B", ts=MIN, id=2), port=1)
-        join.process(Event("B", ts=2 * MIN, id=1), port=1)
+        join.process_batch([Event("A", ts=0, id=1)], port=0)
+        join.process_batch([Event("B", ts=MIN, id=2)], port=1)
+        join.process_batch([Event("B", ts=2 * MIN, id=1)], port=1)
         out = list(join.on_watermark(Watermark.terminal()))
         assert len(out) == 1
         assert out[0].events[1].id == 1
@@ -91,9 +91,9 @@ class TestOperator:
             theta=lambda events: events[0].value < events[1].value,
         )
         join.setup(StateRegistry())
-        join.process(Event("A", ts=0, value=5.0), port=0)
-        join.process(Event("B", ts=MIN, value=1.0), port=1)
-        join.process(Event("B", ts=2 * MIN, value=9.0), port=1)
+        join.process_batch([Event("A", ts=0, value=5.0)], port=0)
+        join.process_batch([Event("B", ts=MIN, value=1.0)], port=1)
+        join.process_batch([Event("B", ts=2 * MIN, value=9.0)], port=1)
         out = list(join.on_watermark(Watermark.terminal()))
         assert len(out) == 1
         assert out[0].events[1].value == 9.0
@@ -106,7 +106,7 @@ class TestOperator:
         join = MultiWayWindowJoin(2, WindowSpec(MIN, MIN))
         join.setup(StateRegistry())
         with pytest.raises(ValueError):
-            join.process(Event("A", ts=0), port=5)
+            join.process_batch([Event("A", ts=0)], port=5)
 
     def test_watermark_delay(self):
         join = MultiWayWindowJoin(3, WindowSpec(7 * MIN, MIN))

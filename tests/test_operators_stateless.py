@@ -40,21 +40,21 @@ class TestItemHelpers:
 class TestFilterOperator:
     def test_passes_and_drops(self):
         op = FilterOperator(lambda e: e.value > 10)
-        assert list(op.process(Event("Q", ts=1, value=20))) == [Event("Q", ts=1, value=20)]
-        assert list(op.process(Event("Q", ts=2, value=5))) == []
+        assert op.process_batch([Event("Q", ts=1, value=20)]) == [Event("Q", ts=1, value=20)]
+        assert op.process_batch([Event("Q", ts=2, value=5)]) == []
         assert op.passed == 1 and op.dropped == 1
 
     def test_observed_selectivity(self):
         op = FilterOperator(lambda e: e.value > 0)
         assert op.observed_selectivity == 0.0
-        op.process(Event("Q", ts=1, value=1))
-        op.process(Event("Q", ts=2, value=-1))
+        op.process_batch([Event("Q", ts=1, value=1)])
+        op.process_batch([Event("Q", ts=2, value=-1)])
         assert op.observed_selectivity == 0.5
 
     def test_type_filter(self):
         op = TypeFilterOperator("Q")
-        assert list(op.process(Event("Q", ts=1)))
-        assert not list(op.process(Event("V", ts=1)))
+        assert op.process_batch([Event("Q", ts=1)])
+        assert not op.process_batch([Event("V", ts=1)])
 
     def test_stateless(self):
         assert not FilterOperator(lambda e: True).is_stateful
@@ -63,46 +63,46 @@ class TestFilterOperator:
 class TestMapOperators:
     def test_map_applies_fn(self):
         op = MapOperator(lambda e: e.with_attrs(value=e.value * 2))
-        (out,) = op.process(Event("Q", ts=1, value=3))
+        (out,) = op.process_batch([Event("Q", ts=1, value=3)])
         assert out.value == 6
 
     def test_flat_map_multiple_outputs(self):
         op = FlatMapOperator(lambda e: [e, e])
-        assert len(list(op.process(Event("Q", ts=1)))) == 2
+        assert len(op.process_batch([Event("Q", ts=1)])) == 2
 
     def test_flat_map_zero_outputs(self):
         op = FlatMapOperator(lambda e: [])
-        assert list(op.process(Event("Q", ts=1))) == []
+        assert op.process_batch([Event("Q", ts=1)]) == []
 
     def test_schema_align_renames(self):
         op = SchemaAlignOperator(renames={"value": "speed"})
-        (out,) = op.process(Event("V", ts=1, value=80.0))
+        (out,) = op.process_batch([Event("V", ts=1, value=80.0)])
         assert out["speed"] == 80.0
 
     def test_schema_align_rewrites_type(self):
         op = SchemaAlignOperator(target_type="UNIFIED")
-        (out,) = op.process(Event("V", ts=1))
+        (out,) = op.process_batch([Event("V", ts=1)])
         assert out.event_type == "UNIFIED"
 
     def test_schema_align_defaults_only_fill_missing(self):
         op = SchemaAlignOperator(defaults={"value": 1.0, "extra": 9})
-        (out,) = op.process(Event("V", ts=1, value=5.0))
+        (out,) = op.process_batch([Event("V", ts=1, value=5.0)])
         assert out.value == 5.0  # present: untouched
         assert out["extra"] == 9
 
     def test_schema_align_passes_complex_events(self):
         ce = ComplexEvent((Event("Q", ts=1),))
         op = SchemaAlignOperator(target_type="X")
-        assert list(op.process(ce)) == [ce]
+        assert op.process_batch([ce]) == [ce]
 
     def test_key_assign_uniform(self):
         op = KeyAssignOperator()
-        (out,) = op.process(Event("Q", ts=1))
+        (out,) = op.process_batch([Event("Q", ts=1)])
         assert out["partition_key"] == KeyAssignOperator.CARTESIAN_KEY
 
     def test_key_assign_custom(self):
         op = KeyAssignOperator(key_fn=lambda e: e.id)
-        (out,) = op.process(Event("Q", ts=1, id=7))
+        (out,) = op.process_batch([Event("Q", ts=1, id=7)])
         assert out["partition_key"] == 7
 
 
@@ -110,13 +110,13 @@ class TestUnionOperator:
     def test_forwards_from_all_ports(self):
         op = UnionOperator(arity=2)
         a, b = Event("Q", ts=1), Event("V", ts=2)
-        assert list(op.process(a, port=0)) == [a]
-        assert list(op.process(b, port=1)) == [b]
+        assert op.process_batch([a], port=0) == [a]
+        assert op.process_batch([b], port=1) == [b]
         assert op.counts == [1, 1]
 
     def test_invalid_port_rejected(self):
         with pytest.raises(ValueError):
-            UnionOperator(arity=2).process(Event("Q", ts=1), port=2)
+            UnionOperator(arity=2).process_batch([Event("Q", ts=1)], port=2)
 
     def test_invalid_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +150,6 @@ class TestKeyPartitioning:
 
     def test_key_by_operator_records_keys(self):
         op = KeyByOperator(key_by_attribute("id"))
-        op.process(Event("Q", ts=1, id=1))
-        op.process(Event("Q", ts=2, id=2))
+        op.process_batch([Event("Q", ts=1, id=1)])
+        op.process_batch([Event("Q", ts=2, id=2)])
         assert op.seen_keys == {1, 2}

@@ -245,7 +245,7 @@ class TestCrashWindows:
         rounds.run(ends[0])
         rounds.run(ends[1])
         torn_tail(rounds)
-        with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
             for upto in ends[2:]:
                 rounds.reopen()
                 rounds.run(upto, terminal=upto == ends[-1])
@@ -362,7 +362,7 @@ class TestOneFormatWhicheverModeCutIt:
             raise OSError("no spawn rights")
 
         monkeypatch.setattr(ShardedBackend, "_run_in_pool", staticmethod(broken))
-        with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
             result = rounds.run(len(EVENTS), terminal=True)
         assert result.metadata["mode"] == "inline"
         assert canonical_match_bytes(rounds.query.matches()) == clean_bytes()
@@ -444,10 +444,10 @@ class TestWhatTheServiceSaysAboutIt:
     def test_the_logger_tells_live_from_restored_and_a_whole_sink_payload(
         self, tmp_path, caplog
     ):
-        assert not logging.getLogger("repro.serve").handlers
+        assert not logging.getLogger("repro").handlers
         rounds = Rounds(DirectoryCheckpointStore(tmp_path / "lane"))
         ends = boundaries(3)
-        with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
             rounds.run(ends[0])
             rounds.run(ends[1])
             rounds.reopen()
@@ -465,7 +465,7 @@ class TestWhatTheServiceSaysAboutIt:
         old = Rounds(DirectoryCheckpointStore(scope))
         old.log.extend(EVENTS)
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
             old.run(len(EVENTS), terminal=True)
         adopted = [r.getMessage() for r in caplog.records if "whole-sink" in r.getMessage()]
         assert len(adopted) == 1 and f"offset={ends[2]}" in adopted[0]

@@ -41,7 +41,7 @@ from repro.runtime.service import JobManager, ServiceConfig, event_to_wire
 
 KEY = "id"
 INTERVAL = 100
-#: The per-event oracle and the engine ``repro run`` and ``serve`` default to.
+#: Batches of one, and the size ``repro run`` and ``serve`` default to.
 ENGINES = [1, DEFAULT_BATCH_SIZE]
 STREAMS = qnv_aq_workload(Scale(events=800, sensors=4, seed=7))
 

@@ -230,7 +230,7 @@ def test_every_round_says_why_it_ran(caplog):
     events = full_log(CASE)
     manager = JobManager(ServiceConfig(checkpoint_interval=None))
     job = manager.jobs[manager.submit(REQUEST)["id"]]
-    with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+    with caplog.at_level(logging.DEBUG, logger="repro"):
         for event in events[:3]:
             manager.ingest_event(event)
         manager.run_round(job, cut=False)

@@ -59,27 +59,27 @@ class TestSources:
 class TestSinks:
     def test_collect_sink(self):
         sink = CollectSink()
-        sink.process(Event("Q", ts=1))
+        sink.process_batch([Event("Q", ts=1)])
         assert sink.count == 1
         assert len(sink.items) == 1
 
     def test_collect_sink_matches_filter(self):
         sink = CollectSink()
-        sink.process(Event("Q", ts=1))
-        sink.process(ComplexEvent((Event("Q", ts=1), Event("V", ts=2))))
+        sink.process_batch([Event("Q", ts=1)])
+        sink.process_batch([ComplexEvent((Event("Q", ts=1), Event("V", ts=2)))])
         assert len(sink.matches()) == 1
         assert len(sink.unique_matches()) == 1
 
     def test_discard_sink_counts_only(self):
         sink = DiscardSink()
-        sink.process(Event("Q", ts=1))
+        sink.process_batch([Event("Q", ts=1)])
         assert sink.count == 1
         assert not hasattr(sink, "items")
 
     def test_callback_sink(self):
         seen = []
         sink = CallbackSink(seen.append)
-        sink.process(Event("Q", ts=1))
+        sink.process_batch([Event("Q", ts=1)])
         assert len(seen) == 1
 
     def test_latency_sink_records_nonnegative(self):
@@ -88,7 +88,7 @@ class TestSinks:
         sink = LatencySink()
         created = time.perf_counter()
         event = Event("Q", ts=1, attrs={"created_wall": created})
-        sink.process(ComplexEvent((event,)))
+        sink.process_batch([ComplexEvent((event,))])
         assert len(sink.latencies_s) == 1
         assert sink.latencies_s[0] >= 0
         assert sink.mean_latency_s() >= 0

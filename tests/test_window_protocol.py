@@ -5,8 +5,8 @@ implementation of explicit windowing; the sliding joins, the window
 aggregates and the exact Kleene operator only supply what happens inside
 one window. Every case here runs over all of them: the cursor's
 rewind-only-before-the-first-firing rule, the terminal-watermark guard,
-duplicate-free emission and eviction, ``process`` against
-``process_batch``, snapshot/restore, checkpoints written before the
+duplicate-free emission and eviction, whole runs against batches of
+one, snapshot/restore, checkpoints written before the
 protocol was shared, and arrival-stable ties.
 """
 
@@ -65,7 +65,7 @@ def feed(op, events):
     """Every event on every port, so each operator has something to emit."""
     for port in range(op.arity):
         for event in events:
-            assert list(op.process(event, port)) == []
+            assert op.process_batch([event], port) == []
 
 
 def workload(seed, steps=40):
@@ -89,6 +89,7 @@ def workload(seed, steps=40):
 
 
 def drive(op, steps, batched=False):
+    """Feed each run whole (``batched``) or as batches of one."""
     out = []
     for step in steps:
         if step[0] == "wm":
@@ -100,7 +101,7 @@ def drive(op, steps, batched=False):
             out.extend(op.process_batch(run, port))
         else:
             for event in run:
-                out.extend(op.process(event, port))
+                out.extend(op.process_batch([event], port))
     return [rep(item) for item in out]
 
 
@@ -161,22 +162,22 @@ def test_overlapping_windows_emit_once_and_state_stays_bounded(kind):
 
 @every_operator
 @pytest.mark.parametrize("seed", range(6))
-def test_process_batch_equals_process(kind, seed):
+def test_whole_runs_equal_batches_of_one(kind, seed):
     steps = workload(seed)
-    per_event, batched = make(kind), make(kind)
-    want = drive(per_event, steps)
+    by_one, batched = make(kind), make(kind)
+    want = drive(by_one, steps)
     assert drive(batched, steps, batched=True) == want
-    assert batched.snapshot_state() == per_event.snapshot_state()
-    assert ledger(batched) == ledger(per_event)
-    closing = [rep(item) for item in per_event.on_close()]
+    assert batched.snapshot_state() == by_one.snapshot_state()
+    assert ledger(batched) == ledger(by_one)
+    closing = [rep(item) for item in by_one.on_close()]
     assert want + closing
     assert [rep(item) for item in batched.on_close()] == closing
-    assert batched.collect_metrics() == per_event.collect_metrics()
-    assert ledger(batched) == ledger(per_event)
+    assert batched.collect_metrics() == by_one.collect_metrics()
+    assert ledger(batched) == ledger(by_one)
 
 
 @every_operator
-@pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+@pytest.mark.parametrize("batched", [False, True], ids=["batches-of-one", "batched"])
 @pytest.mark.parametrize("seed", range(4))
 def test_restore_into_a_fresh_instance_continues_identically(kind, seed, batched):
     steps = workload(seed)
@@ -270,7 +271,7 @@ def test_restores_a_checkpoint_the_parent_commit_wrote(kind, fired):
     assert again["windows_fired_flag"] is True
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+@pytest.mark.parametrize("batched", [False, True], ids=["batches-of-one", "batched"])
 def test_late_ties_keep_arrival_order_in_the_aggregate_buffer(batched):
     """A late event is buffered after every earlier arrival of its
     timestamp — as in the join and Kleene buffers — so an order-sensitive

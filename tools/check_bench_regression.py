@@ -63,11 +63,11 @@ PARITY_FLOOR = 0.7
 #: or above ``full-scale events`` the listed floors apply, parity
 #: everywhere else.
 #:
-#: * ``+batched`` — batch engine vs per-event reference. The headline
-#:   cells are filter-dominated (measured 12-18x with the generated row
-#:   filter; a closure per row reaches ~4x, so 8x trips if the generated
-#:   filter is lost); the
-#:   fig3a and metro-rush cells measured 3-6x. NSEQ1 is unlisted: its
+#: * ``+batched`` — batch size 256 vs batches of one, same drive loop.
+#:   The headline cells are filter-dominated: nearly every event is
+#:   dropped by the generated row filter, so the run is the fixed cost
+#:   per batch (measured 16-20x); the fig3a and metro-rush cells
+#:   measured 3-8x. NSEQ1 is unlisted: its
 #:   order-sensitive UDF pins the scheduler to strict arrival-order runs
 #:   where batching cannot help.
 #: * ``+opt`` — optimized vs default plan: the metrics-fed join reorder
@@ -88,7 +88,7 @@ SIBLING_FLOORS = (
             ("traffic-congestion", "metro-rush"): 2.0,
             ("stalled-traffic", "metro-rush"): 2.0,
         },
-        "batch engine vs per-event reference",
+        "batch size 256 vs batches of one",
     ),
     (
         "+opt",

@@ -6,9 +6,9 @@ ports, durable state dir, stdout/stderr captured to ``--log``), then
 drives it exactly like a tenant would:
 
 1. submit the catalog queries over the HTTP control API — as separate
-   jobs, or (``--group``) as one shared-scan tenant group, on the
-   server's default engine (the batch engine), plus one job whose
-   rounds run the per-event oracle (``"batch_size": 1``), and one
+   jobs, or (``--group``) as one shared-scan tenant group, at the
+   server's default batch size, plus one job whose rounds run batches
+   of one (``"batch_size": 1``), and one
    serial job of an order-sensitive query (the NSEQ
    ``congestion-cleared``, whose plan is not ``reorder_safe``: its
    batches must keep the arrival order);
@@ -78,10 +78,10 @@ QUERIES = ("traffic-congestion", "street-lighting-demand")
 #: The --sharded job: an O3-partitioned pattern the RA40x proof accepts.
 SHARDED_NAME = "sharded-id"
 SHARDED_PATTERN = "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES"
-#: Always-submitted per-event job: the same catalog query as one of the
-#: default (batch-engine) jobs, but its rounds run the per-event oracle
-#: — both engines are then held to the per-event one-shot reference,
-#: byte for byte, end to end through the service.
+#: Always-submitted job at batch size 1: the same catalog query as one of
+#: the default-size jobs, but its rounds run batches of one — both sizes
+#: are then held to the one-shot reference (itself batches of one), byte
+#: for byte, end to end through the service.
 PER_EVENT_NAME = "tc-per-event"
 PER_EVENT_QUERY = "traffic-congestion"
 #: Always-submitted serial job of an order-sensitive catalog query.
@@ -263,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                 "batch_size": 1,
             })
             jobs[PER_EVENT_NAME] = info["id"]
-            print(f"submitted {PER_EVENT_NAME} -> {info['id']} (per-event rounds)")
+            print(f"submitted {PER_EVENT_NAME} -> {info['id']} (batches of one)")
             info = client.submit(
                 {"name": ORDERED_QUERY, "query": ORDERED_QUERY, "backend": "serial"}
             )
