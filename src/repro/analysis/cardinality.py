@@ -37,6 +37,7 @@ from repro.mapping.optimizer.cost import (
     CostModel,
     NodeCost,
     StaticCostModel,
+    join_ordinals,
     predicate_selectivity,
 )
 from repro.mapping.optimizer.ir import (
@@ -312,21 +313,6 @@ def interpret_node(
     return bounds
 
 
-def _join_ordinals(root: PlanNode) -> dict[int, int]:
-    """Joins numbered in compile order (post-order, left before right),
-    matching the operator-scope numbering of the metrics report."""
-    ordinals: dict[int, int] = {}
-
-    def visit(node: PlanNode) -> None:
-        for child in node.inputs():
-            visit(child)
-        if isinstance(node, WindowJoin):
-            ordinals[id(node)] = len(ordinals)
-
-    visit(root)
-    return ordinals
-
-
 @dataclass(frozen=True)
 class CardinalityBounds:
     """Whole-plan result: per-node bounds in walk (pre-)order."""
@@ -358,7 +344,7 @@ class CardinalityBounds:
 def plan_bounds(plan: LogicalPlan, model: CostModel) -> CardinalityBounds:
     """Interpret a whole plan; one walk serves both precisions."""
     cache: dict[int, NodeBounds] = {}
-    ordinals = _join_ordinals(plan.root)
+    ordinals = join_ordinals(plan.root)
     prefixes = _unbounded_prefixes(plan)
     interpret_node(plan.root, model, cache, ordinals, prefixes)
     nodes = tuple((node.label(), cache[id(node)]) for node in plan.root.walk())
@@ -398,7 +384,7 @@ def plan_cardinality_diagnostics(
         model = StaticCostModel(registry)
     cache: dict[int, NodeBounds] = {}
     interpret_node(
-        plan.root, model, cache, _join_ordinals(plan.root), _unbounded_prefixes(plan)
+        plan.root, model, cache, join_ordinals(plan.root), _unbounded_prefixes(plan)
     )
     out: list[Diagnostic] = []
     nodes = [(node, cache[id(node)]) for node in plan.root.walk()]

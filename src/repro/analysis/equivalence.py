@@ -1,11 +1,11 @@
 """Plan-vs-plan equivalence invariants for optimizer rewrites (RA70x).
 
 The rewrite engine (:mod:`repro.mapping.optimizer.rewrite`) promises
-that output-preserving rules keep the optimized plan *byte-identical in
-output* to the phase-1 plan. Full semantic equivalence of stream plans
-is undecidable, so this verifier checks the structural invariants that
-every legal output-preserving rewrite in our rule inventory maintains —
-and that every known way to get the rewrite wrong violates:
+that its rules keep the optimized plan *byte-identical in output* to the
+phase-1 plan. Full semantic equivalence of stream plans is undecidable,
+so this verifier checks the structural invariants that every legal
+rewrite in our rule inventory maintains — and that every known way to
+get the rewrite wrong violates:
 
 * **RA701 — output composition.** The root's positional alias tuple must
   be exactly equal: matches are composed of the same events in the same
@@ -20,9 +20,9 @@ and that every known way to get the rewrite wrong violates:
   *how* a window is realized (sliding vs interval, O1) but never *what*
   time span it covers.
 
-Rules that intentionally change semantics (the O2 aggregate mapping)
-declare ``preserves_output = False`` and are exempt; they fire only when
-the caller opted into approximate output.
+The engine runs this check after every rule that fires; there is no
+exemption. Output-changing mappings (the approximate O2 count) are the
+caller's translation options, never a rewrite.
 """
 
 from __future__ import annotations

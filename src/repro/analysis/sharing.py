@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, error, warning
-from repro.mapping.optimizer.cost import predicate_selectivity
+from repro.mapping.optimizer.cost import ordered_filters
 from repro.mapping.optimizer.ir import LogicalPlan, StreamScan
 from repro.sea.predicates import Attr, Compare, Const, Predicate
 
@@ -229,13 +229,6 @@ class SharingReport:
         }
 
 
-def _normalize_filters(filters: Sequence[Predicate]) -> tuple[Predicate, ...]:
-    """Selectivity-then-text ordering — byte-compatible with the
-    ``order-scan-filters`` rewrite rule, so plans meet here whether or not
-    phase 2 ran on them."""
-    return tuple(sorted(filters, key=lambda p: (predicate_selectivity(p), p.render())))
-
-
 def scan_pipelines(
     query: str, plan: LogicalPlan, options: Any = None
 ) -> list[ScanPipeline]:
@@ -248,7 +241,7 @@ def scan_pipelines(
                 query=query,
                 alias=scan.alias,
                 event_type=scan.event_type,
-                filters=_normalize_filters(scan.filters),
+                filters=ordered_filters(scan.filters),
                 window_size=plan.window_size,
                 window_slide=plan.window_slide,
                 partition_attribute=partition,

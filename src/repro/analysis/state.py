@@ -80,8 +80,8 @@ def plan_state_diagnostics(
             # O2's γcount emits one approximate match per (key, window)
             # while the exact KleeneIterate operator enumerates the
             # same iterations exactly, under the same windowed state
-            # bound. Surfacing the trade keeps `allow_approximate` an
-            # informed opt-in rather than a silent output change.
+            # bound. Surfacing the trade keeps the `aggregate` iteration
+            # strategy an informed choice rather than a silent output change.
             out.append(
                 warning(
                     "RA304",
@@ -89,8 +89,8 @@ def plan_state_diagnostics(
                     "(one match per key and window); the exact "
                     "Kleene operator covers the same pattern with the same "
                     "bounded state — translate with "
-                    "iteration_strategy='exact' unless approximate output "
-                    "was deliberate (allow_approximate)",
+                    "iteration_strategy='exact' (--iter exact) unless "
+                    "approximate output was deliberate",
                     node.label(),
                 )
             )

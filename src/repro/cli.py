@@ -118,6 +118,15 @@ def _typed_sources(pattern, streams=None) -> dict[str, ListSource]:
     }
 
 
+def _cost_model_from_args(args: argparse.Namespace, registry):
+    """The ``--optimize``/``--profile-from`` pair as a cost model; a
+    missing or unreadable profile is a usage error, not a traceback."""
+    try:
+        return resolve_cost_model(args.optimize, registry, args.profile_from)
+    except (OSError, ValueError) as exc:
+        raise ReproError(str(exc)) from None
+
+
 def _explain_one(pattern, options, model) -> None:
     print(pattern.render())
     plan = translate(
@@ -139,7 +148,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.asp.datamodel import TypeRegistry
 
     registry = TypeRegistry.paper_default()
-    model = resolve_cost_model(args.optimize, registry, args.profile_from)
+    model = _cost_model_from_args(args, registry)
     if getattr(args, "catalog", False):
         from repro.patterns import CATALOG
 
@@ -207,10 +216,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.optimize != "off":
                 from repro.asp.datamodel import TypeRegistry
 
+                registry = TypeRegistry.paper_default()
                 translate_kwargs = {
-                    "registry": TypeRegistry.paper_default(),
-                    "optimize": args.optimize,
-                    "profile_from": args.profile_from,
+                    "registry": registry,
+                    "cost_model": _cost_model_from_args(args, registry),
                 }
 
             def fresh_query():
@@ -801,8 +810,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "per-job override: submit with \"batch_size\": N)")
     serve.add_argument("--max-out-of-orderness", type=int, default=0,
                        help="allowed event-time disorder of ingestion (ms)")
-    serve.add_argument("--optimize", choices=OPTIMIZE_MODES, default="off",
-                       help="optimizer mode applied to submitted queries")
+    serve.add_argument("--optimize", choices=("off", "static"), default="off",
+                       help="optimizer mode applied to submitted queries "
+                            "(no 'profile': serve has no metrics report)")
     serve.add_argument("--ready-file", metavar="PATH",
                        help="write bound ports as JSON once listening "
                             "(used by CI to wait for boot)")

@@ -22,9 +22,9 @@ Decision rules distilled from the paper's evaluation (Sections 4.3,
 * **O3** whenever the pattern carries key-match equalities (or the caller
   names a partition attribute): Equi Joins unlock parallelism and are
   "always preferable as join keys".
-* **O2** for iterations when the caller accepts approximate results —
-  the aggregation mapping won every iteration benchmark; mandatory for
-  unbounded (Kleene+) iterations.
+* **O2** for iterations — the aggregation mapping won every iteration
+  benchmark; mandatory for unbounded (Kleene+) iterations. A caller who
+  needs exact output sets ``iteration_strategy="exact"`` instead.
 * **O1** (interval joins) when the pattern's first stream is noticeably
   *less* frequent than the later ones (content-based windows are created
   per left event), or when the window is large relative to the slide
@@ -93,7 +93,6 @@ def recommend_options(
     statistics: dict[str, StreamStatistics] | None = None,
     registry: TypeRegistry | None = None,
     partition_attribute: str | None = None,
-    allow_approximate_iterations: bool = True,
 ) -> Recommendation:
     """Derive translation options from pattern + stream characteristics.
 
@@ -143,28 +142,19 @@ def recommend_options(
             f"O3: key-match predicates present ({rendered}); Equi Joins "
             "partition by key and parallelize (Section 4.3.3)"
         )
-        # auto_equi_keys is on by default — nothing else to flip.
+        # Phase 1 keys joins on WHERE equalities — nothing else to flip.
 
     # -- O2: aggregation-based iterations -----------------------------------------
     if features.iterations:
-        if features.has_unbounded_iteration:
-            options = replace(options, iteration_strategy="aggregate")
-            reasons.append(
-                "O2: unbounded (Kleene+) iteration has no join mapping "
-                "(Table 1); the windowed count is required"
-            )
-        elif allow_approximate_iterations:
-            options = replace(options, iteration_strategy="aggregate")
-            reasons.append(
-                "O2: aggregations dominated every iteration benchmark "
-                "(Sections 5.2.1-5.2.3); output is approximate "
-                "(one tuple per window)"
-            )
-        else:
-            reasons.append(
-                "iterations kept as self-joins: exact per-combination "
-                "output requested"
-            )
+        options = replace(options, iteration_strategy="aggregate")
+        reasons.append(
+            "O2: unbounded (Kleene+) iteration has no join mapping "
+            "(Table 1); the windowed count is required"
+            if features.has_unbounded_iteration
+            else "O2: aggregations dominated every iteration benchmark "
+            "(Sections 5.2.1-5.2.3); output is approximate "
+            "(one tuple per window)"
+        )
 
     # -- O1: interval vs sliding windows ----------------------------------------------
     joins_needed = features.joins_streams or (

@@ -100,11 +100,9 @@ def translate_many(
     options: TranslationOptions | Sequence[TranslationOptions] | None = None,
     sinks: Sequence[Sink] | None = None,
     optimize: str = "off",
-    profile_from: str | None = None,
     registry: TypeRegistry | None = None,
     analyze: bool = True,
     cost_model: CostModel | None = None,
-    allow_approximate: bool = False,
     rules=None,
 ) -> MultiQuery:
     """Map a batch of patterns into one shared dataflow.
@@ -130,9 +128,7 @@ def translate_many(
         registry=registry,
         analyze=analyze,
         optimize=optimize,
-        profile_from=profile_from,
         cost_model=cost_model,
-        allow_approximate=allow_approximate,
         rules=rules,
         scan_cache=shared_scans,
         sinks=sinks,

@@ -19,7 +19,7 @@ The options compose (the paper evaluates O1+O3 and O2+O3 in Figures 4–6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import OptimizationError
 from repro.mapping.plan import WindowStrategy
@@ -45,9 +45,6 @@ class TranslationOptions:
     #: Attribute shared by all events used as Equi-Join key (O3). The
     #: paper keys by the sensor ``id``.
     partition_attribute: str | None = None
-    #: Additionally honour explicit WHERE equalities like ``a.id = b.id``
-    #: as join keys instead of post-join theta predicates.
-    auto_equi_keys: bool = True
     #: Override the pattern's slide (experiments use 1 minute throughout).
     slide_override: int | None = None
     #: Let sliding window joins emit raw duplicates (Section 3.1.4 study).
@@ -132,9 +129,6 @@ class TranslationOptions:
             applied.append("O3")
         return "FASP" if not applied else "FASP-" + "+".join(applied)
 
-    def with_slide(self, slide: int) -> "TranslationOptions":
-        return replace(self, slide_override=slide)
-
 
 def iteration_requires_aggregate(node: Iteration) -> bool:
     """True when ``node`` has no join mapping and O2 is mandatory.
@@ -143,9 +137,9 @@ def iteration_requires_aggregate(node: Iteration) -> bool:
     the O2 windowed count); an *unbounded* iteration (Kleene+) has no
     join form — the paper maps it exclusively through O2's aggregate
     (Section 4.3.2). This predicate is the single authority consulted by
-    phase 1 of the compiler, the applicability checker, the O2 rewrite
-    rule and the advisor, so they can never disagree about which
-    iterations are forced onto the aggregate path.
+    phase 1 of the compiler, the applicability checker and the advisor,
+    so they can never disagree about which iterations are forced onto
+    the aggregate path.
     """
     return bool(node.minimum_occurrences)
 
@@ -183,7 +177,7 @@ def check_applicability(pattern: Pattern, options: TranslationOptions) -> list[s
                     "UDF variant (approximate, Section 4.3.2)"
                 )
 
-    if options.partition_attribute is None and options.auto_equi_keys:
+    if options.partition_attribute is None:
         _single, equi, _multi = classify_conjuncts(pattern.where)
         if equi:
             notes.append(

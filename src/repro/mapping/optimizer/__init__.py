@@ -33,7 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapping.optimizer.ir import LogicalPlan
     from repro.mapping.optimizer.rewrite import Rule
 
-#: The ``--optimize`` modes accepted by the CLI and ``translate()``.
+#: The ``--optimize`` modes of ``repro explain``/``run``; the compile
+#: entry points take ``off``/``static`` or a resolved ``cost_model``.
 OPTIMIZE_MODES = ("off", "static", "profile")
 
 #: Lazily-resolved re-exports: name -> defining submodule.
@@ -102,19 +103,16 @@ def optimize_plan(
     options: "TranslationOptions | None" = None,
     model: "CostModel | None" = None,
     *,
-    registry: "TypeRegistry | None" = None,
-    allow_approximate: bool = False,
     rules: "Sequence[Rule] | None" = None,
 ) -> "LogicalPlan":
     """Run phase 2: apply the rewrite rules under the given cost model.
 
-    Deterministic (same plan + options + model → same output) and, for
-    the default rule set without ``allow_approximate``, output-preserving
-    under the RA70x invariants. The returned plan carries the full
-    :class:`RuleTrace` in ``plan.trace``. Plans that did opt into the
-    approximate O2 mapping carry an RA304 lint warning, since the exact
-    Kleene operator (``iteration_strategy="exact"``) covers the
-    same patterns with the same bounded state.
+    ``model`` defaults to the static one. Deterministic (same plan +
+    options + model → same output) and output-preserving: the engine
+    checks the RA70x invariants after every rule that fires. The returned
+    plan carries the full :class:`RuleTrace` in ``plan.trace``. The
+    approximate O2 mapping is not a rewrite; it is the caller's
+    ``options.iteration_strategy``.
     """
     from repro.mapping.optimizations import TranslationOptions
     from repro.mapping.optimizer.cost import StaticCostModel
@@ -123,8 +121,6 @@ def optimize_plan(
 
     ctx = OptimizeContext(
         options=options or TranslationOptions(),
-        model=model or StaticCostModel(registry),
-        registry=registry,
-        allow_approximate=allow_approximate,
+        model=model or StaticCostModel(),
     )
     return optimize_by_rules(plan, tuple(rules or DEFAULT_RULES), ctx)

@@ -83,14 +83,8 @@ class _PlanBuilder:
         single, equi, multi = classify_conjuncts(pattern.where)
         self.single = single
         self.equi_rendered = tuple(c.render() for c in equi)
-        if options.auto_equi_keys:
-            self.pending_equi: list[Compare] = list(equi)
-            self.pending_multi: list[Predicate] = list(multi)
-        else:
-            # Equalities are not promoted to join keys: they behave like
-            # any other cross-alias theta predicate.
-            self.pending_equi = []
-            self.pending_multi = list(equi) + list(multi)
+        self.pending_equi: list[Compare] = list(equi)
+        self.pending_multi: list[Predicate] = list(multi)
         self.notes = check_applicability(pattern, options)
         self.iterations: list[IterationInfo] = []
 
@@ -154,12 +148,11 @@ class _PlanBuilder:
         consecutive_condition=None,
     ) -> WindowJoin:
         equi_keys = self._partition_keys(left, right)
-        if self.options.auto_equi_keys:
-            for key in self._take_equi_keys(left.aliases, right.aliases):
-                # The partition attribute may coincide with an explicit
-                # WHERE equality; key on it once.
-                if key not in equi_keys:
-                    equi_keys = equi_keys + (key,)
+        for key in self._take_equi_keys(left.aliases, right.aliases):
+            # The partition attribute may coincide with an explicit
+            # WHERE equality; key on it once.
+            if key not in equi_keys:
+                equi_keys = equi_keys + (key,)
         combined = left.aliases + right.aliases
         extra_theta = self._take_theta(combined)
         if equi_keys:

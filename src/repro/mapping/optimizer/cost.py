@@ -28,7 +28,7 @@ left pays (paper Section 4.3.1, 5.2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.asp.datamodel import TypeRegistry
 from repro.mapping.optimizer.ir import (
@@ -81,6 +81,14 @@ def predicate_selectivity(pred: Predicate) -> float:
         if pred.op in ("!=", "<>"):
             return NEQ_SELECTIVITY
     return DEFAULT_SELECTIVITY
+
+
+def ordered_filters(filters: Sequence[Predicate]) -> tuple[Predicate, ...]:
+    """The canonical order of a scan's conjuncts: most selective first,
+    rendered text as the tie-break. The ``order-scan-filters`` rule, the
+    sharability prover and the shared-scan cache all key on it, so scans
+    meet whether or not phase 2 ran on their plans."""
+    return tuple(sorted(filters, key=lambda p: (predicate_selectivity(p), p.render())))
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,7 @@ def estimate_node(
     return cache[id(node)]
 
 
-def _join_ordinals(root: PlanNode) -> dict[int, int]:
+def join_ordinals(root: PlanNode) -> dict[int, int]:
     """Joins numbered in *compile* order (post-order, left before right),
     matching the operator-scope numbering of the metrics report."""
     ordinals: dict[int, int] = {}
@@ -263,7 +271,7 @@ def _join_ordinals(root: PlanNode) -> dict[int, int]:
 def estimate_plan(plan: LogicalPlan, model: CostModel) -> PlanCost:
     """Price a whole plan; per-node costs listed in walk (pre-)order."""
     cache: dict[int, NodeCost] = {}
-    ordinals = _join_ordinals(plan.root)
+    ordinals = join_ordinals(plan.root)
     estimate_node(plan.root, model, cache, ordinals)
     nodes = tuple((node.label(), cache[id(node)]) for node in plan.root.walk())
     return PlanCost(
@@ -276,7 +284,7 @@ def estimate_plan(plan: LogicalPlan, model: CostModel) -> PlanCost:
 def subtree_out_rate(node: PlanNode, model: CostModel) -> float:
     """Estimated output rate of one subtree (used by reorder decisions)."""
     cache: dict[int, NodeCost] = {}
-    return estimate_node(node, model, cache, _join_ordinals(node)).out_rate
+    return estimate_node(node, model, cache, join_ordinals(node)).out_rate
 
 
 def subtree_rate_known(node: PlanNode, model: CostModel) -> bool:

@@ -8,9 +8,9 @@ alternatives with their cost estimates, so ``repro explain`` can show
 chosen-vs-rejected decisions, not just the winner).
 
 The engine is the correctness gate, not the rules: after every fired
-rule whose contract is output preservation, it re-checks the
-plan-equivalence invariants (:mod:`repro.analysis.equivalence`, RA70x)
-between the pre- and post-rewrite plans and raises
+rule it re-checks the plan-equivalence invariants
+(:mod:`repro.analysis.equivalence`, RA70x) between the pre- and
+post-rewrite plans and raises
 :class:`~repro.errors.OptimizationError` on any violation — a buggy rule
 fails loudly at plan time instead of silently changing query results.
 
@@ -24,15 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.errors import OptimizationError
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.optimizer.cost import CostModel, estimate_plan
 from repro.mapping.optimizer.ir import LogicalPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.asp.datamodel import TypeRegistry
 
 
 @dataclass(frozen=True)
@@ -41,11 +38,6 @@ class OptimizeContext:
 
     options: TranslationOptions
     model: CostModel
-    registry: "TypeRegistry | None" = None
-    #: Opt-in to output-changing rewrites (the O2 aggregate mapping emits
-    #: one approximate match per window). Off by default: the compiler's
-    #: contract is byte-identical output to the unoptimized plan.
-    allow_approximate: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,16 +65,12 @@ class RuleDecision:
 class Rule:
     """One rewrite rule. Subclasses implement :meth:`apply`.
 
-    ``preserves_output=True`` (the default) promises byte-identical query
-    output; the engine enforces the RA70x structural invariants after
-    every firing. Rules that intentionally change output semantics (O2)
-    set it to ``False`` and must gate themselves on
-    ``ctx.allow_approximate``.
+    Every rule promises byte-identical query output; the engine enforces
+    the RA70x structural invariants after every firing.
     """
 
     name = "abstract-rule"
     description = ""
-    preserves_output = True
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
         raise NotImplementedError
@@ -198,18 +186,17 @@ def optimize_by_rules(
             continue
         assert decision.plan is not None
         rewritten = decision.plan
-        if rule.preserves_output:
-            # Lazy import: repro.analysis imports the mapping layer, so a
-            # module-level import here would be circular.
-            from repro.analysis.equivalence import check_rewrite_invariants
+        # Lazy import: repro.analysis imports the mapping layer, so a
+        # module-level import here would be circular.
+        from repro.analysis.equivalence import check_rewrite_invariants
 
-            violations = check_rewrite_invariants(current, rewritten)
-            if violations:
-                details = "; ".join(d.message for d in violations)
-                raise OptimizationError(
-                    f"rewrite rule '{rule.name}' broke plan-equivalence "
-                    f"invariants: {details}"
-                )
+        violations = check_rewrite_invariants(current, rewritten)
+        if violations:
+            details = "; ".join(d.message for d in violations)
+            raise OptimizationError(
+                f"rewrite rule '{rule.name}' broke plan-equivalence "
+                f"invariants: {details}"
+            )
         applications.append(
             RuleApplication(
                 rule=rule.name,

@@ -16,20 +16,18 @@ Inventory, in application order:
 4.  :class:`ChooseIntervalWindows` — O1: flip sliding-window joins to
     interval joins when the left input is sparse or windows overlap
     heavily (the advisor's thresholds, applied per join).
-5.  :class:`ChooseAggregateIteration` — O2: replace a self-join chain
-    with the windowed count. Approximate by design, so it declines under
-    the default exact-output contract and only fires when the caller
-    opted into ``allow_approximate``.
-6.  :class:`AnnotateFusionSegments` — records the stateless stage runs
+5.  :class:`AnnotateFusionSegments` — records the stateless stage runs
     the batched engine will fuse into single passes; placement becomes
     auditable in ``repro explain`` without changing the plan shape.
-7.  :class:`AnnotateCompiledSegments` — records which scan filters the
+6.  :class:`AnnotateCompiledSegments` — records which scan filters the
     batch engine runs as one generated pass, with cardinality-interval
     justifications, and what each join's pair loop is; annotation only,
-    like rule 6.
+    like rule 5.
 
-Rules 1–4, 6 and 7 are output-preserving and run under the engine's
-RA70x invariant check; rule 5 declares ``preserves_output = False``.
+Every rule preserves output and runs under the engine's RA70x invariant
+check. O2 is not a rule: it changes the output contract (one approximate
+match per window), so the caller chooses it through
+``TranslationOptions.iteration_strategy`` and phase 1 maps it.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ from typing import Callable
 from repro.mapping.optimizer.cost import (
     MANY_WINDOWS_THRESHOLD,
     SPARSE_LEFT_RATIO,
-    estimate_plan,
-    predicate_selectivity,
+    join_ordinals,
+    ordered_filters,
     subtree_out_rate,
     subtree_rate_known,
 )
@@ -97,12 +95,7 @@ class OrderScanFilters(Rule):
         def rewrite(node: PlanNode) -> PlanNode:
             node = _rebuild(node, rewrite)
             if isinstance(node, StreamScan) and len(node.filters) > 1:
-                ordered = tuple(
-                    sorted(
-                        node.filters,
-                        key=lambda p: (predicate_selectivity(p), p.render()),
-                    )
-                )
+                ordered = ordered_filters(node.filters)
                 if ordered != node.filters:
                     changed.append(node.alias)
                     return dc_replace(node, filters=ordered)
@@ -343,162 +336,6 @@ class ChooseIntervalWindows(Rule):
         )
 
 
-def _iteration_chain(plan: LogicalPlan, alias: str) -> WindowJoin | None:
-    """The topmost self-join chain realizing iteration ``alias``, if any."""
-    prefix = f"{alias}["
-
-    def is_chain(node: PlanNode) -> bool:
-        if isinstance(node, StreamScan):
-            return node.alias.startswith(prefix)
-        if isinstance(node, WindowJoin):
-            return is_chain(node.left) and is_chain(node.right)
-        return False
-
-    for node in plan.root.walk():
-        if isinstance(node, WindowJoin) and is_chain(node):
-            return node
-    return None
-
-
-class ChooseAggregateIteration(Rule):
-    """O2: replace an iteration's self-join chain with a windowed count.
-
-    The aggregate mapping emits one *approximate* match per (key, window)
-    instead of one exact match per event combination — a different
-    output contract. Under the compiler's default byte-identical
-    guarantee this rule therefore always declines, recording the rejected
-    aggregate plan with both cost estimates; it fires only when the
-    caller opted into approximate output (``allow_approximate``), e.g.
-    via the advisor's recommendation flow.
-    """
-
-    name = "choose-aggregate-iteration"
-    description = "O2: windowed count instead of the m-way self-join"
-    preserves_output = False
-
-    def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
-        features = plan.features
-        if features is None or not features.iterations:
-            return RuleDecision.decline("pattern has no iteration")
-        candidates = []
-        for info in features.iterations:
-            chain = _iteration_chain(plan, info.alias)
-            if chain is not None:
-                candidates.append((info, chain))
-        if not candidates:
-            return RuleDecision.decline(
-                "iterations are already aggregate-mapped (no self-join chain)"
-            )
-
-        rewrites: list[str] = []
-        alternatives: list[str] = []
-        root = plan.root
-        for info, chain in candidates:
-            aggregate, problem = self._build_aggregate(chain, info, ctx)
-            if aggregate is None:
-                alternatives.append(
-                    f"iteration '{info.alias}': aggregate rejected — {problem}"
-                )
-                continue
-            candidate_plan = dc_replace(
-                plan, root=_substitute(root, chain, aggregate)
-            )
-            chain_cost = estimate_plan(plan, ctx.model).total_cpu
-            agg_cost = estimate_plan(candidate_plan, ctx.model).total_cpu
-            comparison = (
-                f"self-join chain est. {chain_cost:.3g} cpu vs aggregate "
-                f"est. {agg_cost:.3g} cpu"
-            )
-            if not ctx.allow_approximate:
-                alternatives.append(
-                    f"iteration '{info.alias}': aggregate plan rejected — "
-                    "exact-output contract (O2 emits one approximate match "
-                    f"per window); {comparison}"
-                )
-                continue
-            if agg_cost >= chain_cost:
-                alternatives.append(
-                    f"iteration '{info.alias}': aggregate plan rejected — "
-                    f"not estimated cheaper ({comparison})"
-                )
-                continue
-            root = _substitute(root, chain, aggregate)
-            rewrites.append(
-                f"iteration '{info.alias}' ({info.count}x "
-                f"{info.event_type}): replaced {info.count - 1} self-joins "
-                f"with γcount (O2, approximate); {comparison}"
-            )
-        if not rewrites:
-            reason = (
-                "exact-output contract keeps the self-join mapping "
-                "(enable approximate output to let O2 fire)"
-                if not ctx.allow_approximate
-                else "no iteration chain qualified for the aggregate mapping"
-            )
-            return RuleDecision.decline(reason, alternatives)
-        return RuleDecision.fire(
-            dc_replace(plan, root=root), "; ".join(rewrites), alternatives
-        )
-
-    @staticmethod
-    def _build_aggregate(
-        chain: WindowJoin, info, ctx: OptimizeContext
-    ) -> tuple[CountAggregate | None, str]:
-        scans = [n for n in chain.walk() if isinstance(n, StreamScan)]
-        joins = [n for n in chain.walk() if isinstance(n, WindowJoin)]
-        # Filters must apply uniformly to every repetition: a conjunct
-        # pinned to one index (v[2].value > x) has no aggregate form.
-        shared: tuple[Predicate, ...] = ()
-        for scan in scans:
-            uniform = tuple(
-                p for p in scan.filters if p.aliases() <= {info.alias} or not p.aliases()
-            )
-            if len(uniform) != len(scan.filters):
-                indexed = [p.render() for p in scan.filters if p not in uniform]
-                return None, (
-                    "per-repetition filters not expressible via O2: "
-                    + ", ".join(indexed)
-                )
-            shared = uniform
-        if any(j.extra_theta for j in joins):
-            rendered = [p.render() for j in joins for p in j.extra_theta]
-            return None, (
-                "cross-repetition theta predicates not expressible via O2: "
-                + ", ".join(rendered)
-            )
-        key_attribute = ctx.options.partition_attribute
-        for join in joins:
-            for (l_alias, l_attr), (r_alias, r_attr) in join.equi_keys:
-                if l_attr != r_attr or key_attribute not in (None, l_attr):
-                    return None, (
-                        "repetition equalities over differing attributes "
-                        f"({l_alias}.{l_attr} = {r_alias}.{r_attr})"
-                    )
-                key_attribute = l_attr
-        flavour = "udf" if info.condition_kind == "consecutive" else "count"
-        return (
-            CountAggregate(
-                input=StreamScan(info.event_type, info.alias, shared),
-                minimum=info.count,
-                window_size=chain.window_size,
-                window_slide=chain.window_slide,
-                key_attribute=key_attribute,
-                flavour=flavour,
-                condition=info.condition,
-            ),
-            "",
-        )
-
-
-def _substitute(root: PlanNode, target: PlanNode, replacement: PlanNode) -> PlanNode:
-    def rewrite(node: PlanNode) -> PlanNode:
-        if node is target:
-            return replacement
-        return _rebuild(node, rewrite)
-
-    return rewrite(root)
-
-
 class AnnotateFusionSegments(Rule):
     """Record the stateless stage runs the batch engine fuses.
 
@@ -574,13 +411,13 @@ class AnnotateCompiledSegments(Rule):
     description = "make generated-filter and join pair-loop placement explicit"
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
-        from repro.analysis.cardinality import interpret_node, _join_ordinals
+        from repro.analysis.cardinality import interpret_node
         from repro.mapping.translator import probe_plan
         from repro.sea.predicates import row_filter_source
 
         notes: list[str] = []
         cache: dict = {}
-        ordinals = _join_ordinals(plan.root)
+        ordinals = join_ordinals(plan.root)
         for node in plan.root.walk():
             if isinstance(node, WindowJoin):
                 if node.strategy is WindowStrategy.INTERVAL:
@@ -632,7 +469,6 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     PushResidualPredicates(),
     ReorderCommutativeJoin(),
     ChooseIntervalWindows(),
-    ChooseAggregateIteration(),
     AnnotateFusionSegments(),
     AnnotateCompiledSegments(),
 )

@@ -33,7 +33,7 @@ from repro.errors import ReproError, TranslationError
 from repro.mapping.optimizations import TranslationOptions, o2_threshold_met
 from repro.mapping.optimizer import optimize_plan, resolve_cost_model
 from repro.mapping.optimizer.build import build_plan
-from repro.mapping.optimizer.cost import CostModel, predicate_selectivity
+from repro.mapping.optimizer.cost import CostModel, ordered_filters
 from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
@@ -193,17 +193,6 @@ def _make_key_fn(
     return multi_key
 
 
-def _scan_signature(node: StreamScan) -> tuple[str, ...]:
-    """Rule-normalized filter signature — byte-compatible with the
-    sharability prover's :class:`~repro.analysis.sharing.ScanPipeline`."""
-    return tuple(
-        p.render()
-        for p in sorted(
-            node.filters, key=lambda p: (predicate_selectivity(p), p.render())
-        )
-    )
-
-
 def _attribute_key_fn(attribute: str | None) -> Callable[[Item], Any] | None:
     """Key extractor of a keyed n-ary join, aggregate or Kleene node:
     the partition attribute of the item's first event."""
@@ -313,7 +302,8 @@ class _Compiler:
     def _compile_scan(self, node: StreamScan) -> StreamHandle:
         if self._scan_cache is None:
             return self._filtered_scan(node)
-        key = (node.event_type, _scan_signature(node))
+        # Canonical conjunct order, the one the sharability prover keys on.
+        key = (node.event_type, tuple(p.render() for p in ordered_filters(node.filters)))
         handle = self._scan_cache.get(key)
         if handle is not None:
             return handle
@@ -665,9 +655,7 @@ def compile_patterns(
     registry: TypeRegistry | None = None,
     analyze: bool = True,
     optimize: str = "off",
-    profile_from: str | None = None,
     cost_model: CostModel | None = None,
-    allow_approximate: bool = False,
     rules=None,
     scan_cache: dict | None = None,
     sinks: Sequence[Sink] | None = None,
@@ -678,11 +666,10 @@ def compile_patterns(
     over one :class:`StreamEnvironment`:
 
     1. **build** each pattern's logical plan (Table 1);
-    2. **rewrite** it under the cost model that ``optimize`` (``"static"``
-       or ``"profile"``, the latter fed by the prior run's metrics report
-       ``profile_from``) or ``cost_model`` selects; ``"off"`` skips the
-       phase. Rewritten plans stay byte-identical in output unless
-       ``allow_approximate`` opts into O2;
+    2. **rewrite** it under ``cost_model``, or else the static model when
+       ``optimize`` is ``"static"``; ``"off"`` skips the phase. Rewritten
+       plans stay byte-identical in output (a metrics-fed model comes from
+       :func:`~repro.mapping.optimizer.resolve_cost_model`);
     3. **prove** which scan prefixes of different patterns are mergeable
        (:func:`~repro.analysis.sharing.prove_sharability`; a single
        pattern has nothing to prove);
@@ -720,21 +707,14 @@ def compile_patterns(
     model = (
         cost_model
         if cost_model is not None
-        else resolve_cost_model(optimize, registry, profile_from)
+        else resolve_cost_model(optimize, registry)
     )
     plans: list[LogicalPlan] = []
     for index, (pattern, opts) in enumerate(zip(patterns, per_pattern)):
         with _blame(index):
             plan = build_plan(pattern, opts, registry=registry)
             if model is not None:
-                plan = optimize_plan(
-                    plan,
-                    opts,
-                    model,
-                    registry=registry,
-                    allow_approximate=allow_approximate,
-                    rules=rules,
-                )
+                plan = optimize_plan(plan, opts, model, rules=rules)
         plans.append(plan)
 
     # Sharability proof: the compiler only merges what the prover proved.
@@ -793,9 +773,7 @@ def translate(
     registry: TypeRegistry | None = None,
     analyze: bool = True,
     optimize: str = "off",
-    profile_from: str | None = None,
     cost_model: CostModel | None = None,
-    allow_approximate: bool = False,
     rules=None,
 ) -> TranslatedQuery:
     """Map a CEP pattern onto an executable ASP dataflow (Section 4).
@@ -810,9 +788,7 @@ def translate(
         registry=registry,
         analyze=analyze,
         optimize=optimize,
-        profile_from=profile_from,
         cost_model=cost_model,
-        allow_approximate=allow_approximate,
         rules=rules,
     )
     return queries[0]

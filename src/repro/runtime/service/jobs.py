@@ -77,7 +77,6 @@ from repro.errors import (
 )
 from repro.mapping.multiquery import MultiQuery, translate_many
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.optimizer import OPTIMIZE_MODES
 from repro.runtime.service.events import (
     SourceTracker,
     event_from_wire,
@@ -153,7 +152,8 @@ class ServiceConfig:
     batch_size: int = DEFAULT_BATCH_SIZE
     #: Allowed event-time disorder of the ingestion stream (ms).
     max_out_of_orderness: int = 0
-    #: Optimizer mode applied at submit ("off"/"static"/"profile").
+    #: Optimizer mode applied at submit ("off"/"static"; serve has no
+    #: metrics report to feed "profile").
     optimize: str = "off"
     #: Durable state root (WAL, job manifests, per-job checkpoint
     #: subdirectories) enabling kill −9 → restart → resume; None keeps
@@ -171,7 +171,7 @@ class ServiceConfig:
             ("admission", AdmissionPolicy),
             ("job_backend", JobBackend),
             ("shard_mode", SHARD_MODES),
-            ("optimize", OPTIMIZE_MODES),
+            ("optimize", ("off", "static")),
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}")

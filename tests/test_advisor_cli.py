@@ -60,14 +60,9 @@ class TestAdvisor:
         rec = recommend_options(pattern)
         assert rec.options.iteration_strategy == "aggregate"
 
-    def test_exact_iterations_on_request(self):
-        pattern = parse_pattern("PATTERN ITER3(V v) WITHIN 15 MINUTES")
-        rec = recommend_options(pattern, allow_approximate_iterations=False)
-        assert rec.options.iteration_strategy == "join"
-
     def test_kleene_plus_forces_o2(self):
         pattern = parse_pattern("PATTERN ITER2+(V v) WITHIN 15 MINUTES")
-        rec = recommend_options(pattern, allow_approximate_iterations=False)
+        rec = recommend_options(pattern)
         assert rec.options.iteration_strategy == "aggregate"
         assert any("Kleene" in r for r in rec.reasons)
 

@@ -82,6 +82,27 @@ class TestCliOptions:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["explain", "--catalog"],
+        ["run", "-p", "PATTERN SEQ(Q a, V b) WITHIN 5 MINUTES"],
+    ])
+    def test_profile_without_report_is_a_usage_error(self, data_dir, capsys, command):
+        streams = ["--stream", f"Q={data_dir}/Q.csv", "--stream", f"V={data_dir}/V.csv"]
+        argv = command + (streams if command[0] == "run" else []) + ["--optimize", "profile"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "needs --profile-from" in err
+        assert "Traceback" not in err
+
+    def test_serve_refuses_profile_mode(self, capsys):
+        # serve has no metrics report to feed the profile cost model, so
+        # the mode is refused at parse time instead of on every submit.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--optimize", "profile"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
 
 class TestEngineSelection:
     """``--batch-size`` only sets how many events a batch may hold: every

@@ -176,14 +176,6 @@ class TestO3Strategy:
         assert plan.root.kind is JoinKind.EQUI
         assert len(plan.root.extra_theta) == 0  # consumed, not re-applied
 
-    def test_auto_equi_disabled_keeps_theta(self):
-        options = TranslationOptions(auto_equi_keys=False)
-        plan = plan_of(
-            "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 15 MINUTES", options
-        )
-        assert plan.root.kind is JoinKind.THETA
-        assert len(plan.root.extra_theta) == 1
-
 
 class TestPlanMisc:
     def test_slide_override(self):

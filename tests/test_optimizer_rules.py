@@ -3,8 +3,8 @@
 Each rewrite rule is exercised in isolation: one test per fire path and
 one per decline path, so a regression pinpoints the exact rule. The
 rewrite engine's contracts — determinism, full rule traces, and the
-RA70x structural-invariant gate on output-preserving rules — are tested
-at the bottom.
+RA70x structural-invariant gate on every fired rule — are tested at the
+bottom.
 """
 
 import dataclasses
@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.asp.datamodel import TypeRegistry
-from repro.errors import ReproError
+from repro.errors import OptimizationError
 from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.optimizer import optimize_plan, resolve_cost_model
 from repro.mapping.optimizer.build import build_plan
@@ -23,6 +23,7 @@ from repro.mapping.optimizer.cost import (
     RANGE_SELECTIVITY,
     ProfileCostModel,
     StaticCostModel,
+    ordered_filters,
     predicate_selectivity,
 )
 from repro.mapping.optimizer.ir import (
@@ -42,13 +43,13 @@ from repro.mapping.optimizer.rules import (
     DEFAULT_RULES,
     AnnotateCompiledSegments,
     AnnotateFusionSegments,
-    ChooseAggregateIteration,
     ChooseIntervalWindows,
     OrderScanFilters,
     PushResidualPredicates,
     ReorderCommutativeJoin,
 )
 from repro.analysis.equivalence import check_rewrite_invariants
+from repro.analysis.sharing import scan_pipelines
 from repro.asp.runtime.observability.costprofile import CostProfile
 from repro.sea.parser import parse_pattern
 
@@ -71,10 +72,33 @@ def plan_for(text, options=None):
     return build_plan(pattern, options or TranslationOptions())
 
 
-def ctx_for(model=None, options=None, **kwargs):
+def ctx_for(model=None, options=None):
     return OptimizeContext(
-        options or TranslationOptions(), model or StaticCostModel(), **kwargs
+        options or TranslationOptions(), model or StaticCostModel()
     )
+
+
+class DropFilters(Rule):
+    """A broken rule: strips every pushed-down scan filter of a binary
+    root, which the RA70x gate must catch."""
+
+    name = "drop-filters"
+    description = "evil: silently removes pushdown filters"
+
+    def apply(self, plan, ctx):
+        def strip(node):
+            if hasattr(node, "filters") and node.filters:
+                return dataclasses.replace(node, filters=())
+            return node
+
+        root = dataclasses.replace(
+            plan.root,
+            left=strip(plan.root.left),
+            right=strip(plan.root.right),
+        )
+        return RuleDecision.fire(
+            dataclasses.replace(plan, root=root), "dropped filters"
+        )
 
 
 class TestOrderScanFilters:
@@ -96,6 +120,24 @@ class TestOrderScanFilters:
         decision = OrderScanFilters().apply(plan, ctx_for())
         assert not decision.fired
         assert "already" in decision.reason
+
+    def test_rule_and_sharing_prover_share_one_order(self):
+        plan = plan_for(
+            "PATTERN SEQ(Q a, V b) WHERE a.value != 3 AND a.value > 40 "
+            "AND a.id > 7 WITHIN 7 MINUTES"
+        )
+        filters = plan.root.left.filters
+        expected = ordered_filters(filters)
+        assert [p.render() for p in expected] == [
+            "a.id > 7", "a.value > 40", "a.value != 3",
+        ]
+        decision = OrderScanFilters().apply(plan, ctx_for())
+        assert decision.plan.root.left.filters == expected
+        # The prover keys on the same order whether or not phase 2 ran.
+        (pipeline,) = [
+            p for p in scan_pipelines("q", plan) if p.alias == "a"
+        ]
+        assert pipeline.filters == expected
 
 
 class TestPushResidualPredicates:
@@ -206,27 +248,6 @@ class TestChooseIntervalWindows:
             plan, ctx_for(options=options)
         )
         assert not decision.fired
-
-
-class TestChooseAggregateIteration:
-    def test_is_declared_approximate(self):
-        assert ChooseAggregateIteration().preserves_output is False
-
-    def test_fires_when_approximation_allowed(self):
-        plan = plan_for("PATTERN ITER3(V v) WITHIN 10 MINUTES")
-        decision = ChooseAggregateIteration().apply(
-            plan, ctx_for(allow_approximate=True)
-        )
-        assert decision.fired
-        root = decision.plan.root
-        assert isinstance(root, CountAggregate)
-        assert root.minimum == 3
-
-    def test_declines_under_exact_output_contract(self):
-        plan = plan_for("PATTERN ITER3(V v) WITHIN 10 MINUTES")
-        decision = ChooseAggregateIteration().apply(plan, ctx_for())
-        assert not decision.fired
-        assert "exact" in decision.reason
 
 
 class TestAnnotateFusionSegments:
@@ -371,30 +392,40 @@ class TestRewriteEngine:
         assert names == [rule.name for rule in DEFAULT_RULES]
 
     def test_violating_rule_is_rejected(self):
-        class DropFilters(Rule):
-            name = "drop-filters"
-            description = "evil: silently removes pushdown filters"
-
-            def apply(self, plan, ctx):
-                def strip(node):
-                    if hasattr(node, "filters") and node.filters:
-                        return dataclasses.replace(node, filters=())
-                    return node
-
-                root = dataclasses.replace(
-                    plan.root,
-                    left=strip(plan.root.left),
-                    right=strip(plan.root.right),
-                )
-                return RuleDecision.fire(
-                    dataclasses.replace(plan, root=root), "dropped filters"
-                )
-
         plan = plan_for(
             "PATTERN SEQ(Q a, V b) WHERE a.value > 40 WITHIN 10 MINUTES"
         )
-        with pytest.raises(ReproError, match="predicate multiset"):
+        with pytest.raises(OptimizationError, match="predicate multiset"):
             optimize_by_rules(plan, (DropFilters(),), ctx_for())
+
+    def test_optimize_plan_gates_every_fired_rule(self):
+        plan = plan_for(
+            "PATTERN SEQ(Q a, V b) WHERE a.value > 40 WITHIN 10 MINUTES"
+        )
+        # Through the front door: no rule can opt out of the RA70x gate,
+        # and the error names the rule that broke the plan.
+        with pytest.raises(
+            OptimizationError, match="'drop-filters' broke .*predicate multiset"
+        ):
+            optimize_plan(
+                plan, TranslationOptions(), StaticCostModel(), rules=(DropFilters(),)
+            )
+
+    def test_iterations_keep_the_callers_strategy(self):
+        # O2 is the caller's output contract (`iteration_strategy`), not
+        # a rewrite: the optimizer keeps the exact self-join chain.
+        plan = plan_for("PATTERN ITER3(V v) WITHIN 10 MINUTES")
+        optimized = optimize_plan(plan, TranslationOptions(), StaticCostModel())
+        assert not any(
+            isinstance(node, CountAggregate) for node in optimized.root.walk()
+        )
+        assert optimized.explain() == optimize_plan(
+            plan_for("PATTERN ITER3(V v) WITHIN 10 MINUTES"),
+            TranslationOptions(iteration_strategy="join"),
+            StaticCostModel(),
+        ).explain()
+        names = {app.rule for app in optimized.trace.applications}
+        assert not any("aggregate" in name for name in names)
 
 
 class TestRewriteInvariants:

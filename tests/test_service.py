@@ -262,6 +262,7 @@ class TestSubmit:
             ({"query": 42}, "bad-query"),
             ({"query": {"x": 1}}, "bad-query"),
             ({"query": "traffic-congestion", "optimize": "warp"}, "bad-request"),
+            ({"query": "traffic-congestion", "optimize": "profile"}, "bad-request"),
             ({"query": "traffic-congestion", "admission": "drop"}, "bad-request"),
             ({"query": "traffic-congestion", "fault_plan": "nope"},
              "bad-fault-plan"),
@@ -271,6 +272,11 @@ class TestSubmit:
             with pytest.raises(ServiceError) as err:
                 manager.submit(body)
             assert err.value.code == code, body
+
+    def test_server_wide_optimize_is_off_or_static(self):
+        assert ServiceConfig(optimize="static").optimize == "static"
+        with pytest.raises(ValueError, match="optimize must be one of"):
+            ServiceConfig(optimize="profile")
 
 
 class TestRoundsEquivalence:
