@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 from repro.analysis.diagnostics import Diagnostic, error
 from repro.analysis.schema import scan_schema
 from repro.asp.datamodel import TypeRegistry
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
     LogicalPlan,

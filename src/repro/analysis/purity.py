@@ -373,7 +373,7 @@ def plan_purity_diagnostics(plan: Any) -> list[Diagnostic]:
     """Lint plan-level callables (iteration conditions) directly: the
     compiled closures only *call* them, so their bodies never reach the
     flow-level lint."""
-    from repro.mapping.plan import CountAggregate, WindowJoin
+    from repro.mapping.optimizer.ir import CountAggregate, WindowJoin
 
     out: list[Diagnostic] = []
     for node in plan.root.walk():

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Optional
 from repro.analysis.diagnostics import Diagnostic, error, warning
 from repro.asp.datamodel import Schema, TypeRegistry
 from repro.errors import SchemaError
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
     LogicalPlan,

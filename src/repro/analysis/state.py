@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.diagnostics import Diagnostic, error, warning
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
     LogicalPlan,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.diagnostics import Diagnostic, error, warning
 from repro.errors import GraphError
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
     LogicalPlan,

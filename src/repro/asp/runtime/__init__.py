@@ -9,8 +9,7 @@ model):
 * :mod:`~repro.asp.runtime.channels` — typed in-memory edges carrying
   item/watermark frames between operators (what connects a job);
 * :mod:`~repro.asp.runtime.instrumentation` — per-stage busy time,
-  state sampling and budget enforcement behind one hook interface
-  (what observes a job);
+  state sampling and budget enforcement (what observes a job);
 * :mod:`~repro.asp.runtime.observability` — typed metrics (counters,
   gauges, fixed-bucket latency histograms), per-operator telemetry and
   machine-readable run reports (how a job explains itself);
@@ -46,7 +45,7 @@ from repro.asp.runtime.fault import (
     open_lanes,
     parse_fault_plan,
 )
-from repro.asp.runtime.instrumentation import Instrumentation, SampleHook
+from repro.asp.runtime.instrumentation import Instrumentation
 from repro.asp.runtime.observability import (
     Counter,
     Gauge,
@@ -83,7 +82,6 @@ __all__ = [
     "RecoveryReport",
     "RunResult",
     "RuntimeClock",
-    "SampleHook",
     "SerialBackend",
     "ShardedBackend",
     "WatermarkService",

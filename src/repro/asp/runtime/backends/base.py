@@ -11,8 +11,8 @@ same two calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.asp.runtime.instrumentation import DEFAULT_SAMPLE_EVERY
 from repro.asp.runtime.result import RunResult
@@ -37,7 +37,6 @@ class ExecutionSettings:
     watermark_interval: int = MS_PER_MINUTE
     max_out_of_orderness: int = 0
     sample_every: int = DEFAULT_SAMPLE_EVERY
-    on_sample: Callable[[dict[str, Any]], None] | None = None
     #: Checkpoint every N source events (None disables checkpointing).
     checkpoint_interval: int | None = None
     #: Where checkpoints go (``repro.asp.runtime.fault.CheckpointStore``);
@@ -57,11 +56,6 @@ class ExecutionSettings:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ExecutionError(f"batch size must be >= 1, got {self.batch_size}")
-
-    def without_hooks(self) -> "ExecutionSettings":
-        """A copy safe to ship to another process (callables stripped;
-        samples still come back inside the shard's RunResult)."""
-        return replace(self, on_sample=None)
 
     @property
     def fault_tolerant(self) -> bool:

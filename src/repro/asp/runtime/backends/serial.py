@@ -32,9 +32,8 @@ from repro.asp.operators.base import Operator
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.channels import Channel, build_channels, channel_totals
 from repro.asp.runtime.clock import RuntimeClock
-from repro.asp.runtime.fusion import build_fused_segments
+from repro.asp.runtime.fusion import SAMPLE_SHIFT, build_fused_segments
 from repro.asp.runtime.instrumentation import Instrumentation
-from repro.asp.runtime.observability import LATENCY_SAMPLE_MASK
 from repro.asp.runtime.result import RunResult
 from repro.asp.runtime.scheduler import WatermarkService, merge_batches
 from repro.asp.state import StateRegistry
@@ -46,11 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.fault.injection import FaultInjector
     from repro.asp.runtime.fault.recovery import CrashHandler, Lane
 
-#: ``events_in >> _SAMPLE_SHIFT`` changes exactly when the counter
-#: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1``: the latency
-#: histogram's stride sample, whatever the batch size.
-_SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
-
 
 class SerialJob:
     """One prepared execution: flow + scheduler + channels + probes.
@@ -60,7 +54,7 @@ class SerialJob:
     loop over micro-batches of up to ``batch_size`` events (a batch of
     one is a batch). A job whose run withheld the terminal watermark can
     run again: it continues the same logical stream with whatever its
-    sources have gained since, and measures that run alone.
+    sources have gained since, and its counts go on from where they stood.
     """
 
     def __init__(
@@ -86,7 +80,6 @@ class SerialJob:
             flow,
             self.registry,
             sample_every=settings.sample_every,
-            on_sample=settings.on_sample,
             clock=self.clock,
         )
         self.channels: dict[int, list[Channel]] = build_channels(flow)
@@ -182,7 +175,7 @@ class SerialJob:
                 metrics.busy += elapsed
                 before = metrics.events_in
                 metrics.events_in = after = before + len(items)
-                if before >> _SAMPLE_SHIFT != after >> _SAMPLE_SHIFT:
+                if before >> SAMPLE_SHIFT != after >> SAMPLE_SHIFT:
                     metrics.latency.observe(elapsed / len(items))
                 if not outputs:
                     return

@@ -252,12 +252,11 @@ class ShardedBackend:
         terminal: bool,
         cut: bool,
     ) -> list[tuple[RunResult, SinkPayloads]]:
-        shipped = settings.without_hooks()
         blobs = []
         for flow, lane in zip(shard_flows, lanes):
             latest = lane.store.latest() if lane is not None else None
             state = lane.coordinator.load(latest) if latest is not None else None
-            blobs.append(cloudpickle.dumps((flow, shipped, state, terminal, cut)))
+            blobs.append(cloudpickle.dumps((flow, settings, state, terminal, cut)))
         pool = _shared_pool()
         futures = [pool.submit(_shard_entry, blob) for blob in blobs]
         outcomes: list[tuple[RunResult, SinkPayloads]] = []

@@ -56,8 +56,9 @@ def sink_outputs(flow: Dataflow) -> dict[int, list]:
 
 
 def capture_job_state(job: "SerialJob") -> dict[str, Any]:
-    """Everything a restarted job needs: offset, watermark, operators,
-    and how much of each sink's output the journal must give back."""
+    """Everything a restarted job needs: offset, watermark, operators and
+    their runtime counts, and how much of each sink's output the journal
+    must give back."""
     return {
         "offset": job.events_in,
         "items_out": job.items_out,
@@ -65,6 +66,10 @@ def capture_job_state(job: "SerialJob") -> dict[str, Any]:
         "operators": {
             node.node_id: node.operator.snapshot_state()
             for node in job.flow.operator_nodes()
+        },
+        "counts": {
+            node_id: metrics.snapshot()
+            for node_id, metrics in job.instrumentation.op_metrics.items()
         },
         "journalled": {n: len(kept) for n, kept in sink_outputs(job.flow).items()},
     }
@@ -74,10 +79,14 @@ def restore_job_state(
     job: "SerialJob", data: dict[str, Any], outputs: dict[int, list] | None = None
 ) -> None:
     """``outputs``: the journalled lists of the sinks ``data`` only counts
-    (a payload from before the journal carries them in its sink snapshots)."""
+    (a payload from before the journal carries them in its sink snapshots).
+    A payload without runtime counts leaves them at zero."""
     job.events_in = data["offset"]
     job.items_out = data["items_out"]
     job.watermarks.restore(data["watermark"])
+    op_metrics = job.instrumentation.op_metrics
+    for node_id, counts in data.get("counts", {}).items():
+        op_metrics[node_id].restore(counts)
     for node in job.flow.operator_nodes():
         snapshot = data["operators"][node.node_id]
         if outputs and node.node_id in outputs:

@@ -31,6 +31,11 @@ from typing import TYPE_CHECKING, Sequence
 from repro.asp.operators.base import Item, Operator
 from repro.asp.runtime.observability import LATENCY_SAMPLE_MASK
 
+#: ``events_in >> SAMPLE_SHIFT`` changes exactly when an operator's count
+#: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1``: the latency
+#: histogram's stride sample, fused or not, whatever the batch size.
+SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.graph import Dataflow, Node
     from repro.asp.runtime.channels import Channel
@@ -61,7 +66,6 @@ class FusedSegment:
         "busy",
         "_stages",
         "_clock",
-        "_batches",
         "_stage_busy",
     )
 
@@ -78,48 +82,41 @@ class FusedSegment:
         self.operators = [node.operator for node in nodes]
         self.name = "+".join(node.name for node in nodes)
         self._stages = [
-            (op.process_batch, m, channel)
-            for op, m, channel in zip(self.operators, metrics, interior_channels)
+            (index, op.process_batch, m, channel)
+            for index, (op, m, channel) in enumerate(
+                zip(self.operators, metrics, interior_channels)
+            )
         ]
         self._clock = clock
         #: Whole-segment busy seconds, accumulated by the caller around
         #: each :meth:`process_batch` invocation (two clock reads per
         #: batch — the entire point of fusing).
         self.busy = 0.0
-        self._batches = 0
         self._stage_busy = [0.0] * len(self._stages)
 
     # -- data path --------------------------------------------------------
 
     def process_batch(self, items: Sequence[Item], port: int = 0) -> list[Item]:
         """Run one micro-batch through every stage of the chain (the
-        head is unary: ``port`` is always 0)."""
-        self._batches += 1
-        if not self._batches & LATENCY_SAMPLE_MASK:
-            return self._process_sampled(items)
-        for fn, metrics, channel in self._stages:
-            metrics.events_in += len(items)
-            items = fn(items, 0)
-            if not items:
-                return []
-            metrics.events_out += len(items)
-            if channel is not None:
-                channel.frame_items(len(items))
-        return list(items) if not isinstance(items, list) else items
+        head is unary: ``port`` is always 0).
 
-    def _process_sampled(self, items: Sequence[Item]) -> list[Item]:
-        """The stride-sampled variant: per-stage clock reads feed the
-        stage latency histograms and the busy-time attribution weights."""
+        A stage is timed when its ``events_in`` crosses a multiple of
+        ``LATENCY_SAMPLE_MASK + 1`` — the stride sample of an unfused
+        hop — and the timing feeds the stage's latency histogram and the
+        busy-time attribution weights."""
         now = self._clock.now
-        stage_busy = self._stage_busy
-        for i, (fn, metrics, channel) in enumerate(self._stages):
+        for index, fn, metrics, channel in self._stages:
             n_in = len(items)
-            metrics.events_in += n_in
-            start = now()
-            items = fn(items, 0)
-            elapsed = now() - start
-            stage_busy[i] += elapsed
-            metrics.latency.observe(elapsed / n_in)
+            before = metrics.events_in
+            metrics.events_in = after = before + n_in
+            if before >> SAMPLE_SHIFT == after >> SAMPLE_SHIFT:
+                items = fn(items, 0)
+            else:
+                start = now()
+                items = fn(items, 0)
+                elapsed = now() - start
+                self._stage_busy[index] += elapsed
+                metrics.latency.observe(elapsed / n_in)
             if not items:
                 return []
             metrics.events_out += len(items)
@@ -136,11 +133,11 @@ class FusedSegment:
         is zeroed."""
         total = sum(self._stage_busy)
         if total > 0.0:
-            for (_fn, metrics, _ch), sampled in zip(self._stages, self._stage_busy):
+            for (_i, _fn, metrics, _ch), sampled in zip(self._stages, self._stage_busy):
                 metrics.busy += self.busy * (sampled / total)
         elif self._stages:
             share = self.busy / len(self._stages)
-            for _fn, metrics, _ch in self._stages:
+            for _i, _fn, metrics, _ch in self._stages:
                 metrics.busy += share
         self.busy = 0.0
         for i in range(len(self._stage_busy)):

@@ -5,11 +5,13 @@ behind one narrow surface:
 
 * per-stage exclusive busy time (the pipeline-parallel throughput model
   — a pipelined job is bounded by its busiest stage);
-* periodic metric sampling (state bytes / work units — Figure 5),
-  delivered to a :class:`SampleHook` so consumers like
-  :class:`repro.runtime.metrics.TimeSeriesHook` can observe a run live;
+* periodic metric sampling (state bytes / work units — Figure 5) into
+  ``RunResult.samples``;
 * state-budget enforcement (raises
   :class:`~repro.errors.MemoryExhaustedError`, the FCEP failure mode).
+
+Busy time and samples are per run; the per-operator counts are totals of
+the job (:mod:`~repro.asp.runtime.observability.operator_metrics`).
 
 Budget checks ride two cadences — every watermark, so short runs with
 fewer events than ``sample_every`` still observe state growth, and every
@@ -20,7 +22,7 @@ both pays for one check, not two.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable
 
 from repro.asp.graph import Dataflow
 from repro.asp.runtime.clock import RuntimeClock
@@ -29,13 +31,6 @@ from repro.asp.state import StateRegistry
 
 #: How many events between budget checks / metric samples.
 DEFAULT_SAMPLE_EVERY = 1_000
-
-
-@runtime_checkable
-class SampleHook(Protocol):
-    """Anything that wants to observe metric samples as they are taken."""
-
-    def __call__(self, sample: dict[str, Any]) -> None: ...
 
 
 class Instrumentation:
@@ -47,7 +42,6 @@ class Instrumentation:
         registry: StateRegistry,
         *,
         sample_every: int = DEFAULT_SAMPLE_EVERY,
-        on_sample: SampleHook | Callable[[dict[str, Any]], None] | None = None,
         clock: RuntimeClock | None = None,
     ):
         self.flow = flow
@@ -57,11 +51,11 @@ class Instrumentation:
         # coherently in samples, busy time and latency percentiles.
         self._clock = clock or RuntimeClock()
         self.sample_every = max(1, sample_every)
-        self.on_sample = on_sample
         self.samples: list[dict[str, Any]] = []
         self._operator_nodes = flow.operator_nodes()
         #: Per-operator telemetry (busy time, events in/out, latency
-        #: histogram), updated inline by the executing backend.
+        #: histogram), updated inline by the executing backend; a
+        #: checkpoint carries all of it but the busy time.
         self.op_metrics: dict[int, OperatorMetrics] = {
             node.node_id: OperatorMetrics(
                 f"{node.name}#{node.node_id}", node.operator.kind
@@ -74,16 +68,13 @@ class Instrumentation:
     # -- busy time -------------------------------------------------------
 
     def start_run(self) -> float:
-        """Open a run. Measurement is per run: a job that runs again (a
-        serve lane's next round) starts from empty samples, zeroed
-        operator metrics and state peaks at their current level, which
-        is where a job freshly restored from this job's checkpoint
-        would start."""
+        """Open a run: empty samples, zero busy time, a new wall clock.
+        The operator counts and the state peaks go on from where the job
+        stands."""
         self.samples = []
         self.budget_checks = 0
         for metrics in self.op_metrics.values():
-            metrics.reset()
-        self.registry.reset_peaks()
+            metrics.busy = 0.0
         self._started = self._clock.now()
         return self._started
 
@@ -134,8 +125,6 @@ class Instrumentation:
             "work_units": self.total_work_units(),
         }
         self.samples.append(sample)
-        if self.on_sample is not None:
-            self.on_sample(sample)
         return sample
 
     def total_work_units(self) -> int:
@@ -144,8 +133,8 @@ class Instrumentation:
     def operator_records(
         self, watermark_delays: dict[int, int] | None = None
     ) -> dict[str, OperatorRecord]:
-        """This run's per-operator numbers by ``name#node_id`` scope (the
-        typed tree is built from them when the result's metrics are read)."""
+        """The per-operator numbers by ``name#node_id`` scope (the typed
+        tree is built from them when the result's metrics are read)."""
         delays = watermark_delays or {}
         return {
             (metrics := self.op_metrics[node.node_id]).scope: metrics.record(

@@ -27,7 +27,6 @@ from repro.asp.runtime.observability.operator_metrics import (
     LATENCY_SAMPLE_MASK,
     OperatorMetrics,
     OperatorRecord,
-    add_operator_records,
     operator_metrics_tree,
 )
 from repro.asp.runtime.observability.registry import (
@@ -63,7 +62,6 @@ __all__ = [
     "OperatorRecord",
     "ScanObservation",
     "ScopedMetrics",
-    "add_operator_records",
     "fold_metric_tree",
     "load_report",
     "merge_metric_trees",

@@ -7,11 +7,16 @@ without touching its data path. Operators contribute their *specialized*
 counters (pairs tested, windows fired, NFA matches) through
 :meth:`~repro.asp.operators.base.Operator.collect_metrics`, which this
 module records beside them at the end of a run.
+
+Every count is a total over the stream prefix the job has processed:
+the backend's counts travel in the checkpoint next to the operator's
+own state (:meth:`OperatorMetrics.snapshot`), so a restored job, a
+crashed run's retry and a serve job's next round keep counting where
+the stream stands. Only busy time is per run.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,18 +35,14 @@ from repro.asp.runtime.observability.registry import (
 LATENCY_SAMPLE_MASK = 7
 
 
-#: What a run too short for the stride sample records as its latency: the
-#: run's own (empty) histogram stays with the next run.
-_UNSAMPLED = Histogram(DEFAULT_LATENCY_BOUNDS)
-
-
 class OperatorMetrics:
     """Live counters for one operator instance of one running job.
 
     The serial backend updates busy time, ``events_in``/``events_out``
     and the (stride-sampled) latency histogram inline — plain attribute
-    increments, one struct lookup per hop; :meth:`record` hands the
-    numbers over once the run finishes.
+    increments, one struct lookup per hop; :meth:`record` copies the
+    numbers out when a run finishes. The counts and the histogram are
+    totals of the job; busy time is the current run's.
     """
 
     __slots__ = ("scope", "kind", "busy", "events_in", "events_out", "watermark_calls", "latency")
@@ -49,31 +50,30 @@ class OperatorMetrics:
     def __init__(self, scope: str, kind: str):
         self.scope = scope
         self.kind = kind
-        self.latency = Histogram(DEFAULT_LATENCY_BOUNDS)
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero everything measured; a job that runs again reports each
-        run on its own (fused segments keep their reference to this
-        object)."""
         self.busy = 0.0
         self.events_in = 0
         self.events_out = 0
         self.watermark_calls = 0
-        if self.latency.count:  # the last run's record took it
-            self.latency = Histogram(DEFAULT_LATENCY_BOUNDS)
+        self.latency = Histogram(DEFAULT_LATENCY_BOUNDS)
 
-    @property
-    def selectivity(self) -> float:
-        """Output items per input item (> 1 for expanding operators)."""
-        return self.events_out / self.events_in if self.events_in else 0.0
+    def snapshot(self) -> list:
+        """The counts a checkpoint carries, as plain numbers."""
+        h = self.latency
+        counts = [self.events_in, self.events_out, self.watermark_calls]
+        return counts + [list(h.counts), h.count, h.total, h.vmin, h.vmax]
+
+    def restore(self, snapshot: list) -> None:
+        h = self.latency
+        self.events_in, self.events_out, self.watermark_calls = snapshot[:3]
+        counts, h.count, h.total, h.vmin, h.vmax = snapshot[3:]
+        h.counts = list(counts)
 
     def record(self, operator: Any, watermark_lag_ms: int = 0) -> "OperatorRecord":
-        """This run's numbers, the operator's state sizes and its own counters."""
+        """The counts so far, the operator's state sizes and its own counters."""
         return OperatorRecord(
             self.kind,
             [self.events_in, self.events_out, self.watermark_calls],
-            self.latency if self.latency.count else _UNSAMPLED,
+            self.latency.to_dict(),
             # Shards run concurrently, so their peaks coexist: sum, like
             # the job-level peak_state_bytes in merge_shard_results.
             [
@@ -91,31 +91,18 @@ _STATE_GAUGES = ("state_bytes", "state_items", "state_peak_bytes", "state_peak_i
 
 @dataclass(slots=True)
 class OperatorRecord:
-    """One operator's numbers over a finished run, as plain values.
+    """One operator's numbers at the end of a run, as plain values.
 
     A run ends by recording, not by publishing: the typed tree is built
-    from the records when ``RunResult.metrics`` is read. :meth:`add` is
-    the roll-up of shard clones and of a serve job's rounds alike, with
-    :func:`~repro.asp.runtime.observability.registry.fold_metric_tree`'s
-    rules: counts and histogram buckets add, the state gauges sum, the
-    watermark lag takes the max. Only a copy may be added to.
+    from the records when ``RunResult.metrics`` is read.
     """
 
     kind: str
     counts: list[int]  # in _COUNTERS order
-    latency: Histogram
+    latency: dict[str, Any]  # the histogram's typed dict
     state: list[int]  # in _STATE_GAUGES order
     watermark_lag_ms: int
     extra: dict[str, int | float]  # the operator's collect_metrics()
-
-    def add(self, other: "OperatorRecord") -> None:
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        if other.latency.count:
-            self.latency.add(other.latency)
-        self.state = [a + b for a, b in zip(self.state, other.state)]
-        self.watermark_lag_ms = max(self.watermark_lag_ms, other.watermark_lag_ms)
-        for name, value in other.extra.items():
-            self.extra[name] = self.extra.get(name, 0) + value
 
     def publish(self, scoped: ScopedMetrics) -> None:
         """Fill the registry scope with this operator's metrics."""
@@ -128,17 +115,6 @@ class OperatorRecord:
         scoped.attach("watermark_lag_ms", Gauge(self.watermark_lag_ms, agg="max"))
         for name, value in self.extra.items():
             scoped.counter(name).inc(value)
-
-
-def add_operator_records(
-    total: dict[str, OperatorRecord], records: dict[str, OperatorRecord]
-) -> None:
-    """Add one run's ``records`` into the running ``total``, in place."""
-    for scope, record in records.items():
-        if scope in total:
-            total[scope].add(record)
-        else:
-            total[scope] = deepcopy(record)
 
 
 def operator_metrics_tree(records: dict[str, OperatorRecord]) -> dict[str, Any]:

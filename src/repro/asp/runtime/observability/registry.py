@@ -96,16 +96,6 @@ class Histogram:
         if value > self.vmax:
             self.vmax = value
 
-    def add(self, other: "Histogram") -> None:
-        """Bucket-wise sum, as :func:`fold_metric_tree` does to the dicts."""
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.total += other.total
-        self.vmin = min(self.vmin, other.vmin)
-        self.vmax = max(self.vmax, other.vmax)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -13,9 +13,9 @@ from typing import Any, Sequence
 
 from repro.asp.runtime.observability.operator_metrics import (
     OperatorRecord,
-    add_operator_records,
     operator_metrics_tree,
 )
+from repro.asp.runtime.observability.registry import merge_metric_trees
 
 
 @dataclass
@@ -44,9 +44,11 @@ class RunResult:
     #: Serializable to JSON via
     #: :func:`repro.asp.runtime.observability.report.run_report`.
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: The run's per-operator numbers by scope. A run records them;
+    #: The run's per-operator numbers by scope, each a total of the job
+    #: at the run's end. A serial run records them;
     #: ``metrics["operators"]`` is built from them when ``metrics`` is
-    #: first read, so a run nobody asks about never pays for its tree.
+    #: first read, so a run nobody asks about never pays for its tree (a
+    #: sharded run merges its shards' trees instead).
     operator_records: dict[str, OperatorRecord] = field(default_factory=dict)
 
     @property
@@ -138,18 +140,16 @@ def merge_shard_results(
         if result.failed:
             failures.append(f"shard {index}: {result.failure}")
     shard_pipeline = [r.pipeline_seconds for r in results]
+    shard_trees = [result.metrics.get("operators", {}) for result in results]
     # Operator scopes (name#node_id) are identical across shard clones,
-    # so the per-shard records roll up scope-by-scope: counters and
+    # so the per-shard trees roll up scope-by-scope: counters and
     # histogram buckets add, state gauges sum, watermark lag takes the
-    # max. Both views are kept — the merged records for job-level totals,
+    # max. Both views are kept — the merged tree for job-level totals,
     # the per-shard trees for skew analysis.
-    operator_records: dict[str, OperatorRecord] = {}
-    for result in results:
-        add_operator_records(operator_records, result.operator_records)
     metrics: dict[str, Any] = {
+        "operators": merge_metric_trees(shard_trees),
         "shards": [
-            {"shard": index, "operators": result.metrics.get("operators", {})}
-            for index, result in enumerate(results)
+            {"shard": index, "operators": tree} for index, tree in enumerate(shard_trees)
         ],
     }
     return RunResult(
@@ -164,7 +164,6 @@ def merge_shard_results(
         samples=merged_samples,
         stage_seconds=stage_seconds,
         metrics=metrics,
-        operator_records=operator_records,
         metadata={
             "backend": "sharded",
             "shards": shards,

@@ -15,7 +15,7 @@ analog of the paper's observed FlinkCEP job failures beyond 1.3M tpl/s.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import MemoryExhaustedError
 
@@ -74,7 +74,6 @@ class StateRegistry:
         self.budget_bytes = budget_bytes
         self._handles: list[StateHandle] = []
         self._peak_bytes = 0
-        self._on_sample: Callable[[int], None] | None = None
 
     def create(self, name: str, owner: str) -> StateHandle:
         handle = StateHandle(name, owner)
@@ -102,14 +101,6 @@ class StateRegistry:
     @property
     def peak_bytes(self) -> int:
         return self._peak_bytes
-
-    def reset_peaks(self) -> None:
-        """Forget past peaks: the job's and every handle's peak restart
-        from what is held now (peaks are measured per run)."""
-        self._peak_bytes = 0
-        for handle in self._handles:
-            handle.peak_bytes = handle.bytes_used
-            handle.peak_items = handle.items
 
     def handles(self) -> Iterator[StateHandle]:
         return iter(self._handles)

@@ -17,7 +17,7 @@ from repro.cep.pattern_api import from_sea_pattern
 from repro.cep.policies import STAM, STNM, STRICT, SelectionPolicy
 from repro.errors import ReproError
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.plan import JoinKind, WindowJoin, CountAggregate, UnionAll
+from repro.mapping.optimizer.ir import JoinKind, WindowJoin, CountAggregate, UnionAll
 from repro.mapping.optimizer import build_plan
 from repro.sea.ast import (
     Pattern,

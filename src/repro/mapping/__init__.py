@@ -27,7 +27,7 @@ from repro.mapping.optimizer import (
     optimize_plan,
     resolve_cost_model,
 )
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     JoinKind,
     LogicalPlan,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import OptimizationError
-from repro.mapping.plan import WindowStrategy
+from repro.mapping.optimizer.ir import WindowStrategy
 from repro.sea.ast import Iteration, Pattern
 from repro.sea.predicates import classify_conjuncts
 

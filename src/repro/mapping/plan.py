@@ -1,47 +1,9 @@
-"""Compatibility shim — the plan IR lives in :mod:`repro.mapping.optimizer.ir`.
+"""The plan IR lives in :mod:`repro.mapping.optimizer.ir`.
 
-The multi-phase query compiler (DESIGN.md §11) moved the logical plan
-node classes into the ``repro.mapping.optimizer`` package, where phase 1
-(:mod:`~repro.mapping.optimizer.build`) constructs them and phase 2
-(:mod:`~repro.mapping.optimizer.rules`) rewrites them. This module
-re-exports the IR under its historical import path so existing callers
-(``from repro.mapping.plan import LogicalPlan``) keep working.
+This module keeps :class:`WindowStrategy` importable under its historical
+path (``from repro.mapping.plan import WindowStrategy``).
 """
 
-from repro.mapping.optimizer.ir import (
-    CountAggregate,
-    IterationInfo,
-    JoinKind,
-    KleeneIterate,
-    LogicalPlan,
-    MultiWayJoin,
-    NseqPrepare,
-    Permute,
-    PlanFeatures,
-    PlanNode,
-    PostFilter,
-    SchemaAlign,
-    StreamScan,
-    UnionAll,
-    WindowJoin,
-    WindowStrategy,
-)
+from repro.mapping.optimizer.ir import WindowStrategy
 
-__all__ = [
-    "CountAggregate",
-    "IterationInfo",
-    "JoinKind",
-    "KleeneIterate",
-    "LogicalPlan",
-    "MultiWayJoin",
-    "NseqPrepare",
-    "Permute",
-    "PlanFeatures",
-    "PlanNode",
-    "PostFilter",
-    "SchemaAlign",
-    "StreamScan",
-    "UnionAll",
-    "WindowJoin",
-    "WindowStrategy",
-]
+__all__ = ["WindowStrategy"]

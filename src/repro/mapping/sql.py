@@ -17,7 +17,7 @@ through :mod:`repro.mapping.translator`.
 from __future__ import annotations
 
 from repro.asp.time import MS_PER_MINUTE
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     KleeneIterate,
     LogicalPlan,

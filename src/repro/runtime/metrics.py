@@ -85,29 +85,6 @@ class ResourceSample:
     work_units: int
 
 
-class TimeSeriesHook:
-    """Live :class:`~repro.asp.runtime.instrumentation.SampleHook`.
-
-    Pass as ``on_sample=`` (settings or ``Executor``) to collect the
-    Figure 5 time series while the job runs instead of post-processing
-    ``result.samples`` — useful for streaming progress displays and for
-    unbounded runs where the result object arrives late.
-    """
-
-    def __init__(self) -> None:
-        self.series: list[ResourceSample] = []
-
-    def __call__(self, sample: dict[str, Any]) -> None:
-        self.series.append(
-            ResourceSample(
-                wall_s=sample["wall_s"],
-                events_in=sample["events_in"],
-                state_bytes=sample["state_bytes"],
-                work_units=sample["work_units"],
-            )
-        )
-
-
 def resource_series(result: RunResult) -> list[ResourceSample]:
     return [
         ResourceSample(

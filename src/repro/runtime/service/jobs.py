@@ -63,11 +63,7 @@ from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
 from repro.asp.runtime.fault.injection import FaultPlan
 from repro.asp.runtime.fault.store import unpickle_payload
-from repro.asp.runtime.observability import (
-    MetricsRegistry,
-    OperatorRecord,
-    add_operator_records,
-)
+from repro.asp.runtime.observability import MetricsRegistry
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -252,8 +248,9 @@ class Job:
     work_units: int = 0
     rounds: int = 0
     restarts: list[dict[str, Any]] = field(default_factory=list)
-    #: Per operator scope, its numbers summed over the rounds.
-    operator_records: dict[str, OperatorRecord] = field(default_factory=dict)
+    #: The newest round's result; every count in its operator tree is a
+    #: total over the log prefix the job has processed.
+    newest: RunResult | None = None
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Per query name: the sink list the keys were rendered from, how
     #: many of its items they cover, and the sorted keys.
@@ -1094,9 +1091,9 @@ class JobManager:
             job.items_out = result.items_out
             job.wall_seconds += result.wall_seconds
             job.peak_state_bytes = max(job.peak_state_bytes, result.peak_state_bytes)
-            job.work_units += result.work_units
+            job.work_units = result.work_units
+            job.newest = result
             job.round_duration_ms.observe((time.perf_counter() - started) * 1000.0)
-            add_operator_records(job.operator_records, result.operator_records)
             if result.failed:
                 with job.cond:
                     job.state = JobState.FAILED
@@ -1188,8 +1185,8 @@ class JobManager:
                 work_units=job.work_units,
                 failed=job.state == JobState.FAILED,
                 failure=job.failure,
-                operator_records=job.operator_records,
                 metrics={
+                    "operators": job.newest.metrics.get("operators", {}) if job.newest else {},
                     "plan": per_query(lambda q: q.plan.summary()),
                     # What the submit-time verifier said (warnings such
                     # as RA304 included), as `repro run --metrics-json`.

@@ -11,7 +11,7 @@ from repro.mapping.advisor import (
     recommend_options,
     statistics_from_streams,
 )
-from repro.mapping.plan import WindowStrategy
+from repro.mapping.optimizer.ir import WindowStrategy
 from repro.sea.parser import parse_pattern
 
 

@@ -47,7 +47,7 @@ from repro.errors import (
     TranslationError,
 )
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.plan import WindowJoin, WindowStrategy
+from repro.mapping.optimizer.ir import WindowJoin, WindowStrategy
 from repro.mapping.optimizer import build_plan
 from repro.mapping.translator import translate
 from repro.sea.ast import Pattern, ReturnClause, nseq, ref, seq

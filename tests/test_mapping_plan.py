@@ -6,7 +6,7 @@ from repro.asp.operators.window import WindowSpec
 from repro.asp.time import minutes
 from repro.errors import OptimizationError, TranslationError
 from repro.mapping.optimizations import TranslationOptions, check_applicability
-from repro.mapping.plan import (
+from repro.mapping.optimizer.ir import (
     CountAggregate,
     JoinKind,
     NseqPrepare,

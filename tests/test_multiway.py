@@ -12,7 +12,7 @@ from repro.asp.operators.window import WindowSpec
 from repro.asp.state import StateRegistry
 from repro.asp.time import Watermark, minutes
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.plan import MultiWayJoin
+from repro.mapping.optimizer.ir import MultiWayJoin
 from repro.mapping.optimizer import build_plan
 from repro.mapping.sql import render_sql
 from repro.mapping.translator import translate

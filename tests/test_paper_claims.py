@@ -19,7 +19,7 @@ from repro.cep.pattern_api import from_sea_pattern
 from repro.cep.policies import STAM, STNM, STRICT
 from repro.errors import PatternValidationError, TranslationError
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.plan import CountAggregate, JoinKind, UnionAll, WindowJoin
+from repro.mapping.optimizer.ir import CountAggregate, JoinKind, UnionAll, WindowJoin
 from repro.mapping.optimizer import build_plan
 from repro.mapping.translator import translate
 from repro.sea.ast import Pattern, conj, disj, iteration, ref, seq

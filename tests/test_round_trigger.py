@@ -7,9 +7,8 @@ is what arrived while the last one ran. Checkpoints follow their own
 cadence — ``checkpoint_interval`` inside rounds, a heartbeat or a flush,
 the drain — so a lane's job may stand any number of rounds past its
 newest cut, and a crash or a new process replays from that cut to the
-same bytes. The last case pins that recording a round's operator numbers
-and publishing the tree on read changed when the tree is built, not what
-it says.
+same bytes. The last case pins that a round records its operator numbers,
+publishes the tree on read, and that the job reports its newest round.
 """
 
 import logging
@@ -20,7 +19,6 @@ import pytest
 
 from repro.asp.datamodel import Event
 from repro.asp.runtime.fault.chaos import canonical_match_bytes
-from repro.asp.runtime.observability import fold_metric_tree, operator_metrics_tree
 from repro.runtime.service import JobManager, ServiceConfig, jobs
 from tests.test_live_rounds import build
 from tests.test_round_protocol import ENGINES, full_log
@@ -246,15 +244,16 @@ def test_every_round_says_why_it_ran(caplog):
     ]
 
 
-def test_the_tree_is_built_on_read_and_says_what_it_said():
+def test_the_tree_is_built_on_read_and_the_job_reads_its_newest_round():
     """A round records plain numbers; ``metrics["operators"]`` appears
-    when read, with the metrics the eager build published, and the job's
-    running total over the records is the fold of the rounds' trees."""
+    when read, with the metrics the eager build published. Every count in
+    a round's tree is a total over the log prefix the job has processed,
+    so the job's report is its newest round's tree, not a fold of them."""
     events = full_log(CASE)
     manager = JobManager(ServiceConfig())
     job_id = manager.submit(REQUEST)["id"]
     job = manager.jobs[job_id]
-    folded = {}
+    previous = {}
     for start in range(0, len(events), 173):
         for event in events[start:start + 173]:
             manager.ingest_event(event)
@@ -262,7 +261,10 @@ def test_the_tree_is_built_on_read_and_says_what_it_said():
         assert "operators" not in result.__dict__["metrics"]
         tree = result.metrics["operators"]
         assert result.metrics["operators"] is tree and list(result.metrics) == ["operators"]
-        fold_metric_tree(folded, tree)
+        assert job.newest is result
+        for scope, metrics in previous.items():
+            assert tree[scope]["events_in"]["value"] >= metrics["events_in"]["value"]
+        previous = tree
     for scope, metrics in tree.items():
         assert list(metrics)[:10] == [
             "kind", "events_in", "events_out", "watermark_calls", "latency_s",
@@ -274,11 +276,11 @@ def test_the_tree_is_built_on_read_and_says_what_it_said():
         }
         assert metrics["watermark_lag_ms"]["agg"] == "max"
         assert all(m["type"] == "counter" for m in list(metrics.values())[10:]), scope
-    assert operator_metrics_tree(job.operator_records) == folded
-    report = manager.job_metrics(job_id)["operators"]
-    assert sum(op["events_in"] for op in report.values()) == sum(
-        metrics["events_in"]["value"] for metrics in folded.values()
-    )
+    report = manager.job_metrics(job_id)
+    assert {scope: op["events_in"] for scope, op in report["operators"].items()} == {
+        scope: metrics["events_in"]["value"] for scope, metrics in tree.items()
+    }
+    assert report["job"]["work_units"] == result.work_units
 
 
 def test_a_cut_never_runs_past_the_wal(tmp_path):

@@ -289,23 +289,6 @@ class TestInstrumentation:
         assert instr.budget_checks == 0
         assert instr.samples == []
 
-    def test_sample_hook_sees_live_samples(self):
-        from repro.runtime.metrics import TimeSeriesHook
-
-        hook = TimeSeriesHook()
-        flow = linear_pipeline(
-            ListSource(
-                [Event("Q", ts=i * MIN, id=1) for i in range(30)], name="s"
-            ),
-            [DiscardSink()],
-        )
-        run_dataflow(flow, sample_every=10)
-        # Hook not wired -> empty; wire it through the settings.
-        assert hook.series == []
-        SerialJob(flow, ExecutionSettings(sample_every=10, on_sample=hook)).run()
-        assert hook.series
-        assert hook.series[-1].events_in == 30
-
 
 class TestChannelsAndClock:
     def test_channels_count_items_and_watermarks(self):

@@ -7,7 +7,7 @@ from repro.asp.operators.source import ListSource
 from repro.asp.time import minutes
 from repro.errors import TranslationError
 from repro.mapping.optimizations import TranslationOptions
-from repro.mapping.plan import WindowJoin
+from repro.mapping.optimizer.ir import WindowJoin
 from repro.mapping.optimizer import build_plan
 from repro.mapping.translator import (
     TranslatedQuery,

@@ -24,7 +24,8 @@ drives it exactly like a tenant would:
 3. drain, and assert every query's matches are byte-identical to the
    one-shot batch reference computed in this process;
 4. assert the metrics endpoint serves a ``repro.metrics/v1`` tree with
-   the admission counters, and the checkpoints endpoint a non-empty
+   the admission counters and a ``job.sink_items`` equal to the matches
+   the job serves, and the checkpoints endpoint a non-empty
    durable chain; on the plain run (serial jobs, no kill) also that
    ``rounds.events_read`` equals ``events_processed`` — every round read
    only the log's unread suffix, held as a count, not a timing;
@@ -359,10 +360,12 @@ def main(argv: list[str] | None = None) -> int:
 
             plain = not (args.group or args.sharded or args.kill_after is not None)
             rounds = checkpoints = events_read = 0
+            sink_items: dict[str, int] = {}
             for job_id in sorted(set(jobs.values())):
                 metrics = client.metrics(job_id)
                 if metrics.get("schema") != "repro.metrics/v1":
                     failures.append(f"{job_id}: bad metrics schema")
+                sink_items[job_id] = metrics["job"]["sink_items"]
                 ingress = metrics["service"]["ingress"]["ingress"]
                 if ingress["admission.accepted"]["value"] <= 0:
                     failures.append(f"{job_id}: no admission accounting")
@@ -380,9 +383,11 @@ def main(argv: list[str] | None = None) -> int:
                     failures.append(f"{job_id}: no durable checkpoints")
                 checkpoints += chain["coordinator"]["count"]
 
+            served_items = dict.fromkeys(sink_items, 0)
             for query_name, job_id in jobs.items():
                 batch = batch_reference(query_name, streams)
                 served_keys = client.matches(job_id)["queries"][query_name]["keys"]
+                served_items[job_id] += len(served_keys)
                 served = "\n".join(served_keys).encode("utf-8")
                 identical = served == batch
                 row = {
@@ -398,6 +403,14 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 if not identical:
                     failures.append(f"{query_name}: server != batch")
+            # Operator counts are totals of the job, whatever the rounds,
+            # shards and restarts: its sinks accepted what it serves.
+            for job_id, items in sink_items.items():
+                if items != served_items[job_id]:
+                    failures.append(
+                        f"{job_id}: metrics count {items} sink items for "
+                        f"{served_items[job_id]} served matches"
+                    )
             report["rounds"] = rounds
             report["checkpoints"] = checkpoints
             report["events_read"] = events_read
