@@ -25,15 +25,16 @@ where the job's previous run stopped.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.asp.graph import Dataflow
 from repro.asp.operators.base import Operator
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.channels import Channel, build_channels, channel_totals
 from repro.asp.runtime.clock import RuntimeClock
-from repro.asp.runtime.fusion import SAMPLE_SHIFT, build_fused_segments
+from repro.asp.runtime.fusion import build_fused_segments
 from repro.asp.runtime.instrumentation import Instrumentation
+from repro.asp.runtime.observability import LATENCY_SAMPLE_SHIFT
 from repro.asp.runtime.result import RunResult
 from repro.asp.runtime.scheduler import WatermarkService, merge_batches
 from repro.asp.state import StateRegistry
@@ -55,6 +56,9 @@ class SerialJob:
     one is a batch). A job whose run withheld the terminal watermark can
     run again: it continues the same logical stream with whatever its
     sources have gained since, and its counts go on from where they stood.
+    Its per-operator metric tree is rendered from the live counters when
+    asked (:meth:`operator_tree`); a run renders it only when it ends the
+    stream or fails.
     """
 
     def __init__(
@@ -133,6 +137,13 @@ class SerialJob:
             self._hops[head_id] = (
                 segment.process_batch, None, self.channels[segment.tail_id], segment
             )
+        #: The flow's source nodes, and whether the merge may group their
+        #: events by watermark window (see ``merge_batches``): one source,
+        #: or every operator ``reorder_safe``. Both hold for the job's life.
+        self._sources = flow.source_nodes()
+        self._by_window = len(self._sources) == 1 or all(
+            node.operator.reorder_safe for node in flow.operator_nodes()
+        )
         #: Merged-stream index of the last source event consumed; a run
         #: starts after it.
         self.events_in = 0
@@ -175,7 +186,7 @@ class SerialJob:
                 metrics.busy += elapsed
                 before = metrics.events_in
                 metrics.events_in = after = before + len(items)
-                if before >> SAMPLE_SHIFT != after >> SAMPLE_SHIFT:
+                if before >> LATENCY_SAMPLE_SHIFT != after >> LATENCY_SAMPLE_SHIFT:
                     metrics.latency.observe(elapsed / len(items))
                 if not outputs:
                     return
@@ -276,7 +287,7 @@ class SerialJob:
             failure = str(exc)
             instr.take_sample(self.events_in)  # capture the failure point
         wall = self.clock.now() - started
-        return self._build_result(wall, failed, failure)
+        return self._build_result(wall, failed, failure, terminal_watermark or failed)
 
     def _drive_batched(self) -> None:
         """The drive loop.
@@ -304,8 +315,9 @@ class SerialJob:
         dropped = self._dropped
         push = self._push_batch
         for node_id, events, watermark, last_index in merge_batches(
-            self.flow,
+            self._sources,
             self.watermarks,
+            by_window=self._by_window,
             batch_size=self.settings.batch_size,
             start_offset=self.events_in,
             cut_indices=cut_indices,
@@ -326,9 +338,46 @@ class SerialJob:
             if coordinator is not None and coordinator.due(last_index):
                 coordinator.take(self)
 
-    def _build_result(self, wall: float, failed: bool, failure: str | None) -> RunResult:
+    def operator_tree(self) -> dict[str, Any]:
+        """The per-operator typed metric tree, read off the live counters.
+
+        Keys are ``name#node_id`` scopes — stable across shard clones (the
+        sharded backend deep-copies the graph, preserving node ids), which
+        is what makes per-shard trees roll up scope by scope. Every count
+        is a total of the job.
+        """
+        delays = self.watermarks.delays
+        op_metrics = self.instrumentation.op_metrics
+        tree: dict[str, Any] = {}
+        for node in self.flow.operator_nodes():
+            op, metrics = node.operator, op_metrics[node.node_id]
+            # Shards run concurrently, so their state sizes coexist: the
+            # gauges sum, like the job-level peak_state_bytes does.
+            tree[metrics.scope] = {
+                "kind": metrics.kind,
+                "events_in": {"type": "counter", "value": metrics.events_in},
+                "events_out": {"type": "counter", "value": metrics.events_out},
+                "watermark_calls": {"type": "counter", "value": metrics.watermark_calls},
+                "latency_s": metrics.latency.to_dict(),
+                "state_bytes": {"type": "gauge", "value": op.state_size_bytes(), "agg": "sum"},
+                "state_items": {"type": "gauge", "value": op.state_items(), "agg": "sum"},
+                "state_peak_bytes": {"type": "gauge", "value": op.state_peak_bytes(), "agg": "sum"},
+                "state_peak_items": {"type": "gauge", "value": op.state_peak_items(), "agg": "sum"},
+                "watermark_lag_ms": {
+                    "type": "gauge", "value": delays.get(node.node_id, 0), "agg": "max",
+                },
+                **{
+                    name: {"type": "counter", "value": value}
+                    for name, value in op.collect_metrics().items()
+                },
+            }
+        return tree
+
+    def _build_result(
+        self, wall: float, failed: bool, failure: str | None, tree: bool
+    ) -> RunResult:
         # Fused segments carry whole-segment busy time; fold it back into
-        # the per-stage metrics before publishing (idempotent).
+        # the per-stage metrics (idempotent).
         for segment in self._segments.values():
             segment.finalize_metrics()
         instr = self.instrumentation
@@ -343,7 +392,7 @@ class SerialJob:
             failure=failure,
             samples=instr.samples,
             stage_seconds=instr.stage_seconds(),
-            operator_records=instr.operator_records(self.watermarks.delays),
+            metrics={"operators": self.operator_tree()} if tree else {},
             metadata={
                 "backend": "serial",
                 "channels": channel_totals(self.channels),
@@ -356,7 +405,7 @@ class SerialJob:
         """A failed :class:`RunResult` for a crash the recovery loop gave
         up on (restart budget exhausted)."""
         wall = self.clock.now() - self.instrumentation._started
-        return self._build_result(wall, True, failure)
+        return self._build_result(wall, True, failure, True)
 
 
 class SerialBackend:

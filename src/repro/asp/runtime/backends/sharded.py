@@ -23,8 +23,9 @@ Dispatch modes
     Subgraphs contain lambdas (predicates, theta conditions), so they are
     shipped with ``cloudpickle``. The parent owns every lane: a worker
     maps (flow, state and journalled sink output in) to (result, sink
-    payloads, state payload out) and never sees a store: the parent
-    commits the cut, in the one on-disk format. Cadence checkpoints are
+    payloads, operator tree, state payload out) and never sees a store:
+    the parent commits the cut, in the one on-disk format, and the lane
+    keeps the tree for reads. Cadence checkpoints are
     skipped — the round boundary is the durable cut — and a run with a fault
     plan dispatches inline, because an injected crash must fire exactly
     once across restarts and so needs its injector in this process.
@@ -129,8 +130,9 @@ def _shard_entry(blob: bytes) -> bytes:
     if state is not None:
         restore_job_state(job, *state)
     result = job.run(terminal_watermark=terminal)
+    tree = result.metrics.get("operators") or job.operator_tree()
     state = pickle_payload(capture_job_state(job)) if cut else None
-    return cloudpickle.dumps((result, _sink_payloads(flow), state, job.events_in))
+    return cloudpickle.dumps((result, _sink_payloads(flow), tree, state, job.events_in))
 
 
 def _fold_sinks(flow: Dataflow, shard_payloads: Sequence[SinkPayloads]) -> None:
@@ -261,9 +263,12 @@ class ShardedBackend:
         futures = [pool.submit(_shard_entry, blob) for blob in blobs]
         outcomes: list[tuple[RunResult, SinkPayloads]] = []
         for lane, future in zip(lanes, futures):
-            result, payloads, state, events_in = cloudpickle.loads(future.result())
-            if lane is not None and state is not None:
-                retained = {n: kept for n, (_c, kept) in payloads.items() if kept is not None}
-                lane.coordinator.commit(retained, state, events_in)
+            result, payloads, tree, state, events_in = cloudpickle.loads(future.result())
+            if lane is not None:
+                # The worker's job ended with the round; its tree answers reads.
+                lane.job, lane.operators = None, tree
+                if state is not None:
+                    retained = {n: kept for n, (_c, kept) in payloads.items() if kept is not None}
+                    lane.coordinator.commit(retained, state, events_in)
             outcomes.append((result, payloads))
         return outcomes

@@ -106,6 +106,16 @@ class Lane:
     #: The job of the lane's last round, standing at the lane's newest
     #: checkpoint or past it; None when the next round has to restore.
     job: SerialJob | None = None
+    #: The operator tree of the lane's last round when no live job can
+    #: render it: a failed round's, or the one a process-mode worker
+    #: shipped back (its job ends with the round).
+    operators: dict[str, Any] | None = None
+
+    def operator_tree(self) -> dict[str, Any]:
+        """The lane's per-operator metric tree as of its last round."""
+        if self.job is not None:
+            return self.job.operator_tree()
+        return self.operators or {}
 
     def cut(self, terminal: bool = False) -> None:
         """Checkpoint the live job unless it stands at the newest cut. One
@@ -164,7 +174,8 @@ def run_lane(
     instrumentation are abandoned, the operator instances are rebuilt
     from the checkpoint. When ``on_crash`` gives up, the round returns
     the crashed attempt's failed result. A successful round leaves its
-    job on the lane for the next one; ``cut`` also takes a round-boundary
+    job on the lane for the next one and for reads of its operator tree,
+    a failed one leaves that tree; ``cut`` also takes a round-boundary
     checkpoint (only ``repro serve`` asks for it): that is what a crash
     in a later round, or the next process, restores.
     Without a lane the flow just runs: no checkpoints, no masked crashes.
@@ -194,8 +205,8 @@ def run_lane(
         except InjectedFaultError as exc:
             latest = lane.store.latest() or latest
             if not on_crash(lane, exc, latest.offset):
-                lane.report.recovered = False
-                return job.to_failed_result(str(exc))
+                result = job.to_failed_result(str(exc))
+                break
             lane.report.restarts.append(
                 RestartRecord(
                     attempt=lane.report.attempts,
@@ -206,7 +217,9 @@ def run_lane(
             )
             job = None
     lane.report.recovered = not result.failed and bool(lane.report.restarts)
-    if not result.failed:
+    if result.failed:
+        lane.operators = result.metrics["operators"]
+    else:
         lane.job = job
         if cut:
             lane.cut(terminal)

@@ -15,7 +15,7 @@ analyzer sees the original plan, and the sharded backend clones the
 original graph. Per-stage observability is preserved — exact
 ``events_in``/``events_out`` from the fused closure, interior channels
 still framed, and per-stage busy time attributed from stride-sampled
-in-segment timings (:data:`LATENCY_SAMPLE_MASK`).
+in-segment timings (:data:`LATENCY_SAMPLE_SHIFT`).
 
 Only provably transparent operators fuse: unary, stateless, zero
 watermark delay, and no ``on_watermark`` override — so a fused segment's
@@ -29,12 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.asp.operators.base import Item, Operator
-from repro.asp.runtime.observability import LATENCY_SAMPLE_MASK
-
-#: ``events_in >> SAMPLE_SHIFT`` changes exactly when an operator's count
-#: crosses a multiple of ``LATENCY_SAMPLE_MASK + 1``: the latency
-#: histogram's stride sample, fused or not, whatever the batch size.
-SAMPLE_SHIFT = LATENCY_SAMPLE_MASK.bit_length()
+from repro.asp.runtime.observability import LATENCY_SAMPLE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.graph import Dataflow, Node
@@ -101,7 +96,7 @@ class FusedSegment:
         head is unary: ``port`` is always 0).
 
         A stage is timed when its ``events_in`` crosses a multiple of
-        ``LATENCY_SAMPLE_MASK + 1`` — the stride sample of an unfused
+        ``1 << LATENCY_SAMPLE_SHIFT`` — the stride sample of an unfused
         hop — and the timing feeds the stage's latency histogram and the
         busy-time attribution weights."""
         now = self._clock.now
@@ -109,7 +104,7 @@ class FusedSegment:
             n_in = len(items)
             before = metrics.events_in
             metrics.events_in = after = before + n_in
-            if before >> SAMPLE_SHIFT == after >> SAMPLE_SHIFT:
+            if before >> LATENCY_SAMPLE_SHIFT == after >> LATENCY_SAMPLE_SHIFT:
                 items = fn(items, 0)
             else:
                 start = now()

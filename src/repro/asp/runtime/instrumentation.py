@@ -22,11 +22,11 @@ both pays for one check, not two.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from repro.asp.graph import Dataflow
 from repro.asp.runtime.clock import RuntimeClock
-from repro.asp.runtime.observability import OperatorMetrics, OperatorRecord
+from repro.asp.runtime.observability import OperatorMetrics
 from repro.asp.state import StateRegistry
 
 #: How many events between budget checks / metric samples.
@@ -78,12 +78,6 @@ class Instrumentation:
         self._started = self._clock.now()
         return self._started
 
-    def clock(self) -> float:
-        return self._clock.now()
-
-    def record(self, node_id: int, seconds: float) -> None:
-        self.op_metrics[node_id].busy += seconds
-
     def stage_seconds(self) -> dict[str, float]:
         return {metrics.scope: metrics.busy for metrics in self.op_metrics.values()}
 
@@ -129,25 +123,3 @@ class Instrumentation:
 
     def total_work_units(self) -> int:
         return sum(node.payload.work_units for node in self._operator_nodes)
-
-    def operator_records(
-        self, watermark_delays: dict[int, int] | None = None
-    ) -> dict[str, OperatorRecord]:
-        """The per-operator numbers by ``name#node_id`` scope (the typed
-        tree is built from them when the result's metrics are read)."""
-        delays = watermark_delays or {}
-        return {
-            (metrics := self.op_metrics[node.node_id]).scope: metrics.record(
-                node.payload, delays.get(node.node_id, 0)
-            )
-            for node in self._operator_nodes
-        }
-
-    # -- convenience ------------------------------------------------------
-
-    def measure(self, node_id: int, call: Callable[[], Iterable[Any]]):
-        """Run ``call`` and attribute its duration to ``node_id``."""
-        start = self._clock.now()
-        out = call()
-        self.op_metrics[node_id].busy += self._clock.now() - start
-        return out

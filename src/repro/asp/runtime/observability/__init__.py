@@ -24,10 +24,8 @@ from repro.asp.runtime.observability.costprofile import (
     ScanObservation,
 )
 from repro.asp.runtime.observability.operator_metrics import (
-    LATENCY_SAMPLE_MASK,
+    LATENCY_SAMPLE_SHIFT,
     OperatorMetrics,
-    OperatorRecord,
-    operator_metrics_tree,
 )
 from repro.asp.runtime.observability.registry import (
     DEFAULT_LATENCY_BOUNDS,
@@ -56,16 +54,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JoinObservation",
-    "LATENCY_SAMPLE_MASK",
+    "LATENCY_SAMPLE_SHIFT",
     "MetricsRegistry",
     "OperatorMetrics",
-    "OperatorRecord",
     "ScanObservation",
     "ScopedMetrics",
     "fold_metric_tree",
     "load_report",
     "merge_metric_trees",
-    "operator_metrics_tree",
     "percentile_from_buckets",
     "render_metrics_summary",
     "run_report",

@@ -152,7 +152,7 @@ def percentile_from_buckets(
 
 
 class ScopedMetrics:
-    """One scope's (typically one operator's) named metrics."""
+    """One scope's named metrics."""
 
     def __init__(self, scope: str, store: dict[str, Any]):
         self.scope = scope
@@ -175,15 +175,6 @@ class ScopedMetrics:
             self._store[name] = metric
         return metric
 
-    def annotate(self, name: str, value: Any) -> None:
-        """Attach a plain (non-mergeable) annotation, e.g. the kind."""
-        self._store[name] = value
-
-    def attach(self, name: str, metric: Any) -> None:
-        """Install an externally maintained metric (e.g. a histogram the
-        executor filled on the hot path) under this scope."""
-        self._store[name] = metric
-
     def _get_or_create(self, name: str, factory):
         metric = self._store.get(name)
         if metric is None:
@@ -193,12 +184,12 @@ class ScopedMetrics:
 
 
 class MetricsRegistry:
-    """All metric scopes of one run, serializable as one tree.
+    """Named metric scopes (a served job's ``ingress`` and ``rounds``),
+    serializable as one tree.
 
-    The registry is a two-level namespace: scope (operator instance,
-    ``name#node_id``) -> metric name -> metric. ``to_dict`` renders the
-    typed tree that :class:`~repro.asp.runtime.result.RunResult` carries
-    and the sharded backend merges.
+    The registry is a two-level namespace: scope -> metric name ->
+    metric. ``to_dict`` renders the typed tree, the shape of a job's
+    per-operator tree.
     """
 
     def __init__(self) -> None:
@@ -214,8 +205,7 @@ class MetricsRegistry:
     def to_dict(self) -> dict[str, dict[str, Any]]:
         return {
             scope: {
-                name: metric.to_dict() if hasattr(metric, "to_dict") else metric
-                for name, metric in entries.items()
+                name: metric.to_dict() for name, metric in entries.items()
             }
             for scope, entries in self._scopes.items()
         }

@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.asp.runtime.observability.operator_metrics import (
-    OperatorRecord,
-    operator_metrics_tree,
-)
 from repro.asp.runtime.observability.registry import merge_metric_trees
 
 
@@ -41,15 +37,12 @@ class RunResult:
     #: Typed per-operator metric tree (see
     #: :mod:`repro.asp.runtime.observability`): ``{"operators": {scope:
     #: {metric: typed dict}}}``, plus ``"shards"`` views on sharded runs.
+    #: Only a run that ends the stream or fails carries ``"operators"``;
+    #: a served job renders its tree on read
+    #: (:meth:`~repro.asp.runtime.backends.serial.SerialJob.operator_tree`).
     #: Serializable to JSON via
     #: :func:`repro.asp.runtime.observability.report.run_report`.
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: The run's per-operator numbers by scope, each a total of the job
-    #: at the run's end. A serial run records them;
-    #: ``metrics["operators"]`` is built from them when ``metrics`` is
-    #: first read, so a run nobody asks about never pays for its tree (a
-    #: sharded run merges its shards' trees instead).
-    operator_records: dict[str, OperatorRecord] = field(default_factory=dict)
 
     @property
     def serial_throughput_tps(self) -> float:
@@ -94,22 +87,6 @@ class RunResult:
         return self.events_in / self.pipeline_seconds if self.events_in else 0.0
 
 
-def _read_metrics(result: RunResult) -> dict[str, Any]:
-    metrics = result.__dict__["metrics"]
-    if "operators" not in metrics and result.operator_records:
-        metrics = {"operators": operator_metrics_tree(result.operator_records), **metrics}
-        result.__dict__["metrics"] = metrics
-    return metrics
-
-
-# Installed after the dataclass is built (a property in the class body
-# would be taken for the field's default); the generated ``__init__``
-# and ``replace`` assign through the setter.
-RunResult.metrics = property(  # type: ignore[assignment]
-    _read_metrics, lambda result, metrics: result.__dict__.__setitem__("metrics", metrics)
-)
-
-
 def merge_shard_results(
     job_name: str,
     results: Sequence[RunResult],
@@ -140,18 +117,18 @@ def merge_shard_results(
         if result.failed:
             failures.append(f"shard {index}: {result.failure}")
     shard_pipeline = [r.pipeline_seconds for r in results]
-    shard_trees = [result.metrics.get("operators", {}) for result in results]
+    shard_trees = [result.metrics.get("operators") for result in results]
     # Operator scopes (name#node_id) are identical across shard clones,
     # so the per-shard trees roll up scope-by-scope: counters and
     # histogram buckets add, state gauges sum, watermark lag takes the
     # max. Both views are kept — the merged tree for job-level totals,
-    # the per-shard trees for skew analysis.
-    metrics: dict[str, Any] = {
-        "operators": merge_metric_trees(shard_trees),
-        "shards": [
+    # the per-shard trees for skew analysis — when every shard has one.
+    metrics: dict[str, Any] = {}
+    if all(tree is not None for tree in shard_trees):
+        metrics["operators"] = merge_metric_trees(shard_trees)
+        metrics["shards"] = [
             {"shard": index, "operators": tree} for index, tree in enumerate(shard_trees)
-        ],
-    }
+        ]
     return RunResult(
         job_name=job_name,
         events_in=sum(r.events_in for r in results),

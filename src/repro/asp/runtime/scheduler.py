@@ -24,15 +24,16 @@ from repro.asp.time import Watermark, WatermarkGenerator
 _event_ts = attrgetter("ts")
 
 
-def _single_unread(flow: Dataflow, offset: int) -> tuple[Node, Sequence[Event]] | None:
-    """The flow's one source and its events after ``offset``, when it
-    has a single in-memory source, else ``None``.
+def _single_unread(
+    sources: Sequence[Node], offset: int
+) -> tuple[Node, Sequence[Event]] | None:
+    """The one source and its events after ``offset``, when there is a
+    single in-memory source, else ``None``.
 
     One in-memory source *is* the merged stream, so a run over it starts
     at its offset: what a run costs follows its unread events, not the
     length of the log.
     """
-    sources = flow.source_nodes()
     if len(sources) == 1:
         events = sources[0].source.materialized()
         if events is not None:
@@ -40,8 +41,9 @@ def _single_unread(flow: Dataflow, offset: int) -> tuple[Node, Sequence[Event]] 
     return None
 
 
-def merge_sources(flow: Dataflow, offset: int = 0) -> Iterator[tuple[int, Event]]:
-    """Merge all source iterators by (ts, source order).
+def merge_sources(sources: Sequence[Node], offset: int = 0) -> Iterator[tuple[int, Event]]:
+    """Merge the iterators of the source nodes ``sources`` (a flow's
+    ``source_nodes()``) by (ts, source order).
 
     Yields ``(node_id, event)`` pairs in global event-time order, which is
     how a centralized ASPS observes multiple producer streams. Ties on
@@ -52,17 +54,17 @@ def merge_sources(flow: Dataflow, offset: int = 0) -> Iterator[tuple[int, Event]
     consumed them): a single in-memory source starts there, anything
     else is merged from the start and the prefix discarded.
     """
-    single = _single_unread(flow, offset)
+    single = _single_unread(sources, offset)
     if single is not None:
         node, unread = single
         node.source.emitted += len(unread)
         return zip(repeat(node.node_id), unread)
-    streams = [zip(repeat(node.node_id), node.source) for node in flow.source_nodes()]
+    streams = [zip(repeat(node.node_id), node.source) for node in sources]
     # heapq.merge breaks timestamp ties by iterable (registration) order.
     return islice(heapq.merge(*streams, key=lambda pair: pair[1].ts), offset, None)
 
 
-def source_arrays(flow: Dataflow, offset: int = 0) -> tuple[list[tuple], int] | None:
+def source_arrays(sources: Sequence[Node], offset: int = 0) -> tuple[list[tuple], int] | None:
     """The window merge's input: one ``(node_id, source, events, ts)``
     entry per source (its event list and that list's timestamps), and
     how many merged events precede their first rows.
@@ -72,11 +74,11 @@ def source_arrays(flow: Dataflow, offset: int = 0) -> tuple[list[tuple], int] | 
     single source's entry covers its events after ``offset`` (and the
     count is ``offset``); several sources' entries are whole (count 0).
     """
-    single = _single_unread(flow, offset)
+    single = _single_unread(sources, offset)
     if single is not None:
         entries, start = [single], offset
     else:
-        entries = [(node, node.source.materialized()) for node in flow.source_nodes()]
+        entries = [(node, node.source.materialized()) for node in sources]
         start = 0
     arrays = []
     for node, events in entries:
@@ -94,9 +96,10 @@ def source_arrays(flow: Dataflow, offset: int = 0) -> tuple[list[tuple], int] | 
 
 
 def merge_batches(
-    flow: Dataflow,
+    sources: Sequence[Node],
     watermarks: "WatermarkService",
     *,
+    by_window: bool,
     batch_size: int,
     start_offset: int = 0,
     cut_indices: Sequence[int] = (),
@@ -110,26 +113,28 @@ def merge_batches(
     triggers it, so event time advances after exactly the same event as
     in the per-event loop (:func:`merge_sources` plus ``observe``), and
     every event reaches its operators before the watermark that covers
-    it. ``batch_size`` and the flow pick one of three merges:
+    it. ``batch_size``, the ``sources`` and ``by_window`` pick one of
+    three merges:
 
     * **one event per batch** at ``batch_size == 1``: the merged stream
       in arrival order. There is no run to grow and no cut to place, and
       regrouping by window could reorder events without making a batch
       bigger;
-    * **per event**, when a source streams or is not time-sorted, and for
-      a plan over several sources with an order-sensitive operator:
+    * **per event**, when a source streams or is not time-sorted, and
+      without ``by_window`` (a plan over several sources with an
+      order-sensitive operator):
       batches are maximal runs of consecutive same-source events of the
       merged stream, so batching never reorders the arrival sequence —
       what keeps eagerly-emitting operators (interval joins, the NSEQ
       UDF) byte-equivalent to batches of one;
-    * **by watermark window** (:func:`_merge_windows`), for every other
-      plan: each window's events are delivered grouped per source, in
-      source registration order, the triggering source last. Over one
-      source that changes nothing, so every single-source plan takes it.
-      Over several it is taken when every operator is ``reorder_safe``
-      (its output multiset is invariant under same-window reordering):
-      interleaved sources then form large batches instead of
-      degenerating to per-event runs.
+    * **by watermark window** (:func:`_merge_windows`), with
+      ``by_window``: each window's events are delivered grouped per
+      source, in source registration order, the triggering source last.
+      Over one source that changes nothing, so the caller sets it for
+      every single-source plan. Over several it sets it when every
+      operator is ``reorder_safe`` (its output multiset is invariant
+      under same-window reordering): interleaved sources then form large
+      batches instead of degenerating to per-event runs.
 
     Runs are additionally capped at ``batch_size``, at multiples of every
     ``cut_intervals`` entry (checkpoint and sampling cadences must observe
@@ -141,7 +146,7 @@ def merge_batches(
     observe = watermarks.generator.observe
     if batch_size == 1:
         for index, (node_id, event) in enumerate(
-            merge_sources(flow, start_offset), start=start_offset + 1
+            merge_sources(sources, start_offset), start=start_offset + 1
         ):
             yield node_id, [event], observe(event.ts), index
         return
@@ -161,10 +166,8 @@ def merge_batches(
             limit = cuts[pos]
         return limit
 
-    if len(flow.source_nodes()) == 1 or all(
-        node.payload.reorder_safe for node in flow.nodes.values() if not node.is_source
-    ):
-        prepared = source_arrays(flow, start_offset)
+    if by_window:
+        prepared = source_arrays(sources, start_offset)
         if prepared is not None:
             yield from _merge_windows(*prepared, watermarks, limit_for, start_offset)
             return
@@ -174,7 +177,7 @@ def merge_batches(
     limit = 0
     last_index = start_offset
     for index, (node_id, event) in enumerate(
-        merge_sources(flow, start_offset), start=start_offset + 1
+        merge_sources(sources, start_offset), start=start_offset + 1
     ):
         if batch and (node_id != batch_node or index > limit):
             yield batch_node, batch, None, index - 1

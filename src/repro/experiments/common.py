@@ -63,6 +63,9 @@ class ExperimentRow:
     events_in: int
     wall_seconds: float
     peak_state_bytes: int
+    #: The run's deterministic work counter (see
+    #: :attr:`~repro.asp.operators.base.Operator.work_units`).
+    work_units: int = 0
     failed: bool = False
     extras: dict[str, Any] = field(default_factory=dict)
 
@@ -85,6 +88,7 @@ class ExperimentRow:
             events_in=measurement.events_in,
             wall_seconds=measurement.wall_seconds,
             peak_state_bytes=measurement.peak_state_bytes,
+            work_units=measurement.work_units,
             failed=measurement.failed,
             extras=merged,
         )

@@ -63,7 +63,7 @@ from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
 from repro.asp.runtime.fault.injection import FaultPlan
 from repro.asp.runtime.fault.store import unpickle_payload
-from repro.asp.runtime.observability import MetricsRegistry
+from repro.asp.runtime.observability import MetricsRegistry, merge_metric_trees
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -248,9 +248,6 @@ class Job:
     work_units: int = 0
     rounds: int = 0
     restarts: list[dict[str, Any]] = field(default_factory=list)
-    #: The newest round's result; every count in its operator tree is a
-    #: total over the log prefix the job has processed.
-    newest: RunResult | None = None
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Per query name: the sink list the keys were rendered from, how
     #: many of its items they cover, and the sorted keys.
@@ -259,6 +256,8 @@ class Job:
     )
 
     def __post_init__(self) -> None:
+        #: The source nodes of the job's flow, whose reads the rounds count.
+        self.sources = self.compiled.env.flow.source_nodes()
         scope = self.registry.scope("ingress")
         self.accepted = scope.counter("admission.accepted")
         self.rejected = scope.counter("admission.rejected")
@@ -1059,7 +1058,7 @@ class JobManager:
             flow = job.compiled.env.flow
 
             def pulled() -> int:
-                return sum(node.source.emitted for node in flow.source_nodes())
+                return sum(node.source.emitted for node in job.sources)
 
             read_before = pulled()
             try:
@@ -1092,7 +1091,6 @@ class JobManager:
             job.wall_seconds += result.wall_seconds
             job.peak_state_bytes = max(job.peak_state_bytes, result.peak_state_bytes)
             job.work_units = result.work_units
-            job.newest = result
             job.round_duration_ms.observe((time.perf_counter() - started) * 1000.0)
             if result.failed:
                 with job.cond:
@@ -1186,7 +1184,9 @@ class JobManager:
                 failed=job.state == JobState.FAILED,
                 failure=job.failure,
                 metrics={
-                    "operators": job.newest.metrics.get("operators", {}) if job.newest else {},
+                    # Rendered now from the lanes: every count is a total
+                    # over the log prefix the job has processed.
+                    "operators": merge_metric_trees(lane.operator_tree() for lane in job.lanes),
                     "plan": per_query(lambda q: q.plan.summary()),
                     # What the submit-time verifier said (warnings such
                     # as RA304 included), as `repro run --metrics-json`.

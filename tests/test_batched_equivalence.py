@@ -178,7 +178,7 @@ def test_streaming_source_falls_back_to_row_batches():
 
     _, ref, ref_bytes = run(1)
     job, res, out_bytes = run(256)
-    assert source_arrays(job.flow) is None
+    assert source_arrays(job.flow.source_nodes()) is None
     assert not res.failed, res.failure
     assert out_bytes == ref_bytes
     assert (res.events_in, res.items_out) == (ref.events_in, ref.items_out)
@@ -186,7 +186,7 @@ def test_streaming_source_falls_back_to_row_batches():
 
     # The same streams as lists do get the array merge.
     listed = _fresh_query(pattern, streams, options)
-    assert source_arrays(listed.env.flow)
+    assert source_arrays(listed.env.flow.source_nodes())
 
 
 def _fanout_env(events, n_consumers):
@@ -446,13 +446,14 @@ def test_merge_batches_delivers_what_the_per_event_loop_observes(case):
         env.from_events(events, event_type=f"S{n}").sink(sink)
         arrivals += [(e.ts, n, e.id) for e in events]
     flow, offset, ooo = env.flow, case["offset"], case["ooo"]
-    node_ids = [node.node_id for node in flow.source_nodes()]
+    sources = flow.source_nodes()
+    node_ids = [node.node_id for node in sources]
 
     reference = WatermarkGenerator(ooo, case["interval"])
     for ts in case["history"]:
         reference.observe(ts)
     ref_events = []
-    for node_id, event in merge_sources(flow):
+    for node_id, event in merge_sources(sources):
         if len(ref_events) < offset:
             reference.observe(event.ts)
         ref_events.append((node_id, event.id))
@@ -462,7 +463,7 @@ def test_merge_batches_delivers_what_the_per_event_loop_observes(case):
         state["last_emitted"] = state["max_ts"] - ooo - case["interval"] - case["due"]
     reference.restore_state(state)
     ref_marks = {}
-    for index, (_node_id, event) in enumerate(merge_sources(flow, offset), offset + 1):
+    for index, (_node_id, event) in enumerate(merge_sources(sources, offset), offset + 1):
         watermark = reference.observe(event.ts)
         if watermark is not None:
             ref_marks[index] = watermark.value
@@ -472,8 +473,9 @@ def test_merge_batches_delivers_what_the_per_event_loop_observes(case):
     delivered, marks = [], {}
     last = offset
     for node_id, events, watermark, last_index in merge_batches(
-        flow,
+        sources,
         service,
+        by_window=len(sources) == 1 or not case["strict"],
         batch_size=case["batch_size"],
         start_offset=offset,
         cut_indices=case["cut_indices"],

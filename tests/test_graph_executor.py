@@ -119,13 +119,13 @@ class TestMergeSources:
         flow = Dataflow()
         flow.add_source(ListSource(minute_events("Q", 3)))
         flow.add_source(ListSource([Event("V", ts=90_000)]))
-        merged = [e.ts for _nid, e in merge_sources(flow)]
+        merged = [e.ts for _nid, e in merge_sources(flow.source_nodes())]
         assert merged == sorted(merged)
 
     def test_empty_sources(self):
         flow = Dataflow()
         flow.add_source(ListSource([]))
-        assert list(merge_sources(flow)) == []
+        assert list(merge_sources(flow.source_nodes())) == []
 
 
 class TestExecutor:

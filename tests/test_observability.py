@@ -19,7 +19,7 @@ from repro.asp.operators.sink import CollectSink
 from repro.asp.operators.source import ListSource
 from repro.asp.runtime import ShardedBackend
 from repro.asp.runtime.observability import (
-    LATENCY_SAMPLE_MASK,
+    LATENCY_SAMPLE_SHIFT,
     Counter,
     Gauge,
     Histogram,
@@ -159,7 +159,6 @@ class TestRegistryRoundTrip:
     def test_registry_tree_survives_json(self):
         registry = MetricsRegistry()
         scope = registry.scope("join#3")
-        scope.annotate("kind", "window-join")
         scope.counter("events_in").inc(42)
         scope.gauge("state_bytes", agg="sum").set(1024)
         scope.histogram("latency_s", bounds=(0.001, 0.01)).observe(0.002)
@@ -220,8 +219,8 @@ class TestSerialRunMetrics:
         assert ops[filter_scope]["events_out"] == 30
         assert ops[filter_scope]["selectivity"] == pytest.approx(0.75)
         # Latency is stride-sampled on the hot path: one observation per
-        # LATENCY_SAMPLE_MASK + 1 events; event counts stay exact.
-        assert ops[filter_scope]["latency_s"]["count"] == 40 // (LATENCY_SAMPLE_MASK + 1)
+        # 1 << LATENCY_SAMPLE_SHIFT events; event counts stay exact.
+        assert ops[filter_scope]["latency_s"]["count"] == 40 >> LATENCY_SAMPLE_SHIFT
         assert ops[filter_scope]["latency_s"]["p50"] > 0
         assert ops[sink_scope]["events_in"] == 30
         assert ops[sink_scope]["items_accepted"] == 30

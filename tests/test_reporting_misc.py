@@ -113,14 +113,14 @@ class TestMergeSourcesDetails:
         flow.add_source(ListSource([Event("A", ts=2)]))
         flow.add_source(ListSource([Event("B", ts=1)]))
         flow.add_source(ListSource([Event("C", ts=3)]))
-        merged = [e.event_type for _n, e in merge_sources(flow)]
+        merged = [e.event_type for _n, e in merge_sources(flow.source_nodes())]
         assert merged == ["B", "A", "C"]
 
     def test_tie_break_by_source_order(self):
         flow = Dataflow()
         flow.add_source(ListSource([Event("A", ts=1)]))
         flow.add_source(ListSource([Event("B", ts=1)]))
-        merged = [e.event_type for _n, e in merge_sources(flow)]
+        merged = [e.event_type for _n, e in merge_sources(flow.source_nodes())]
         assert merged == ["A", "B"]
 
     def test_source_emitted_counter(self):

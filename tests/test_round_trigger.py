@@ -7,8 +7,8 @@ is what arrived while the last one ran. Checkpoints follow their own
 cadence — ``checkpoint_interval`` inside rounds, a heartbeat or a flush,
 the drain — so a lane's job may stand any number of rounds past its
 newest cut, and a crash or a new process replays from that cut to the
-same bytes. The last case pins that a round records its operator numbers,
-publishes the tree on read, and that the job reports its newest round.
+same bytes. The last cases pin that a round renders no operator tree
+until the stream ends or someone reads the job's metrics.
 """
 
 import logging
@@ -18,8 +18,12 @@ import time
 import pytest
 
 from repro.asp.datamodel import Event
+from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.chaos import canonical_match_bytes
 from repro.runtime.service import JobManager, ServiceConfig, jobs
+from tests.test_counts_are_totals import BACKENDS
+from tests.test_counts_are_totals import EVENTS as OPEN_EVENTS
+from tests.test_counts_are_totals import REQUEST as OPEN
 from tests.test_live_rounds import build
 from tests.test_round_protocol import ENGINES, full_log
 
@@ -244,11 +248,12 @@ def test_every_round_says_why_it_ran(caplog):
     ]
 
 
-def test_the_tree_is_built_on_read_and_the_job_reads_its_newest_round():
-    """A round records plain numbers; ``metrics["operators"]`` appears
-    when read, with the metrics the eager build published. Every count in
-    a round's tree is a total over the log prefix the job has processed,
-    so the job's report is its newest round's tree, not a fold of them."""
+def test_a_round_carries_no_tree_and_the_job_renders_it_on_read():
+    """A non-terminal round's result carries no operator tree; the job
+    renders one from its lanes' live counters when read. Every count is a
+    total over the log prefix the job has processed, so each read counts
+    at least what the one before it did, and the drain round's tree is
+    what a read renders."""
     events = full_log(CASE)
     manager = JobManager(ServiceConfig())
     job_id = manager.submit(REQUEST)["id"]
@@ -258,13 +263,14 @@ def test_the_tree_is_built_on_read_and_the_job_reads_its_newest_round():
         for event in events[start:start + 173]:
             manager.ingest_event(event)
         result = manager.run_round(job)
-        assert "operators" not in result.__dict__["metrics"]
-        tree = result.metrics["operators"]
-        assert result.metrics["operators"] is tree and list(result.metrics) == ["operators"]
-        assert job.newest is result
-        for scope, metrics in previous.items():
-            assert tree[scope]["events_in"]["value"] >= metrics["events_in"]["value"]
-        previous = tree
+        assert "operators" not in result.metrics
+        report = manager.job_metrics(job_id)
+        seen = {scope: op["events_in"] for scope, op in report["operators"].items()}
+        assert seen and all(seen[scope] >= count for scope, count in previous.items())
+        previous = seen
+    assert report["job"]["work_units"] == result.work_units
+    tree = job.lanes[0].operator_tree()
+    assert previous == {scope: metrics["events_in"]["value"] for scope, metrics in tree.items()}
     for scope, metrics in tree.items():
         assert list(metrics)[:10] == [
             "kind", "events_in", "events_out", "watermark_calls", "latency_s",
@@ -276,11 +282,28 @@ def test_the_tree_is_built_on_read_and_the_job_reads_its_newest_round():
         }
         assert metrics["watermark_lag_ms"]["agg"] == "max"
         assert all(m["type"] == "counter" for m in list(metrics.values())[10:]), scope
-    report = manager.job_metrics(job_id)
-    assert {scope: op["events_in"] for scope, op in report["operators"].items()} == {
-        scope: metrics["events_in"]["value"] for scope, metrics in tree.items()
-    }
-    assert report["job"]["work_units"] == result.work_units
+    drained = manager.run_round(job, terminal=True)
+    assert drained.metrics["operators"] == job.lanes[0].operator_tree()
+
+
+@pytest.mark.parametrize("backend", ["serial", "sharded-inline"])
+def test_rounds_nobody_reads_render_no_tree(backend, monkeypatch):
+    """Fifty non-terminal rounds without a read render the operator tree
+    zero times; the first read renders it once per lane."""
+    renders = []
+    render = SerialJob.operator_tree
+    monkeypatch.setattr(
+        SerialJob, "operator_tree", lambda job: renders.append(job) or render(job)
+    )
+    manager = JobManager(ServiceConfig())
+    job = manager.jobs[manager.submit({**OPEN, **BACKENDS[backend]})["id"]]
+    for start in range(0, 400, 8):
+        for event in OPEN_EVENTS[start:start + 8]:
+            manager.ingest_event(event)
+        assert "operators" not in manager.run_round(job, cut=False).metrics
+    assert job.rounds == 50 and renders == []
+    assert manager.job_metrics(job.job_id)["operators"]
+    assert len(renders) == len(job.lanes)
 
 
 def test_a_cut_never_runs_past_the_wal(tmp_path):

@@ -239,25 +239,25 @@ class TestMergeSourcesEdges:
     def test_empty_source_contributes_nothing(self):
         left = [Event("Q", ts=i * MIN, id=1) for i in range(3)]
         flow = self._flow_of(left, [])
-        merged = list(merge_sources(flow))
+        merged = list(merge_sources(flow.source_nodes()))
         assert [e.ts for _n, e in merged] == [0, MIN, 2 * MIN]
         assert all(node_id == 0 for node_id, _e in merged)
 
     def test_all_sources_empty(self):
         flow = self._flow_of([], [])
-        assert list(merge_sources(flow)) == []
+        assert list(merge_sources(flow.source_nodes())) == []
 
     def test_single_source_preserves_order(self):
         events = [Event("Q", ts=ts, id=1) for ts in (0, MIN, MIN, 2 * MIN)]
         flow = self._flow_of(events)
-        assert [e for _n, e in merge_sources(flow)] == events
+        assert [e for _n, e in merge_sources(flow.source_nodes())] == events
 
     def test_duplicate_timestamps_keep_source_order(self):
         """Ties break by source registration order, deterministically."""
         a = [Event("A", ts=MIN, id=1), Event("A", ts=2 * MIN, id=1)]
         b = [Event("B", ts=MIN, id=2), Event("B", ts=2 * MIN, id=2)]
         flow = self._flow_of(a, b)
-        types = [e.event_type for _n, e in merge_sources(flow)]
+        types = [e.event_type for _n, e in merge_sources(flow.source_nodes())]
         assert types == ["A", "B", "A", "B"]
 
 
