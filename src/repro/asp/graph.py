@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.asp.operators.base import Item, Operator
-from repro.asp.operators.source import ListSource, Source
+from repro.asp.operators.source import LogSource, Source
 from repro.errors import GraphError
 
 
@@ -203,43 +203,52 @@ def extract_shards(
     flow: Dataflow,
     num_shards: int,
     key_selector: Callable[[Item], Hashable],
+    shards: list[Dataflow] | None = None,
 ) -> list[Dataflow]:
     """Split a keyed dataflow into ``num_shards`` independent subgraphs.
 
     This is optimization O3 made physical: the key space is
     hash-partitioned (the shuffle an ASPS performs before every keyed
     operator), and each shard receives a structurally identical copy of
-    the graph whose sources hold only that shard's events. Because every
+    the graph whose sources read only that shard's events. Because every
     stateful operator downstream is keyed, shard-local execution produces
     exactly the matches whose key lands on the shard — the union over
     shards is the full match set, with no cross-shard duplicates.
 
-    Source events are materialized once and routed with the stable hash
-    of :func:`repro.asp.operators.keyby.partition_for`, so the split is
-    identical across runs and processes.
+    Each shard source is a :class:`LogSource` over a per-shard log.
+    ``shards``, an earlier result of this call for ``flow``, is grown
+    instead of rebuilt: only the events each parent source gained since
+    are routed, appended to their shard's log. Routing uses the stable
+    hash of :func:`repro.asp.operators.keyby.partition_for`, so the split
+    is identical across calls and processes, and a shard's log only ever
+    grows at its end.
     """
     from repro.asp.operators.keyby import partition_for
 
     if num_shards < 1:
         raise GraphError("num_shards must be >= 1")
-    partitions: dict[int, list[list]] = {}
+    if shards is None:
+        shards = []
+        for shard in range(num_shards):
+            sub = clone_dataflow(flow)
+            sub.name = f"{flow.name}@s{shard}"
+            for node in sub.source_nodes():
+                original = node.source
+                node.payload = LogSource(
+                    [], name=f"{original.name}@s{shard}", event_type=original.event_type
+                )
+            shards.append(sub)
     for node in flow.source_nodes():
-        split: list[list] = [[] for _ in range(num_shards)]
-        for event in iter(node.source):
-            split[partition_for(key_selector(event), num_shards)].append(event)
-        partitions[node.node_id] = split
-    shards: list[Dataflow] = []
-    for shard in range(num_shards):
-        sub = clone_dataflow(flow)
-        sub.name = f"{flow.name}@s{shard}"
-        for node in sub.source_nodes():
-            original = flow.nodes[node.node_id].source
-            node.payload = ListSource(
-                partitions[node.node_id][shard],
-                name=f"{original.name}@s{shard}",
-                event_type=original.event_type,
-            )
-        shards.append(sub)
+        logs = [sub.nodes[node.node_id].source.materialized() for sub in shards]
+        routed = sum(map(len, logs))
+        events = node.source.materialized()
+        new = (
+            itertools.islice(node.source.events(), routed, None)
+            if events is None
+            else events[routed:]
+        )
+        for event in new:
+            logs[partition_for(key_selector(event), num_shards)].append(event)
     return shards
 
 

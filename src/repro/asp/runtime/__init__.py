@@ -16,8 +16,8 @@ model):
 * :mod:`~repro.asp.runtime.backends` — pluggable execution strategies
   behind the :class:`~repro.asp.runtime.backends.base.ExecutionBackend`
   protocol: :class:`SerialBackend` (the depth-first reference) and
-  :class:`ShardedBackend` (key-partitioned parallel execution over a
-  process pool — optimization O3 made physical);
+  :class:`ShardedBackend` (key-partitioned execution with a measured
+  makespan — optimization O3 made physical);
 * :mod:`~repro.asp.runtime.fault` — checkpoint/recovery and the seeded
   fault-injection (chaos) harness (what keeps a job alive).
 """

@@ -1,8 +1,8 @@
 """Pluggable execution backends behind one protocol.
 
 * :class:`SerialBackend` — the chained depth-first reference semantics.
-* :class:`ShardedBackend` — key-partitioned parallel execution (O3 made
-  physical) over a process pool, with a measured inline fallback.
+* :class:`ShardedBackend` — key-partitioned execution (O3 made physical),
+  one lane per shard, with a measured makespan.
 """
 
 from repro.asp.runtime.backends.base import (

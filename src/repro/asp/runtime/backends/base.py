@@ -4,7 +4,7 @@ A backend turns a validated :class:`~repro.asp.graph.Dataflow` plus
 :class:`ExecutionSettings` into a :class:`~repro.asp.runtime.result
 .RunResult`. The contract deliberately says nothing about *how*: the
 serial backend replays the paper's single-process semantics, the sharded
-backend splits a keyed plan over a process pool, and a future
+backend splits a keyed plan into per-shard lanes, and a future
 distributed backend would ship subgraphs to remote workers behind the
 same two calls.
 """

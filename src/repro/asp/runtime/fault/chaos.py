@@ -180,7 +180,7 @@ def _sharded_chaos(
 
     key = "id"
     keyed = recommend_options(pattern, partition_attribute=key).options
-    backend = ShardedBackend(shards=shards, key_attribute=key, mode="inline")
+    backend = ShardedBackend(shards=shards, key_attribute=key)
     try:
         probe = _fresh_query(pattern, streams, keyed)
         backend.check_shardable(probe.env.flow)

@@ -130,21 +130,11 @@ class CheckpointCoordinator:
         )
 
     def take(self, job: "SerialJob") -> Checkpoint:
+        """One cut: journal what each sink's output gained, then persist the
+        job's state blob."""
         started = self.clock.now()
         payload = pickle_payload(capture_job_state(job))
-        return self.commit(sink_outputs(job.flow), payload, job.events_in, started)
-
-    def commit(
-        self,
-        outputs: dict[int, list],
-        payload: bytes,
-        offset: int,
-        started: float | None = None,
-    ) -> Checkpoint:
-        """One cut: journal what each sink's output gained, then persist the
-        state blob (a process-mode shard ships both back from its worker)."""
-        if started is None:
-            started = self.clock.now()
+        outputs = sink_outputs(job.flow)
         records = [
             (node_id, held, items[held:])
             for node_id, items in outputs.items()
@@ -152,10 +142,10 @@ class CheckpointCoordinator:
         ]
         written = self.store.append_output(records) if records else 0
         self._journalled = {node_id: len(items) for node_id, items in outputs.items()}
-        checkpoint = Checkpoint(self._next_id, offset, payload)
+        checkpoint = Checkpoint(self._next_id, job.events_in, payload)
         self.store.save(checkpoint)
         self._next_id += 1
-        self.last_offset = offset
+        self.last_offset = job.events_in
         self.count += 1
         self.bytes_total += checkpoint.size_bytes + written
         self.duration.observe(self.clock.now() - started)

@@ -11,11 +11,11 @@ the lane's newest cut to the end of the flow's sources. The lane keeps
 the job of its last round, and the next round over the same flow object
 continues it: the operators, the watermark progress, the sinks and the
 source offset are where that round left them, so a round costs its new
-events. Without such a job — the first round, a new process, after a
-crash or a failed round, or when the flow is not the one the job was
-built over (a sharded round re-extracts its shard flows) — the round
-builds a fresh job and restores the lane's latest checkpoint into it, or
-takes checkpoint 0 when the lane is empty.
+events. A shard lane is no different: its flow is the shard flow the
+lane set's split keeps growing. Without such a job — the first round, a
+new process, after a crash or a failed round, or for another flow object
+— the round builds a fresh job and restores the lane's latest checkpoint
+into it, or takes checkpoint 0 when the lane is empty.
 :func:`~repro.asp.runtime.scheduler.merge_sources` is deterministic
 (ties broken by source order), so dropping the first ``offset`` pairs
 reproduces exactly the prefix the checkpoint already consumed; a cut
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.asp.graph import Dataflow
+from repro.asp.operators.source import Source
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault.checkpoint import CheckpointCoordinator, restore_job_state
@@ -106,10 +107,13 @@ class Lane:
     #: The job of the lane's last round, standing at the lane's newest
     #: checkpoint or past it; None when the next round has to restore.
     job: SerialJob | None = None
-    #: The operator tree of the lane's last round when no live job can
-    #: render it: a failed round's, or the one a process-mode worker
-    #: shipped back (its job ends with the round).
+    #: The operator tree of a failed last round, which no live job renders.
     operators: dict[str, Any] | None = None
+    #: The flow of the lane's rounds (a shard lane's: its shard flow) and
+    #: its sources, listed once per flow: what they emitted, replays
+    #: included, is what the lane has read.
+    flow: Dataflow | None = None
+    sources: list[Source] = field(default_factory=list)
 
     def operator_tree(self) -> dict[str, Any]:
         """The lane's per-operator metric tree as of its last round."""
@@ -182,9 +186,10 @@ def run_lane(
     """
     if lane is None:
         return SerialJob(flow, settings).run(terminal_watermark=terminal)
+    if lane.flow is not flow:
+        lane.flow, lane.sources = flow, [node.source for node in flow.source_nodes()]
+        lane.job = None
     job, lane.job = lane.job, None
-    if job is not None and job.flow is not flow:
-        job = None
     if job is not None:
         log.debug("lane %r: continued live at offset %d", lane.store, job.events_in)
     latest = None if job is not None else lane.store.latest()

@@ -93,7 +93,6 @@ def merge_shard_results(
     wall_seconds: float,
     *,
     shards: int,
-    mode: str,
     key_attribute: str,
 ) -> RunResult:
     """Fold shard-local results into one job-level :class:`RunResult`.
@@ -144,10 +143,10 @@ def merge_shard_results(
         metadata={
             "backend": "sharded",
             "shards": shards,
-            "mode": mode,
             "key_attribute": key_attribute,
             "makespan_seconds": max(shard_pipeline, default=0.0),
             "shard_pipeline_seconds": shard_pipeline,
             "shard_events_in": [r.events_in for r in results],
+            "shard_work_units": [r.work_units for r in results],
         },
     )

@@ -575,7 +575,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         job_backend=args.job_backend,
         job_shards=args.job_shards,
-        shard_mode=args.job_shard_mode,
     )
     service = ReproService(
         JobManager(config),
@@ -798,10 +797,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "when the plan passes the partition-safety proof")
     serve.add_argument("--job-shards", type=int, default=2, metavar="N",
                        help="shard count for sharded jobs")
-    serve.add_argument("--job-shard-mode", choices=("auto", "process", "inline"),
-                       default="auto",
-                       help="sharded round dispatch: worker processes or "
-                            "inline ('auto' picks by machine)")
     serve.add_argument("--max-restarts", type=int, default=3,
                        help="per-job restart budget")
     serve.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",

@@ -135,9 +135,9 @@ def fig4_keys(
     scale = scale or Scale.default()
     backend = ShardedBackend(shards=slots, key_attribute=_KEY_ATTRIBUTE)
     rows: list[ExperimentRow] = []
-    # Warm-up run: the first execution in a process (and in each shard
-    # worker) pays one-off costs (allocator warmup, code object caching)
-    # that would otherwise skew the first measured cell.
+    # Warm-up run: the first execution in a process pays one-off costs
+    # (allocator warmup, code object caching) that would otherwise skew
+    # the first measured cell.
     warm_streams = keyed_workload(key_counts[0], min(scale.events, 4_000), seed=scale.seed)
     run_fcep(seq7_pattern(), warm_streams, key_attribute=_KEY_ATTRIBUTE, backend=backend)
     run_fasp(seq7_pattern(), warm_streams, TranslationOptions.o1_o3(), backend=backend)

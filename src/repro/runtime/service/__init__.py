@@ -25,7 +25,6 @@ that
   (:mod:`~repro.runtime.service.server`).
 """
 
-from repro.asp.runtime.backends.sharded import SHARD_MODES
 from repro.runtime.service.events import (
     SourceTracker,
     WireError,
@@ -56,7 +55,6 @@ __all__ = [
     "JobManager",
     "JobState",
     "ReproService",
-    "SHARD_MODES",
     "ServiceClient",
     "ServiceConfig",
     "ServiceHandle",

@@ -60,7 +60,6 @@ from repro.asp.runtime import (
     run_report,
 )
 from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
-from repro.asp.runtime.backends.sharded import SHARD_MODES, shutdown_pool
 from repro.asp.runtime.fault.injection import FaultPlan
 from repro.asp.runtime.fault.store import unpickle_payload
 from repro.asp.runtime.observability import MetricsRegistry, merge_metric_trees
@@ -125,7 +124,6 @@ _JOB_OVERRIDES = {
     "optimize": "optimize",
     "backend": "job_backend",
     "shards": "job_shards",
-    "shard_mode": "shard_mode",
 }
 
 
@@ -159,14 +157,11 @@ class ServiceConfig:
     job_backend: str = "auto"
     #: Shard count for sharded jobs.
     job_shards: int = 2
-    #: Sharded round dispatch: worker processes, inline, or auto.
-    shard_mode: str = "auto"
 
     def __post_init__(self) -> None:
         for name, allowed in (
             ("admission", AdmissionPolicy),
             ("job_backend", JobBackend),
-            ("shard_mode", SHARD_MODES),
             ("optimize", ("off", "static")),
         ):
             if getattr(self, name) not in allowed:
@@ -256,8 +251,6 @@ class Job:
     )
 
     def __post_init__(self) -> None:
-        #: The source nodes of the job's flow, whose reads the rounds count.
-        self.sources = self.compiled.env.flow.source_nodes()
         scope = self.registry.scope("ingress")
         self.accepted = scope.counter("admission.accepted")
         self.rejected = scope.counter("admission.rejected")
@@ -506,7 +499,7 @@ def _select_backend(
     ) else None
     diagnostics = shardability_diagnostics(flow) if key is not None else []
     if key is not None and not diagnostics:
-        return ShardedBackend(config.job_shards, key, config.shard_mode)
+        return ShardedBackend(config.job_shards, key)
     if requested == "sharded":
         if key is None:
             raise ServiceError(
@@ -574,7 +567,6 @@ class JobManager:
             self._worker = None
         if self.state is not None:
             self.state.close()
-        shutdown_pool()
 
     # -- durable resume ----------------------------------------------------
 
@@ -673,9 +665,9 @@ class JobManager:
         scans), plus an optional ``fault_plan`` and per-job overrides of
         the service configuration (the keys of ``_JOB_OVERRIDES``,
         resolved by :meth:`ServiceConfig.for_job`). Keys this version
-        does not know — including the retired ``fusion``/``columnar`` and
-        ``round_events``/``round_slo_ms`` of older requests and durable
-        manifests — are ignored.
+        does not know — including the retired ``fusion``/``columnar``,
+        ``round_events``/``round_slo_ms`` and ``shard_mode`` of older
+        requests and durable manifests — are ignored.
         """
         if self.draining:
             raise ServiceError("draining", "server is draining", status=503)
@@ -1037,13 +1029,15 @@ class JobManager:
         """Drain the queue and process the new log suffix as one round.
 
         It ends in a checkpoint when ``cut`` (the worker passes False), a
-        flush was requested, it is terminal, or the job is sharded (its
-        lanes rebuild from the cut every round) — and such a cut is taken
+        flush was requested or it is terminal — and such a cut is taken
         even when nothing is new. Otherwise the lanes stand past their cut.
+        A job that is not running gets no round: None, and nothing changes.
         """
         with job.run_lock:
+            if job.state != JobState.RUNNING:
+                return None
             waited, flush = job.drain_queue()
-            cut = cut or flush or terminal or job.shards is not None
+            cut = cut or flush or terminal
             new_events = len(job.log) - job.events_processed
             if new_events == 0 and not terminal:
                 if cut:
@@ -1058,7 +1052,7 @@ class JobManager:
             flow = job.compiled.env.flow
 
             def pulled() -> int:
-                return sum(node.source.emitted for node in job.sources)
+                return sum(s.emitted for lane in job.lanes for s in lane.sources)
 
             read_before = pulled()
             try:

@@ -472,7 +472,7 @@ class TestPartitionCodes:
         events = make_events()
         query = translate(parse_pattern(SEQ_UNKEYED), sources_for(events))
         with pytest.raises(ShardabilityError) as excinfo:
-            query.execute(backend=ShardedBackend(shards=2, mode="inline"))
+            query.execute(backend=ShardedBackend(shards=2))
         assert excinfo.value.diagnostics
         assert excinfo.value.diagnostics[0].code == "RA401"
         assert "key-parallel" in str(excinfo.value)

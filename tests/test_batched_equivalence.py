@@ -333,7 +333,7 @@ def test_sharded_backend_runs_batched_per_shard():
 
     for batch_size in (64, 256):
         query = _fresh_query(pattern, streams, keyed)
-        backend = ShardedBackend(shards=2, key_attribute="id", mode="inline")
+        backend = ShardedBackend(shards=2, key_attribute="id")
         result = query.execute(backend=backend, batch_size=batch_size)
         assert not result.failed, result.failure
         assert canonical_match_bytes(query.matches()) == serial_bytes

@@ -169,7 +169,6 @@ def test_unsafe_query_in_a_group_is_named(capsys):
         {"query": "traffic-congestion", "retry_after_ms": -1},
         {"query": "traffic-congestion", "max_out_of_orderness": -1},
         {"query": "traffic-congestion", "backend": "threads"},
-        {"query": "traffic-congestion", "shard_mode": "fork"},
     ],
 )
 def test_malformed_overrides_are_the_clients_error(body):

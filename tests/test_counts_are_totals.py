@@ -11,7 +11,6 @@ resuming its state dir; and a run with a masked crash reports what the
 run without it does.
 """
 
-import os
 from dataclasses import replace
 
 import pytest
@@ -39,20 +38,13 @@ REQUEST = {
 
 BACKENDS = {
     "serial": {"backend": "serial"},
-    "sharded-inline": {"backend": "sharded", "shard_mode": "inline"},
-    "sharded-process": {"backend": "sharded", "shard_mode": "process"},
+    "sharded-inline": {"backend": "sharded"},
+    "sharded-four-lanes": {"backend": "sharded", "shards": 4},
 }
 
 #: What may differ: timings, and state peaks (they cover the time since
 #: the job object was built or restored).
 NOT_COUNTS = ("latency_s", "state_peak_bytes", "state_peak_items")
-
-
-def needs_pool(backend):
-    if backend == "sharded-process":
-        pytest.importorskip("cloudpickle")
-        if (os.cpu_count() or 1) < 2:
-            pytest.skip("process mode needs >1 cpu")
 
 
 def counts(report):
@@ -107,13 +99,12 @@ def assert_totals(manager, job_id, reference):
 STRIDES = {
     "serial": (1, 20, 200, None),
     "sharded-inline": (20, 200, None),
-    "sharded-process": (200, None),
+    "sharded-four-lanes": (20, None),
 }
 
 
 @pytest.mark.parametrize("backend", list(BACKENDS))
 def test_a_served_job_reports_what_one_execute_reports(backend):
-    needs_pool(backend)
     reference = run_report(one_shot(backend))
     for stride in STRIDES[backend]:
         manager = JobManager(ServiceConfig())
@@ -124,7 +115,7 @@ def test_a_served_job_reports_what_one_execute_reports(backend):
         assert_totals(manager, job_id, reference)
 
 
-@pytest.mark.parametrize("backend", ["serial", "sharded-inline"])
+@pytest.mark.parametrize("backend", list(BACKENDS))
 def test_a_round_per_event_samples_every_operator_it_feeds(backend):
     """The 1-in-8 latency stride counts the job's events, not a round's:
     at a round per event every operator that received 8 has samples."""
@@ -139,9 +130,8 @@ def test_a_round_per_event_samples_every_operator_it_feeds(backend):
         assert op["latency_s"]["count"] > 0, scope
 
 
-@pytest.mark.parametrize("backend", ["serial", "sharded-inline", "sharded-process"])
+@pytest.mark.parametrize("backend", list(BACKENDS))
 def test_a_new_process_resumes_the_counts(tmp_path, backend):
-    needs_pool(backend)
     config = ServiceConfig(state_dir=str(tmp_path), checkpoint_interval=100)
     half = len(EVENTS) // 2
     first = JobManager(config)
@@ -162,14 +152,21 @@ def test_a_new_process_resumes_the_counts(tmp_path, backend):
         second.stop()
 
 
-@pytest.mark.parametrize("backend", ["serial", "sharded-inline"])
+#: Where the crash falls: past the first checkpoint and inside the
+#: crashed lane (shard 0 of four lanes reads 132 of the 528 events).
+CRASH_AT = {"serial": 180, "sharded-inline": 180, "sharded-four-lanes": 120}
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
 def test_a_masked_crash_reports_the_no_fault_counts(backend):
     shard = 0 if backend.startswith("sharded") else None
     clean = one_shot(backend, checkpoint_interval=100)
     crashed = one_shot(
         backend,
         checkpoint_interval=100,
-        fault_plan=FaultPlan((FaultSpec("crash", at_event=180, shard=shard),)),
+        fault_plan=FaultPlan(
+            (FaultSpec("crash", at_event=CRASH_AT[backend], shard=shard),)
+        ),
     )
     assert crashed.metrics["recovery"]["restarts"]
     assert counts(run_report(crashed)) == counts(run_report(clean))

@@ -373,7 +373,7 @@ class TestShardedRecovery:
         assert want  # the reference run finds matches
 
         crashed = keyed_query(qs, vs, partition="id")
-        backend = ShardedBackend(shards=2, key_attribute="id", mode="inline")
+        backend = ShardedBackend(shards=2, key_attribute="id")
         plan = FaultPlan.crash_each_shard_once(2, 20, 90, seed=5)
         result = crashed.execute(
             backend=backend, checkpoint_interval=25, fault_plan=plan
@@ -390,7 +390,7 @@ class TestShardedRecovery:
     def test_shard_scoped_fault_leaves_other_shards_alone(self):
         qs, vs = self._streams()
         query = keyed_query(qs, vs, partition="id")
-        backend = ShardedBackend(shards=2, key_attribute="id", mode="inline")
+        backend = ShardedBackend(shards=2, key_attribute="id")
         plan = FaultPlan((FaultSpec("crash", at_event=30, shard=1),))
         result = query.execute(
             backend=backend, checkpoint_interval=20, fault_plan=plan

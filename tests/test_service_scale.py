@@ -11,7 +11,6 @@ snapshot/restore property. Live-socket restart coverage is
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -113,7 +112,6 @@ def sharded_submit(name="sharded", **overrides):
     body = {
         "name": name,
         "query": {"pattern": SHARDABLE, "name": name, "options": {"o3": "id"}},
-        "shard_mode": "inline",
     }
     body.update(overrides)
     return body
@@ -178,6 +176,25 @@ class TestShardedRounds:
         assert served_bytes(manager, info["id"], "shard-eq") == \
             batch_reference_inline(SHARDABLE, streams, o3="id")
 
+    def test_a_round_every_few_events_matches_batch_bytes(self):
+        """The split is kept across rounds: twenty small rounds, each
+        routing only the events that arrived since the last, serve the
+        batch run's bytes."""
+        streams = offset_streams(events=500, seed=7)
+        manager = JobManager(ServiceConfig())
+        info = manager.submit(sharded_submit(name="shard-live", shards=2))
+        job = manager.jobs[info["id"]]
+        seq = 1
+        for event in merge_streams_for_wire(streams):
+            manager.ingest_event(event, source="t", seq=seq)
+            if seq % 25 == 0:
+                manager.run_round(job, cut=False)
+            seq += 1
+        manager.drain()
+        assert manager.job_status(info["id"])["rounds"] == (seq - 1) // 25 + 1
+        assert served_bytes(manager, info["id"], "shard-live") == \
+            batch_reference_inline(SHARDABLE, streams, o3="id")
+
     def test_sharded_checkpoints_per_shard(self, tmp_path):
         streams = offset_streams(events=500, seed=3)
         manager = JobManager(
@@ -213,21 +230,6 @@ class TestShardedRounds:
         shards = manager.job_checkpoints(sharded["id"])["coordinator"]["shards"]
         assert [shard["shard"] for shard in shards] == [0, 1]
         assert all(set(shard) == keys | {"shard"} for shard in shards)
-
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 2, reason="process mode needs >1 cpu"
-    )
-    def test_process_mode_matches_batch_bytes(self):
-        pytest.importorskip("cloudpickle")
-        streams = offset_streams(events=500, seed=7)
-        manager = JobManager(ServiceConfig())
-        info = manager.submit(
-            sharded_submit(name="shard-proc", shards=2, shard_mode="process")
-        )
-        ingest_all(manager, streams)
-        manager.drain()
-        assert served_bytes(manager, info["id"], "shard-proc") == \
-            batch_reference_inline(SHARDABLE, streams, o3="id")
 
 
 class TestTenantGroups:
@@ -337,8 +339,9 @@ class TestDurableResume:
 
     def test_old_format_manifest_resumes_with_retired_keys_ignored(self, tmp_path):
         """Manifests store the raw submit dict, so one written before the
-        engine flags and the round knobs were retired still carries
-        ``fusion``/``columnar`` and ``round_events``/``round_slo_ms``
+        engine flags, the round knobs and the shard dispatch mode were
+        retired still carries ``fusion``/``columnar``,
+        ``round_events``/``round_slo_ms`` and ``shard_mode``
         (values no check of this version would pass): resume must accept
         it, ignore the keys and — here across a second mid-stream kill on
         the batch engine — serve identical bytes."""
@@ -354,6 +357,7 @@ class TestDurableResume:
                 "columnar": True,
                 "round_events": 0,
                 "round_slo_ms": "soon",
+                "shard_mode": "fork",
             },
         }))
         streams = offset_streams()
