@@ -35,13 +35,15 @@ per-window pair loop stays interpreted on purpose: its constant is the
 W/slide cost the paper attributes to sliding windows, and the gates
 calibrated on it (``bench_optimizer``'s never-loses parity and its
 ``SEQ-wide/static`` floor) fail when only that side gets cheaper;
-``tests/test_paper_claims.py`` pins the pair count.
+``tests/test_paper_claims.py`` pins the pair count. What it can skip is
+pairs a :class:`CandidateBound` (NSEQ's ``a_ts`` guard) rules out: they
+are never tested, nor counted.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Iterable, Literal, Sequence
@@ -126,14 +128,16 @@ class SlidingWindowJoin(SlidingWindowOperator):
     def _fire_window(self, begin: int, end: int, out: list[Item]) -> None:
         left, right = self._open_buffers()
         theta = self.theta
+        bound: CandidateBound | None = getattr(theta, "candidate_bound", None)
         tested = 0
         for key in left.by_key:
             lefts = left.slice(key, begin, end)
             if not lefts:
                 continue
-            rights = right.slice(key, begin, end)
-            if not rights:
+            ts_list, entries, lo, hi = right.span(key, begin, end)
+            if lo == hi:
                 continue
+            rights = entries[lo:hi]
             for l_item in lefts:
                 # Composed items (partial matches) span an interval; the
                 # window must contain the WHOLE span, not just the single
@@ -146,7 +150,10 @@ class SlidingWindowJoin(SlidingWindowOperator):
                     l_min = l_max = l_item.ts
                 if l_min < begin or l_max >= end:
                     continue
-                for r_item in rights:
+                candidates = rights
+                if bound is not None:
+                    candidates = rights[: bound.stop(ts_list, l_item, lo, hi) - lo]
+                for r_item in candidates:
                     tested += 1
                     if isinstance(r_item, ComplexEvent):
                         r_min, r_max = r_item.ts_b, r_item.ts_e
@@ -164,6 +171,29 @@ class SlidingWindowJoin(SlidingWindowOperator):
                     out.append(compose(l_item, r_item, self.emit_ts))
         self.pairs_tested += tested
         self.work_units += tested
+
+
+@dataclass(frozen=True)
+class CandidateBound:
+    """A sliding join's pair-test conjunct ``r.ts <= l[attribute]``
+    (``<`` when ``strict``), lifted out of ``theta``.
+
+    The translator attaches one to the theta closure it lowers
+    (``theta.candidate_bound``) when both inputs deliver bare events; the
+    closure then no longer tests that conjunct. Rights are buffered in
+    time order, so the rights a left can join are a prefix of the
+    window's slice, found by one bisect per left instead of one
+    ``theta`` call per pair. A handwritten ``SlidingWindowJoin(theta=fn)``
+    has none and tests every pair.
+    """
+
+    attribute: str
+    strict: bool = False
+
+    def stop(self, ts_list: list[int], item: Item, lo: int, hi: int) -> int:
+        """End of the rights in ``ts_list[lo:hi]`` that ``item`` may join."""
+        cut = bisect_left if self.strict else bisect_right
+        return cut(ts_list, item[self.attribute], lo, hi)
 
 
 @dataclass(frozen=True)

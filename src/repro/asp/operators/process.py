@@ -7,7 +7,7 @@ The negated sequence ``SEQ(T1, ¬T2, T3)`` maps to (paper Section 4.1):
    ``e2 in T2`` within ``W`` and attaches an auxiliary timestamp
    ``a_ts`` — ``a_ts = e2.ts`` when such an ``e2`` exists, else
    ``a_ts = e1.ts + W`` (meaning: no blocker seen);
-3. a ``SEQ(T1, T3)`` join with the extra selection ``a_ts > e3.ts``, which
+3. a ``SEQ(T1, T3)`` join with the extra selection ``a_ts >= e3.ts``, which
    guarantees no ``e2`` occurred inside ``(e1.ts, e3.ts)``.
 
 :class:`NextOccurrenceUdf` implements step 2. It buffers pending ``T1``

@@ -238,6 +238,16 @@ class _SideBuffer:
         hi = bisect_left(ts_list, end)
         return entries[lo:hi]
 
+    def span(self, key: Any, begin: int, end: int) -> tuple[list[int], list[Any], int, int]:
+        """``(timestamps, entries, lo, hi)`` of ``key``: its entries with
+        ts in [begin, end) are ``entries[lo:hi]``."""
+        entry = self.by_key.get(key)
+        if entry is None:
+            return [], [], 0, 0
+        ts_list, entries = entry
+        lo = bisect_left(ts_list, begin)
+        return ts_list, entries, lo, bisect_left(ts_list, end, lo)
+
     def spans(
         self, begin: int, end: int
     ) -> Iterator[tuple[Any, list[int], list[Any], int, int]]:

@@ -278,7 +278,7 @@ class NseqPrepare(PlanNode):
     """Union(T1, T2) + next-occurrence UDF of the NSEQ mapping.
 
     Output events are the T1 events enriched with ``a_ts``; the following
-    ordered join with T3 adds the selection ``a_ts > e3.ts``.
+    ordered join with T3 adds the selection ``a_ts >= e3.ts``.
     """
 
     first: StreamScan

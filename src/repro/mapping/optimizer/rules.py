@@ -404,7 +404,9 @@ class AnnotateCompiledSegments(Rule):
     ``theta()`` and why — :func:`repro.mapping.translator.probe_plan`, the
     same facts the lowered operator compiles from); a sliding join the
     interpreted per-window pair loop with its ``W/slide`` re-test factor,
-    the paper's cost for overlapping windows.
+    the paper's cost for overlapping windows, and the conjunct that ends
+    each left's candidate slice when one does
+    (:func:`repro.mapping.translator.candidate_bound`).
     """
 
     name = "annotate-compiled-segments"
@@ -412,7 +414,7 @@ class AnnotateCompiledSegments(Rule):
 
     def apply(self, plan: LogicalPlan, ctx: OptimizeContext) -> RuleDecision:
         from repro.analysis.cardinality import interpret_node
-        from repro.mapping.translator import probe_plan
+        from repro.mapping.translator import candidate_bound, probe_plan
         from repro.sea.predicates import row_filter_source
 
         notes: list[str] = []
@@ -423,9 +425,15 @@ class AnnotateCompiledSegments(Rule):
                 if node.strategy is WindowStrategy.INTERVAL:
                     notes.append(f"probe: {node.label()} {probe_plan(node).describe()}")
                 else:
+                    lifted = candidate_bound(node)
+                    bounded = (
+                        "" if lifted is None
+                        else f", right candidates bounded by {lifted[1].render()}"
+                    )
                     notes.append(
                         f"sliding: {node.label()} interpreted per-window pair "
                         f"loop (W/slide = {-(-node.window_size // node.window_slide)})"
+                        f"{bounded}"
                     )
                 continue
             if not (isinstance(node, StreamScan) and node.filters):

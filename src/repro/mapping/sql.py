@@ -95,7 +95,7 @@ def _collect(node: PlanNode, tables: list[str], where: list[str], notes: list[st
         )
         notes.append(
             "NSEQ executed as UDF(T1 ∪ T2) attaching a_ts, then the ordered "
-            "join adds the selection a_ts > e3.ts (Listing 6 equivalent)"
+            "join adds the selection a_ts >= e3.ts (Listing 6 equivalent)"
         )
         return
     if isinstance(node, MultiWayJoin):

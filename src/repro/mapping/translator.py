@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Literal, Mapping, Seq
 from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
 from repro.asp.runtime import RunResult
 from repro.asp.operators.base import Item, constituents
-from repro.asp.operators.join import ProbePlan
+from repro.asp.operators.join import CandidateBound, ProbePlan
 from repro.asp.operators.sink import CollectSink, Sink
 from repro.asp.operators.source import Source
 from repro.asp.operators.window import IntervalBounds, WindowSpec
@@ -52,6 +52,7 @@ from repro.mapping.optimizer.ir import (
 from repro.sea.ast import Pattern
 from repro.sea.predicates import (
     Attr,
+    Compare,
     Predicate,
     attribute_read,
     compile_mask,
@@ -78,6 +79,12 @@ def _make_theta(join: WindowJoin) -> Callable[[Item, Item], bool] | None:
     condition = join.consecutive_condition
     if not ordered and not conjuncts and condition is None:
         return None
+    lifted = candidate_bound(join)
+    if lifted is not None:
+        # The sliding join applies this conjunct as the end of each
+        # left's candidate slice, so the per-pair test skips it.
+        index, _guard, bound = lifted
+        conjuncts = conjuncts[:index] + conjuncts[index + 1:]
 
     def theta(left: Item, right: Item) -> bool:
         if ordered:
@@ -104,6 +111,8 @@ def _make_theta(join: WindowJoin) -> Callable[[Item, Item], bool] | None:
         # What the batch engine's generated probe inlines in place of
         # calling this closure per pair; travels like a scan's check.keep.
         theta.probe_plan = probe_plan(join)  # type: ignore[attr-defined]
+    if lifted is not None:
+        theta.candidate_bound = bound  # type: ignore[attr-defined]
     return theta
 
 
@@ -114,6 +123,48 @@ def _shape(node: PlanNode) -> str:
     if isinstance(node, (WindowJoin, MultiWayJoin, KleeneIterate, Permute)):
         return "complex"
     return "any"
+
+
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def candidate_bound(join: WindowJoin) -> tuple[int, Compare, CandidateBound] | None:
+    """The conjunct that bounds a sliding join's right candidates.
+
+    On a sliding join of bare events, a conjunct comparing the right
+    alias's own ``ts`` with a left attribute — ``L.x >= R.ts``, ``R.ts <=
+    L.x`` or the strict ``>``/``<`` forms, as NSEQ's ``a_ts`` guard is —
+    holds for a prefix of the right side's time-sorted window slice.
+    Returns the first such conjunct's index in ``extra_theta``, the
+    conjunct written as ``R.ts <= L.x`` (or ``<``) and the bound the join
+    applies; ``None`` when there is none. The lowering and ``repro
+    explain`` both read this.
+    """
+    if join.strategy is WindowStrategy.INTERVAL:
+        return None
+    if _shape(join.left) != "event" or _shape(join.right) != "event":
+        return None
+    (left_alias,), (right_alias,) = join.left.aliases, join.right.aliases
+    if left_alias == right_alias:
+        return None
+    for index, pred in enumerate(join.extra_theta):
+        if not (
+            isinstance(pred, Compare)
+            and isinstance(pred.left, Attr)
+            and isinstance(pred.right, Attr)
+        ):
+            continue
+        op, right_ref, left_ref = pred.op, pred.left, pred.right
+        if right_ref.alias != right_alias:
+            op, right_ref, left_ref = _MIRRORED.get(op, op), left_ref, right_ref
+        if (
+            op in ("<=", "<")
+            and right_ref == Attr(right_alias, "ts")
+            and left_ref.alias == left_alias
+        ):
+            bound = CandidateBound(left_ref.attribute, strict=op == "<")
+            return index, Compare(op, right_ref, left_ref), bound
+    return None
 
 
 def probe_plan(join: WindowJoin) -> ProbePlan:

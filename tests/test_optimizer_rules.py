@@ -366,6 +366,17 @@ class TestAnnotateCompiledSegments:
             "(W/slide = 5)" in notes
         )
 
+    def test_sliding_join_note_names_the_candidate_bound(self):
+        from repro.experiments.common import nseq_pattern
+
+        plan = build_plan(nseq_pattern(15, 0.1, 0.2), TranslationOptions())
+        decision = AnnotateCompiledSegments().apply(plan, ctx_for())
+        assert (
+            "sliding: Join⋈θ[sliding ordered] interpreted per-window pair loop "
+            "(W/slide = 15), right candidates bounded by v1.ts <= q1.a_ts"
+            in decision.plan.notes
+        )
+
 
 class TestRewriteEngine:
     def test_deterministic_given_same_inputs(self):

@@ -336,3 +336,47 @@ class TestSection4Mapping:
         assert 0.75 * (size / slide) <= ratio <= 1.25 * (size / slide)
         assert sliding_matches == interval_matches
         assert sliding_matches == {m.dedup_key() for m in evaluate_pattern(pattern, events)}
+
+    def test_claim_guarded_sliding_join_tests_only_rights_inside_the_guard(self):
+        """§4.1/Listing 6, as a cost contract: NSEQ's join keeps a pair
+        only when ``a_ts >= e3.ts``, and a window's rights are sorted by
+        time, so each in-window left tests only the rights up to its
+        ``a_ts`` — Σ |{r ∈ R_w : r.ts <= l.a_ts}| over fired windows, keys
+        and in-window lefts, not Σ |L_w|·|R_w|. A guarded pair is still
+        re-tested in every window that contains it."""
+        from repro.asp.operators.join import SlidingWindowJoin
+
+        size, slide = 10 * MIN, MIN
+        pattern = parse_pattern(
+            "PATTERN SEQ(Q a, !W x, V b) WITHIN 10 MINUTES SLIDE 1 MINUTE"
+        )
+        events = stream(5, n=240)
+        query = translate(pattern, sources_for(events), TranslationOptions())
+        query.execute()
+        (join,) = [
+            node.payload
+            for node in query.env.flow.nodes.values()
+            if isinstance(node.payload, SlidingWindowJoin)
+        ]
+
+        def a_ts(left):
+            # The next blocker within W, else the no-blocker sentinel.
+            blockers = [
+                e.ts for e in events
+                if e.event_type == "W" and left.ts < e.ts <= left.ts + size
+            ]
+            return min(blockers, default=left.ts + size)
+
+        timestamps = [e.ts for e in events]
+        first_k = -(-(min(timestamps) - size + 1) // slide)
+        expected = every_pair = 0
+        for k in range(first_k, max(timestamps) // slide + 1):
+            window = [e for e in events if k * slide <= e.ts < k * slide + size]
+            lefts = [e for e in window if e.event_type == "Q"]
+            rights = [e.ts for e in window if e.event_type == "V"]
+            expected += sum(1 for left in lefts for ts in rights if ts <= a_ts(left))
+            every_pair += len(lefts) * len(rights)
+        assert join.pairs_tested == expected < every_pair
+        assert {m.dedup_key() for m in query.matches()} == {
+            m.dedup_key() for m in evaluate_pattern(pattern, events)
+        }
